@@ -30,14 +30,7 @@ from ..config import (
     FUSE_MIN_SINGLE_SOURCE_CONFIDENCE,
     FuseConfig,
 )
-from .validators import (
-    check_document_consistency,
-    infer_data_type,
-    looks_like_amount,
-    looks_like_date,
-    normalize_value,
-    validate_field,
-)
+from .validators import FieldTyper
 
 _NAME_NORM_RE = re.compile(r"[ \-]+")
 
@@ -70,9 +63,11 @@ def _value_key(value: str) -> str:
     return (value or "").strip().lower()
 
 
-def quality_filter(cands: list[Candidate], cfg: FuseConfig) -> list[Candidate]:
+def quality_filter(cands: list[Candidate], cfg: FuseConfig,
+                   typer: FieldTyper | None = None) -> list[Candidate]:
     """Drop empty values; drop low-confidence single-source candidates;
     drop type-implausible values for amount/date-named fields."""
+    typer = typer or FieldTyper()
     by_name_sources: dict[str, set[str]] = {}
     for c in cands:
         by_name_sources.setdefault(c.name, set()).add(c.source)
@@ -86,9 +81,9 @@ def quality_filter(cands: list[Candidate], cfg: FuseConfig) -> list[Candidate]:
         ):
             continue
         lname = c.name.lower()
-        if any(k in lname for k in ("total", "amount", "subtotal", "tax")) and not looks_like_amount(c.value):
+        if any(k in lname for k in ("total", "amount", "subtotal", "tax")) and not typer.looks_like_amount(c.value):
             continue
-        if "date" in lname and not looks_like_date(c.value):
+        if "date" in lname and not typer.looks_like_date(c.value):
             continue
         out.append(c)
     return out
@@ -108,7 +103,8 @@ def _dedup(cands: list[Candidate]) -> list[Candidate]:
     return out
 
 
-def _select_weighted_vote(cands: list[Candidate], weights: dict[str, float]) -> Candidate:
+def _select_weighted_vote(cands: list[Candidate], weights: dict[str, float],
+                          _typer: FieldTyper) -> Candidate:
     groups: dict[str, list[Candidate]] = {}
     for c in cands:
         groups.setdefault(_value_key(c.value), []).append(c)
@@ -118,7 +114,8 @@ def _select_weighted_vote(cands: list[Candidate], weights: dict[str, float]) -> 
     return max(groups[best_key], key=lambda c: (c.confidence, c.source))
 
 
-def _select_consensus(cands: list[Candidate], weights: dict[str, float]) -> Candidate:
+def _select_consensus(cands: list[Candidate], weights: dict[str, float],
+                      typer: FieldTyper) -> Candidate:
     """Reference ``_select_consensus`` (``kie/fuse.py:342-373``): any value
     appearing more than once wins (count-based, no strict-majority gate);
     winner is the highest-confidence candidate of the most-repeated value.
@@ -132,28 +129,30 @@ def _select_consensus(cands: list[Candidate], weights: dict[str, float]) -> Cand
         tied = [k for k in sorted(groups) if len(groups[k]) == max_count]
         best_key = max(tied, key=lambda k: (max((c.confidence, c.source) for c in groups[k]), k))
         return max(groups[best_key], key=lambda c: (c.confidence, c.source))
-    return _select_weighted_vote(cands, weights)
+    return _select_weighted_vote(cands, weights, typer)
 
 
-def _select_highest_confidence(cands: list[Candidate], _w: dict[str, float]) -> Candidate:
+def _select_highest_confidence(cands: list[Candidate], _w: dict[str, float],
+                               _typer: FieldTyper) -> Candidate:
     return max(cands, key=lambda c: (c.confidence, c.source, _value_key(c.value)))
 
 
-def _validation_ratio(c: Candidate) -> float:
+def _validation_ratio(c: Candidate, typer: FieldTyper) -> float:
     """Pass-ratio of the candidate's own validators (the analog of the
     reference's per-candidate ``validation_passed``/``validation_total``
     metadata, ``kie/fuse.py:325-340``)."""
-    vres = validate_field(c.name, c.value, infer_data_type(c.name, c.value))
+    vres = typer.validate_field(c.name, c.value, typer.infer_data_type(c.name, c.value))
     if not vres:
         return 0.0
     return sum(1 for v in vres if v["passed"]) / len(vres)
 
 
-def _select_validator_priority(cands: list[Candidate], _w: dict[str, float]) -> Candidate:
+def _select_validator_priority(cands: list[Candidate], _w: dict[str, float],
+                               typer: FieldTyper) -> Candidate:
     """Reference ``_select_validator_priority`` (``kie/fuse.py:325-340``):
     lexicographic max on (validation pass-ratio, confidence), with a
     deterministic (source, value) tie-break."""
-    return max(cands, key=lambda c: (_validation_ratio(c), c.confidence, c.source,
+    return max(cands, key=lambda c: (_validation_ratio(c, typer), c.confidence, c.source,
                                      _value_key(c.value)))
 
 
@@ -194,11 +193,12 @@ def fuse_fields(
 ) -> list[FusedField]:
     """All candidates of ONE document → fused fields, sorted by name."""
     weights = dict(cfg.source_weights)
+    typer = FieldTyper()
     cands = [
         Candidate(normalize_field_name(c.name), c.value, c.confidence, c.source)
         for c in candidates
     ]
-    cands = quality_filter(_dedup(cands), cfg)
+    cands = quality_filter(_dedup(cands), cfg, typer)
     by_name: dict[str, list[Candidate]] = {}
     for c in cands:
         by_name.setdefault(c.name, []).append(c)
@@ -214,12 +214,12 @@ def fuse_fields(
     winner_by_name: dict[str, Candidate] = {}
     for name in sorted(by_name):
         group = by_name[name]
-        winner = select(group, weights)
+        winner = select(group, weights, typer)
         winner_by_name[name] = winner
-        data_type = infer_data_type(name, winner.value)
-        norm = normalize_value(data_type, winner.value)
+        data_type = typer.infer_data_type(name, winner.value)
+        norm = typer.normalize_value(data_type, winner.value)
         winners[name] = norm if norm is not None else winner.value
-        vres = validate_field(name, winner.value, data_type) if run_validators else []
+        vres = typer.validate_field(name, winner.value, data_type) if run_validators else []
         fused.append(
             FusedField(
                 name=name,
@@ -233,7 +233,7 @@ def fuse_fields(
             )
         )
     if run_validators:
-        consistency = check_document_consistency(winners)
+        consistency = typer.check_document_consistency(winners)
         cons_by_field = {"total": [], "subtotal": [], "tax": [], "date": [], "due_date": []}
         for v in consistency:
             if v["name"] == "total_equals_subtotal_plus_tax":

@@ -100,12 +100,18 @@ def _warc_date(ts_us: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _parse_warc_date(s: str) -> int:
+def _parse_warc_date(s: str) -> int | None:
+    """``WARC-Date`` in the form ``_warc_date`` writes → epoch µs, or
+    None for any other form (e.g. a ``+00:00`` offset or a 9-digit
+    fraction), so the caller can skip that one record."""
     s = s.strip()
     if s.endswith("Z"):
         s = s[:-1]
     fmt = "%Y-%m-%dT%H:%M:%S.%f" if "." in s else "%Y-%m-%dT%H:%M:%S"
-    dt = datetime.strptime(s, fmt).replace(tzinfo=timezone.utc)
+    try:
+        dt = datetime.strptime(s, fmt).replace(tzinfo=timezone.utc)
+    except ValueError:
+        return None
     return int(dt.timestamp()) * 1_000_000 + dt.microsecond
 
 
@@ -365,7 +371,9 @@ def _parse_conversion(raw: bytes):
         return None
     url = fields.get(b"warc-target-uri", b"").decode("utf-8", "replace")
     ts_us = _parse_warc_date(
-        fields.get(b"warc-date", b"1970-01-01T00:00:00Z").decode("ascii"))
+        fields.get(b"warc-date", b"1970-01-01T00:00:00Z").decode("ascii", "replace"))
+    if ts_us is None:
+        return None
     return url, ts_us, raw[hdr_end + 4:].decode("utf-8", "replace")
 
 
@@ -412,7 +420,25 @@ def _iter_raw_records(buf: bytes):
         yield from _split_plain_records(b"".join(out))
 
 
+def _content_length(headers: bytes) -> int | None:
+    """The ``Content-Length`` of a record's header block, or None when it
+    is missing, unparseable or negative."""
+    for line in headers.split(_CRLF)[1:]:
+        k, _, v = line.partition(b":")
+        if k.strip().lower() == b"content-length":
+            try:
+                clen = int(v.strip())
+            except ValueError:
+                return None
+            return clen if clen >= 0 else None
+    return None
+
+
 def _split_plain_records(buf: bytes):
+    """Raw records of a plain buffer, framed by ``Content-Length``. A
+    record without a usable length is skipped: the scan resumes at the
+    next record boundary (CRLF CRLF then ``WARC/``), so text inside its
+    block is never read as records."""
     pos = 0
     n = len(buf)
     while pos < n:
@@ -422,16 +448,12 @@ def _split_plain_records(buf: bytes):
         hdr_end = buf.find(_CRLF + _CRLF, start)
         if hdr_end < 0:
             return
-        headers = buf[start:hdr_end]
-        clen = 0
-        for line in headers.split(_CRLF)[1:]:
-            k, _, v = line.partition(b":")
-            if k.strip().lower() == b"content-length":
-                try:
-                    clen = int(v.strip())
-                except ValueError:
-                    clen = 0
         body_start = hdr_end + 4
+        clen = _content_length(buf[start:hdr_end])
+        if clen is None:
+            nxt = buf.find(_CRLF + _CRLF + b"WARC/", body_start)
+            pos = n if nxt < 0 else nxt + 4
+            continue
         yield buf[start:body_start + clen]
         pos = body_start + clen
 
@@ -451,7 +473,9 @@ def _parse_record(raw: bytes):
         return ("skip", None, None, None, None, None)
     url = fields.get(b"warc-target-uri", b"").decode("utf-8", "replace")
     ts_us = _parse_warc_date(
-        fields.get(b"warc-date", b"1970-01-01T00:00:00Z").decode("ascii"))
+        fields.get(b"warc-date", b"1970-01-01T00:00:00Z").decode("ascii", "replace"))
+    if ts_us is None:
+        return None
     lang = fields.get(b"warc-identified-content-language")
     lang_s = lang.decode("ascii", "replace") if lang else "unknown"
     body = raw[hdr_end + 4:]

@@ -24,6 +24,7 @@ from ..functions.nested import explode_fields, parse_structured
 from ..schema import FIELDS_SCHEMA
 
 _KV_RE = re.compile(r"^([A-Za-z][A-Za-z0-9 _\-]{0,40}):\s+(.+?)\s*$")
+_DIGIT_RE = re.compile(r"\d")
 
 #: Confidence profile of the pseudo-sources (analog of the reference's
 #: per-engine source weights ``kie/fuse.py:44-71``).
@@ -72,7 +73,7 @@ def candidates_from_text(text: str) -> list[Candidate]:
             out.extend(_nested_candidates(value))
             continue
         out.append(Candidate(name, value, REGEX_SOURCE_CONF, "regex"))
-        if re.search(r"\d", value):
+        if _DIGIT_RE.search(value):
             out.append(Candidate(name, value, LAYOUT_SOURCE_CONF, "layout"))
     return out
 

@@ -17,7 +17,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import CONSISTENCY_AMOUNT_TOLERANCE
-from ..functions.validators import normalize_date, parse_amount, validate_field
+from ..functions.validators import FieldTyper, normalize_date, parse_amount
 
 #: Field names participating in the amount-consistency check (G7).
 _CONSISTENCY_NAMES = ("total", "subtotal", "tax")
@@ -44,8 +44,9 @@ def annotate_checks(batch: pa.Table) -> pa.Table:
     values = batch.column("value").to_pylist()
     dts = batch.column("data_type").to_pylist()
     n_checks, n_passed = [], []
+    typer = FieldTyper()  # amounts and dates repeat across the batch's rows
     for nm, v, dt in zip(names, values, dts):
-        checks = validate_field(nm, v, dt)
+        checks = typer.validate_field(nm, v, dt)
         n_checks.append(len(checks))
         n_passed.append(sum(1 for c in checks if c["passed"]))
     return (batch.select(["url", "name", "value", "data_type"])

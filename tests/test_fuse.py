@@ -1,5 +1,7 @@
 """Fuser strategies + quality filter (reference ``kie/fuse.py``)."""
 
+import pytest
+
 from horizon_ocr_python_ray.config import FuseConfig
 from horizon_ocr_python_ray.functions.fuse import (
     Candidate,
@@ -78,8 +80,6 @@ def test_validator_priority_prefers_passing_candidate():
 
 
 def test_unknown_strategy_raises():
-    import pytest
-
     with pytest.raises(ValueError, match="unknown fuse strategy"):
         fuse_fields([Candidate("f", "x", 0.9, "regex")], FuseConfig(strategy="bogus"))
 
@@ -145,6 +145,143 @@ def test_deterministic_tie_break():
     a = fuse_fields(cands, CFG, run_validators=False)
     b = fuse_fields(list(reversed(cands)), CFG, run_validators=False)
     assert a[0].value == b[0].value
+
+
+
+# One document whose values repeat across fields and sources ("15 Mar
+# 2024" in five fields, "$1,100.00" in two, "100.00" twice), with a
+# failing date order and a failing total under some strategies.
+_REPEATED = [
+    Candidate("Invoice Date", "15 Mar 2024", 0.9, "regex"),
+    Candidate("Invoice Date", "15 Mar 2024", 0.8, "layout"),
+    Candidate("date", "03/15/2024", 0.9, "regex"),
+    Candidate("Due Date", "2024-03-01", 0.95, "regex"),
+    Candidate("Due Date", "15 Mar 2024", 0.6, "layout"),
+    Candidate("Due Date", "15 Mar 2024", 0.6, "nested"),
+    Candidate("Ship Date", "soon", 0.9, "regex"),
+    Candidate("Total", "$1,150.00", 0.95, "regex"),
+    Candidate("Total", "$1,100.00", 0.6, "layout"),
+    Candidate("Total", "$1,100.00", 0.6, "nested"),
+    Candidate("Subtotal", "$1,000.00", 0.9, "regex"),
+    Candidate("Tax", "100.00", 0.9, "regex"),
+    Candidate("Tax", "100.00", 0.8, "layout"),
+    Candidate("Amount Due", "n/a", 0.9, "regex"),
+    Candidate("Balance", "oops", 0.95, "regex"),
+    Candidate("Balance", "$1,100.00", 0.4, "layout"),
+    Candidate("Issued", "Mar 32, 2024", 0.9, "regex"),
+    Candidate("Issued", "15 Mar 2024", 0.6, "nested"),
+    Candidate("Reference", "15 Mar 2024", 0.9, "regex"),
+    Candidate("Count", "42", 0.9, "regex"),
+    Candidate("Count", "42", 0.8, "layout"),
+    Candidate("Notes", "INV-000000", 0.9, "regex"),
+    Candidate("Notes", "V0786", 0.85, "nested"),
+    Candidate("Notes", "", 0.99, "layout"),
+]
+
+# (name, value, normalized_value, data_type, confidence, status,
+#  n_candidates, ((validator, passed), ...), (failure messages, ...)),
+# as the plain strptime-cascade implementation produced them.
+_REPEATED_WANT = {
+    "weighted_vote": [
+        ('balance', 'oops', 'oops', 'string', 0.95, 'single_source', 2, (), ()),
+        ('count', '42', '42.0', 'number', 0.9, 'confident', 2, (), ()),
+        ('date', '03/15/2024', '2024-03-15', 'date', 0.9, 'validation_failed', 1, (('date_parse', True), ('due_date_after_invoice_date', False)), ('due 2024-03-01 < invoice 2024-03-15',)),
+        ('due_date', '2024-03-01', '2024-03-01', 'date', 0.95, 'validation_failed', 3, (('date_parse', True), ('due_date_after_invoice_date', False)), ('due 2024-03-01 < invoice 2024-03-15',)),
+        ('invoice_date', '15 Mar 2024', '2024-03-15', 'date', 0.9, 'validated', 2, (('date_parse', True),), ()),
+        ('issued', 'Mar 32, 2024', 'Mar 32, 2024', 'string', 0.9, 'single_source', 2, (), ()),
+        ('notes', 'INV-000000', 'INV-000000', 'string', 0.9, 'single_source', 2, (), ()),
+        ('reference', '15 Mar 2024', '2024-03-15', 'date', 0.9, 'validated', 1, (('date_parse', True),), ()),
+        ('subtotal', '$1,000.00', '1000.00', 'currency', 0.9, 'validation_failed', 1, (('amount_parse', True), ('total_equals_subtotal_plus_tax', False)), ('total 1150.0 != subtotal 1000.0 + tax 100.0',)),
+        ('tax', '100.00', '100.00', 'currency', 0.9, 'validation_failed', 2, (('amount_parse', True), ('total_equals_subtotal_plus_tax', False)), ('total 1150.0 != subtotal 1000.0 + tax 100.0',)),
+        ('total', '$1,150.00', '1150.00', 'currency', 0.95, 'validation_failed', 3, (('amount_parse', True), ('total_equals_subtotal_plus_tax', False)), ('total 1150.0 != subtotal 1000.0 + tax 100.0',)),
+    ],
+    "consensus": [
+        ('balance', 'oops', 'oops', 'string', 0.95, 'single_source', 2, (), ()),
+        ('count', '42', '42.0', 'number', 0.9, 'confident', 2, (), ()),
+        ('date', '03/15/2024', '2024-03-15', 'date', 0.9, 'validated', 1, (('date_parse', True), ('due_date_after_invoice_date', True)), ()),
+        ('due_date', '15 Mar 2024', '2024-03-15', 'date', 0.6, 'validated', 3, (('date_parse', True), ('due_date_after_invoice_date', True)), ()),
+        ('invoice_date', '15 Mar 2024', '2024-03-15', 'date', 0.9, 'validated', 2, (('date_parse', True),), ()),
+        ('issued', 'Mar 32, 2024', 'Mar 32, 2024', 'string', 0.9, 'single_source', 2, (), ()),
+        ('notes', 'INV-000000', 'INV-000000', 'string', 0.9, 'single_source', 2, (), ()),
+        ('reference', '15 Mar 2024', '2024-03-15', 'date', 0.9, 'validated', 1, (('date_parse', True),), ()),
+        ('subtotal', '$1,000.00', '1000.00', 'currency', 0.9, 'validated', 1, (('amount_parse', True), ('total_equals_subtotal_plus_tax', True)), ()),
+        ('tax', '100.00', '100.00', 'currency', 0.9, 'validated', 2, (('amount_parse', True), ('total_equals_subtotal_plus_tax', True)), ()),
+        ('total', '$1,100.00', '1100.00', 'currency', 0.6, 'validated', 3, (('amount_parse', True), ('total_equals_subtotal_plus_tax', True)), ()),
+    ],
+    "highest_confidence": [
+        ('balance', 'oops', 'oops', 'string', 0.95, 'single_source', 2, (), ()),
+        ('count', '42', '42.0', 'number', 0.9, 'confident', 2, (), ()),
+        ('date', '03/15/2024', '2024-03-15', 'date', 0.9, 'validation_failed', 1, (('date_parse', True), ('due_date_after_invoice_date', False)), ('due 2024-03-01 < invoice 2024-03-15',)),
+        ('due_date', '2024-03-01', '2024-03-01', 'date', 0.95, 'validation_failed', 3, (('date_parse', True), ('due_date_after_invoice_date', False)), ('due 2024-03-01 < invoice 2024-03-15',)),
+        ('invoice_date', '15 Mar 2024', '2024-03-15', 'date', 0.9, 'validated', 2, (('date_parse', True),), ()),
+        ('issued', 'Mar 32, 2024', 'Mar 32, 2024', 'string', 0.9, 'single_source', 2, (), ()),
+        ('notes', 'INV-000000', 'INV-000000', 'string', 0.9, 'single_source', 2, (), ()),
+        ('reference', '15 Mar 2024', '2024-03-15', 'date', 0.9, 'validated', 1, (('date_parse', True),), ()),
+        ('subtotal', '$1,000.00', '1000.00', 'currency', 0.9, 'validation_failed', 1, (('amount_parse', True), ('total_equals_subtotal_plus_tax', False)), ('total 1150.0 != subtotal 1000.0 + tax 100.0',)),
+        ('tax', '100.00', '100.00', 'currency', 0.9, 'validation_failed', 2, (('amount_parse', True), ('total_equals_subtotal_plus_tax', False)), ('total 1150.0 != subtotal 1000.0 + tax 100.0',)),
+        ('total', '$1,150.00', '1150.00', 'currency', 0.95, 'validation_failed', 3, (('amount_parse', True), ('total_equals_subtotal_plus_tax', False)), ('total 1150.0 != subtotal 1000.0 + tax 100.0',)),
+    ],
+    "validator_priority": [
+        ('balance', '$1,100.00', '1100.00', 'currency', 0.4, 'validated', 2, (('amount_parse', True),), ()),
+        ('count', '42', '42.0', 'number', 0.9, 'confident', 2, (), ()),
+        ('date', '03/15/2024', '2024-03-15', 'date', 0.9, 'validation_failed', 1, (('date_parse', True), ('due_date_after_invoice_date', False)), ('due 2024-03-01 < invoice 2024-03-15',)),
+        ('due_date', '2024-03-01', '2024-03-01', 'date', 0.95, 'validation_failed', 3, (('date_parse', True), ('due_date_after_invoice_date', False)), ('due 2024-03-01 < invoice 2024-03-15',)),
+        ('invoice_date', '15 Mar 2024', '2024-03-15', 'date', 0.9, 'validated', 2, (('date_parse', True),), ()),
+        ('issued', '15 Mar 2024', '2024-03-15', 'date', 0.6, 'validated', 2, (('date_parse', True),), ()),
+        ('notes', 'INV-000000', 'INV-000000', 'string', 0.9, 'single_source', 2, (), ()),
+        ('reference', '15 Mar 2024', '2024-03-15', 'date', 0.9, 'validated', 1, (('date_parse', True),), ()),
+        ('subtotal', '$1,000.00', '1000.00', 'currency', 0.9, 'validation_failed', 1, (('amount_parse', True), ('total_equals_subtotal_plus_tax', False)), ('total 1150.0 != subtotal 1000.0 + tax 100.0',)),
+        ('tax', '100.00', '100.00', 'currency', 0.9, 'validation_failed', 2, (('amount_parse', True), ('total_equals_subtotal_plus_tax', False)), ('total 1150.0 != subtotal 1000.0 + tax 100.0',)),
+        ('total', '$1,150.00', '1150.00', 'currency', 0.95, 'validation_failed', 3, (('amount_parse', True), ('total_equals_subtotal_plus_tax', False)), ('total 1150.0 != subtotal 1000.0 + tax 100.0',)),
+    ],
+}
+
+
+def _fused_row(f) -> tuple:
+    return (f.name, f.value, f.normalized_value, f.data_type, f.confidence,
+            f.status, f.n_candidates,
+            tuple((v["name"], v["passed"]) for v in f.validators),
+            tuple(v["message"] for v in f.validators if v["message"]))
+
+
+@pytest.mark.parametrize("strategy", sorted(_REPEATED_WANT))
+def test_every_strategy_on_repeated_values(strategy):
+    cfg = FuseConfig(strategy=strategy)
+    got = [_fused_row(f) for f in fuse_fields(_REPEATED, cfg)]
+    assert got == _REPEATED_WANT[strategy]
+    # without validators: the same winners and normalizations
+    bare = fuse_fields(_REPEATED, cfg, run_validators=False)
+    assert [(f.name, f.value, f.normalized_value, f.data_type) for f in bare] == \
+        [row[:4] for row in got]
+    assert all(f.validators == [] for f in bare)
+
+
+@pytest.mark.parametrize("strategy", sorted(_REPEATED_WANT))
+def test_each_value_parsed_once_per_document(strategy, monkeypatch):
+    """Within one fuse_fields call a value goes through the date cascade
+    and the amount parser at most once each; a second call parses again
+    (nothing is kept across documents)."""
+    from horizon_ocr_python_ray.functions import validators
+
+    calls: list[tuple[str, str]] = []
+
+    def counted(fn_name):
+        fn = getattr(validators, fn_name)
+
+        def wrapper(value):
+            calls.append((fn_name, value))
+            return fn(value)
+        return wrapper
+
+    for fn_name in ("normalize_date", "parse_amount"):
+        monkeypatch.setattr(validators, fn_name, counted(fn_name))
+    cfg = FuseConfig(strategy=strategy)
+    fuse_fields(_REPEATED, cfg)
+    assert calls and len(calls) == len(set(calls))
+    first = sorted(calls)
+    calls.clear()
+    fuse_fields(_REPEATED, cfg)
+    assert sorted(calls) == first
 
 
 class TestWindows:

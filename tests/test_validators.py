@@ -1,13 +1,14 @@
 """Validator kernels (reference semantics ``kie/validators.py``)."""
 
+from datetime import date as _date, datetime as _datetime
+
+from hypothesis import example, given, settings, strategies as st
+
 from horizon_ocr_python_ray.functions.validators import (
-    check_document_consistency,
+    FieldTyper,
     detect_currency,
-    infer_data_type,
     normalize_date,
-    normalize_value,
     parse_amount,
-    validate_field,
 )
 
 
@@ -46,26 +47,29 @@ def test_currency_detection():
 
 
 def test_infer_and_normalize():
-    assert infer_data_type("total", "$1,234.56") == "currency"
-    assert normalize_value("currency", "$1,234.56") == "1234.56"
-    assert infer_data_type("invoice date", "2024-01-02") == "date"
-    assert infer_data_type("notes", "hello world") == "string"
-    assert infer_data_type("count", "42") == "number"
+    t = FieldTyper()
+    assert t.infer_data_type("total", "$1,234.56") == "currency"
+    assert t.normalize_value("currency", "$1,234.56") == "1234.56"
+    assert t.infer_data_type("invoice date", "2024-01-02") == "date"
+    assert t.infer_data_type("notes", "hello world") == "string"
+    assert t.infer_data_type("count", "42") == "number"
 
 
 def test_validate_field():
-    res = validate_field("total", "$10.00", "currency")
+    t = FieldTyper()
+    res = t.validate_field("total", "$10.00", "currency")
     assert res == [{"name": "amount_parse", "passed": True, "message": ""}]
-    res = validate_field("total", "abc", "currency")
+    res = t.validate_field("total", "abc", "currency")
     assert not res[0]["passed"]
 
 
 def test_consistency_tolerance():
-    ok = check_document_consistency({"total": "110.00", "subtotal": "100.00", "tax": "10.00"})
+    check = FieldTyper().check_document_consistency
+    ok = check({"total": "110.00", "subtotal": "100.00", "tax": "10.00"})
     assert ok[0]["passed"]
-    bad = check_document_consistency({"total": "115.00", "subtotal": "100.00", "tax": "10.00"})
+    bad = check({"total": "115.00", "subtotal": "100.00", "tax": "10.00"})
     assert not bad[0]["passed"]
-    dates = check_document_consistency({"date": "2024-01-10", "due_date": "2024-01-01"})
+    dates = check({"date": "2024-01-10", "due_date": "2024-01-01"})
     assert not dates[0]["passed"]
 
 
@@ -110,3 +114,67 @@ def test_parse_amount_matrix():
     assert parse_amount("") is None
     assert parse_amount("--") is None
     assert parse_amount("no digits") is None
+
+
+# -- normalize_date against the strptime cascade it replaced -----------------
+_REF_DATE_FORMATS = (
+    "%Y-%m-%d", "%d/%m/%Y", "%m/%d/%Y", "%d-%m-%Y", "%m-%d-%Y",
+    "%d.%m.%Y", "%Y/%m/%d", "%Y.%m.%d", "%d %b %Y", "%d %B %Y",
+    "%b %d, %Y", "%B %d, %Y", "%b %d %Y", "%B %d %Y",
+    "%Y%m%d", "%d-%b-%Y", "%d %b, %Y",
+)
+_REF_DATE_FORMATS_2Y = tuple(f.replace("%Y", "%y") for f in _REF_DATE_FORMATS)
+
+
+def _normalize_date_reference(value: str) -> str | None:
+    """The plain strptime cascade, kept as the oracle."""
+    if not value:
+        return None
+    s = value.strip()
+    for fmt in _REF_DATE_FORMATS:
+        try:
+            return _datetime.strptime(s, fmt).strftime("%Y-%m-%d")
+        except ValueError:
+            continue
+    for fmt in _REF_DATE_FORMATS_2Y:
+        try:
+            return _datetime.strptime(s, fmt).strftime("%Y-%m-%d")
+        except ValueError:
+            continue
+    return None
+
+
+@st.composite
+def _rendered_dates(draw) -> str:
+    """A date rendered in one cascade format, then perturbed the ways OCR
+    text is: mixed-case month names, space-padded days, whitespace runs,
+    outer whitespace, and sometimes an invalid day or a stray suffix."""
+    d = draw(st.dates(min_value=_date(1, 1, 1), max_value=_date(9999, 12, 31)))
+    fmt = draw(st.sampled_from(_REF_DATE_FORMATS + _REF_DATE_FORMATS_2Y))
+    if draw(st.booleans()):
+        fmt = fmt.replace("%d", f"{d.day:2d}")  # "%d" also takes " 1"
+    s = d.strftime(fmt)
+    if draw(st.booleans()):
+        s = "".join(c.upper() if draw(st.booleans()) else c.lower() for c in s)
+    if draw(st.booleans()):
+        runs = st.sampled_from([" ", "  ", "\t", " \n ", "　"])
+        s = "".join(draw(runs) if c == " " else c for c in s)
+    if draw(st.booleans()):
+        s = s.replace(f"{d.day:02d}", draw(st.sampled_from(["30", "31", "00", "32"])), 1)
+    suffix = draw(st.sampled_from(["", "", "", "0", "x", ".", " 12:00"]))
+    pad = draw(st.sampled_from(["", " ", "\t", "\n"]))
+    return pad + s + suffix + pad
+
+
+_NON_DATES = st.sampled_from(["8", "INV-000000", "V0786", "", " ", "2024",
+                              "12/31", "$1,234.56", "Mar", "1/1/1"])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(_rendered_dates(), _NON_DATES, st.text(max_size=24),
+                 st.from_regex(r"[0-9 /.,\-A-Za-z]{1,14}", fullmatch=True)))
+@example(" 1/ 1/2024")
+@example("29/02/23")
+@example("SEPTEMBER  9,\t2024")
+def test_normalize_date_matches_strptime_cascade(s):
+    assert normalize_date(s) == _normalize_date_reference(s)

@@ -236,3 +236,62 @@ def test_read_empty_dir_returns_empty_dataset(tmp_path):
     assert set(got.schema().names) == {"url", "warc_ts", "html", "text", "lang"}
     wet = W.read_wet(d)
     assert wet.count() == 0
+
+
+def _plain_record(url: str, date: bytes = b"2024-01-01T00:00:00Z", *,
+                  length: bool = True, body: bytes = b"<html>x</html>") -> bytes:
+    """An uncompressed response record with a chosen WARC-Date, with or
+    without its Content-Length header."""
+    rec = W.record_bytes(url, 0, body, "text/html", compress=False)
+    rec = rec.replace(b"WARC-Date: 1970-01-01T00:00:00Z", b"WARC-Date: " + date)
+    if not length:
+        head, sep, rest = rec.partition(b"\r\n\r\n")
+        head = b"\r\n".join(line for line in head.split(b"\r\n")
+                            if not line.startswith(b"Content-Length"))
+        rec = head + sep + rest
+    return rec
+
+
+@pytest.mark.parametrize("date", [
+    b"2024-01-01T00:00:00+00:00",       # offset instead of Z
+    b"2024-01-01T00:00:00.123456789Z",  # WARC-1.1 nanosecond fraction
+    b"not-a-date",
+    "2024-01-01T00:00:00éZ".encode(),  # non-ASCII
+])
+def test_malformed_warc_date_skips_only_that_record(date):
+    """A WARC-Date the reader cannot parse drops its own record; the
+    records around it still parse, in plain and gzip framing."""
+    recs = [_plain_record("https://x.example/a"),
+            _plain_record("https://x.example/bad", date),
+            _plain_record("https://x.example/c")]
+    for buf in (b"".join(recs), b"".join(W._gzip_member(r) for r in recs)):
+        t = W.parse_warc_file_bytes(buf)
+        assert t.column("url").to_pylist() == ["https://x.example/a",
+                                                "https://x.example/c"]
+
+
+def test_wet_conversion_with_malformed_date_is_skipped():
+    good = (b"WARC/1.0\r\nWARC-Type: conversion\r\nWARC-Target-URI: u\r\n"
+            b"WARC-Date: 2024-01-01T00:00:00Z\r\n\r\nhello")
+    assert W._parse_conversion(good) == ("u", 1_704_067_200_000_000, "hello")
+    assert W._parse_conversion(good.replace(b"00Z", b"00+00:00")) is None
+
+
+@pytest.mark.parametrize("length_line", [None, b"Content-Length: twelve",
+                                         b"Content-Length: -5"])
+def test_record_without_content_length_is_skipped(length_line):
+    """A body-bearing record whose Content-Length is missing or unusable
+    is skipped, never emitted with an empty payload, and text in its body
+    that looks like a record start is not read as one."""
+    body = b"<html>bodyA WARC/1.0 inside</html>"
+    bad = _plain_record("https://x.example/nolen", length=False, body=body)
+    if length_line is not None:
+        head, sep, rest = bad.partition(b"\r\n\r\n")
+        bad = head + b"\r\n" + length_line + sep + rest
+    first = _plain_record("https://x.example/a")
+    last = _plain_record("https://x.example/c")
+    for recs in ([first, bad, last], [first, last, bad]):
+        t = W.parse_warc_file_bytes(b"".join(recs))
+        assert sorted(t.column("url").to_pylist()) == ["https://x.example/a",
+                                                        "https://x.example/c"]
+        assert t.column("html").to_pylist() == [b"<html>x</html>"] * 2
