@@ -11,10 +11,14 @@ Ray-native lifecycle (SURVEY.md §3, "Ray-native restatement"):
       → map_batches(FanOut)                   # re-emit dup members' rows
       → write_parquet / downstream stages
 
-``variant="staged"`` swaps the combined extractor for the page-fan-out
-actor pipeline (``stages/staged.py``); ``variant="grouped"`` uses the
-reference-shaped wide ``groupby(content_hash)`` collapse
-(``stages/dedup.py`` grouped variant). All three are byte-identical.
+``variant`` picks the dedup/extract shape (default from
+``DedupConfig.strategy``): ``"combined"`` is one streaming pass with a
+per-actor content-hash memo; ``"registry"`` adds the bracketed
+dup-registry pre-pass above; ``"grouped"`` uses the reference-shaped
+wide ``groupby(content_hash)`` collapse (``stages/dedup.py`` grouped
+variant); ``"staged"`` swaps the combined extractor for the
+page-fan-out actor pipeline (``stages/staged.py``). All four are
+byte-identical.
 """
 
 from __future__ import annotations

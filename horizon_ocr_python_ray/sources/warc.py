@@ -77,12 +77,13 @@ def _gzip_member(raw: bytes) -> bytes:
     return co.compress(raw) + co.flush()
 
 
-def _encode_uri(url: str) -> bytes:
-    """Raw control chars are invalid in URLs and would be header
-    injection; percent-encode them (one-way — a VALID url round-trips
-    unchanged)."""
+def _header_value(value: str) -> bytes:
+    """A caller-supplied header value (url, language, content type) as
+    UTF-8 bytes. Raw control chars would be header injection (a CR/LF
+    ends the header line); percent-encode them (one-way — a value
+    without control chars round-trips unchanged)."""
     return "".join(f"%{ord(c):02X}" if ord(c) < 0x20 else c
-                   for c in url).encode("utf-8")
+                   for c in value).encode("utf-8")
 
 
 def _sniff_content_type(payload: bytes) -> str:
@@ -122,7 +123,7 @@ def record_bytes(url: str, ts_us: int, payload: bytes, content_type: str,
     ``WARC-Record-ID`` is derived from the url so output is
     deterministic."""
     http = (b"HTTP/1.1 200 OK" + _CRLF
-            + b"Content-Type: " + content_type.encode("ascii") + _CRLF
+            + b"Content-Type: " + _header_value(content_type) + _CRLF
             + b"Content-Length: " + str(len(payload)).encode("ascii") + _CRLF
             + _CRLF + payload)
     rec_id = uuid.uuid5(uuid.NAMESPACE_URL, url)
@@ -131,11 +132,10 @@ def record_bytes(url: str, ts_us: int, payload: bytes, content_type: str,
         b"WARC-Type: response",
         b"WARC-Record-ID: <urn:uuid:" + str(rec_id).encode("ascii") + b">",
         b"WARC-Date: " + _warc_date(ts_us).encode("ascii"),
-        b"WARC-Target-URI: " + _encode_uri(url),
+        b"WARC-Target-URI: " + _header_value(url),
     ]
     if lang and lang != "unknown":
-        headers.append(b"WARC-Identified-Content-Language: "
-                       + lang.encode("ascii"))
+        headers.append(b"WARC-Identified-Content-Language: " + _header_value(lang))
     headers += [
         b"Content-Type: application/http; msgtype=response",
         b"Content-Length: " + str(len(http)).encode("ascii"),
@@ -205,19 +205,17 @@ def write_warc_dir(table: pa.Table, out_dir: str, rows_per_shard: int = 200,
     return paths
 
 
-def _shard_name(t: pa.Table, suffix: str) -> str:
+def _shard_name(payload: bytes, suffix: str) -> str:
     """Deterministic, content-derived shard name: a Ray task RETRY (or a
     second execution of the lazy plan) re-writes the SAME path via
     ``os.replace`` instead of leaving a duplicate shard — the same
     idempotence the parquet checkpoint sink gets from per-partition
-    paths. Derived from the block's url bounds + row count, which
-    identify a block of a deterministic pipeline."""
+    paths. Derived from the shard's own bytes, which are deterministic
+    (record ids come from urls, and the gzip wrapper writes mtime 0), so
+    blocks that differ in any record never share a name."""
     import hashlib
 
-    urls = t.column("url")
-    key = (str(urls[0]) + "\x1f" + str(urls[len(urls) - 1]) + "\x1f"
-           + str(t.num_rows))
-    return f"shard-{hashlib.md5(key.encode('utf-8')).hexdigest()}{suffix}"
+    return f"shard-{hashlib.sha256(payload).hexdigest()}{suffix}"
 
 
 def _commit_shard(out_dir: str, name: str, payload: bytes) -> str:
@@ -246,8 +244,8 @@ def write_warc(ds, out_dir: str):
         if not t.num_rows:
             return pa.table({"path": pa.array([], pa.string()),
                              "records": pa.array([], pa.int64())})
-        final = _commit_shard(out_dir, _shard_name(t, ".warc.gz"),
-                              table_to_warc_bytes(t))
+        payload = table_to_warc_bytes(t)
+        final = _commit_shard(out_dir, _shard_name(payload, ".warc.gz"), payload)
         return pa.table({"path": pa.array([final]),
                          "records": pa.array([t.num_rows], pa.int64())})
 
@@ -268,7 +266,7 @@ def conversion_record_bytes(url: str, ts_us: int, text: str,
         b"WARC-Type: conversion",
         b"WARC-Record-ID: <urn:uuid:" + str(rec_id).encode("ascii") + b">",
         b"WARC-Date: " + _warc_date(ts_us).encode("ascii"),
-        b"WARC-Target-URI: " + _encode_uri(url),
+        b"WARC-Target-URI: " + _header_value(url),
         b"Content-Type: text/plain",
         b"Content-Length: " + str(len(body)).encode("ascii"),
     ]
@@ -293,9 +291,8 @@ def write_wet(ds, out_dir: str, *, url_col: str = "url",
         parts = [warcinfo_bytes()]
         parts += [conversion_record_bytes(u, t_us, x or "")
                   for u, t_us, x in zip(urls, ts, texts)]
-        key = t.select([url_col]).rename_columns(["url"])
-        final = _commit_shard(out_dir, _shard_name(key, ".warc.wet.gz"),
-                              b"".join(parts))
+        payload = b"".join(parts)
+        final = _commit_shard(out_dir, _shard_name(payload, ".warc.wet.gz"), payload)
         return pa.table({"path": pa.array([final]),
                          "records": pa.array([t.num_rows], pa.int64())})
 
@@ -477,7 +474,7 @@ def _parse_record(raw: bytes):
     if ts_us is None:
         return None
     lang = fields.get(b"warc-identified-content-language")
-    lang_s = lang.decode("ascii", "replace") if lang else "unknown"
+    lang_s = lang.decode("utf-8", "replace") if lang else "unknown"
     body = raw[hdr_end + 4:]
     # HTTP wrapper: status line + headers, then payload
     http_hdr_end = body.find(_CRLF + _CRLF)

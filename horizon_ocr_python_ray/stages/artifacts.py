@@ -13,13 +13,13 @@ partitioned ``write_parquet`` behind a flag — never in the hot path,
 exactly the survey's S11 disposition.
 
 Overlay ``layout``/``ocr`` records follow the extraction pipeline's
-*exact* line production (native fast path for digital docs, detect +
-recognize + targeted re-pass for scanned — ``functions/extract_core.py:
-recognize_doc_pages``), so the per-url line ordinal aligns 1:1 with the
-golden span ordinal and the DuckDB oracle can verify every rect's kind,
-color, label and text against the golden fixtures. ``table`` records
-reuse ``tables_stage.page_tables`` verbatim — zero drift from the
-oracled tables pipeline.
+*exact* line production (``functions/extract_core.py:page_lines`` —
+native fast path for digital docs, detect + recognize + targeted re-pass
+for scanned), so the per-url line ordinal aligns 1:1 with the golden
+span ordinal and the DuckDB oracle can verify every rect's kind, color,
+label and text against the golden fixtures. ``table`` records come from
+the tables pipeline's own ``tables_stage.page_tables`` over the same
+decoded pages — zero drift from the oracled tables pipeline.
 """
 
 from __future__ import annotations
@@ -30,17 +30,13 @@ from typing import Any
 import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
-from ..functions import sniff as sniff_mod
-from ..functions.docformat import decode_doc_payload, decode_image_payload
-from ..functions.layout import recognize_page
+from ..functions.extract_core import is_digital, page_lines
 from ..functions.overlay import (
     line_overlay_records,
     render_page_svg,
     table_overlay_records,
 )
-from ..functions.regions import classify_line_role
-from ..functions.style import is_scanned_doc
-from .route import add_sniff_stage
+from .route import add_heavy_stage, heavy_head_batch
 from .tables_stage import page_tables
 
 OVERLAY_SCHEMA = pa.schema([
@@ -65,124 +61,51 @@ ARTIFACT_SCHEMA = pa.schema([
     ("n_records", pa.int64()),
 ])
 
-_HEAVY_ROUTES = (sniff_mod.ROUTE_DOC, sniff_mod.ROUTE_IMAGE)
 
-
-def _page_lines(page: dict[str, Any], scanned: bool, cfg: ExtractConfig) -> list[dict]:
-    """One page's line dicts (text/bbox/kind/confidence) on the same
-    branch the extraction pipeline takes (extract_core.py:68-94):
-    native spans for digital docs (confidence 1.0 — native text is
-    certain), recognize (+re-pass) for scanned."""
-    w, h = page.get("w"), page.get("h")
-    if not scanned:
-        return [
-            {"text": s["t"], "bbox": list(s["bbox"]), "confidence": 1.0,
-             "kind": (classify_line_role(s["t"], s["bbox"], w, h)
-                      if w and h else "line")}
-            for s in page.get("native") or []
-        ]
-    return recognize_page(page["lines"], cfg.doc, w, h)
-
-
-def payload_overlay_records(
-    payload: bytes, route: str, cfg: ExtractConfig
-) -> list[dict[str, Any]]:
-    """All overlay records for one heavy-route payload, plus per-page
-    dims stashed under the ``_dims`` key of a sentinel record-free map —
-    callers that render SVGs use :func:`payload_page_dims`."""
-    if route == sniff_mod.ROUTE_DOC:
-        pages = sorted(decode_doc_payload(payload), key=lambda p: p["page"])
-        scanned = is_scanned_doc(pages)
-        pages = [(int(p["page"]), p) for p in pages]
-    elif route == sniff_mod.ROUTE_IMAGE:
-        pages = [(0, decode_image_payload(payload))]
-        scanned = True
-    else:
-        return []
+def overlay_records(route: str, pages: list[dict], cfg: ExtractConfig) -> list[dict[str, Any]]:
+    """All overlay records of one decoded heavy-route document."""
+    digital = is_digital(route, pages)
     records: list[dict[str, Any]] = []
     idx = 0
-    for page_no, p in pages:
-        recs, idx = line_overlay_records(page_no, _page_lines(p, scanned, cfg), idx)
+    for p in pages:
+        recs, idx = line_overlay_records(int(p["page"]), page_lines(p, digital, cfg), idx)
         records.extend(recs)
-    for page_no, tables in page_tables(payload, route, cfg):
+    for page_no, tables in page_tables(pages, cfg):
         records.extend(table_overlay_records(page_no, tables))
     return records
 
 
-def payload_page_dims(payload: bytes, route: str) -> dict[int, tuple[float, float]]:
-    if route == sniff_mod.ROUTE_DOC:
-        return {int(p["page"]): (float(p.get("w") or 0), float(p.get("h") or 0))
-                for p in decode_doc_payload(payload)}
-    if route == sniff_mod.ROUTE_IMAGE:
-        p = decode_image_payload(payload)
-        return {0: (float(p.get("w") or 0), float(p.get("h") or 0))}
-    return {}
+def artifact_rows(route: str, pages: list[dict], cfg: ExtractConfig) -> list[dict[str, Any]]:
+    """One SVG per page that has overlay records, sized by that page's dims."""
+    by_page: dict[int, list[dict]] = {}
+    for r in overlay_records(route, pages, cfg):
+        by_page.setdefault(r["page"], []).append(r)
+    dims = {int(p["page"]): (float(p.get("w") or 0), float(p.get("h") or 0)) for p in pages}
+    rows = []
+    for page_no in sorted(by_page):
+        w, h = dims.get(page_no, (0.0, 0.0))
+        svg = render_page_svg(by_page[page_no], w, h).encode("utf-8")
+        rows.append({"page": page_no, "artifact": svg,
+                     "sha256": hashlib.sha256(svg).hexdigest(),
+                     "n_records": len(by_page[page_no])})
+    return rows
 
 
 def overlay_batch(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
-    cols: dict[str, list] = {n: [] for n in OVERLAY_SCHEMA.names}
-    for url, route, payload in zip(batch.column("url").to_pylist(),
-                                   batch.column("route").to_pylist(),
-                                   batch.column("html").to_pylist()):
-        try:
-            records = payload_overlay_records(payload or b"", route, cfg)
-        except Exception:
-            continue  # poison payload → no overlay rows (error surfaced by extract)
-        for r in records:
-            cols["url"].append(url)
-            for n in OVERLAY_SCHEMA.names[1:]:
-                cols[n].append(r[n])
-    return pa.Table.from_arrays(
-        [pa.array(cols[n], OVERLAY_SCHEMA.field(n).type) for n in OVERLAY_SCHEMA.names],
-        schema=OVERLAY_SCHEMA,
-    )
+    return heavy_head_batch(batch, OVERLAY_SCHEMA, overlay_records, cfg)
 
 
 def artifact_batch(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
     """Per-page SVG artifacts — the save_image analog. Rendering happens
     inside the same task that decoded the payload: no shuffle, and the
     (large) SVG bytes go straight to the sink."""
-    cols: dict[str, list] = {n: [] for n in ARTIFACT_SCHEMA.names}
-    for url, route, payload in zip(batch.column("url").to_pylist(),
-                                   batch.column("route").to_pylist(),
-                                   batch.column("html").to_pylist()):
-        try:
-            records = payload_overlay_records(payload or b"", route, cfg)
-            dims = payload_page_dims(payload or b"", route)
-        except Exception:
-            continue
-        by_page: dict[int, list[dict]] = {}
-        for r in records:
-            by_page.setdefault(r["page"], []).append(r)
-        for page_no in sorted(by_page):
-            w, h = dims.get(page_no, (0.0, 0.0))
-            svg = render_page_svg(by_page[page_no], w, h).encode("utf-8")
-            cols["url"].append(url)
-            cols["page"].append(page_no)
-            cols["artifact"].append(svg)
-            cols["sha256"].append(hashlib.sha256(svg).hexdigest())
-            cols["n_records"].append(len(by_page[page_no]))
-    return pa.Table.from_arrays(
-        [pa.array(cols[n], ARTIFACT_SCHEMA.field(n).type) for n in ARTIFACT_SCHEMA.names],
-        schema=ARTIFACT_SCHEMA,
-    )
-
-
-def _heavy(pages_ds, cfg: ExtractConfig):
-    import pyarrow.compute as pc
-
-    ds = add_sniff_stage(pages_ds, cfg.runtime.sniff_batch_size)
-    return ds.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("route"),
-                                    value_set=pa.array(list(_HEAVY_ROUTES)))),
-        batch_format="pyarrow",
-    )
+    return heavy_head_batch(batch, ARTIFACT_SCHEMA, artifact_rows, cfg)
 
 
 def build_overlay_pipeline(pages_ds, cfg: ExtractConfig | None = None):
     """pages dataset → long-format overlay draw-records (OVERLAY_SCHEMA)."""
     cfg = cfg or DEFAULT_CONFIG
-    return _heavy(pages_ds, cfg).map_batches(
+    return add_heavy_stage(pages_ds, cfg).map_batches(
         overlay_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow", batch_size=256,
     )
 
@@ -190,7 +113,7 @@ def build_overlay_pipeline(pages_ds, cfg: ExtractConfig | None = None):
 def build_artifact_pipeline(pages_ds, cfg: ExtractConfig | None = None):
     """pages dataset → per-page SVG artifacts (ARTIFACT_SCHEMA)."""
     cfg = cfg or DEFAULT_CONFIG
-    return _heavy(pages_ds, cfg).map_batches(
+    return add_heavy_stage(pages_ds, cfg).map_batches(
         artifact_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow",
         # SVG rows are wide (KBs of markup per page) — keep batches small
         # so batch × concurrency stays well inside worker heaps at scale.

@@ -6,7 +6,7 @@ payload row, so per-document work (decode → detect → recognize →
 reading-order assembly) happens inside the batch function and only the
 dedup ``groupby(content_hash)`` shuffles. The fully staged variant with
 page fan-out + ``groupby(url)`` fan-in — for corpora with unbounded
-page-count documents — lives in ``doc_stage.py``; both produce
+page-count documents — lives in ``staged.py``; both produce
 byte-identical output (tested).
 
 The class is a callable ACTOR (warm state in ``__init__``, work in

@@ -9,15 +9,15 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
-from ..functions import sniff as sniff_mod
-from ..functions.docformat import decode_doc_payload, decode_image_payload
+# Unused here, but perfbench/replay.py:_targets patches these names on this module.
+from ..functions.docformat import decode_doc_payload, decode_image_payload  # noqa: F401
 from ..functions.extract_core import lines_to_text_spans
 from ..functions.fuse import fuse_fields
 from ..functions.layout import recognize_page
 from ..functions.reconstruct import build_reconstruction
 from ..functions.tables import detect_tables
 from .fields_stage import candidates_from_text
-from .route import add_sniff_stage
+from .route import add_heavy_stage, heavy_head_batch
 
 RECONSTRUCTION_SCHEMA = pa.schema([
     ("url", pa.string()),
@@ -28,13 +28,10 @@ RECONSTRUCTION_SCHEMA = pa.schema([
 ])
 
 
-def reconstruct_payload(payload: bytes, route: str, cfg: ExtractConfig) -> dict | None:
-    if route == sniff_mod.ROUTE_DOC:
-        pages = sorted(decode_doc_payload(payload), key=lambda p: p["page"])
-    elif route == sniff_mod.ROUTE_IMAGE:
-        pages = [{"page": 0, **decode_image_payload(payload)}]
-    else:
-        return None
+def reconstruct_rows(route: str, pages: list[dict], cfg: ExtractConfig) -> list[dict]:
+    """One reconstruction row per decoded document. Every page is
+    recognized, digital ones included: this head never takes the native
+    fast path."""
     elements, texts, kinds = [], [], []
     tables_by_page: dict[int, list[dict]] = {}
     for p in pages:
@@ -48,48 +45,21 @@ def reconstruct_payload(payload: bytes, route: str, cfg: ExtractConfig) -> dict 
             recognized, float(p.get("w") or 0), float(p.get("h") or 0), cfg.tables)
     text, _spans = lines_to_text_spans(texts, kinds)
     fields = fuse_fields(candidates_from_text(text), cfg.fuse)
-    md = build_reconstruction(elements, tables_by_page, fields)
-    return {
+    return [{
         "n_elements": len(elements),
         "n_tables": sum(len(v) for v in tables_by_page.values()),
         "n_fields": len(fields),
-        "reconstruction": md,
-    }
+        "reconstruction": build_reconstruction(elements, tables_by_page, fields),
+    }]
 
 
 def reconstruct_batch(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
-    cols: dict[str, list] = {n: [] for n in RECONSTRUCTION_SCHEMA.names}
-    for url, route, payload in zip(batch.column("url").to_pylist(),
-                                   batch.column("route").to_pylist(),
-                                   batch.column("html").to_pylist()):
-        try:
-            rec = reconstruct_payload(payload or b"", route, cfg)
-        except Exception:
-            continue
-        if rec is None:
-            continue
-        cols["url"].append(url)
-        for k in ("n_elements", "n_tables", "n_fields", "reconstruction"):
-            cols[k].append(rec[k])
-    return pa.Table.from_arrays(
-        [pa.array(cols[n], RECONSTRUCTION_SCHEMA.field(n).type)
-         for n in RECONSTRUCTION_SCHEMA.names],
-        schema=RECONSTRUCTION_SCHEMA,
-    )
+    return heavy_head_batch(batch, RECONSTRUCTION_SCHEMA, reconstruct_rows, cfg)
 
 
 def build_reconstruction_pipeline(pages_ds, cfg: ExtractConfig | None = None):
-    import pyarrow.compute as pc
-
     cfg = cfg or DEFAULT_CONFIG
-    ds = add_sniff_stage(pages_ds, cfg.runtime.sniff_batch_size)
-    heavy = ds.map_batches(
-        lambda t: t.filter(pc.is_in(
-            t.column("route"),
-            value_set=pa.array([sniff_mod.ROUTE_DOC, sniff_mod.ROUTE_IMAGE]))),
-        batch_format="pyarrow",
-    )
-    return heavy.map_batches(
+    return add_heavy_stage(pages_ds, cfg).map_batches(
         reconstruct_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow",
         batch_size=256,
     )

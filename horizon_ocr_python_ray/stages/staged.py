@@ -22,20 +22,19 @@ from __future__ import annotations
 import json
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..functions import sniff as sniff_mod
 from ..functions.extract_core import (
+    decode_pages,
+    is_digital,
     lines_to_text_spans,
-    native_page_lines,
     normalize_plain_text,
+    page_lines,
 )
-from ..functions.docformat import decode_doc_payload, decode_image_payload
 from ..functions.htmltext import extract_html
-from ..functions.layout import recognize_page
-from ..functions.style import is_scanned_doc
 from ..schema import SPAN_TYPE
+from .route import HEAVY_ROUTES, route_filter
 
 _ID_COLS = ["url", "warc_ts", "lang", "route", "content_hash"]
 _OUT_COLS = _ID_COLS + ["extracted_text", "spans", "error"]
@@ -47,12 +46,6 @@ def _result_table(id_batch: pa.Table, texts, spans, errs) -> pa.Table:
     t = t.append_column("spans", pa.array(spans, SPAN_TYPE))
     t = t.append_column("error", pa.array(errs, pa.string()))
     return t
-
-
-def _route_filter(route_values: tuple[str, ...]):
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch.column("route"), value_set=pa.array(route_values)))
-    return fn
 
 
 # -- fast DOM path (stateless tasks) ----------------------------------------
@@ -93,21 +86,17 @@ def fan_out_pages(batch: pa.Table) -> pa.Table:
     ids = {c: batch.column(c).to_pylist() for c in _ID_COLS}
     for i, (route, payload) in enumerate(zip(routes, payloads)):
         try:
-            if route == sniff_mod.ROUTE_DOC:
-                pages = sorted(decode_doc_payload(payload), key=lambda p: p["page"])
-                # The scanned-vs-digital probe is DOC-level (total native
-                # chars across pages), so decide here and ship the flag
-                # per page row — per-page decisions could diverge from
-                # the combined pipeline.
-                digital = not is_scanned_doc(pages)
-                page_list = [
-                    (p["page"], {"w": p.get("w"), "h": p.get("h"), "lines": p["lines"],
-                                 "native": p.get("native"), "digital": digital})
-                    for p in pages
-                ]
-            else:  # image: single page
-                p = decode_image_payload(payload)
-                page_list = [(0, {"w": p.get("w"), "h": p.get("h"), "lines": p["lines"]})]
+            pages = decode_pages(route, payload)
+            # The digital-vs-scanned rule is DOC-level (total native chars
+            # across pages), so decide here and ship the flag per page
+            # row — per-page decisions could diverge from the combined
+            # pipeline.
+            digital = is_digital(route, pages)
+            page_list = [
+                (p["page"], {"w": p.get("w"), "h": p.get("h"), "lines": p["lines"],
+                             "native": p.get("native"), "digital": digital})
+                for p in pages
+            ]
         except Exception as exc:
             # poison page carrying the SAME error string the combined
             # path's extract_payload would produce — keeps the variants
@@ -149,13 +138,9 @@ class PageRecognizeActor:
                     out_lines.append([]); out_kinds.append([])
                     errs.append(page["__error__"])
                     continue
-                if page.get("digital"):
-                    texts, kinds = native_page_lines(page)
-                else:
-                    ordered = recognize_page(page["lines"], self.cfg.doc,
-                                             page.get("w"), page.get("h"))
-                    texts = [li["text"] for li in ordered]
-                    kinds = [li["kind"] for li in ordered]
+                lines = page_lines(page, page.get("digital"), self.cfg)
+                texts = [li["text"] for li in lines]
+                kinds = [li["kind"] for li in lines]
                 out_lines.append(texts)
                 out_kinds.append(kinds)
                 errs.append(None)
@@ -201,22 +186,20 @@ def build_staged_pipeline(sniffed_ds, cfg: ExtractConfig | None = None,
     if num_gpus is not None:
         remote_args["num_gpus"] = num_gpus
     html_ds = (
-        sniffed_ds.map_batches(_route_filter((sniff_mod.ROUTE_HTML,)), batch_format="pyarrow")
+        sniffed_ds.map_batches(route_filter((sniff_mod.ROUTE_HTML,)), batch_format="pyarrow")
         .map_batches(html_extract_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow",
                      batch_size=cfg.runtime.html_batch_size)
     )
     text_ds = (
-        sniffed_ds.map_batches(_route_filter((sniff_mod.ROUTE_TEXT,)), batch_format="pyarrow")
+        sniffed_ds.map_batches(route_filter((sniff_mod.ROUTE_TEXT,)), batch_format="pyarrow")
         .map_batches(text_passthrough_batch, batch_format="pyarrow")
     )
     binary_ds = (
-        sniffed_ds.map_batches(_route_filter((sniff_mod.ROUTE_BINARY,)), batch_format="pyarrow")
+        sniffed_ds.map_batches(route_filter((sniff_mod.ROUTE_BINARY,)), batch_format="pyarrow")
         .map_batches(binary_error_batch, batch_format="pyarrow")
     )
     heavy_ds = (
-        sniffed_ds.map_batches(
-            _route_filter((sniff_mod.ROUTE_DOC, sniff_mod.ROUTE_IMAGE)), batch_format="pyarrow"
-        )
+        sniffed_ds.map_batches(route_filter(HEAVY_ROUTES), batch_format="pyarrow")
         .map_batches(fan_out_pages, batch_format="pyarrow")
         .map_batches(
             PageRecognizeActor,

@@ -14,12 +14,13 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
-from ..functions import sniff as sniff_mod
-from ..functions.docformat import decode_doc_payload, decode_image_payload
-from ..functions.layout import recognize_page
-from ..functions.regions import classify_line_role
-from ..functions.style import estimate_style, is_scanned_doc, native_style
-from .route import add_sniff_stage
+# decode_*_payload and recognize_page are unused here, but
+# perfbench/replay.py:_targets patches those names on this module.
+from ..functions.docformat import decode_doc_payload, decode_image_payload  # noqa: F401
+from ..functions.extract_core import is_digital, page_lines
+from ..functions.layout import recognize_page  # noqa: F401
+from ..functions.style import estimate_style, native_style
+from .route import add_heavy_stage, heavy_head_batch
 
 STYLES_SCHEMA = pa.schema([
     ("url", pa.string()),
@@ -36,72 +37,35 @@ STYLES_SCHEMA = pa.schema([
 ])
 
 
-def doc_styles(payload: bytes, route: str, cfg: ExtractConfig) -> list[dict]:
-    if route == sniff_mod.ROUTE_DOC:
-        pages = sorted(decode_doc_payload(payload), key=lambda p: p["page"])
-    elif route == sniff_mod.ROUTE_IMAGE:
-        pages = [{"page": 0, **decode_image_payload(payload)}]
-    else:
-        return []
-    digital = not is_scanned_doc(pages)
+def doc_styles(route: str, pages: list[dict], cfg: ExtractConfig) -> list[dict]:
+    """One style row per line of a decoded document, on the lines the
+    extraction pipeline emits (``extract_core.page_lines``)."""
+    digital = is_digital(route, pages)
     rows: list[dict] = []
     for p in pages:
-        w, h = p.get("w"), p.get("h")
-        if digital:
-            for idx, span in enumerate(p.get("native") or []):
-                st = native_style(span)
-                kind = (classify_line_role(span["t"], span["bbox"], w, h)
-                        if w and h else "line")
-                rows.append({"page": int(p["page"]), "line_idx": idx, "kind": kind,
-                             "text_len": len(span["t"]), **st})
-        else:
-            for idx, li in enumerate(recognize_page(p["lines"], cfg.doc, w, h)):
-                st = estimate_style(li["text"], li["bbox"], role=li["kind"])
-                rows.append({"page": int(p["page"]), "line_idx": idx,
-                             "kind": li["kind"], "text_len": len(li["text"]), **st})
+        for idx, li in enumerate(page_lines(p, digital, cfg)):
+            st = (native_style(li["native"]) if digital
+                  else estimate_style(li["text"], li["bbox"], role=li["kind"]))
+            rows.append({"page": int(p["page"]), "line_idx": idx, "kind": li["kind"],
+                         "text_len": len(li["text"]), **st})
+    return rows
+
+
+def style_rows(route: str, pages: list[dict], cfg: ExtractConfig) -> list[dict]:
+    rows = doc_styles(route, pages, cfg)
+    for r in rows:
+        r["style_source"], r["style_confidence"] = r["source"], r["confidence"]
     return rows
 
 
 def styles_batch(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
-    cols: dict[str, list] = {n: [] for n in STYLES_SCHEMA.names}
-    for url, route, payload in zip(batch.column("url").to_pylist(),
-                                   batch.column("route").to_pylist(),
-                                   batch.column("html").to_pylist()):
-        try:
-            rows = doc_styles(payload or b"", route, cfg)
-        except Exception:
-            continue
-        for r in rows:
-            cols["url"].append(url)
-            cols["page"].append(r["page"])
-            cols["line_idx"].append(r["line_idx"])
-            cols["kind"].append(r["kind"])
-            cols["text_len"].append(r["text_len"])
-            cols["font_name"].append(r["font_name"])
-            cols["font_size"].append(r["font_size"])
-            cols["bold"].append(r["bold"])
-            cols["italic"].append(r["italic"])
-            cols["style_source"].append(r["source"])
-            cols["style_confidence"].append(r["confidence"])
-    return pa.Table.from_arrays(
-        [pa.array(cols[n], STYLES_SCHEMA.field(n).type) for n in STYLES_SCHEMA.names],
-        schema=STYLES_SCHEMA,
-    )
+    return heavy_head_batch(batch, STYLES_SCHEMA, style_rows, cfg)
 
 
 def build_styles_pipeline(pages_ds, cfg: ExtractConfig | None = None):
     """pages dataset → long-format per-line style table."""
-    import pyarrow.compute as pc
-
     cfg = cfg or DEFAULT_CONFIG
-    ds = add_sniff_stage(pages_ds, cfg.runtime.sniff_batch_size)
-    heavy = ds.map_batches(
-        lambda t: t.filter(pc.is_in(
-            t.column("route"),
-            value_set=pa.array([sniff_mod.ROUTE_DOC, sniff_mod.ROUTE_IMAGE]))),
-        batch_format="pyarrow",
-    )
-    return heavy.map_batches(
+    return add_heavy_stage(pages_ds, cfg).map_batches(
         styles_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow", batch_size=256,
     )
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
-from ..functions import sniff as sniff_mod
-from ..functions.docformat import decode_doc_payload, decode_image_payload
+# Unused here, but perfbench/replay.py:_targets patches these names on this module.
+from ..functions.docformat import decode_doc_payload, decode_image_payload  # noqa: F401
 from ..functions.layout import recognize_page
 from ..functions.tables import cells_fingerprint, detect_tables, table_to_markdown
-from .route import add_sniff_stage
+from .route import add_heavy_stage, heavy_head_batch
 
 CELL_TYPE = pa.list_(pa.struct([
     ("row", pa.int32()), ("col", pa.int32()), ("text", pa.string()),
@@ -42,17 +42,10 @@ TABLES_SCHEMA = pa.schema([
 ])
 
 
-def page_tables(payload: bytes, route: str, cfg: ExtractConfig) -> list[tuple[int, list[dict]]]:
-    """Decode + recognize a binary payload's pages, detect tables per
-    page. Returns [(page_no, tables)] — page-local, so the staged and
-    combined pipelines agree by construction."""
-    if route == sniff_mod.ROUTE_DOC:
-        pages = sorted(decode_doc_payload(payload), key=lambda p: p["page"])
-    elif route == sniff_mod.ROUTE_IMAGE:
-        p = decode_image_payload(payload)
-        pages = [{"page": 0, **p}]
-    else:
-        return []
+def page_tables(pages: list[dict], cfg: ExtractConfig) -> list[tuple[int, list[dict]]]:
+    """Recognize each decoded page, detect its tables. Returns
+    [(page_no, tables)] — page-local, so the staged and combined
+    pipelines agree by construction."""
     out = []
     for p in pages:
         recognized = recognize_page(p["lines"], cfg.doc)
@@ -61,48 +54,26 @@ def page_tables(payload: bytes, route: str, cfg: ExtractConfig) -> list[tuple[in
     return out
 
 
+def table_rows(route: str, pages: list[dict], cfg: ExtractConfig) -> list[dict]:
+    return [
+        {"page": page_no, "table_idx": t["table_idx"], "n_rows": t["n_rows"],
+         "n_cols": t["n_cols"], "n_cells": len(t["cells"]),
+         "cells_md5": cells_fingerprint(t),
+         "cells": [{"row": c["row"], "col": c["col"], "text": c["text"]}
+                   for c in t["cells"]],
+         "markdown": table_to_markdown(t)}
+        for page_no, tables in page_tables(pages, cfg)
+        for t in tables
+    ]
+
+
 def tables_batch(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
-    cols: dict[str, list] = {n: [] for n in TABLES_SCHEMA.names}
-    urls = batch.column("url").to_pylist()
-    routes = batch.column("route").to_pylist()
-    payloads = batch.column("html").to_pylist()
-    for url, route, payload in zip(urls, routes, payloads):
-        try:
-            per_page = page_tables(payload or b"", route, cfg)
-        except Exception:
-            continue  # poison payload → no table rows (error surfaced by extract)
-        for page_no, tables in per_page:
-            for t in tables:
-                cols["url"].append(url)
-                cols["page"].append(page_no)
-                cols["table_idx"].append(t["table_idx"])
-                cols["n_rows"].append(t["n_rows"])
-                cols["n_cols"].append(t["n_cols"])
-                cols["n_cells"].append(len(t["cells"]))
-                cols["cells_md5"].append(cells_fingerprint(t))
-                cols["cells"].append([
-                    {"row": c["row"], "col": c["col"], "text": c["text"]}
-                    for c in t["cells"]
-                ])
-                cols["markdown"].append(table_to_markdown(t))
-    return pa.Table.from_arrays(
-        [pa.array(cols[n], TABLES_SCHEMA.field(n).type) for n in TABLES_SCHEMA.names],
-        schema=TABLES_SCHEMA,
-    )
+    return heavy_head_batch(batch, TABLES_SCHEMA, table_rows, cfg)
 
 
 def build_tables_pipeline(pages_ds, cfg: ExtractConfig | None = None):
     """pages dataset → long-format tables table (TABLES_SCHEMA)."""
-    import pyarrow.compute as pc
-
     cfg = cfg or DEFAULT_CONFIG
-    ds = add_sniff_stage(pages_ds, cfg.runtime.sniff_batch_size)
-    heavy = ds.map_batches(
-        lambda t: t.filter(pc.is_in(
-            t.column("route"),
-            value_set=pa.array([sniff_mod.ROUTE_DOC, sniff_mod.ROUTE_IMAGE]))),
-        batch_format="pyarrow",
-    )
-    return heavy.map_batches(
+    return add_heavy_stage(pages_ds, cfg).map_batches(
         tables_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow", batch_size=256,
     )

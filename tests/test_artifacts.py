@@ -159,3 +159,53 @@ def test_artifact_pipeline_hashes_and_partitioned_sink(corpus_dir, tmp_path):
     t = pq.read_table(out)
     assert t.num_rows == len(arts)
     assert sorted(t.column("sha256").to_pylist()) == sorted(a["sha256"] for a in arts)
+    # SVG bytes pinned on the test corpus (seed 42, sf0.001): digest of
+    # the sorted per-page sha256 column.
+    digest = hashlib.sha256("\n".join(sorted(a["sha256"] for a in arts)).encode())
+    assert digest.hexdigest() == ARTIFACT_SHA256_DIGEST
+
+
+ARTIFACT_SHA256_DIGEST = "63a286e4ae05de55d79aa2d8ff11f7e13859d041c21cfc76b79126af360c4146"
+
+
+def test_each_head_decodes_each_heavy_row_once(corpus_dir, monkeypatch):
+    import glob
+    import sys
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from horizon_ocr_python_ray.config import DEFAULT_CONFIG
+    from horizon_ocr_python_ray.functions import docformat
+    from horizon_ocr_python_ray.stages.artifacts import artifact_batch, overlay_batch
+    from horizon_ocr_python_ray.stages.reconstruct_stage import reconstruct_batch
+    from horizon_ocr_python_ray.stages.route import sniff_batch
+    from horizon_ocr_python_ray.stages.style_stage import styles_batch
+    from horizon_ocr_python_ray.stages.tables_stage import tables_batch
+
+    # Count every decode, whichever module imported the decoder.
+    calls = []
+    for name in ("decode_doc_payload", "decode_image_payload"):
+        real = getattr(docformat, name)
+
+        def counting(payload, _real=real):
+            calls.append(payload)
+            return _real(payload)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("horizon_ocr_python_ray")
+                    and getattr(mod, name, None) is real):
+                monkeypatch.setattr(mod, name, counting)
+    pages = pa.concat_tables(pq.read_table(f) for f in
+                             sorted(glob.glob(corpus_dir + "/pages/*.parquet")))
+    sniffed = sniff_batch(pages)
+    heavy = sniffed.filter(pc.is_in(sniffed.column("route"),
+                                    value_set=pa.array(["doc", "image"])))
+    assert heavy.num_rows > 50
+    for fn in (tables_batch, styles_batch, reconstruct_batch, overlay_batch, artifact_batch):
+        calls.clear()
+        out = fn(heavy, DEFAULT_CONFIG)
+        assert out.num_rows > 0
+        assert len(calls) == heavy.num_rows, fn.__name__
+        assert sorted(calls) == sorted(heavy.column("html").to_pylist()), fn.__name__

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from horizon_ocr_python_ray.config import DEFAULT_CONFIG
+from horizon_ocr_python_ray.functions.extract_core import decode_pages
 from horizon_ocr_python_ray.functions.fuse import fuse_fields
 from horizon_ocr_python_ray.sources.synth import gen_corpus
 from horizon_ocr_python_ray.stages.fields_stage import candidates_from_text
@@ -52,7 +53,7 @@ def test_styles_fixture_matches_style_pipeline(corpus):
         payload = pages.column("html")[i].as_py()
         fixture = golden.column("styles")[i].as_py()
         try:
-            rows = doc_styles(payload or b"", route, DEFAULT_CONFIG)
+            rows = doc_styles(route, decode_pages(route, payload or b""), DEFAULT_CONFIG)
         except Exception:
             # corrupt planted payload: batch wrapper emits zero rows
             rows = []

@@ -95,3 +95,25 @@ def test_worst_styles_topk_matches_full_sort(corpus_dir):
             .sort_values(order_cols).head(20).reset_index(drop=True))
     for c in order_cols + ["kind"]:
         assert list(got[c]) == list(full[c]), c
+
+
+def test_image_with_native_layer_styles_follow_extraction():
+    """Images are always recognized — a native text layer on a SYNIMG
+    payload must not switch the styles head to native rows while extract
+    emits recognized lines for the same payload."""
+    import pyarrow as pa
+
+    from horizon_ocr_python_ray.functions.docformat import encode_image_payload
+    from horizon_ocr_python_ray.stages.style_stage import styles_batch
+
+    page = _digital_payload()[0]
+    # Native layer beyond the 100-char digital threshold, one span fewer
+    # than the recognizable lines, so a native-styled answer miscounts.
+    page["native"] = [{**page["native"][0], "t": "n" * 120}]
+    payload = encode_image_payload({k: v for k, v in page.items() if k != "page"})
+    _text, spans, err = extract_payload("image", payload, None, DEFAULT_CONFIG)
+    assert err is None and len(spans) == 3
+    batch = pa.table({"url": ["u"], "route": ["image"], "html": [payload]})
+    styles = styles_batch(batch, DEFAULT_CONFIG)
+    assert styles.num_rows == len(spans)
+    assert set(styles.column("style_source").to_pylist()) == {"estimated"}

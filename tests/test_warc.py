@@ -295,3 +295,45 @@ def test_record_without_content_length_is_skipped(length_line):
         assert sorted(t.column("url").to_pylist()) == ["https://x.example/a",
                                                         "https://x.example/c"]
         assert t.column("html").to_pylist() == [b"<html>x</html>"] * 2
+
+
+def _rows(urls, payloads, langs=None) -> pa.Table:
+    n = len(urls)
+    return pa.table({
+        "url": urls,
+        "warc_ts": pa.array([1_704_067_200_000_000] * n, pa.timestamp("us")),
+        "html": pa.array(payloads, pa.binary()),
+        "text": pa.array([""] * n, pa.string()),
+        "lang": langs or ["en"] * n,
+    }, schema=W.PAGES_SCHEMA)
+
+
+def test_blocks_with_equal_url_bounds_get_distinct_shards(tmp_path):
+    """Two blocks with the same first/last url and row count but
+    different payloads must not overwrite each other's shard."""
+    import ray.data
+
+    urls = ["https://x.example/a", "https://x.example/b"]
+    one = _rows(urls, [b"<html>one-a</html>", b"<html>one-b</html>"])
+    two = _rows(urls, [b"<html>two-a</html>", b"<html>two-b</html>"])
+    out = str(tmp_path / "sink")
+    manifest = W.write_warc(ray.data.from_arrow([one, two]), out).take_all()
+    assert len({m["path"] for m in manifest}) == 2
+    back = W.read_warc(out).take_all()
+    assert sorted(r["html"] for r in back) == sorted(
+        one.column("html").to_pylist() + two.column("html").to_pylist())
+
+
+@pytest.mark.parametrize("compress", [True, False])
+def test_header_values_cannot_break_record_framing(compress):
+    """A CR/LF in ``lang`` is percent-encoded instead of starting a new
+    header line, and a non-ASCII ``lang`` is written as UTF-8 instead of
+    failing the write; every record and payload reads back."""
+    langs = ["en\r\nWARC-Type: x", "français", "日本語"]
+    urls = [f"https://x.example/{i}" for i in range(3)]
+    payloads = [f"<html>page {i}</html>".encode() for i in range(3)]
+    t = _rows(urls, payloads, langs)
+    back = W.parse_warc_file_bytes(W.table_to_warc_bytes(t, compress=compress))
+    assert back.column("url").to_pylist() == urls
+    assert back.column("html").to_pylist() == payloads
+    assert back.column("lang").to_pylist() == ["en%0D%0AWARC-Type: x", "français", "日本語"]
