@@ -111,7 +111,7 @@ _ES = "('el','la','los','y','es','una','en','por','que')"
 def entry() -> Any:
     """Flagship extraction pipeline on the sf0.001-scale synthetic pages
     corpus: sniff/route → single-pass route-dispatched extraction with
-    per-worker content-hash memo dedup (see DedupConfig for variants)."""
+    per-worker content-hash memo dedup (see DedupConfig)."""
     from horizon_ocr_python_ray import build_extract_pipeline, ensure_corpus, read_pages
 
     corpus = ensure_corpus(0.001)
@@ -1786,9 +1786,9 @@ def _pages_checkpoint_manifest(sf_dir: str):
         pages = read_pages(corpus).map_batches(
             lambda t: filter_to_partition(t, pid, num_parts),
             batch_format="pyarrow")
-        # per-fragment dedup only sees its fragment (deterministic
+        # each fragment's memo only sees its fragment (deterministic
         # bytes either way); cross-fragment dups extract independently
-        return build_extract_pipeline(pages, dedup=False)
+        return build_extract_pipeline(pages)
 
     out_dir = tempfile.mkdtemp(prefix="ckpt_manifest_", dir="/tmp")
     try:

@@ -4,7 +4,6 @@
         --input  /path/to/pages/     # parquet file/dir (url, warc_ts, html, text, lang)
         --output /path/to/out/       # partitioned, resumable output
         [--partitions 64]            # checkpoint fragments
-        [--variant combined]         # combined | registry | grouped | staged
         [--no-resume]                # ignore an existing manifest
 
 A second invocation with the same ``--output`` resumes: finished fragments
@@ -29,8 +28,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--input", required=True, help="pages parquet file/dir")
     run.add_argument("--output", required=True, help="output directory")
     run.add_argument("--partitions", type=int, default=16)
-    run.add_argument("--variant", default="combined",
-                     choices=["combined", "registry", "grouped", "staged"])
     run.add_argument("--no-resume", action="store_true",
                      help="delete any existing manifest/output first")
     run.add_argument("--concurrent-fragments", type=int, default=4,
@@ -81,10 +78,10 @@ def main(argv: list[str] | None = None) -> int:
                 lambda t, pid=pid: filter_to_partition(t, pid, n_parts),
                 batch_format="pyarrow",
             )
-        # Fragment pipelines skip global dedup (each sees only its rows);
-        # extraction is deterministic, so cross-fragment duplicates still
-        # produce identical bytes.
-        return build_extract_pipeline(pages, dedup=False, variant=args.variant)
+        # Each fragment's memo only sees its own rows; extraction is
+        # deterministic, so cross-fragment duplicates still produce
+        # identical bytes.
+        return build_extract_pipeline(pages)
 
     t0 = time.monotonic()
     done_before = set(read_manifest(args.output))

@@ -33,10 +33,6 @@ class ProcessingOptions:
     run_reconstruction: bool = False
     run_markdown: bool = False
     run_redact: bool = False
-    #: Extraction variant: combined | registry | grouped | staged
-    #: (``DedupConfig`` trade-offs).
-    variant: str | None = None
-    dedup: bool | None = None
 
 
 def process_pages(pages_ds, options: ProcessingOptions | None = None,
@@ -50,8 +46,7 @@ def process_pages(pages_ds, options: ProcessingOptions | None = None,
     extraction = None
     if (options.run_extract or options.run_fields or options.run_markdown
             or options.run_validation or options.run_redact):
-        extraction = build_extract_pipeline(
-            pages_ds, cfg, dedup=options.dedup, variant=options.variant)
+        extraction = build_extract_pipeline(pages_ds, cfg)
     if options.run_extract:
         out["extract"] = extraction
     if options.run_fields or options.run_validation:

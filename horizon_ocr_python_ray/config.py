@@ -120,10 +120,6 @@ class DocConfig:
     # secondary_only | sequential. Consumed by ``stages/reocr.apply_reocr``.
     reocr_strategy: str = "ensemble"
     reading_order_vertical_overlap: float = READING_ORDER_VERTICAL_OVERLAP
-    # Actor-pool sizing for the stateful recognize stage.
-    detect_concurrency: int = 4
-    recognize_concurrency: int = 4
-    recognize_batch_size: int = 64
 
 
 @dataclass(frozen=True)
@@ -141,32 +137,14 @@ class TableConfig:
 @dataclass(frozen=True)
 class DedupConfig:
     """Exact dedup over the content hash (reference content-addressed
-    cache semantics, ``azure/response_cache.py:66-91``).
+    cache semantics, ``azure/response_cache.py:66-91``): each extraction
+    worker memoizes results by content hash, in the one streaming pass
+    (``stages/dedup.py``)."""
 
-    ``strategy`` picks how duplicate recompute is avoided:
-
-    - ``"actor_cache"`` (default): single streaming pass; each extract
-      actor memoizes results by content hash. Zero extra passes/shuffles;
-      only same-actor duplicates skip recompute — the right trade for
-      low-duplicate corpora.
-    - ``"registry"``: a narrow-projection pre-pass discovers duplicate
-      groups, broadcast via ``ray.put``; every duplicate is extracted
-      exactly once. Costs one extra read+sniff pass — the right trade
-      when the duplicate fraction is high.
-    - ``"grouped"``: reference-shaped wide ``groupby(content_hash)``
-      collapse (shuffles payloads); fallback when a registry cannot fit
-      in driver memory.
-    """
-
-    enabled: bool = True
-    strategy: str = "actor_cache"
-    #: Per-actor memo cap (reference cache cap is 500 entries,
+    #: Per-worker memo cap (reference cache cap is 500 entries,
     #: ``azure/response_cache.py:54``; ours is larger since entries are
     #: extracted text, not full API responses).
     actor_cache_entries: int = 65536
-    # Hash-join partition count for propagating the representative's
-    # result back to every url sharing the content hash.
-    join_num_partitions: int = 16
 
 
 @dataclass(frozen=True)
@@ -187,8 +165,6 @@ class RuntimeConfig:
     """Per-stage physical execution knobs."""
 
     sniff_batch_size: int = 1024
-    html_batch_size: int = 256
-    target_max_block_size: int | None = None  # None = Ray default (128 MiB)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,7 @@
 """Route-dispatched payload extraction — the per-record core.
 
-One pure function ``extract_payload(route, payload, text, cfg)`` shared by
-the single-stage combined pipeline and the fully staged (page fan-out →
-actor pool → reassembly) pipeline, so both produce byte-identical output.
+One pure function ``extract_payload(route, payload, text, cfg)``, called
+per row by the extraction stage (``stages/extract_stage.py``).
 Its two heavy-route decisions live here once, for every head that reads
 doc/image payloads (tables, styles, reconstruction, overlays): how a
 payload becomes pages (``decode_pages``) and how a page becomes lines

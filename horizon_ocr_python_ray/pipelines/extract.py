@@ -1,24 +1,14 @@
 """Flagship pipeline: Common-Crawl-style pages → extracted main content.
 
-Ray-native lifecycle (SURVEY.md §3, "Ray-native restatement"):
+Ray-native lifecycle (SURVEY.md §3, "Ray-native restatement"), one
+fused streaming pass with no shuffle:
 
     read_parquet(pages)                       # url, warc_ts, html, text, lang
-      → map_batches(sniff_and_route)          # route + content_hash columns
-      → [narrow dup-registry pass]            # groupby over 4 thin columns
-        (payload column never shuffles; registry broadcast via ray.put)
-      → map_batches(DropDups)                 # skip non-representative dups
-      → map_batches(ExtractActor)             # route-dispatched extraction
-      → map_batches(FanOut)                   # re-emit dup members' rows
+      → map_batches(sniff_batch)              # route + content_hash columns
+      → map_batches(extract_batch_task)       # route-dispatched extraction,
+                                              # per-worker content-hash memo
+      → select_columns(RESULT_COLS)
       → write_parquet / downstream stages
-
-``variant`` picks the dedup/extract shape (default from
-``DedupConfig.strategy``): ``"combined"`` is one streaming pass with a
-per-actor content-hash memo; ``"registry"`` adds the bracketed
-dup-registry pre-pass above; ``"grouped"`` uses the reference-shaped
-wide ``groupby(content_hash)`` collapse (``stages/dedup.py`` grouped
-variant); ``"staged"`` swaps the combined extractor for the
-page-fan-out actor pipeline (``stages/staged.py``). All four are
-byte-identical.
 """
 
 from __future__ import annotations
@@ -28,17 +18,9 @@ import os
 import ray.data
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
-from ..stages.dedup import (
-    RESULT_COLS,
-    build_dup_registry,
-    dedup_collapse,
-    drop_dup_members_stage,
-    explode_members,
-    fanout_dup_results_stage,
-)
+from ..stages.dedup import RESULT_COLS
 from ..stages.extract_stage import add_extract_stage
 from ..stages.route import add_sniff_stage
-from ..stages.staged import build_staged_pipeline
 
 
 def read_pages(source: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -73,48 +55,16 @@ def build_extract_pipeline(
     pages: ray.data.Dataset,
     cfg: ExtractConfig | None = None,
     dedup: bool | None = None,
-    variant: str | None = None,
 ) -> ray.data.Dataset:
     """pages dataset → extraction results
     (url, warc_ts, lang, route, content_hash, extracted_text, spans, error).
 
-    ``variant``: ``"combined"`` (single-pass actor-cache dedup — default),
-    ``"registry"`` (broadcast dup-registry pre-pass), ``"grouped"`` (wide
-    groupby collapse), ``"staged"`` (page fan-out/fan-in actor pipeline).
-    All byte-identical; see ``DedupConfig`` for the trade-offs.
+    Duplicate payloads are extracted once per worker by the extraction
+    stage's content-hash memo; the output does not depend on it.
     """
+    # ``dedup`` is accepted and ignored: perfbench/engine.py:_resume_job
+    # still passes it.
     cfg = cfg or DEFAULT_CONFIG
-    use_dedup = cfg.dedup.enabled if dedup is None else dedup
-    if variant is None:
-        variant = {"actor_cache": "combined", "registry": "registry",
-                   "grouped": "grouped"}.get(cfg.dedup.strategy, "combined")
     ds = add_sniff_stage(pages, cfg.runtime.sniff_batch_size)
-    if variant == "staged":
-        # Staged variant extracts every row independently (identical bytes
-        # → identical output), demonstrating page fan-out/fan-in.
-        return build_staged_pipeline(ds, cfg)
-    if variant == "grouped" and use_dedup:
-        # Reference-shaped wide collapse: shuffles payloads; fallback for
-        # corpora whose dup registry cannot be broadcast.
-        ds = dedup_collapse(ds)
-        ds = add_extract_stage(ds, cfg)
-        return ds.map_batches(explode_members, batch_format="pyarrow")
-    if variant == "registry" and use_dedup:
-        import ray
-
-        try:
-            # Metadata-only count for fresh parquet reads; used to pick the
-            # registry discovery path (driver single-pass vs distributed).
-            approx_rows = pages.count()
-        except Exception:
-            approx_rows = None
-        drop_urls, fanout = build_dup_registry(ds, approx_rows=approx_rows)
-        if drop_urls:
-            registry_ref = ray.put((drop_urls, fanout))
-            ds = drop_dup_members_stage(ds, registry_ref)
-            ds = add_extract_stage(ds, cfg)
-            return fanout_dup_results_stage(ds, registry_ref)
-    # combined: ONE streaming pass; per-actor content-hash memo handles
-    # duplicate recompute (DedupConfig.strategy == "actor_cache").
     ds = add_extract_stage(ds, cfg)
     return ds.select_columns(RESULT_COLS)

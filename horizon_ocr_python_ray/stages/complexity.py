@@ -5,28 +5,23 @@ routing table picks the extraction model tier).
 
 The north rule replaces cloud model calls, so the cheap classifier here is
 a HEADER-ONLY probe (no payload decode — the same byte-scan machinery as
-:func:`..functions.docformat.probe_page_count`) and the "model tiers" are
-the engine's two real extraction variants:
+:func:`..functions.docformat.probe_page_count`). The routing table maps
+each band to a cost-tier label; the labels name tiers of the
+routing-table analog, not code paths — every row is extracted by the one
+extraction pipeline (``pipelines/extract.py``):
 
-- ``combined`` — the single route-dispatched stage (cheap tier: document
-  work inline in one batch function, zero extra shuffles);
-- ``staged``  — page fan-out → recognize actor pool → fan-in groupby
-  (expensive tier: unbounded page counts, per-page parallelism).
+- ``combined`` — the cheap tier (document work inline, one pass);
+- ``staged``  — the expensive tier (many pages or a poor scan).
 
 Complexity bands from three costless signals (reference guidelines
 analog: page volume, density/quality, raw size):
 
 - ``complex``: ≥ :data:`COMPLEX_MIN_PAGES` pages OR ≥
   :data:`COMPLEX_MIN_ALT_MARKERS` low-confidence ``alt`` re-OCR records
-  (the poor-scan-quality proxy) — routed ``staged``;
-- ``simple``: ≤ 1 page AND zero alt records — routed ``combined``;
-- ``medium``: everything else — routed ``combined`` (the reference's
+  (the poor-scan-quality proxy) — labelled ``staged``;
+- ``simple``: ≤ 1 page AND zero alt records — labelled ``combined``;
+- ``medium``: everything else — labelled ``combined`` (the reference's
   medium band also stays on the cheap deployment for most types).
-
-Both variants produce byte-identical extraction output (tested), so the
-router changes COST SHAPE, never results — exactly the property the
-reference's routing table relies on when it moves a document between
-GPT deployments.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from ..functions.docformat import DOC_MAGIC, IMG_MAGIC
 COMPLEX_MIN_PAGES = 4
 COMPLEX_MIN_ALT_MARKERS = 6
 
-#: complexity band → extraction variant (the A11 routing table analog).
+#: complexity band → cost-tier label (the A11 routing table analog).
 VARIANT_ROUTING = {
     "simple": "combined",
     "medium": "combined",
@@ -94,44 +89,3 @@ def complexity_batch(batch: pa.Table) -> pa.Table:
         "extract_variant": pa.array(variants, pa.string()),
     })
 
-
-def build_complexity_routed_pipeline(pages_ds, cfg=None):
-    """Read pages → sniff → split binary docs by complexity band →
-    ``combined`` stage for simple/medium, ``staged`` pipeline for
-    complex → union. Html/text rows ride the combined stage (their path
-    is identical in both variants). Output schema and bytes match the
-    plain combined pipeline exactly (tested); only the execution shape
-    of the heavy slice changes.
-
-    Cost note: Ray Data streams each branch from its own lineage, so
-    the source read + sniff + classify byte-scan run once PER BRANCH
-    (2× scan; classify is header-only and ~100× cheaper than extract).
-    That is the honest price of giving the complex slice a different
-    execution shape under streaming execution — the same price the
-    reference pays when its classifier routes a document to a separate
-    deployment. When the split itself must be single-scan, the answer
-    is the plain combined variant (per-row dispatch inside one stage),
-    not this router."""
-    from .extract_stage import add_extract_stage
-    from .route import add_sniff_stage
-    from .staged import build_staged_pipeline
-
-    sniffed = add_sniff_stage(pages_ds)
-
-    def _band(p) -> str:
-        got = classify_payload(p)
-        return got[2] if got is not None else "simple"
-
-    def _is_complex(t: pa.Table) -> pa.Table:
-        mask = [_band(p) == "complex" for p in t.column("html").to_pylist()]
-        return t.filter(pa.array(mask, pa.bool_()))
-
-    def _not_complex(t: pa.Table) -> pa.Table:
-        mask = [_band(p) != "complex" for p in t.column("html").to_pylist()]
-        return t.filter(pa.array(mask, pa.bool_()))
-
-    cheap = add_extract_stage(
-        sniffed.map_batches(_not_complex, batch_format="pyarrow"), cfg)
-    heavy = build_staged_pipeline(
-        sniffed.map_batches(_is_complex, batch_format="pyarrow"), cfg)
-    return cheap.union(heavy)

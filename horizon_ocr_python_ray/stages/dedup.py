@@ -1,328 +1,16 @@
-"""Exact dedup: extract each distinct payload once, fan results back out.
+"""Exact dedup: extract each distinct payload once per worker.
 
 The reference's content-addressed response cache
 (``/root/reference/docvision/azure/response_cache.py:66-91``) skips
-recomputation for byte-identical inputs. Two distributed restatements:
-
-**Broadcast registry (default — zero wide shuffles).** Duplicate groups
-are discovered on a NARROW projection (content_hash, url, warc_ts, lang):
-only those four thin columns ever cross the network, never the multi-KB
-payload. Hashes with >1 member — typically a few percent of a crawl —
-form a small *dup registry* broadcast via ``ray.put``; a pre-extract
-filter drops non-representative members (payload never decoded twice) and
-a post-extract fan-out re-emits their rows from the representative's
-result. At 100 TB the payload column stays where the read placed it.
-If the registry outgrows driver memory (pathologically duplicate-heavy
-corpora) the fallback is the grouped variant below, or a hash-join of the
-registry parquet against the results.
-
-**Grouped collapse (fallback / reference-shaped).** ``groupby(content_hash)``
-over the full rows — ONE all-to-all shuffle that moves the payloads —
-then ``map_groups`` keeps the representative (minimum url, a total
-deterministic choice) with the members in a list column;
-:func:`explode_members` restores one output row per input url after
-extraction. Simple and skew-proof (hash keys are uniform) but shuffles
-every payload byte; kept for the operator inventory and as the
-arbitrarily-large-registry fallback.
+recomputation for byte-identical inputs. Its distributed restatement is
+the bounded content-hash memo inside the extraction stage
+(``extract_stage.ExtractActor``): a worker that meets a payload hash it
+has already extracted reuses the result, in the same streaming pass and
+with no extra shuffle or driver-side registry. Extraction is
+deterministic, so duplicates that land on different workers still get
+identical bytes.
 """
 
-from __future__ import annotations
-
-import pyarrow as pa
-from ..functions.collect import collect_tables
-
-MEMBER_TYPE = pa.list_(
-    pa.struct([("url", pa.string()), ("warc_ts", pa.timestamp("us")), ("lang", pa.string())])
-)
-
-
-def collapse_group(group: pa.Table) -> pa.Table:
-    """One content-hash group → one representative row + members column."""
-    urls = group.column("url").to_pylist()
-    tss = group.column("warc_ts").to_pylist()
-    langs = group.column("lang").to_pylist()
-    order = sorted(range(len(urls)), key=lambda i: urls[i])
-    rep = order[0]
-    members = [{"url": urls[i], "warc_ts": tss[i], "lang": langs[i]} for i in order]
-    rep_row = group.slice(rep, 1)
-    return rep_row.append_column("members", pa.array([members], MEMBER_TYPE))
-
-
-def collapse_bucket(t: pa.Table) -> pa.Table:
-    """Many complete content-hash groups → one rep row each, vectorized:
-    sort by (hash, url), find run boundaries, slice member lists by
-    offsets — no per-group Python (the :func:`collapse_group` semantics
-    at ``stages/hashagg.grouped_reduce`` bucket granularity)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    order = pc.sort_indices(t, sort_keys=[("content_hash", "ascending"),
-                                          ("url", "ascending")])
-    st = t.take(order).combine_chunks()
-    n = st.num_rows
-    if n == 0:
-        return st.append_column("members", pa.array([], MEMBER_TYPE))
-    h = st.column("content_hash").combine_chunks()
-    neq = pc.not_equal(h.slice(1), h.slice(0, n - 1))
-    starts = np.flatnonzero(
-        np.concatenate([[True], neq.to_numpy(zero_copy_only=False)]))
-    offsets = np.append(starts, n).astype("int32")
-    member_struct = pa.StructArray.from_arrays(
-        [st.column("url").combine_chunks(),
-         st.column("warc_ts").combine_chunks(),
-         st.column("lang").combine_chunks()],
-        names=["url", "warc_ts", "lang"])
-    members = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
-                                       member_struct)
-    reps = st.take(pa.array(starts, pa.int64()))
-    return reps.append_column("members", members.cast(MEMBER_TYPE))
-
-
-def dedup_collapse(ds):
-    """sniffed dataset → one row per distinct content_hash (+ members)."""
-    from .hashagg import grouped_reduce
-
-    return grouped_reduce(ds, "content_hash", collapse_bucket)
-
-
-def explode_members(batch: pa.Table) -> pa.Table:
-    """Extraction results on representatives → one row per member url.
-
-    Expects columns: members, route, content_hash, extracted_text, spans,
-    error. Emits (url, warc_ts, lang, route, content_hash, extracted_text,
-    spans, error).
-    """
-    members_col = batch.column("members").to_pylist()
-    keep = ["route", "content_hash", "extracted_text", "spans", "error"]
-    idx, urls, tss, langs = [], [], [], []
-    for i, members in enumerate(members_col):
-        for m in members:
-            idx.append(i)
-            urls.append(m["url"])
-            tss.append(m["warc_ts"])
-            langs.append(m["lang"])
-    taken = batch.select(keep).take(pa.array(idx, pa.int64()))
-    arrays = [
-        pa.array(urls, pa.string()),
-        pa.array(tss, pa.timestamp("us")),
-        pa.array(langs, pa.string()),
-    ] + [taken.column(c) for c in keep]
-    return pa.Table.from_arrays(arrays, names=["url", "warc_ts", "lang"] + keep)
-
-
-# ---------------------------------------------------------------------------
-# Broadcast-registry variant (default)
-# ---------------------------------------------------------------------------
-
+#: Output columns of the extraction pipeline.
 RESULT_COLS = ["url", "warc_ts", "lang", "route", "content_hash",
                "extracted_text", "spans", "error"]
-
-
-def _pool_max(floor: int = 4) -> int:
-    """Autoscaling actor-pool ceiling: one actor per cluster CPU (each
-    actor takes num_cpus=1), never below ``floor``. Sized at stage-build
-    time so the same code saturates an 8-CPU dev box and a 256-node
-    cluster."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", floor))
-        # leave headroom for the read/sniff/write task stages
-        return max(floor, cpus - 2)
-    except Exception:
-        return floor
-
-
-#: Above this corpus size the registry is discovered with a distributed
-#: groupby instead of a single driver-side pass over the thin projection.
-DRIVER_REGISTRY_MAX_ROWS = 2_000_000
-
-#: The registry itself is a driver/broadcast object either way, so both
-#: discovery paths are bounded by what a broadcast registry can hold:
-#: at most this many duplicate-MEMBER rows (url + timestamp + lang per
-#: member) may reach the driver. A corpus more duplicate-heavy than
-#: this cannot use the broadcast-registry variant at all — the refusal
-#: names ``variant="grouped"`` (the payload-shuffling collapse, correct
-#: at any duplicate rate).
-REGISTRY_MEMBER_MAX_ROWS = 5_000_000
-
-
-class RegistryTooLargeError(ValueError):
-    """Duplicate-member volume exceeds what a broadcast dup registry can
-    hold; use ``variant="grouped"`` (``dedup_collapse``), which shuffles
-    payloads but never materializes the duplicate set in one place."""
-
-
-def _registry_from_members(table: pa.Table):
-    """Dup-member rows (content_hash, url, warc_ts, lang) → registry."""
-    drop_urls: set[str] = set()
-    fanout: dict[str, list[tuple[str, int, str]]] = {}
-    if table.num_rows == 0:
-        return drop_urls, fanout
-    hashes = table.column("content_hash").to_pylist()
-    urls = table.column("url").to_pylist()
-    ts_us = table.column("warc_ts").cast(pa.int64()).to_pylist()
-    langs = table.column("lang").to_pylist()
-    by_hash: dict[str, list[tuple[str, int, str]]] = {}
-    for h, u, t, l in zip(hashes, urls, ts_us, langs):
-        by_hash.setdefault(h, []).append((u, t, l))
-    for members in by_hash.values():
-        members.sort(key=lambda m: m[0])
-        rep = members[0][0]
-        fanout[rep] = members[1:]
-        drop_urls.update(m[0] for m in members[1:])
-    return drop_urls, fanout
-
-
-def build_dup_registry(sniffed_ds, approx_rows: int | None = None):
-    """Narrow-projection duplicate discovery.
-
-    Looks ONLY at (content_hash, url, warc_ts, lang) — the payload column
-    is pruned before anything moves — and keeps hashes with >1 member.
-    Returns ``(drop_urls, fanout)``:
-
-    - ``drop_urls``: set of non-representative member urls (filtered out
-      before extraction so each distinct payload is decoded exactly once);
-    - ``fanout``: rep_url → list of (url, warc_ts_us, lang) for the OTHER
-      members, re-emitted from the representative's result after
-      extraction.
-
-    The representative is the minimum url — total and deterministic.
-
-    Two discovery paths, chosen by corpus size: below
-    ``DRIVER_REGISTRY_MAX_ROWS`` the thin projection is collected in ONE
-    Ray job and scanned vectorized on the driver (a few MB — three extra
-    job barriers would dominate small runs); above it, a distributed
-    ``groupby(content_hash)`` count + member filter runs over a
-    materialized narrow projection, and only actually-duplicated rows
-    reach the driver. At full crawl scale you would fold hashing into
-    ingest and persist the thin projection as a sidecar table.
-    """
-    import pyarrow.compute as pc
-
-    narrow = sniffed_ds.select_columns(["content_hash", "url", "warc_ts", "lang"])
-
-    if approx_rows is not None and approx_rows <= DRIVER_REGISTRY_MAX_ROWS:
-        import ray
-
-        got = collect_tables(narrow)
-        if not got:
-            return set(), {}
-        table = pa.concat_tables(got).combine_chunks()
-        # vectorized dup detection: hashes seen more than once
-        counts = pa.TableGroupBy(table.select(["content_hash"]), "content_hash").aggregate(
-            [("content_hash", "count")]
-        )
-        dup_hashes = counts.filter(
-            pc.greater(counts.column("content_hash_count"), 1)
-        ).column("content_hash")
-        if len(dup_hashes) == 0:
-            return set(), {}
-        members = table.filter(pc.is_in(table.column("content_hash"),
-                                        value_set=dup_hashes.combine_chunks()))
-        return _registry_from_members(members)
-
-    # -- distributed path --------------------------------------------------
-    # Only duplicated rows reach the driver, but the registry is a
-    # broadcast object either way, so both folds run under the
-    # REGISTRY_MEMBER_MAX_ROWS running cap with a loud refusal naming
-    # the variant that stays correct at any duplicate rate.
-    from ..functions.collect import iter_tables
-    from .hashagg import grouped_aggregate
-
-    def _capped_fold(ds, what: str) -> pa.Table | None:
-        tabs, rows = [], 0
-        for t in ds:
-            rows += t.num_rows
-            if rows > REGISTRY_MEMBER_MAX_ROWS:
-                raise RegistryTooLargeError(
-                    f"dup registry: {what} exceed REGISTRY_MEMBER_MAX_ROWS="
-                    f"{REGISTRY_MEMBER_MAX_ROWS}; this corpus is too "
-                    "duplicate-heavy for the broadcast-registry variant — "
-                    "use variant=\"grouped\" (dedup_collapse)")
-            tabs.append(t)
-        return pa.concat_tables(tabs) if tabs else None
-
-    narrow = narrow.materialize()
-    counts = grouped_aggregate(narrow.select_columns(["content_hash"]),
-                               "content_hash",
-                               [("content_hash", "count", "n")])
-    dup_hash_tab = _capped_fold(
-        iter_tables(counts.filter(expr="n > 1")
-                    .select_columns(["content_hash"])),
-        "duplicated content hashes")
-    if dup_hash_tab is None:
-        return set(), {}
-    dup_hashes = dup_hash_tab.column("content_hash").combine_chunks()
-
-    def members_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch.column("content_hash"), value_set=dup_hashes))
-
-    members = _capped_fold(
-        iter_tables(narrow.map_batches(members_only, batch_format="pyarrow")),
-        "duplicate member rows")
-    if members is None:
-        return set(), {}
-    return _registry_from_members(members)
-
-
-def drop_dup_members_stage(ds, registry_ref):
-    """Filter out non-representative duplicate rows before extraction."""
-
-    class DropDups:
-        def __init__(self, ref):
-            import ray
-
-            self.drop_urls, _ = ray.get(ref)  # fetched once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if not self.drop_urls:
-                return batch
-            mask = [u not in self.drop_urls for u in batch.column("url").to_pylist()]
-            return batch.filter(pa.array(mask, pa.bool_()))
-
-    return ds.map_batches(DropDups, fn_constructor_kwargs={"ref": registry_ref},
-                          batch_format="pyarrow", concurrency=(1, _pool_max()))
-
-
-def fanout_dup_results_stage(ds, registry_ref):
-    """Re-emit dropped members' rows from their representative's result."""
-
-    class FanOut:
-        def __init__(self, ref):
-            import ray
-
-            _, self.fanout = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if not self.fanout:
-                return batch.select(RESULT_COLS)
-            urls = batch.column("url").to_pylist()
-            idx, m_url, m_ts, m_lang = [], [], [], []
-            for i, u in enumerate(urls):
-                for mu, mt, ml in self.fanout.get(u, ()):
-                    idx.append(i)
-                    m_url.append(mu)
-                    m_ts.append(mt)
-                    m_lang.append(ml)
-            batch = batch.select(RESULT_COLS)
-            if not idx:
-                return batch
-            src = batch.take(pa.array(idx, pa.int64()))
-            extra = pa.Table.from_arrays(
-                [
-                    pa.array(m_url, pa.string()),
-                    pa.array(m_ts, pa.int64()).cast(pa.timestamp("us")),
-                    pa.array(m_lang, pa.string()),
-                    src.column("route"),
-                    src.column("content_hash"),
-                    src.column("extracted_text"),
-                    src.column("spans"),
-                    src.column("error"),
-                ],
-                names=RESULT_COLS,
-            )
-            return pa.concat_tables([batch, extra])
-
-    return ds.map_batches(FanOut, fn_constructor_kwargs={"ref": registry_ref},
-                          batch_format="pyarrow", concurrency=(1, _pool_max()))

@@ -1,15 +1,12 @@
-"""Combined extraction stage: one actor-pool ``map_batches`` that
-dispatches per row on the ``route`` column.
+"""Extraction stage: one task-based ``map_batches`` that dispatches per
+row on the ``route`` column.
 
-This is the zero-extra-shuffle path: a document's pages all live in its
-payload row, so per-document work (decode → detect → recognize →
-reading-order assembly) happens inside the batch function and only the
-dedup ``groupby(content_hash)`` shuffles. The fully staged variant with
-page fan-out + ``groupby(url)`` fan-in — for corpora with unbounded
-page-count documents — lives in ``staged.py``; both produce
-byte-identical output (tested).
+A document's pages all live in its payload row, so per-document work
+(decode → detect → recognize → reading-order assembly) happens inside
+the batch function and nothing shuffles. Duplicate payloads are
+extracted once per worker by a bounded content-hash memo.
 
-The class is a callable ACTOR (warm state in ``__init__``, work in
+The extractor is a callable class (warm state in ``__init__``, work in
 ``__call__``) mirroring the reference's lazily-constructed model
 singletons (``/root/reference/docvision/pipeline/orchestrator.py:150-199``).
 """
@@ -24,15 +21,15 @@ from ..schema import SPAN_TYPE
 
 
 class ExtractActor:
-    """Stateful per-worker extractor. In a real deployment ``__init__``
-    loads model weights once per actor (the reference loads ~3 GB of
+    """Per-worker extractor. In a real deployment ``__init__`` loads
+    model weights once per worker process (the reference loads ~3 GB of
     weights per process); here the warm state is the config, the compiled
     kernels imported at construction, and a bounded content-addressed
     result memo — the per-worker analog of the reference's SHA-256
     response cache (``/root/reference/docvision/azure/response_cache.py:
     37-273``, 500-entry cap). Duplicate payloads that land on the same
-    actor skip recomputation; extraction is deterministic, so duplicates
-    that land on different actors still produce identical bytes."""
+    worker skip recomputation; extraction is deterministic, so duplicates
+    that land on different workers still produce identical bytes."""
 
     def __init__(self, cfg: ExtractConfig | None = None) -> None:
         self.cfg = cfg or DEFAULT_CONFIG
@@ -67,12 +64,15 @@ class ExtractActor:
         return result
 
 
-#: Per-worker-process extractor for the task-based stage. Ray REUSES task
-#: worker processes across tasks (and across Dataset executions in a
-#: session), so this module global gives the same warm-state amortization
-#: as an actor — construction, kernel compilation and the content-hash
-#: memo all survive between batches — without paying a fresh actor
-#: process spawn + import storm per pipeline execution.
+#: Rows per extraction task batch.
+BATCH_SIZE = 256
+
+#: Per-worker-process extractor. Ray REUSES task worker processes across
+#: tasks (and across Dataset executions in a session), so this module
+#: global gives the warm-state amortization of an actor — construction,
+#: kernel compilation and the content-hash memo all survive between
+#: batches — without an actor process spawn + import storm per pipeline
+#: execution, and without an actor holding a CPU the read task needs.
 _WORKER_EXTRACTOR: ExtractActor | None = None
 
 
@@ -83,28 +83,15 @@ def extract_batch_task(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
     return _WORKER_EXTRACTOR(batch)
 
 
-def add_extract_stage(ds, cfg: ExtractConfig | None = None, concurrency: int | None = None,
-                      batch_size: int = 256, stateful: bool | None = None,
+def add_extract_stage(ds, cfg: ExtractConfig | None = None,
                       num_gpus: float | None = None,
                       ray_remote_args: dict | None = None):
-    """Attach the route-dispatched extraction stage.
-
-    ``stateful=False`` (default): plain-function ``map_batches`` on Ray's
-    pre-started, reused task workers — zero actor-spawn cost, scales with
-    whatever CPUs the cluster has, warm state via the worker-process
-    global above. The right shape when per-worker state is cheap to build
-    (compiled kernels, memo cache).
-
-    ``stateful=True``: a CPU-bounded autoscaling ACTOR pool — the shape
-    the reference's lazily-constructed model singletons map to
-    (``/root/reference/docvision/pipeline/orchestrator.py:150-199``) and
-    the right one when ``__init__`` loads seconds-to-minutes of state
-    (GB-scale model weights, GPU contexts): spawn cost is amortized and
-    ``num_gpus``/placement can be attached. Measured on this kernel the
-    actor spawn/import storm costs more than it saves (see BASELINE.md).
+    """Attach the route-dispatched extraction stage: a plain-function
+    ``map_batches`` on Ray's pre-started, reused task workers, with warm
+    state in the worker-process global above.
 
     Device placement (reference ``config.py:81-90`` ``device=auto``):
-    ``num_gpus`` reserves GPU fractions per actor/task and any extra
+    ``num_gpus`` reserves GPU fractions per task and any extra
     ``ray_remote_args`` (``resources={...}``, ``accelerator_type``,
     ``scheduling_strategy``, ...) pass straight through to
     ``map_batches``, so the heavy stage deploys unchanged on a GPU
@@ -114,23 +101,10 @@ def add_extract_stage(ds, cfg: ExtractConfig | None = None, concurrency: int | N
     remote_args = dict(ray_remote_args or {})
     if num_gpus is not None:
         remote_args["num_gpus"] = num_gpus
-    if stateful:
-        from .dedup import _pool_max
-
-        return ds.map_batches(
-            ExtractActor,
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            # Autoscaling pool (min 1): never reserves the whole node up
-            # front, so read/sniff/write stages aren't starved.
-            concurrency=(1, concurrency or _pool_max(cfg.doc.recognize_concurrency)),
-            **remote_args,
-        )
     return ds.map_batches(
         extract_batch_task,
         fn_kwargs={"cfg": cfg},
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=BATCH_SIZE,
         **remote_args,
     )

@@ -34,17 +34,15 @@ def add_sniff_stage(ds, batch_size: int = 1024):
     return ds.map_batches(sniff_batch, batch_format="pyarrow", batch_size=batch_size)
 
 
-def route_filter(route_values: tuple[str, ...]):
-    """A ``map_batches`` body keeping only rows whose route is listed."""
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch.column("route"), value_set=pa.array(route_values)))
-    return fn
+def heavy_rows(batch: pa.Table) -> pa.Table:
+    """A ``map_batches`` body keeping only doc/image rows."""
+    return batch.filter(pc.is_in(batch.column("route"), value_set=pa.array(HEAVY_ROUTES)))
 
 
 def add_heavy_stage(pages_ds, cfg):
     """pages dataset → sniffed doc/image rows: the input of every heavy head."""
     ds = add_sniff_stage(pages_ds, cfg.runtime.sniff_batch_size)
-    return ds.map_batches(route_filter(HEAVY_ROUTES), batch_format="pyarrow")
+    return ds.map_batches(heavy_rows, batch_format="pyarrow")
 
 
 def heavy_head_batch(batch: pa.Table, schema: pa.Schema, row_fn, cfg) -> pa.Table:

@@ -44,8 +44,8 @@ TABLES_SCHEMA = pa.schema([
 
 def page_tables(pages: list[dict], cfg: ExtractConfig) -> list[tuple[int, list[dict]]]:
     """Recognize each decoded page, detect its tables. Returns
-    [(page_no, tables)] — page-local, so the staged and combined
-    pipelines agree by construction."""
+    [(page_no, tables)] — page-local, so each page's tables do not
+    depend on the rest of its document."""
     out = []
     for p in pages:
         recognized = recognize_page(p["lines"], cfg.doc)

@@ -27,12 +27,6 @@ def test_all_stage_toggles(corpus_dir, golden_map):
         assert out[name].count() > 0, name
 
 
-def test_variant_passthrough(corpus_dir):
-    out = process_pages(read_pages(corpus_dir),
-                        ProcessingOptions(variant="staged", dedup=False))
-    assert out["extract"].count() > 0
-
-
 def test_sf_from_dir_accepts_corpus_cache_layout():
     from horizon_ocr_python_ray.sources.synth import sf_from_dir
 
@@ -57,7 +51,6 @@ def test_yaml_config_loading(tmp_path, corpus_dir, golden_map):
     cfg_path = tmp_path / "engine.yaml"
     cfg_path.write_text(
         "dedup:\n"
-        "  strategy: registry\n"
         "  actor_cache_entries: 1024\n"
         "html:\n"
         "  min_block_chars: 12\n"
@@ -65,9 +58,8 @@ def test_yaml_config_loading(tmp_path, corpus_dir, golden_map):
         "fuse:\n"
         "  source_weights: [[regex, 1.0], [layout, 0.8]]\n")
     cfg = load_config(str(cfg_path))
-    assert cfg.dedup.strategy == "registry"
     assert cfg.dedup.actor_cache_entries == 1024
-    assert cfg.dedup.enabled is True  # absent knob keeps its default
+    assert cfg.html.max_link_density == 0.33  # absent knob keeps its default
     assert cfg.html.min_block_chars == 12
     assert cfg.html.heading_tags == ("h1", "h2")
     assert cfg.fuse.source_weights == (("regex", 1.0), ("layout", 0.8))
@@ -75,16 +67,26 @@ def test_yaml_config_loading(tmp_path, corpus_dir, golden_map):
 
     with pytest.raises(ValueError, match="unknown knob"):
         config_from_dict({"dedup": {"stragety": "registry"}})
+    # knobs of removed extraction variants fail loudly, never silently
+    for section, knob, value in [
+            ("dedup", "strategy", "registry"), ("dedup", "enabled", False),
+            ("dedup", "join_num_partitions", 16),
+            ("doc", "recognize_concurrency", 4), ("doc", "recognize_batch_size", 64),
+            ("doc", "detect_concurrency", 4), ("runtime", "html_batch_size", 256),
+            ("runtime", "target_max_block_size", None)]:
+        with pytest.raises(ValueError, match="unknown knob"):
+            config_from_dict({section: {knob: value}})
     with pytest.raises(ValueError, match="unknown config section"):
         config_from_dict({"dedpu": {}})
 
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
-    assert load_config(str(empty)).dedup.strategy == "actor_cache"
+    assert load_config(str(empty)).dedup.actor_cache_entries == 65536
 
-    # a loaded config drives the pipeline end-to-end (registry variant;
-    # extraction knobs untouched so the golden bytes still apply)
-    run_cfg = config_from_dict({"dedup": {"strategy": "registry"}})
+    # a loaded config drives the pipeline end-to-end (a memo cap smaller
+    # than the corpus; extraction knobs untouched so the golden bytes
+    # still apply)
+    run_cfg = config_from_dict({"dedup": {"actor_cache_entries": 8}})
     df = build_extract_pipeline(read_pages(corpus_dir),
                                 cfg=run_cfg).to_pandas()
     assert len(df) == len(golden_map)

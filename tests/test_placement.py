@@ -3,10 +3,9 @@
 Reference analog: ``config.py:81-90`` resolves ``device=auto`` → cuda/mps/
 cpu per process. The Ray-native counterpart is per-stage resource
 reservation: ``num_gpus`` / arbitrary ``ray_remote_args`` must reach the
-``map_batches`` call of the heavy stage (and ONLY the heavy branch in the
-staged pipeline), so the same pipeline code deploys on a GPU cluster by
-flipping one kwarg. This box has no GPU, so the assertion is on the
-kwargs Ray receives, not on placement itself.
+``map_batches`` call of the extraction stage, so the same pipeline code
+deploys on a GPU cluster by flipping one kwarg. The assertion is on the
+kwargs Ray receives, not on placement itself, so it needs no GPU.
 """
 from __future__ import annotations
 
@@ -59,30 +58,6 @@ def test_add_extract_stage_forwards_remote_args(monkeypatch):
     assert stage["resources"] == {"ocr_slot": 1}
     # and the stage still runs once the GPU demand is stripped
     assert out.count() == 1
-
-
-def test_add_extract_stage_stateful_forwards_remote_args(monkeypatch):
-    from horizon_ocr_python_ray.stages.extract_stage import add_extract_stage
-
-    calls = _capture_map_batches(monkeypatch)
-    add_extract_stage(_tiny_sniffed(), stateful=True, num_gpus=1.0)
-    stage = calls[-1]
-    assert stage["num_gpus"] == 1.0
-    assert isinstance(stage["concurrency"], tuple)
-
-
-def test_staged_pipeline_gpu_args_hit_only_the_heavy_branch(monkeypatch):
-    from horizon_ocr_python_ray.stages.staged import (
-        PageRecognizeActor,
-        build_staged_pipeline,
-    )
-
-    calls = _capture_map_batches(monkeypatch)
-    build_staged_pipeline(_tiny_sniffed(), num_gpus=0.5)
-    recognize = [c for c in calls if c["fn"] is PageRecognizeActor]
-    assert len(recognize) == 1 and recognize[0]["num_gpus"] == 0.5
-    others = [c for c in calls if c["fn"] is not PageRecognizeActor]
-    assert others and all("num_gpus" not in c for c in others)
 
 
 def test_default_is_unplaced(monkeypatch):

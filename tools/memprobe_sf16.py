@@ -3,10 +3,7 @@
 sf16 corpus (8M pages, ~11 GB parquet) with object-store spill counters
 and ``ds.stats()`` recorded — the BASELINE.md datum showing streaming
 backpressure holds (no OOM, bounded object store) at 160× the bench
-scale. Usage: ``python tools/memprobe_sf16.py [sf] [variant]`` —
-``variant`` defaults to the zero-shuffle ``combined`` path; pass
-``grouped`` to stress the wide payload-shuffling collapse (the spill
-case: ~19 GB through a 37.6 GiB store's all-to-all)."""
+scale. Usage: ``python tools/memprobe_sf16.py [sf]`` (default sf 16)."""
 
 from __future__ import annotations
 
@@ -46,7 +43,6 @@ def _spill_evidence(session_dir: str) -> dict:
 
 def main() -> None:
     sf = float(sys.argv[1]) if len(sys.argv) > 1 else 16.0
-    variant = sys.argv[2] if len(sys.argv) > 2 else None
     import ray
 
     ray.init(address="local", num_cpus=32, include_dashboard=False,
@@ -62,7 +58,7 @@ def main() -> None:
 
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.monotonic()
-    ds = build_extract_pipeline(read_pages(corpus), variant=variant)
+    ds = build_extract_pipeline(read_pages(corpus))
     ds.write_parquet(out_dir)
     wall = time.monotonic() - t0
     stats = ds.stats()
@@ -85,7 +81,7 @@ def main() -> None:
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
 
     print(json.dumps({
-        "sf": sf, "variant": variant or "combined",
+        "sf": sf,
         "wall_s": round(wall, 1), "rows": total,
         "docs_per_sec": round(total / wall, 1),
         "output_files": n_files,
