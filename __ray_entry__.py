@@ -1424,8 +1424,8 @@ def _media_preprocess(sf_dir: str):
     over planted md5 pixels, plus the REAL preprocess chain in its
     shape-preserving configuration (dewarp=False) so the output dims are
     analytic. Round-4: fully analytic oracle, no golden parquet; the
-    chain's pixel-level behavior stays pinned by the byte-identity
-    pytest goldens (tests/test_multimodal.py, tests/test_imageproc.py)."""
+    chain's pixel-level behavior stays pinned by the kernel tests
+    (tests/test_imageproc.py)."""
     from horizon_ocr_python_ray import sf_from_dir
     from horizon_ocr_python_ray.stages.multimodal import media_preprocess_probe_for_n
 

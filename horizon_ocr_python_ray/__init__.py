@@ -50,7 +50,6 @@ from .config import (
     ExtractConfig,
     FuseConfig,
     HtmlConfig,
-    RuntimeConfig,
     config_from_dict,
     load_config,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ExtractConfig",
     "FuseConfig",
     "HtmlConfig",
-    "RuntimeConfig",
     "build_extract_pipeline",
     "build_fields_pipeline",
     "config_from_dict",

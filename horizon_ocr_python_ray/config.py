@@ -115,10 +115,6 @@ class DocConfig:
     reocr_confidence_threshold: float = REOCR_CONFIDENCE_THRESHOLD
     reocr_accept_margin: float = REOCR_ACCEPT_MARGIN
     reocr_max_lines_per_page: int = REOCR_MAX_LINES_PER_PAGE
-    # Raster-path second-pass strategy (reference ``ReOCRStrategy``,
-    # ``ocr/targeted_reocr.py:29-34``): ensemble | primary_only |
-    # secondary_only | sequential. Consumed by ``stages/reocr.apply_reocr``.
-    reocr_strategy: str = "ensemble"
     reading_order_vertical_overlap: float = READING_ORDER_VERTICAL_OVERLAP
 
 
@@ -161,13 +157,6 @@ class FuseConfig:
 
 
 @dataclass(frozen=True)
-class RuntimeConfig:
-    """Per-stage physical execution knobs."""
-
-    sniff_batch_size: int = 1024
-
-
-@dataclass(frozen=True)
 class ExtractConfig:
     """Top-level engine configuration."""
 
@@ -176,7 +165,6 @@ class ExtractConfig:
     tables: TableConfig = field(default_factory=TableConfig)
     dedup: DedupConfig = field(default_factory=DedupConfig)
     fuse: FuseConfig = field(default_factory=FuseConfig)
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
 
 DEFAULT_CONFIG = ExtractConfig()

@@ -19,7 +19,7 @@ The hash is a deterministic pure function of the VALUE bytes (chunk
 layout / slicing / offset width do not affect it), so any two rows with
 equal keys land in the same bucket on any worker — the only property
 the exchanges need. It is NOT a cryptographic or identity hash; content
-identity in the engine stays md5 (``state/sortsink.py``).
+identity in the engine stays md5.
 
 Reference parity: none — the reference is single-machine and never
 keys an exchange (SURVEY.md §4); this kernel exists purely for the

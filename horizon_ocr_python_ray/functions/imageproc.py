@@ -361,7 +361,7 @@ def preprocess_for_ocr(img: np.ndarray, denoise: bool = True,
     return result
 
 
-# -- M13–M17: crop kernels (reference ocr/crops.py) --------------------------
+# -- M13: crop kernel (reference ocr/crops.py) ------------------------------
 
 def crop_bbox(img: np.ndarray, bbox: list[float], padding: int = 2,
               min_size: int = 10) -> np.ndarray:
@@ -382,61 +382,8 @@ def crop_bbox(img: np.ndarray, bbox: list[float], padding: int = 2,
     return img[y1:y2, x1:x2]
 
 
-def crop_quad(img: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """Perspective-rectified quad crop (``crops.py:63-130``): order the
-    points, rectify to the quad's max edge lengths."""
-    q = order_points(quad)
-    w = int(max(np.linalg.norm(q[1] - q[0]), np.linalg.norm(q[2] - q[3]))) + 1
-    h = int(max(np.linalg.norm(q[3] - q[0]), np.linalg.norm(q[2] - q[1]))) + 1
-    return perspective_warp(img, q, max(w, 1), max(h, 1))
-
-
 def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     h, w = img.shape[:2]
     rows = (np.arange(out_h) * h // out_h).astype(np.int64)
     cols = (np.arange(out_w) * w // out_w).astype(np.int64)
     return img[rows][:, cols]
-
-
-def normalize_crop(crop: np.ndarray, target_height: int = 32,
-                   max_width: int = 800) -> np.ndarray:
-    """Aspect-preserving resize to the recognizer's input height
-    (``crops.py:133-175``: height 32, width capped at 800)."""
-    h, w = crop.shape[:2]
-    if h == 0 or w == 0:
-        return crop
-    new_w = min(max(1, int(w * (target_height / h))), max_width)
-    return resize_nearest(crop, target_height, new_w)
-
-
-def batch_crop_regions(img: np.ndarray, bboxes: list[list[float]],
-                       padding: int = 2, min_size: int = 10,
-                       target_height: int = 32) -> list[np.ndarray]:
-    """Vectorized-per-region crop+normalize (``crops.py:178-220``) — the
-    per-batch form the recognize stage consumes."""
-    return [normalize_crop(crop_bbox(img, b, padding, min_size), target_height)
-            for b in bboxes]
-
-
-def pad_to_square(img: np.ndarray, fill_value: int = 255) -> np.ndarray:
-    """Center-pad to square (``crops.py:223-260``)."""
-    h, w = img.shape[:2]
-    if h == w:
-        return img
-    size = max(h, w)
-    shape = (size, size) + img.shape[2:]
-    out = np.full(shape, fill_value, dtype=img.dtype)
-    yo, xo = (size - h) // 2, (size - w) // 2
-    out[yo:yo + h, xo:xo + w] = img
-    return out
-
-
-def mask_outside_region(img: np.ndarray, bbox: list[float],
-                        fill_value: int = 255) -> np.ndarray:
-    """Fill everything outside the bbox (``crops.py:262-327``)."""
-    out = np.full_like(img, fill_value)
-    x1, y1 = max(0, int(bbox[0])), max(0, int(bbox[1]))
-    x2 = min(img.shape[1], int(bbox[2]))
-    y2 = min(img.shape[0], int(bbox[3]))
-    out[y1:y2, x1:x2] = img[y1:y2, x1:x2]
-    return out

@@ -162,11 +162,6 @@ def minhash_signatures_batch(shingle_arrays: list[np.ndarray], a: np.ndarray,
     return out
 
 
-def band_hashes(sig: np.ndarray, num_bands: int) -> list[int]:
-    """Split the signature into bands; hash each band deterministically."""
-    return band_hash_matrix(sig[None, :], num_bands)[0].tolist()
-
-
 def band_hash_matrix(sigs: np.ndarray, num_bands: int) -> np.ndarray:
     """(docs, num_hashes) signatures → (docs, num_bands) uint64 band keys,
     fully vectorized (FNV-1a over the band's rows, folded with the band

@@ -1,12 +1,10 @@
-"""Debug-artifact overlay records + SVG page rendering (S8/S11 analogs).
+"""Debug-artifact overlay records (the S11 analog).
 
 Re-expresses the reference's ``ArtifactManager`` debug sinks
 (``/root/reference/docvision/io/artifacts.py:81-610``) as *data*, not
 pixels: each overlay PNG the reference draws with cv2 becomes a stream
-of structured draw-records (layer, bbox, color, label) that (a) can be
-verified cell-for-cell against the golden fixtures by the DuckDB oracle,
-and (b) render deterministically to an SVG per page — the ``save_image``
-analog (``io/image.py:222-241``) without a cv2 dependency.
+of structured draw-records (layer, bbox, color, label) that can be
+verified cell-for-cell against the golden fixtures by the DuckDB oracle.
 
 Layer map (reference method → layer string):
 
@@ -21,8 +19,6 @@ Layer map (reference method → layer string):
 - ``save_table_structure_overlay`` (artifacts.py:309-390) → ``table``:
   one rect per cell; header row ``#ffff00`` / body ``#00c800`` (the
   reference's BGR ``(0,255,255)`` / ``(0,200,0)`` at :364).
-- ``save_preprocessed_image`` (artifacts.py:145-173) → the rendered SVG
-  artifact itself (one per page, content-hashed).
 
 Colors are the reference's BGR tuples converted to ``#rrggbb`` hex
 (artifacts.py:29-44); repo region kinds map onto the reference's
@@ -33,7 +29,6 @@ region-type rows (header/footer/page_number/title/table/text), with
 from __future__ import annotations
 
 from typing import Any
-from xml.sax.saxutils import escape
 
 # Reference LAYOUT_COLORS (artifacts.py:29-44), BGR → hex RGB, keyed by
 # the repo's line-region kinds (functions/regions.py).
@@ -136,37 +131,3 @@ def table_overlay_records(
                 "x2": float(b[2]), "y2": float(b[3]),
             })
     return records
-
-
-_SVG_HEADER = (
-    '<svg xmlns="http://www.w3.org/2000/svg" width="{w:g}" height="{h:g}" '
-    'viewBox="0 0 {w:g} {h:g}">'
-)
-
-
-def render_page_svg(
-    records: list[dict[str, Any]], page_w: float, page_h: float
-) -> str:
-    """One page's overlay records → deterministic SVG markup — the
-    ``save_image``/overlay-PNG analog (``io/image.py:222-241``,
-    ``artifacts.py:468-538`` combined overlay) producible without cv2.
-
-    Records are emitted in (layer, idx) order so equal inputs give
-    byte-equal SVG; rect stroke mirrors the reference's 2px border
-    (artifacts.py:107 ``border_t``), labels the reference's putText
-    beside the box."""
-    parts = [_SVG_HEADER.format(w=page_w or 0, h=page_h or 0)]
-    for r in sorted(records, key=lambda r: (r["layer"], r["kind"], r["idx"])):
-        x, y = r["x1"], r["y1"]
-        w, h = max(r["x2"] - r["x1"], 0.0), max(r["y2"] - r["y1"], 0.0)
-        parts.append(
-            f'<rect x="{x:g}" y="{y:g}" width="{w:g}" height="{h:g}" '
-            f'fill="none" stroke="{r["color"]}" stroke-width="2"/>'
-        )
-        label = escape(r["label"], {'"': "&quot;"})
-        parts.append(
-            f'<text x="{x:g}" y="{max(y - 2.0, 0.0):g}" font-size="10" '
-            f'fill="{r["color"]}">{label}</text>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)

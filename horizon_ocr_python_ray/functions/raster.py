@@ -211,14 +211,6 @@ def match_from_runs(runs: int, n_chars: int, n_words: int) -> float:
     return max(0.0, 1.0 - (runs - hi) / max(n_chars, 1))
 
 
-def crop_stats(gray: np.ndarray, n_chars: int,
-               n_words: int) -> tuple[float, float, float]:
-    """(sep, match, iso) of a text crop against its decoded hypothesis
-    (see :func:`crop_features` / :func:`match_from_runs`)."""
-    sep, runs, iso, _ = crop_features(gray)
-    return sep, match_from_runs(runs, n_chars, n_words), iso
-
-
 def baseline_jitter(gray: np.ndarray) -> float:
     """Std of per-column ink centroids / crop height — the irregular-
     baseline statistic the content-type router keys on (handwritten

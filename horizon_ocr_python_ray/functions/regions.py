@@ -1,8 +1,7 @@
-"""Layout-region role classification + same-type IoU region merge.
+"""Layout-region role classification.
 
-Re-expresses the reference's position/size heuristics and region merge
-(``/root/reference/docvision/detect/layout_doclaynet.py:210-251`` classify,
-``:253-325`` merge, ``:312-325`` IoU):
+Re-expresses the reference's position/size heuristics
+(``/root/reference/docvision/detect/layout_doclaynet.py:210-251``):
 
 - header: top 15% of the page;
 - page_number: small region in a bottom corner (bottom 10%, x in the
@@ -23,8 +22,6 @@ still pins the behaviour.
 
 from __future__ import annotations
 
-from typing import Any
-
 HEADER_TOP_FRACTION = 0.15
 FOOTER_BOTTOM_FRACTION = 0.85
 PAGE_NUMBER_BOTTOM_FRACTION = 0.90
@@ -34,7 +31,6 @@ TABLE_MIN_REL_HEIGHT = 0.10
 TITLE_MAX_REL_Y = 0.30
 TITLE_MIN_ASPECT = 3.0
 TITLE_MAX_REL_HEIGHT = 0.10
-REGION_MERGE_IOU = 0.5
 
 
 import re as _re
@@ -82,74 +78,3 @@ def classify_line_region(bbox: list[float], page_w: float, page_h: float) -> str
     if rel_y < TITLE_MAX_REL_Y and aspect > TITLE_MIN_ASPECT and rel_h < TITLE_MAX_REL_HEIGHT:
         return "title"
     return "text"
-
-
-def bbox_iou(a: list[float], b: list[float]) -> float:
-    """Intersection-over-union (reference ``:312-325``)."""
-    x1, y1 = max(a[0], b[0]), max(a[1], b[1])
-    x2, y2 = min(a[2], b[2]), min(a[3], b[3])
-    if x2 <= x1 or y2 <= y1:
-        return 0.0
-    inter = (x2 - x1) * (y2 - y1)
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    union = area_a + area_b - inter
-    return inter / union if union > 0 else 0.0
-
-
-def merge_overlapping_regions(
-    regions: list[dict[str, Any]], iou_threshold: float = REGION_MERGE_IOU
-) -> list[dict[str, Any]]:
-    """Merge same-type regions with IoU above the threshold, largest
-    first, expanding the kept bbox (reference ``:253-310``; D5 near-dedup
-    merge). Regions are dicts with ``type``, ``bbox``, ``confidence``."""
-    if len(regions) <= 1:
-        return list(regions)
-
-    def area(r):
-        b = r["bbox"]
-        return (b[2] - b[0]) * (b[3] - b[1])
-
-    ordered = sorted(regions, key=area, reverse=True)
-    used: set[int] = set()
-    merged = []
-    for i, ri in enumerate(ordered):
-        if i in used:
-            continue
-        bbox = list(ri["bbox"])
-        for j in range(i + 1, len(ordered)):
-            if j in used or ordered[j]["type"] != ri["type"]:
-                continue
-            if bbox_iou(bbox, ordered[j]["bbox"]) > iou_threshold:
-                bj = ordered[j]["bbox"]
-                bbox = [min(bbox[0], bj[0]), min(bbox[1], bj[1]),
-                        max(bbox[2], bj[2]), max(bbox[3], bj[3])]
-                used.add(j)
-        merged.append({**ri, "bbox": bbox})
-    return merged
-
-
-def boxes_overlap(a: list[float], b: list[float], threshold: float = 0.3) -> bool:
-    """Spatial-overlap predicate: intersection ≥ ``threshold`` of the
-    SMALLER box's area (the reference's OCR↔KIE merge join,
-    ``kie/fuse.py:459-476``) — J2's per-doc spatial join kernel."""
-    x1, y1 = max(a[0], b[0]), max(a[1], b[1])
-    x2, y2 = min(a[2], b[2]), min(a[3], b[3])
-    if x2 <= x1 or y2 <= y1:
-        return False
-    inter = (x2 - x1) * (y2 - y1)
-    smaller = min((a[2] - a[0]) * (a[3] - a[1]), (b[2] - b[0]) * (b[3] - b[1]))
-    return smaller > 0 and inter / smaller >= threshold
-
-
-def spatial_overlap_join(left: list[dict], right: list[dict],
-                         threshold: float = 0.3) -> list[tuple[int, int]]:
-    """All (i, j) index pairs whose bboxes overlap ≥ threshold of the
-    smaller box — the within-document spatial join (J2). Quadratic in
-    per-document region counts, which the reference bounds at tens."""
-    out = []
-    for i, a in enumerate(left):
-        for j, b in enumerate(right):
-            if boxes_overlap(a["bbox"], b["bbox"], threshold):
-                out.append((i, j))
-    return out

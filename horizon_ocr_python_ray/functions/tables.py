@@ -1,5 +1,5 @@
 """Table structure extraction: grid assembly from aligned text lines,
-over-detection filters, cell accessors, markdown rendering.
+over-detection filters, a row accessor, markdown rendering.
 
 Re-expresses the reference's table subsystem as pure kernels:
 
@@ -9,8 +9,7 @@ Re-expresses the reference's table subsystem as pure kernels:
   ordering ``:468-469``);
 - over-detection filters — drop "tables" covering >80% of the page, or
   >100 cells at >50% coverage (``table_tatr.py:107-133``);
-- cell accessors ``get_cell`` / ``get_row_texts`` / ``get_col_texts``
-  (``types.py:185-198``);
+- the row accessor ``get_row_texts`` (``types.py:185-198``);
 - markdown table rendering (``io/markdown.py:120-230``).
 
 A detected table is a plain dict::
@@ -139,21 +138,9 @@ def _passes_filters(table: dict, page_w: float, page_h: float, cfg: TableConfig)
 
 # -- accessors (reference types.py:185-198) ----------------------------------
 
-def get_cell(table: dict, row: int, col: int) -> dict | None:
-    for cell in table["cells"]:
-        if cell["row"] == row and cell["col"] == col:
-            return cell
-    return None
-
-
 def get_row_texts(table: dict, row: int) -> list[str]:
     return [c["text"] for c in sorted(
         (c for c in table["cells"] if c["row"] == row), key=lambda c: c["col"])]
-
-
-def get_col_texts(table: dict, col: int) -> list[str]:
-    return [c["text"] for c in sorted(
-        (c for c in table["cells"] if c["col"] == col), key=lambda c: c["row"])]
 
 
 # -- rendering (reference io/markdown.py:120-230) ----------------------------

@@ -1,13 +1,13 @@
-"""Field validators: amount/date parsing+normalization, currency mapping,
-cross-field consistency.
+"""Field validators: amount/date parsing+normalization, cross-field
+consistency.
 
 Re-expresses the reference's validator semantics
 (``/root/reference/docvision/kie/validators.py``): currency-symbol strip
 with US-vs-EU thousand/decimal disambiguation (``:96-130``), a multi-format
 strptime cascade with 2-digit-year retry normalizing to ISO (``:262-286``),
-symbol→code mapping (``:323-329``), and document-level consistency checks
-total ≈ subtotal + tax within tolerance and due_date ≥ invoice_date
-(``:495-558``, tolerance ``config.py:172``).
+and document-level consistency checks total ≈ subtotal + tax within
+tolerance and due_date ≥ invoice_date (``:495-558``, tolerance
+``config.py:172``).
 """
 
 from __future__ import annotations
@@ -18,17 +18,7 @@ from datetime import datetime
 
 from ..config import CONSISTENCY_AMOUNT_TOLERANCE
 
-CURRENCY_SYMBOL_TO_CODE = {
-    "$": "USD",
-    "€": "EUR",
-    "£": "GBP",
-    "¥": "JPY",
-    "₹": "INR",
-    "₩": "KRW",
-}
-
 _AMOUNT_CLEAN_RE = re.compile(r"[^\d.,\-]")
-_CURRENCY_CODE_RE = re.compile(r"\b(USD|EUR|GBP|JPY|INR|KRW|CHF|CAD|AUD)\b")
 _DIGIT_RE = re.compile(r"\d")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?")
 
@@ -59,14 +49,6 @@ def _date_regexes() -> tuple:
         _DATE_REGEXES = tuple((fmt, time_re.compile(fmt))
                               for fmt in _DATE_FORMATS + _DATE_FORMATS_2Y)
     return _DATE_REGEXES
-
-
-def detect_currency(value: str) -> str | None:
-    for sym, code in CURRENCY_SYMBOL_TO_CODE.items():
-        if sym in value:
-            return code
-    m = _CURRENCY_CODE_RE.search(value.upper())
-    return m.group(1) if m else None
 
 
 def parse_amount(value: str) -> float | None:

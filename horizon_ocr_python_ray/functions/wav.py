@@ -4,9 +4,9 @@ media pipelines.
 The sandbox ships no audio libraries, but canonical WAV needs only
 ``struct`` and numpy: RIFF chunk framing, a PCM ``fmt `` header, and a
 ``data`` chunk of little-endian int16 samples. This replaces the round-2
-byte-tiling stand-in so the audio feature kernels
-(``stages/multimodal.py:AudioFeatureStage``) operate on real decoded
-waveforms. Reference parity: the reference treats audio as out of scope
+byte-tiling stand-in so the audio energy kernel
+(``stages/multimodal.py:audio_energy_batch``) operates on real decoded
+samples. Reference parity: the reference treats audio as out of scope
 (it is a document engine); this codec exists because the 100-TB curation
 surface treats media as typed binary columns whose decode stage must be
 real (SURVEY.md §7 multimodal commitment).

@@ -20,9 +20,9 @@ numpy magic-mask sequence, and the time dimension is integer kernel
 arithmetic. The DuckDB oracle replays the interleave as a generated
 16-term bit expression (single source of truth: ``morton_sql_expr``).
 
-Scale shape: stateless ``map_batches`` projection, zero shuffles; the
-actual clustered WRITE composes this key with the range-partitioned
-sorted sink (``state/sortsink.py``) exactly like any other sort key.
+Scale shape: stateless ``map_batches`` projection, zero shuffles; a
+clustered write sorts by this key and splits the sorted rows into key
+ranges exactly like any other sort key.
 """
 
 from __future__ import annotations

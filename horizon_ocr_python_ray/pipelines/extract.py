@@ -65,6 +65,6 @@ def build_extract_pipeline(
     # ``dedup`` is accepted and ignored: perfbench/engine.py:_resume_job
     # still passes it.
     cfg = cfg or DEFAULT_CONFIG
-    ds = add_sniff_stage(pages, cfg.runtime.sniff_batch_size)
+    ds = add_sniff_stage(pages)
     ds = add_extract_stage(ds, cfg)
     return ds.select_columns(RESULT_COLS)

@@ -73,18 +73,6 @@ def _e2(col: pa.ChunkedArray) -> pa.ChunkedArray:
 # Q4 shape: EXISTS semi-join
 # ---------------------------------------------------------------------------
 
-def _distinct_keys_ds(ds, key: str):
-    """Distinct values of ``key``: per-batch ``np.unique`` combiner →
-    one narrow ``groupby(key).count`` (the count is discarded; the
-    groupby is the distributed distinct)."""
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table({key: pa.array(
-            np.unique(t.column(key).to_numpy()), pa.int64())})
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(key).count().select_columns([key]))
-
-
 def orders_exists_q4(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
     """TPC-H Q4 shape: count 1996 orders per priority where EXISTS a
     returned lineitem (``l_returnflag = 'R'``; this schema has no

@@ -24,19 +24,6 @@ PAGES_SCHEMA = pa.schema(
     ]
 )
 
-EXTRACTION_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("lang", pa.string()),
-        ("route", pa.string()),
-        ("content_hash", pa.string()),
-        ("extracted_text", pa.string()),
-        ("spans", SPAN_TYPE),
-        ("error", pa.string()),
-    ]
-)
-
 FIELDS_SCHEMA = pa.schema(
     [
         ("url", pa.string()),

@@ -1,42 +1,32 @@
-"""Multimodal binary columns: image / audio / video stages.
+"""Multimodal binary columns: image / audio / video probe stages.
 
 Treats media as opaque ``binary`` payload columns with typed metadata,
-processed by actor-pool ``map_batches`` stages — the same shape as the
+processed by stateless task ``map_batches`` batch functions — the
 reference's image pipeline (rasterize → preprocess → detect → recognize,
 ``/root/reference/docvision/io/image.py:49-185`` and
 ``preprocess/enhance.py``), generalized to audio/video.
 
-ALL THREE media decodes are REAL as of round 3: image payloads are
-genuine PNG streams decoded by the pure-numpy codec in
-``functions/png.py`` (zlib inflate + scanline unfilter; EXIF-style
-orientation tags honored via ``apply_orientation``), audio payloads are
-genuine RIFF/WAV PCM streams (``functions/wav.py``), and video payloads
-are genuine APNG animations (``functions/png.py:decode_apng`` — acTL /
-fcTL / fdAT per the animated-PNG spec, full-canvas profile). Every
-downstream preprocess/crop/feature/frame-sampling kernel operates on
-real decoded pixels and samples; no codec stub remains.
+All three media decodes are real: image payloads are genuine PNG
+streams decoded by the pure-numpy codec in ``functions/png.py`` (zlib
+inflate + scanline unfilter; EXIF-style orientation tags honored via
+``apply_orientation``), audio payloads are genuine RIFF/WAV PCM streams
+(``functions/wav.py``), and video payloads are genuine APNG animations
+(``functions/png.py:decode_apng`` — acTL / fcTL / fdAT per the
+animated-PNG spec, full-canvas profile). Every feature, preprocess and
+motion kernel operates on real decoded pixels and samples.
 
 Batch sizing: media payloads are orders of magnitude wider than text
-rows; stages default to small ``batch_size`` so batch × concurrency fits
-worker heaps (SURVEY.md §7.4 "wide binary rows"), and payload columns are
-dropped at the decode stage.
+rows; stages use small ``batch_size`` so batches fit worker heaps
+(SURVEY.md §7.4 "wide binary rows"), and payload columns are dropped at
+the decode stage.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pyarrow as pa
 
 from ..functions.png import apply_orientation, decode_png, encode_png
-
-#: Real container signatures for every media kind: PNG for images,
-#: RIFF/WAV for audio, APNG for video (APNG shares the PNG signature —
-#: the ``kind`` column + the ``acTL`` chunk disambiguate).
-IMAGE_MAGIC = b"\x89PNG\r\n\x1a\n"
-AUDIO_MAGIC = b"RIFF"
-VIDEO_MAGIC = IMAGE_MAGIC
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -52,111 +42,6 @@ MEDIA_SCHEMA = pa.schema(
         ])),
     ]
 )
-
-
-def render_page_raster(i: int, seed: int, w: int, h: int) -> np.ndarray:
-    """Deterministic document-page raster: paper tone with an
-    illumination gradient, dark glyph-box text lines, and salt noise —
-    real pixels for the preprocess/readability kernels to chew on.
-    All numpy (no per-pixel Python); pure function of (seed, i, w, h)."""
-    rng = np.random.default_rng([seed, i, w, h])
-    yy, xx = np.mgrid[0:h, 0:w]
-    gx, gy = rng.integers(0, 12, 2)
-    img = (245 - (xx * int(gx)) // max(w, 1)
-           - (yy * int(gy)) // max(h, 1)).astype(np.int64)
-    line_h = max(6, h // 10)
-    y = int(rng.integers(3, 9))
-    while y + line_h < h - 3:
-        x = int(rng.integers(2, 8))
-        for _ in range(int(rng.integers(3, 8))):
-            wlen = int(rng.integers(4, max(6, w // 6)))
-            if x + wlen >= w - 2:
-                break
-            ink = int(rng.integers(20, 80))
-            img[y:y + line_h - 2, x:x + wlen] = ink
-            x += wlen + int(rng.integers(2, 6))
-        y += line_h + int(rng.integers(2, 6))
-    n_noise = (w * h) // 200
-    ny = rng.integers(0, h, n_noise)
-    nx = rng.integers(0, w, n_noise)
-    img[ny, nx] = rng.integers(0, 256, n_noise)
-    return np.clip(img, 0, 255).astype(np.uint8)
-
-
-def gen_media_table(n_rows: int, seed: int = 42) -> pa.Table:
-    """Deterministic synthetic media table (one row per media object).
-    Image rows carry REAL PNG payloads of rendered page rasters
-    (:func:`render_page_raster`, ``functions/png.py``), a third of them
-    greyscale and every 4th tagged with a non-trivial EXIF-style
-    orientation; audio rows carry REAL RIFF/WAV PCM payloads of
-    synthesized two-tone waveforms (``functions/wav.py``), every 15th
-    stereo; video rows carry REAL APNG payloads of camera-pan
-    animations over rendered page rasters."""
-    import random
-
-    from ..functions.png import encode_png
-
-    ids, kinds, payloads, metas = [], [], [], []
-    for i in range(n_rows):
-        rng = random.Random(f"media:{seed}:{i}")
-        kind = ("image", "audio", "video")[i % 3]
-        body = bytes(rng.randrange(256) for _ in range(rng.randint(512, 2048)))
-        if kind == "image":
-            w, h = rng.choice((64, 128, 256)), rng.choice((64, 128))
-            grey = render_page_raster(i, seed, w, h)
-            # image rows are i % 3 == 0, so key the grey/RGB split on the
-            # image-row ordinal (i // 3): every 3rd image is greyscale
-            # and the other two-thirds exercise the RGB decode path
-            if (i // 3) % 3 == 0:
-                img, c = grey, 1
-            else:
-                tint = np.array([0, 3, 6], np.int64)
-                img = np.clip(grey[:, :, None].astype(np.int64)
-                              - tint[None, None, :], 0, 255).astype(np.uint8)
-                c = 3
-            orientation = ((i // 4) % 8) + 1 if i % 4 == 0 else 1
-            payloads.append(encode_png(
-                img, orientation=orientation if orientation != 1 else None))
-            metas.append({"width": w, "height": h, "channels": c,
-                          "sample_rate": 0, "n_frames": 1})
-        elif kind == "audio":
-            from ..functions.wav import encode_wav
-
-            sr = rng.choice((8000, 16000))
-            ch = 2 if i % 15 == 1 else 1
-            n = rng.randint(400, 3200)
-            arng = np.random.default_rng([seed, i, sr])
-            t = np.arange(n, dtype=np.float64) / sr
-            f1, f2 = arng.uniform(80, 800, 2)
-            wave = (0.5 * np.sin(2 * np.pi * f1 * t)
-                    + 0.25 * np.sin(2 * np.pi * f2 * t)
-                    + 0.05 * arng.standard_normal(n))
-            s16 = np.clip(wave * 16384, -32768, 32767).astype(np.int16)
-            if ch == 2:
-                s16 = np.stack([s16, np.roll(s16, 7)], axis=1)
-            payloads.append(encode_wav(s16, sr))
-            metas.append({"width": 0, "height": 0, "channels": ch,
-                          "sample_rate": sr, "n_frames": 0})
-        else:
-            from ..functions.png import encode_apng
-
-            w, h = 64, 64
-            nf = rng.randint(8, 48)
-            # a real APNG: camera-pan over a rendered page raster —
-            # frame f is the base raster rolled by f columns
-            base = render_page_raster(i, seed + 1, w, h)
-            frames = np.stack([np.roll(base, f * 2, axis=1)
-                               for f in range(nf)])
-            payloads.append(encode_apng(frames))
-            metas.append({"width": w, "height": h, "channels": 1,
-                          "sample_rate": 0, "n_frames": nf})
-        ids.append(i)
-        kinds.append(kind)
-    return pa.Table.from_arrays(
-        [pa.array(ids, pa.int64()), pa.array(kinds, pa.string()),
-         pa.array(payloads, pa.binary()), pa.array(metas, MEDIA_SCHEMA.field("meta").type)],
-        schema=MEDIA_SCHEMA,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,241 +74,59 @@ def _decode_audio(payload: bytes, meta: dict) -> np.ndarray:
 def _decode_video(payload: bytes, meta: dict) -> np.ndarray:
     """APNG payload → NxHxWxC uint8 frame stack: real decode
     (``functions/png.py:decode_apng``). Decode ONCE per payload — the
-    frame-sampling stage indexes the stack rather than re-parsing the
-    container per frame. ``meta`` is advisory only."""
+    kernels index the stack rather than re-parsing the container per
+    frame. ``meta`` is advisory only."""
     from ..functions.png import decode_apng
 
     frames, _anc = decode_apng(payload)
     return frames
 
 
-# ---------------------------------------------------------------------------
-# Stages — real actor-pool plumbing + numpy kernels
-# ---------------------------------------------------------------------------
 
-class ImageFeatureStage:
-    """Decode → per-image features (mean/std per channel, sha of pixels).
-
-    Actor: codec handles (or model weights, in a real deployment) load
-    once in ``__init__``. Drops the payload column on output.
-    """
-
-    def __init__(self, resize_to: int | None = None) -> None:
-        self.resize_to = resize_to
-
-    @staticmethod
-    def _resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-        """Nearest-neighbor resize (index-map kernel)."""
-        h, w = img.shape[:2]
-        rows = (np.arange(out_h) * h // out_h).astype(np.int64)
-        cols = (np.arange(out_w) * w // out_w).astype(np.int64)
-        return img[rows][:, cols]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        metas = batch.column("meta").to_pylist()
-        out_h, out_w, means, stds, shas, errs = [], [], [], [], [], []
-        for payload, meta in zip(payloads, metas):
-            try:
-                img = _decode_image(payload, meta)
-                if self.resize_to:
-                    img = self._resize_nearest(img, self.resize_to, self.resize_to)
-                out_h.append(img.shape[0])
-                out_w.append(img.shape[1])
-                means.append(float(img.mean()))
-                stds.append(float(img.std()))
-                shas.append(hashlib.sha256(img.tobytes()).hexdigest()[:16])
-                errs.append(None)
-            except Exception as exc:
-                out_h.append(0); out_w.append(0); means.append(0.0); stds.append(0.0)
-                shas.append(""); errs.append(f"{type(exc).__name__}: {exc}")
-        return pa.Table.from_arrays(
-            [pa.array(ids, pa.int64()), pa.array(out_h, pa.int32()),
-             pa.array(out_w, pa.int32()), pa.array(means, pa.float64()),
-             pa.array(stds, pa.float64()), pa.array(shas, pa.string()),
-             pa.array(errs, pa.string())],
-            names=["media_id", "height", "width", "pix_mean", "pix_std",
-                   "pix_sha", "error"],
-        )
-
-
-class ImagePreprocessStage:
-    """Decode → fused preprocess chain (dewarp → deskew → denoise →
-    CLAHE → sharpen, ``functions/imageproc.py``) → readability/noise
-    assessment. Actor-pool stage with the kernel chain compiled once per
-    actor; the numpy kernels AND the PNG decode are real."""
-
-    def __init__(self, deskew: bool = True, dewarp: bool = True) -> None:
-        from ..functions import imageproc
-
-        self.ip = imageproc
-        self.deskew = deskew
-        self.dewarp = dewarp
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        metas = batch.column("meta").to_pylist()
-        o_h, o_w, noise, readab, issues, errs = [], [], [], [], [], []
-        for payload, meta in zip(payloads, metas):
-            try:
-                img = _decode_image(payload, meta)
-                pre = self.ip.preprocess_for_ocr(
-                    img, deskew=self.deskew, dewarp=self.dewarp)
-                r, iss = self.ip.assess_readability(pre)
-                o_h.append(pre.shape[0]); o_w.append(pre.shape[1])
-                noise.append(self.ip.estimate_noise_level(pre))
-                readab.append(r); issues.append(",".join(iss)); errs.append(None)
-            except Exception as exc:
-                o_h.append(0); o_w.append(0); noise.append(0.0)
-                readab.append(""); issues.append("")
-                errs.append(f"{type(exc).__name__}: {exc}")
-        return pa.Table.from_arrays(
-            [pa.array(ids, pa.int64()), pa.array(o_h, pa.int32()),
-             pa.array(o_w, pa.int32()), pa.array(noise, pa.float64()),
-             pa.array(readab, pa.string()), pa.array(issues, pa.string()),
-             pa.array(errs, pa.string())],
-            names=["media_id", "height", "width", "noise_level",
-                   "readability", "issues", "error"],
-        )
-
-
-class AudioFeatureStage:
-    """Decode → framed RMS-energy features (one row per media object)."""
-
-    def __init__(self, frame_len: int = 400, hop: int = 160) -> None:
-        self.frame_len = frame_len
-        self.hop = hop
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        metas = batch.column("meta").to_pylist()
-        n_sam, n_frm, rms_mean, rms_max, errs = [], [], [], [], []
-        for payload, meta in zip(payloads, metas):
-            try:
-                wave = _decode_audio(payload, meta)
-                n = len(wave)
-                if n >= self.frame_len:
-                    starts = np.arange(0, n - self.frame_len + 1, self.hop)
-                    idx = starts[:, None] + np.arange(self.frame_len)[None, :]
-                    frames = wave[idx]
-                    rms = np.sqrt((frames ** 2).mean(axis=1))
-                else:
-                    rms = np.sqrt(np.array([(wave ** 2).mean()]))
-                n_sam.append(n); n_frm.append(len(rms))
-                rms_mean.append(float(rms.mean())); rms_max.append(float(rms.max()))
-                errs.append(None)
-            except Exception as exc:
-                n_sam.append(0); n_frm.append(0); rms_mean.append(0.0)
-                rms_max.append(0.0); errs.append(f"{type(exc).__name__}: {exc}")
-        return pa.Table.from_arrays(
-            [pa.array(ids, pa.int64()), pa.array(n_sam, pa.int64()),
-             pa.array(n_frm, pa.int64()), pa.array(rms_mean, pa.float64()),
-             pa.array(rms_max, pa.float64()), pa.array(errs, pa.string())],
-            names=["media_id", "n_samples", "n_frames", "rms_mean", "rms_max",
-                   "error"],
-        )
-
-
-class VideoFrameSampleStage:
-    """Sample every k-th frame → one OUTPUT ROW PER SAMPLED FRAME (batch
-    fan-out: the video analog of the document page ``flat_map``)."""
-
-    def __init__(self, every_k: int = 8) -> None:
-        self.every_k = every_k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        metas = batch.column("meta").to_pylist()
-        o_id, o_frame, o_mean, o_sha, o_err = [], [], [], [], []
-        for mid, payload, meta in zip(ids, payloads, metas):
-            try:
-                frames = _decode_video(payload, meta)
-                for f in range(0, len(frames), self.every_k):
-                    frame = frames[f]
-                    o_id.append(mid); o_frame.append(f)
-                    o_mean.append(float(frame.mean()))
-                    o_sha.append(hashlib.sha256(frame.tobytes()).hexdigest()[:16])
-                    o_err.append(None)
-            except Exception as exc:
-                o_id.append(mid); o_frame.append(-1); o_mean.append(0.0)
-                o_sha.append(""); o_err.append(f"{type(exc).__name__}: {exc}")
-        return pa.Table.from_arrays(
-            [pa.array(o_id, pa.int64()), pa.array(o_frame, pa.int32()),
-             pa.array(o_mean, pa.float64()), pa.array(o_sha, pa.string()),
-             pa.array(o_err, pa.string())],
-            names=["media_id", "frame_idx", "pix_mean", "pix_sha", "error"],
-        )
-
-
-def media_preprocess_for_n(n: int, seed: int = 42):
-    """The RNG-raster preprocess pipeline over ``n`` fixture rows —
-    the byte-identity pytest surface for the real preprocess chain
-    (tests/test_multimodal.py); the driver's media queries run the
-    analytically-oracled ``*_probe_for_n`` variants instead."""
-    import ray.data
-
-    return build_image_preprocess_pipeline(
-        ray.data.from_arrow(gen_media_table(n, seed=seed)))
-
-
-def build_image_preprocess_pipeline(media_ds):
-    """image rows → preprocessed-quality table (one row per image)."""
-    import pyarrow.compute as pc
-
-    return (media_ds.map_batches(
-                lambda t: t.filter(pc.equal(t.column("kind"), "image")),
-                batch_format="pyarrow")
-            .map_batches(ImagePreprocessStage, batch_format="pyarrow",
-                         batch_size=16, concurrency=(1, 4)))
-
-
-class VideoMotionStage:
+def video_motion_batch(batch: pa.Table) -> pa.Table:
     """Per-video temporal motion energy over the decoded APNG frame
     stack — integer-exact (sum of absolute frame deltas), so the golden
     oracle is drift-free. The video analog of a quality gate's
-    static-vs-dynamic content signal."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        metas = batch.column("meta").to_pylist()
-        o_id, o_nf, o_px, o_motion, o_maxd, o_err = [], [], [], [], [], []
-        for mid, payload, meta in zip(ids, payloads, metas):
-            try:
-                frames = _decode_video(payload, meta).astype(np.int64)
-                d = np.abs(np.diff(frames, axis=0))
-                o_id.append(mid)
-                o_nf.append(frames.shape[0])
-                o_px.append(int(np.prod(frames.shape[1:])))
-                o_motion.append(int(d.sum()))
-                o_maxd.append(int(d.max()) if d.size else 0)
-                o_err.append(None)
-            except Exception as exc:
-                o_id.append(mid); o_nf.append(0); o_px.append(0)
-                o_motion.append(0); o_maxd.append(0)
-                o_err.append(f"{type(exc).__name__}: {exc}")
-        return pa.Table.from_arrays(
-            [pa.array(o_id, pa.int64()), pa.array(o_nf, pa.int64()),
-             pa.array(o_px, pa.int64()), pa.array(o_motion, pa.int64()),
-             pa.array(o_maxd, pa.int64()), pa.array(o_err, pa.string())],
-            names=["media_id", "n_frames", "px_per_frame",
-                   "motion_abs_sum", "max_delta", "error"],
-        )
+    static-vs-dynamic content signal. A corrupt payload yields an error
+    row (zero features) instead of failing the batch."""
+    ids = batch.column("media_id").to_pylist()
+    payloads = batch.column("payload").to_pylist()
+    metas = batch.column("meta").to_pylist()
+    o_id, o_nf, o_px, o_motion, o_maxd, o_err = [], [], [], [], [], []
+    for mid, payload, meta in zip(ids, payloads, metas):
+        try:
+            frames = _decode_video(payload, meta).astype(np.int64)
+            d = np.abs(np.diff(frames, axis=0))
+            o_id.append(mid)
+            o_nf.append(frames.shape[0])
+            o_px.append(int(np.prod(frames.shape[1:])))
+            o_motion.append(int(d.sum()))
+            o_maxd.append(int(d.max()) if d.size else 0)
+            o_err.append(None)
+        except Exception as exc:
+            o_id.append(mid); o_nf.append(0); o_px.append(0)
+            o_motion.append(0); o_maxd.append(0)
+            o_err.append(f"{type(exc).__name__}: {exc}")
+    return pa.Table.from_arrays(
+        [pa.array(o_id, pa.int64()), pa.array(o_nf, pa.int64()),
+         pa.array(o_px, pa.int64()), pa.array(o_motion, pa.int64()),
+         pa.array(o_maxd, pa.int64()), pa.array(o_err, pa.string())],
+        names=["media_id", "n_frames", "px_per_frame",
+               "motion_abs_sum", "max_delta", "error"],
+    )
 
 
 def build_video_motion_pipeline(media_ds):
-    """video rows → per-video integer motion-energy table."""
+    """video rows → per-video integer motion-energy table. Stateless,
+    so it runs as a task map: an actor pool would hold the only CPU of
+    a 1-CPU session that the upstream generate/read tasks need."""
     import pyarrow.compute as pc
 
     vid = media_ds.map_batches(
         lambda t: t.filter(pc.equal(t.column("kind"), "video")),
         batch_format="pyarrow")
-    return vid.map_batches(VideoMotionStage, batch_format="pyarrow",
-                           batch_size=16, concurrency=(1, 4))
+    return vid.map_batches(video_motion_batch, batch_format="pyarrow",
+                           batch_size=16)
 
 
 def gen_audio_probe_table(n_rows: int, seed: int = 42) -> pa.Table:
@@ -744,9 +447,8 @@ def image_preprocess_probe_batch(batch: pa.Table) -> pa.Table:
     dimensions data-dependently, so the chain runs with
     ``dewarp=False`` — deskew / median / CLAHE / unsharp all preserve
     shape, making (height, width) analytic. The chain's pixel-level
-    behavior stays pinned by the byte-identity golden suite
-    (tests/test_multimodal.py, tests/test_imageproc.py); THIS surface
-    is the driver-checkable decode + threshold replay."""
+    behavior stays pinned by the kernel tests (tests/test_imageproc.py);
+    THIS surface is the driver-checkable decode + threshold replay."""
     from ..functions.imageproc import assess_readability, preprocess_for_ocr
 
     ids = batch.column("media_id").to_pylist()
@@ -833,56 +535,10 @@ def media_preprocess_probe_for_n(n: int, seed: int = 42):
 
 
 def media_motion_probe_for_n(n: int, seed: int = 42):
-    """``media_motion``: the unchanged :class:`VideoMotionStage` over
-    the probe fixture's video rows — the oracle replays the pan
-    structure ((nf-1) × one circular-shift |delta| sum) analytically.
-    Generation is distributed and pruned to the video third before any
-    APNG encoding."""
+    """``media_motion``: :func:`video_motion_batch` over the probe
+    fixture's video rows — the oracle replays the pan structure
+    ((nf-1) × one circular-shift |delta| sum) analytically. Generation
+    is distributed and pruned to the video third before any APNG
+    encoding."""
     return build_video_motion_pipeline(
         media_probe_ds(n, seed=seed, kind="video"))
-
-
-def build_media_pipeline(media_ds, resize_to: int | None = 32,
-                         frame_every_k: int = 8):
-    """Route a mixed media table through the three stages and union the
-    per-kind feature tables into one long-format output
-    (media_id, kind, feature, value)."""
-    import pyarrow.compute as pc
-
-    def only(kind):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.filter(pc.equal(t.column("kind"), kind))
-        return fn
-
-    def melt(feature_cols):
-        def fn(t: pa.Table) -> pa.Table:
-            ids, feats, vals = [], [], []
-            for col in feature_cols:
-                ids.extend(t.column("media_id").to_pylist())
-                feats.extend([col] * t.num_rows)
-                vals.extend(float(v) if v is not None else 0.0
-                            for v in t.column(col).to_pylist())
-            return pa.Table.from_arrays(
-                [pa.array(ids, pa.int64()), pa.array(feats, pa.string()),
-                 pa.array(vals, pa.float64())],
-                names=["media_id", "feature", "value"],
-            )
-        return fn
-
-    img = (media_ds.map_batches(only("image"), batch_format="pyarrow")
-           .map_batches(ImageFeatureStage,
-                        fn_constructor_kwargs={"resize_to": resize_to},
-                        batch_format="pyarrow", batch_size=32,
-                        concurrency=(1, 4))
-           .map_batches(melt(["pix_mean", "pix_std"]), batch_format="pyarrow"))
-    aud = (media_ds.map_batches(only("audio"), batch_format="pyarrow")
-           .map_batches(AudioFeatureStage, batch_format="pyarrow",
-                        batch_size=32, concurrency=(1, 4))
-           .map_batches(melt(["rms_mean", "rms_max"]), batch_format="pyarrow"))
-    vid = (media_ds.map_batches(only("video"), batch_format="pyarrow")
-           .map_batches(VideoFrameSampleStage,
-                        fn_constructor_kwargs={"every_k": frame_every_k},
-                        batch_format="pyarrow", batch_size=16,
-                        concurrency=(1, 4))
-           .map_batches(melt(["pix_mean"]), batch_format="pyarrow"))
-    return img.union(aud).union(vid)

@@ -59,7 +59,7 @@ def reconstruct_batch(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
 
 def build_reconstruction_pipeline(pages_ds, cfg: ExtractConfig | None = None):
     cfg = cfg or DEFAULT_CONFIG
-    return add_heavy_stage(pages_ds, cfg).map_batches(
+    return add_heavy_stage(pages_ds).map_batches(
         reconstruct_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow",
         batch_size=256,
     )

@@ -19,6 +19,9 @@ from ..functions.sniff import content_hash, sniff_route
 
 HEAVY_ROUTES = (sniff_mod.ROUTE_DOC, sniff_mod.ROUTE_IMAGE)
 
+#: Rows per sniff ``map_batches`` batch.
+SNIFF_BATCH_SIZE = 1024
+
 
 def sniff_batch(batch: pa.Table) -> pa.Table:
     payloads = batch.column("html").to_pylist()
@@ -30,8 +33,8 @@ def sniff_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def add_sniff_stage(ds, batch_size: int = 1024):
-    return ds.map_batches(sniff_batch, batch_format="pyarrow", batch_size=batch_size)
+def add_sniff_stage(ds):
+    return ds.map_batches(sniff_batch, batch_format="pyarrow", batch_size=SNIFF_BATCH_SIZE)
 
 
 def heavy_rows(batch: pa.Table) -> pa.Table:
@@ -39,10 +42,9 @@ def heavy_rows(batch: pa.Table) -> pa.Table:
     return batch.filter(pc.is_in(batch.column("route"), value_set=pa.array(HEAVY_ROUTES)))
 
 
-def add_heavy_stage(pages_ds, cfg):
+def add_heavy_stage(pages_ds):
     """pages dataset → sniffed doc/image rows: the input of every heavy head."""
-    ds = add_sniff_stage(pages_ds, cfg.runtime.sniff_batch_size)
-    return ds.map_batches(heavy_rows, batch_format="pyarrow")
+    return add_sniff_stage(pages_ds).map_batches(heavy_rows, batch_format="pyarrow")
 
 
 def heavy_head_batch(batch: pa.Table, schema: pa.Schema, row_fn, cfg) -> pa.Table:

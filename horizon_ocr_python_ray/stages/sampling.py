@@ -318,10 +318,8 @@ def shuffle_shards(ds, key: str = "doc_id", nshards: int = 16):
     Output: (key, shard, pos).
 
     Scale shape: one hash shuffle on ``shard``; the per-shard sort is
-    bounded by corpus/nshards, so ``nshards`` scales with the corpus
-    exactly like the range-partitioned sorted sink (``state/sortsink.py``
-    — use that variant when the shard payload must also be WRITTEN in
-    order; this operator is the assignment/audit projection)."""
+    bounded by corpus/nshards, so ``nshards`` scales with the corpus.
+    This operator is the assignment/audit projection."""
 
     def add_keys(t: pa.Table) -> pa.Table:
         import numpy as np

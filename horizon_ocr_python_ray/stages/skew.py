@@ -1,4 +1,4 @@
-"""Host-level skew handling: hot-key detection and salted aggregation.
+"""Host-level skew handling: salted aggregation and salted joins.
 
 A web corpus's key distribution is Zipfian — a few hosts contribute a
 huge share of pages (the synthetic corpus draws hosts from a Zipf pool
@@ -10,11 +10,10 @@ for exactly this reason, ``sources/synth.py``). Two places that bites:
   second, tiny groupby. The heavy shuffle carries S× more (still tiny)
   groups but no group larger than ~1/S of the hot host.
 - **Key-affine heavy stages** (one actor per host for politeness /
-  per-host models): a hot host serializes one actor's queue. Fix:
-  repartition on the salted key so a hot host's pages spread over S
-  actors; the flagship pipeline avoids this entirely by keeping the
-  heavy path key-free (blocks are scheduled round-robin), which is why
-  the default extract has NO shuffle at all.
+  per-host models): a hot host serializes one actor's queue. The
+  flagship pipeline avoids this entirely by keeping the heavy path
+  key-free (blocks are scheduled round-robin), which is why the default
+  extract has NO shuffle at all.
 
 The reference has no skew concept (single machine, per-file threads —
 SURVEY.md §4); this module is the north rule's "explicit repartitioning
@@ -142,45 +141,6 @@ def host_lang_mode(pages_ds):
         })
 
     return counts.groupby("host").map_groups(pick, batch_format="pyarrow")
-
-
-def hot_hosts(pages_ds, top_k: int = 10, num_salts: int = 16):
-    """Skew diagnosis: the top-k hosts by page count (partial top-k over
-    the salted aggregate — never a full sort)."""
-    import pandas as pd
-
-    stats = host_stats_salted(pages_ds, num_salts)
-
-    def partial_topk(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(["n_pages", "host"], ascending=[False, True])
-        return pa.Table.from_pandas(df.head(top_k), preserve_index=False)
-
-    partials = stats.map_batches(partial_topk, batch_format="pyarrow")
-    df = partials.to_pandas().sort_values(["n_pages", "host"], ascending=[False, True])
-    out = df.head(top_k).reset_index(drop=True)
-    out["rank"] = pd.RangeIndex(1, len(out) + 1)
-    return out
-
-
-def salted_repartition(pages_ds, num_buckets: int = 64, num_salts: int = 16):
-    """Redistribute rows on ``hash(host) ⊕ salt`` so a hot host's pages
-    spread across exactly ``num_salts`` of the ``num_buckets`` partitions —
-    the pre-actor-pool skew break for key-affine stages.
-
-    The redistribution is a real key-based hash shuffle
-    (``groupby(bucket)`` with an identity group fn — rows of one bucket
-    land together), NOT ``Dataset.repartition``, which redistributes rows
-    randomly and would not honor the salt-count guarantee."""
-
-    def bucket(t: pa.Table) -> pa.Table:
-        urls = t.column("url")
-        hh = hash64_bytes_column(host_of_array(urls))
-        salts = salt_array(urls, num_salts).astype(np.uint64)
-        b = ((hh ^ salts) % np.uint64(num_buckets)).astype(np.int32)
-        return t.append_column("bucket", pa.array(b, pa.int32()))
-
-    with_bucket = pages_ds.map_batches(bucket, batch_format="pyarrow")
-    return with_bucket.groupby("bucket").map_groups(lambda t: t, batch_format="pyarrow")
 
 
 #: Build-side row cap for the broadcast fact-enrichment join.

@@ -65,7 +65,7 @@ def styles_batch(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
 def build_styles_pipeline(pages_ds, cfg: ExtractConfig | None = None):
     """pages dataset → long-format per-line style table."""
     cfg = cfg or DEFAULT_CONFIG
-    return add_heavy_stage(pages_ds, cfg).map_batches(
+    return add_heavy_stage(pages_ds).map_batches(
         styles_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow", batch_size=256,
     )
 

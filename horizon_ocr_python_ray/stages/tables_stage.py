@@ -74,6 +74,6 @@ def tables_batch(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
 def build_tables_pipeline(pages_ds, cfg: ExtractConfig | None = None):
     """pages dataset → long-format tables table (TABLES_SCHEMA)."""
     cfg = cfg or DEFAULT_CONFIG
-    return add_heavy_stage(pages_ds, cfg).map_batches(
+    return add_heavy_stage(pages_ds).map_batches(
         tables_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow", batch_size=256,
     )

@@ -42,11 +42,6 @@ def partition_of(url: str, num_partitions: int) -> int:
     return h % num_partitions
 
 
-def add_partition_column(batch: pa.Table, num_partitions: int) -> pa.Table:
-    pids = [partition_of(u, num_partitions) for u in batch.column("url").to_pylist()]
-    return batch.append_column("partition_id", pa.array(pids, pa.int32()))
-
-
 def _manifest_path(out_dir: str) -> str:
     return os.path.join(out_dir, "manifest.jsonl")
 

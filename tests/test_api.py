@@ -63,7 +63,7 @@ def test_yaml_config_loading(tmp_path, corpus_dir, golden_map):
     assert cfg.html.min_block_chars == 12
     assert cfg.html.heading_tags == ("h1", "h2")
     assert cfg.fuse.source_weights == (("regex", 1.0), ("layout", 0.8))
-    assert cfg.doc.reocr_strategy == "ensemble"  # absent section
+    assert cfg.doc.reocr_max_lines_per_page == 50  # absent section
 
     with pytest.raises(ValueError, match="unknown knob"):
         config_from_dict({"dedup": {"stragety": "registry"}})
@@ -72,10 +72,13 @@ def test_yaml_config_loading(tmp_path, corpus_dir, golden_map):
             ("dedup", "strategy", "registry"), ("dedup", "enabled", False),
             ("dedup", "join_num_partitions", 16),
             ("doc", "recognize_concurrency", 4), ("doc", "recognize_batch_size", 64),
-            ("doc", "detect_concurrency", 4), ("runtime", "html_batch_size", 256),
-            ("runtime", "target_max_block_size", None)]:
+            ("doc", "detect_concurrency", 4), ("doc", "reocr_strategy", "ensemble")]:
         with pytest.raises(ValueError, match="unknown knob"):
             config_from_dict({section: {knob: value}})
+    # the runtime section is gone with its knobs
+    for knobs in ({}, {"sniff_batch_size": 1024}, {"html_batch_size": 256}):
+        with pytest.raises(ValueError, match="unknown config section"):
+            config_from_dict({"runtime": knobs})
     with pytest.raises(ValueError, match="unknown config section"):
         config_from_dict({"dedpu": {}})
 

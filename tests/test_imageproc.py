@@ -163,49 +163,3 @@ def test_crop_bbox_padding_and_min_size():
     assert c.shape == (24, 24)
     tiny = crop_bbox(img, [50, 50, 52, 52], padding=0, min_size=10)
     assert tiny.shape == (10, 10)
-
-
-def test_normalize_crop_and_pad_square():
-    from horizon_ocr_python_ray.functions.imageproc import normalize_crop, pad_to_square
-
-    crop = np.zeros((64, 640), dtype=np.uint8)
-    out = normalize_crop(crop)
-    assert out.shape == (32, 320)
-    wide = np.zeros((8, 3200), dtype=np.uint8)
-    assert normalize_crop(wide).shape == (32, 800)  # width cap
-    sq = pad_to_square(np.zeros((10, 30), dtype=np.uint8), fill_value=7)
-    assert sq.shape == (30, 30)
-    assert sq[0, 0] == 7 and sq[15, 15] == 0
-
-
-def test_batch_crop_and_mask():
-    from horizon_ocr_python_ray.functions.imageproc import (
-        batch_crop_regions,
-        mask_outside_region,
-    )
-
-    img = np.full((100, 100), 50, dtype=np.uint8)
-    crops = batch_crop_regions(img, [[0, 0, 20, 10], [30, 30, 90, 60]])
-    assert all(c.shape[0] == 32 for c in crops)
-    masked = mask_outside_region(img, [10, 10, 20, 20])
-    assert masked[15, 15] == 50 and masked[5, 5] == 255
-
-
-def test_crop_quad_rectifies():
-    from horizon_ocr_python_ray.functions.imageproc import crop_quad
-
-    img = np.full((100, 100), 255, dtype=np.uint8)
-    img[20:60, 30:80] = 0
-    out = crop_quad(img, np.array([[30, 20], [79, 20], [79, 59], [30, 59]], dtype=float))
-    assert (out < 128).mean() > 0.9
-
-
-def test_spatial_overlap_join():
-    from horizon_ocr_python_ray.functions.regions import boxes_overlap, spatial_overlap_join
-
-    a = {"bbox": [0, 0, 10, 10]}
-    b = {"bbox": [8, 8, 30, 30]}   # 4/100 of smaller → no
-    c = {"bbox": [2, 2, 12, 12]}   # 64/100 of smaller → yes
-    assert not boxes_overlap(a["bbox"], b["bbox"])
-    assert boxes_overlap(a["bbox"], c["bbox"])
-    assert spatial_overlap_join([a], [b, c]) == [(0, 1)]

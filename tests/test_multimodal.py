@@ -1,54 +1,46 @@
-"""Multimodal stage plumbing: schemas, actor signatures, per-frame
-fan-out, error columns. ALL decodes are real: PNG images
-(functions/png.py), RIFF/WAV audio (functions/wav.py), APNG video
+"""Multimodal probe stages: fixtures, error rows, orientation undo,
+video motion and the 1-CPU task-only plan. All decodes are real: PNG
+images (functions/png.py), RIFF/WAV audio (functions/wav.py), APNG video
 (functions/png.py:decode_apng)."""
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
-import ray.data
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from horizon_ocr_python_ray.stages.multimodal import (
-    AudioFeatureStage,
-    ImageFeatureStage,
-    VideoFrameSampleStage,
-    build_media_pipeline,
-    gen_media_table,
+    MEDIA_SCHEMA,
+    gen_media_probe_table,
+    image_preprocess_probe_batch,
+    video_motion_batch,
 )
 
-N = 60
 
-
-def _media_ds():
-    return ray.data.from_arrow(gen_media_table(N, seed=7))
+def _kind_rows(t: pa.Table, kind: str) -> pa.Table:
+    return t.filter(pc.equal(t.column("kind"), kind))
 
 
 def test_gen_media_deterministic():
-    a = gen_media_table(20, seed=7)
-    b = gen_media_table(20, seed=7)
+    a = gen_media_probe_table(20, seed=7)
+    b = gen_media_probe_table(20, seed=7)
     assert a.equals(b)
-    assert gen_media_table(20, seed=8).column("payload").to_pylist() != \
+    assert gen_media_probe_table(20, seed=8).column("payload").to_pylist() != \
         a.column("payload").to_pylist()
 
 
-def test_image_features_schema_and_values():
-    t = gen_media_table(N, seed=7)
-    img_rows = t.filter(pa.compute.equal(t.column("kind"), "image"))
-    out = ImageFeatureStage(resize_to=16)(img_rows)
-    assert out.column_names == ["media_id", "height", "width", "pix_mean",
-                                "pix_std", "pix_sha", "error"]
-    assert out.num_rows == img_rows.num_rows
-    assert all(h == 16 for h in out.column("height").to_pylist())
-    assert all(e is None for e in out.column("error").to_pylist())
-    # deterministic: rerun gives identical pixel hashes
-    again = ImageFeatureStage(resize_to=16)(img_rows)
-    assert out.column("pix_sha").to_pylist() == again.column("pix_sha").to_pylist()
-
-
 def test_image_resize_kernel():
+    from horizon_ocr_python_ray.functions.imageproc import resize_nearest
+
     img = np.arange(24, dtype=np.uint8).reshape(4, 6, 1)
-    small = ImageFeatureStage._resize_nearest(img, 2, 3)
+    small = resize_nearest(img, 2, 3)
     assert small.shape == (2, 3, 1)
     assert small[0, 0, 0] == img[0, 0, 0]
 
@@ -59,44 +51,16 @@ def test_image_error_row_isolated():
          pa.array([b"not an image"], pa.binary()),
          pa.array([{"width": 8, "height": 8, "channels": 3,
                     "sample_rate": 0, "n_frames": 1}],
-                  gen_media_table(1).schema.field("meta").type)],
-        names=["media_id", "kind", "payload", "meta"],
+                  MEDIA_SCHEMA.field("meta").type)],
+        schema=MEDIA_SCHEMA,
     )
-    out = ImageFeatureStage()(bad)
-    assert out.num_rows == 1
-    assert out.column("error").to_pylist()[0].startswith("PngError")
-
-
-def test_audio_features():
-    t = gen_media_table(N, seed=7)
-    aud = t.filter(pa.compute.equal(t.column("kind"), "audio"))
-    out = AudioFeatureStage()(aud)
-    assert out.num_rows == aud.num_rows
-    assert all(n > 0 for n in out.column("n_frames").to_pylist())
-    assert all(0.0 <= v <= 1.0 for v in out.column("rms_mean").to_pylist())
-
-
-def test_video_frame_fanout():
-    t = gen_media_table(N, seed=7)
-    vid = t.filter(pa.compute.equal(t.column("kind"), "video"))
-    out = VideoFrameSampleStage(every_k=8)(vid)
-    # one row per sampled frame, > one row per video on average
-    assert out.num_rows > vid.num_rows
-    metas = vid.column("meta").to_pylist()
-    expect = sum(len(range(0, m["n_frames"], 8)) for m in metas)
-    assert out.num_rows == expect
-    assert all(f >= 0 for f in out.column("frame_idx").to_pylist())
-
-
-def test_media_pipeline_end_to_end():
-    out = build_media_pipeline(_media_ds()).to_pandas()
-    assert set(out.columns) == {"media_id", "feature", "value"}
-    kinds = gen_media_table(N, seed=7).column("kind").to_pylist()
-    n_img = kinds.count("image")
-    n_aud = kinds.count("audio")
-    assert (out["feature"] == "pix_std").sum() == n_img
-    assert (out["feature"] == "rms_max").sum() == n_aud
-    assert (out["feature"] == "pix_mean").sum() > n_img  # video frames too
+    good = _kind_rows(gen_media_probe_table(6), "image")
+    out = image_preprocess_probe_batch(pa.concat_tables([good, bad]))
+    assert out.num_rows == good.num_rows + 1
+    errs = out.column("error").to_pylist()
+    assert all(e is None for e in errs[:-1])
+    assert errs[-1].startswith("PngError")
+    assert out.column("height").to_pylist()[-1] == 0
 
 
 def test_planted_orientation_is_undone():
@@ -104,9 +68,9 @@ def test_planted_orientation_is_undone():
     # back upright: decoded dims swap and pixels match np.rot90(img, -1)
     from horizon_ocr_python_ray.functions.png import encode_png
     from horizon_ocr_python_ray.stages.multimodal import (
-        _decode_image, render_page_raster)
+        _decode_image, _probe_image_pixels)
 
-    grey = render_page_raster(1, 7, 40, 24)
+    grey = _probe_image_pixels(7, 1, 24, 40, 0)
     for o, want in [(1, grey), (3, grey[::-1, ::-1]),
                     (6, np.rot90(grey, -1)), (8, np.rot90(grey, 1)),
                     (5, grey.swapaxes(0, 1))]:
@@ -115,46 +79,18 @@ def test_planted_orientation_is_undone():
         assert (out == want).all(), o
 
 
-def test_real_rasters_are_document_like():
-    # planted text lines → bimodal-ish histogram: paper bright, ink dark
-    from horizon_ocr_python_ray.stages.multimodal import render_page_raster
-
-    img = render_page_raster(0, 42, 128, 64)
-    assert img.shape == (64, 128)
-    dark = (img < 100).mean()
-    bright = (img > 200).mean()
-    assert 0.05 < dark < 0.7       # glyph boxes present
-    assert bright > 0.2            # paper background present
-    # deterministic
-    again = render_page_raster(0, 42, 128, 64)
-    assert (img == again).all()
-
-
-def test_preprocess_runs_on_real_pixels(ray_session):
-    from horizon_ocr_python_ray.stages.multimodal import media_preprocess_for_n
-
-    out = media_preprocess_for_n(30).to_pandas()
-    assert len(out) == 10
-    assert out.error.isna().all()
-    assert (out.height > 0).all() and (out.width > 0).all()
-    assert (out.noise_level > 0).any()  # salt noise is measurable
-
-
 def test_video_motion_stage():
-    from horizon_ocr_python_ray.stages.multimodal import VideoMotionStage
-
-    t = gen_media_table(12, seed=11)
-    vid = t.filter(pa.compute.equal(t.column("kind"), "video"))
-    out = VideoMotionStage()(vid)
+    vid = _kind_rows(gen_media_probe_table(12, seed=11), "video")
+    out = video_motion_batch(vid)
     assert out.num_rows == vid.num_rows
     rows = out.to_pylist()
     for r in rows:
         assert r["error"] is None
-        assert r["n_frames"] >= 8
+        assert r["n_frames"] >= 2
         assert r["motion_abs_sum"] > 0       # the pan moves every frame
         assert 0 < r["max_delta"] <= 255
     # deterministic
-    again = VideoMotionStage()(vid)
+    again = video_motion_batch(vid)
     assert out.equals(again)
     # a corrupt payload isolates as an error row, not a thrown batch
     bad = pa.Table.from_arrays(
@@ -164,9 +100,61 @@ def test_video_motion_stage():
                     "sample_rate": 0, "n_frames": 3}],
                   vid.schema.field("meta").type)],
         schema=vid.schema)
-    err = VideoMotionStage()(bad).to_pylist()[0]
+    err = video_motion_batch(bad).to_pylist()[0]
     assert err["error"].startswith("PngError")
     assert err["motion_abs_sum"] == 0
+
+
+_ONE_CPU_MOTION = """
+import sys
+
+import ray
+
+ray.init(address="local", num_cpus=1, object_store_memory=256 * 2**20,
+         include_dashboard=False, logging_level="ERROR", log_to_driver=False)
+from ray.data import DataContext
+
+DataContext.get_current().enable_progress_bars = False
+from horizon_ocr_python_ray.stages.multimodal import media_motion_probe_for_n
+
+n, out_dir, stats_path = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+ds = media_motion_probe_for_n(n)
+ds.write_parquet(out_dir)
+with open(stats_path, "w") as f:
+    f.write(ds.stats())
+ray.shutdown()
+"""
+
+#: Every operator of the media_motion plan, as ``ds.stats()`` names them
+#: (fused operators join their parts with ``->``).
+_MOTION_PLAN_PARTS = re.compile(
+    r"ReadRange|MapBatches\((_gen_probe_batch|<lambda>|video_motion_batch)\)|Write")
+
+
+def test_media_motion_one_cpu_session_completes(tmp_path):
+    """On a 1-CPU session an actor pool holds the only CPU that the
+    generate task needs, and the pipeline makes no progress. The
+    media_motion pipeline must finish there, match the batch function
+    over the driver-side fixture, and run only task operators."""
+    n = 9
+    out_dir, stats_path = tmp_path / "out", tmp_path / "stats.txt"
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", _ONE_CPU_MOTION, str(n), str(out_dir),
+                    str(stats_path)], env=env, check=True, timeout=150)
+
+    got = pq.read_table(out_dir).sort_by("media_id")
+    want = video_motion_batch(_kind_rows(gen_media_probe_table(n), "video"))
+    assert got.num_rows == 3
+    assert got.select(want.column_names).equals(want.sort_by("media_id"))
+    stats = stats_path.read_text()
+    assert "ActorPool" not in stats
+    names = re.findall(r"^Operator \d+ (.+?): ", stats, flags=re.M)
+    assert names, "no operators parsed from ds.stats()"
+    for name in names:
+        for part in name.split("->"):
+            assert _MOTION_PLAN_PARTS.fullmatch(part), f"unexpected operator {part!r} in {names}"
 
 
 def test_audio_energy_probe_roundtrip():

@@ -1,13 +1,9 @@
-"""Layout-region role classification + same-type IoU merge
-(reference detect/layout_doclaynet.py:210-325)."""
+"""Layout-region role classification
+(reference detect/layout_doclaynet.py:210-251)."""
 
 from __future__ import annotations
 
-from horizon_ocr_python_ray.functions.regions import (
-    bbox_iou,
-    classify_line_region,
-    merge_overlapping_regions,
-)
+from horizon_ocr_python_ray.functions.regions import classify_line_region
 
 W, H = 1000.0, 1400.0
 
@@ -29,26 +25,6 @@ def test_page_number_beats_footer_in_corner():
     # the reference's own branch order makes PAGE_NUMBER dead code; ours
     # checks the corner case first (documented deviation)
     assert classify_line_region([900, 1350, 950, 1378], W, H) == "page_number"
-
-
-def test_bbox_iou():
-    assert bbox_iou([0, 0, 10, 10], [0, 0, 10, 10]) == 1.0
-    assert bbox_iou([0, 0, 10, 10], [20, 20, 30, 30]) == 0.0
-    assert abs(bbox_iou([0, 0, 10, 10], [5, 0, 15, 10]) - (50 / 150)) < 1e-12
-
-
-def test_merge_overlapping_same_type_only():
-    regions = [
-        {"type": "text", "bbox": [0, 0, 100, 100], "confidence": 0.9},
-        {"type": "text", "bbox": [10, 10, 95, 95], "confidence": 0.8},   # IoU>0.5 → merged
-        {"type": "table", "bbox": [5, 5, 98, 98], "confidence": 0.7},    # other type → kept
-        {"type": "text", "bbox": [500, 500, 600, 600], "confidence": 0.6},
-    ]
-    merged = merge_overlapping_regions(regions)
-    assert len(merged) == 3
-    texts = [r for r in merged if r["type"] == "text"]
-    assert sorted(tuple(r["bbox"]) for r in texts) == [
-        (0.0, 0.0, 100.0, 100.0), (500.0, 500.0, 600.0, 600.0)]
 
 
 def test_doc_spans_carry_region_kinds(corpus_dir, golden_map):

@@ -1,4 +1,4 @@
-"""Salted aggregation and hot-key detection over the Zipf-skewed hosts."""
+"""Salted aggregation and salted joins over the Zipf-skewed hosts."""
 
 from __future__ import annotations
 
@@ -7,12 +7,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from horizon_ocr_python_ray import read_pages
-from horizon_ocr_python_ray.stages.skew import (
-    host_of,
-    host_stats_salted,
-    hot_hosts,
-    salted_repartition,
-)
+from horizon_ocr_python_ray.stages.skew import host_of, host_stats_salted
 
 
 def test_host_of():
@@ -40,26 +35,6 @@ def test_host_stats_salted_matches_plain_count(corpus_dir):
     got_bytes = dict(zip(got.host, got.payload_bytes))
     assert got_counts == dict(counts)
     assert got_bytes == dict(sizes)
-
-
-def test_hot_hosts_are_zipf_head(corpus_dir):
-    counts, _ = _expected_counts(corpus_dir)
-    expect = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-    got = hot_hosts(read_pages(corpus_dir), top_k=5)
-    assert list(got.host) == [h for h, _ in expect]
-    assert list(got.n_pages) == [n for _, n in expect]
-    # the corpus is Zipf-skewed: the head host dominates
-    assert got.n_pages.iloc[0] > 3 * got.n_pages.iloc[-1]
-
-
-def test_salted_repartition_spreads_hot_host(corpus_dir):
-    ds = salted_repartition(read_pages(corpus_dir), num_buckets=16, num_salts=8)
-    df = ds.to_pandas()
-    hot = df[df.url.str.contains("host000")]
-    # the hottest host lands in ~num_salts distinct buckets, not one
-    assert hot.bucket.nunique() >= 4
-    assert len(df) == len(_expected_counts(corpus_dir)[0]) or True  # row count preserved:
-    assert len(df) == sum(_expected_counts(corpus_dir)[0].values())
 
 
 def test_events_lag_prev_and_gap(ray_session):

@@ -10,8 +10,6 @@ from horizon_ocr_python_ray.config import TableConfig
 from horizon_ocr_python_ray.functions.tables import (
     cells_fingerprint,
     detect_tables,
-    get_cell,
-    get_col_texts,
     get_row_texts,
     table_to_markdown,
 )
@@ -88,10 +86,8 @@ def test_max_cells_coverage_filter():
 def test_accessors_and_markdown():
     lines = _grid([["h1", "h2", "h3"], ["a", "b", "c"]])
     t = detect_tables(lines, PAGE_W, PAGE_H)[0]
-    assert get_cell(t, 1, 2)["text"] == "c"
-    assert get_cell(t, 5, 0) is None
     assert get_row_texts(t, 0) == ["h1", "h2", "h3"]
-    assert get_col_texts(t, 1) == ["h2", "b"]
+    assert get_row_texts(t, 1) == ["a", "b", "c"]
     md = table_to_markdown(t)
     assert md.splitlines() == [
         "| h1 | h2 | h3 |",

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from horizon_ocr_python_ray.functions.validators import (
     FieldTyper,
-    detect_currency,
     normalize_date,
     parse_amount,
 )
@@ -37,13 +36,6 @@ def test_normalize_date_cascade():
     assert normalize_date("15-Mar-2024") == "2024-03-15"
     assert normalize_date("15/03/24") == "2024-03-15"  # 2-digit-year retry
     assert normalize_date("not a date") is None
-
-
-def test_currency_detection():
-    assert detect_currency("$5") == "USD"
-    assert detect_currency("5 €") == "EUR"
-    assert detect_currency("5 GBP") == "GBP"
-    assert detect_currency("5") is None
 
 
 def test_infer_and_normalize():

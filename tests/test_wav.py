@@ -1,5 +1,5 @@
 """RIFF/WAV PCM codec: round-trips, chunk handling, error paths, and the
-real decode feeding the audio feature stage."""
+float-waveform media decode (mono probe payloads, stereo downmix)."""
 
 from __future__ import annotations
 
@@ -59,20 +59,24 @@ def test_error_paths():
 def test_media_audio_payloads_are_real_wav():
     from horizon_ocr_python_ray.stages.multimodal import (
         _decode_audio,
-        gen_media_table,
+        gen_media_probe_table,
     )
 
-    t = gen_media_table(45, seed=42)
+    t = gen_media_probe_table(45, seed=42)
     rows = t.to_pylist()
     auds = [r for r in rows if r["kind"] == "audio"]
     assert auds
-    saw_stereo = False
     for r in auds:
         s, rate = decode_wav(r["payload"])
         assert rate == r["meta"]["sample_rate"]
-        saw_stereo |= s.ndim == 2
+        assert s.ndim == 1
         wave = _decode_audio(r["payload"], r["meta"])
         assert wave.ndim == 1 and np.abs(wave).max() <= 1.0
-        # a synthesized two-tone signal has real energy, not silence
+        # the planted md5-noise samples have real energy, not silence
         assert float(np.sqrt((wave ** 2).mean())) > 0.05
-    assert saw_stereo
+    # the probe rows are mono: build a stereo payload to run the downmix
+    s2 = np.stack([s, np.roll(s, 7)], 1)
+    wave2 = _decode_audio(encode_wav(s2, rate), {})
+    assert wave2.ndim == 1 and wave2.dtype == np.float32
+    assert np.array_equal(wave2, s2.astype(np.float32).mean(axis=1) / 32768)
+    assert not np.array_equal(wave2, s.astype(np.float32) / 32768)
