@@ -318,20 +318,6 @@ def perspective_warp(img: np.ndarray, quad: np.ndarray,
     return img[yi, xi, :].reshape(out_h, out_w, img.shape[2])
 
 
-# -- M12: crop to content ----------------------------------------------------
-
-def crop_to_content(img: np.ndarray, threshold: int = 200,
-                    pad: int = 2) -> np.ndarray:
-    """Crop borders: bounding rect of pixels darker than threshold."""
-    gray = to_gray(img)
-    ys, xs = np.nonzero(gray < threshold)
-    if len(ys) == 0:
-        return img
-    y1, y2 = max(0, ys.min() - pad), min(gray.shape[0], ys.max() + 1 + pad)
-    x1, x2 = max(0, xs.min() - pad), min(gray.shape[1], xs.max() + 1 + pad)
-    return img[y1:y2, x1:x2]
-
-
 # -- M1: fused chain ---------------------------------------------------------
 
 def preprocess_for_ocr(img: np.ndarray, denoise: bool = True,

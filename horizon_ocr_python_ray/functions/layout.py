@@ -1,10 +1,12 @@
 """Heavy-path kernels: reading-order recovery and line recognition.
 
-``reading_order_indices`` re-implements the reference's row-banding sort
+``reading_order_rows`` re-implements the reference's row-banding sort
 (``/root/reference/docvision/detect/text_craft.py:353-410``): group lines
 into rows by ≥50% vertical overlap, order rows top→bottom, lines within a
 row left→right, with a total tie-break on the original index so the sort
 key is total (SURVEY.md §7.4 determinism requirement).
+``reading_order_indices`` flattens those rows; table detection
+(``functions/tables.py``) stacks them into grids.
 
 ``recognize_page`` is the recognition + targeted second-pass analog
 (``/root/reference/docvision/ocr/targeted_reocr.py:150-178``): lines below
@@ -21,14 +23,15 @@ from ..config import DocConfig
 from .docformat import decode_glyphs
 
 
-def reading_order_indices(
+def reading_order_rows(
     bboxes: list[list[float]], vertical_overlap: float = 0.5
-) -> list[int]:
-    """Return indices of ``bboxes`` in reading order (rows top→bottom,
-    left→right within a row)."""
-    n = len(bboxes)
+) -> list[list[int]]:
+    """Group ``bboxes`` indices into rows, top→bottom: a box joins the
+    current row when its vertical overlap with the row's span is at
+    least ``vertical_overlap`` of the shorter height. Each row's indices
+    are sorted left→right."""
     order = sorted(
-        range(n),
+        range(len(bboxes)),
         key=lambda i: ((bboxes[i][1] + bboxes[i][3]) / 2.0, bboxes[i][0], i),
     )
     rows: list[dict[str, Any]] = []
@@ -47,10 +50,15 @@ def reading_order_indices(
                 placed = True
         if not placed:
             rows.append({"y1": y1, "y2": y2, "items": [i]})
-    out: list[int] = []
-    for row in rows:
-        out.extend(sorted(row["items"], key=lambda i: (bboxes[i][0], i)))
-    return out
+    return [sorted(r["items"], key=lambda i: (bboxes[i][0], i)) for r in rows]
+
+
+def reading_order_indices(
+    bboxes: list[list[float]], vertical_overlap: float = 0.5
+) -> list[int]:
+    """Return indices of ``bboxes`` in reading order (rows top→bottom,
+    left→right within a row)."""
+    return [i for row in reading_order_rows(bboxes, vertical_overlap) for i in row]
 
 
 def recognize_page(

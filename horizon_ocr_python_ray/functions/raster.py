@@ -17,12 +17,13 @@ Print-quality mapping: a record's ``conf`` field is the substrate's
 ground truth of how legible the line was printed. The rasterizer consumes
 it as a RENDERING parameter (ink darkness / blur / speck density); the
 recognition path never reads it — first-pass confidences are re-derived
-from the rendered pixels by :func:`crop_confidence`.
+from the rendered pixels by :func:`crop_features` and
+:func:`confidence_from_features`.
 
 Content type: ~1 in 4 lines renders "handwritten" (per-character
 baseline jitter + irregular glyph heights), decided by a hash of the
 glyph string so it is a property of the line, not of the render call.
-The router (:func:`detect_script`) must recover it from pixels.
+The router (:data:`SCRIPT_JITTER_THRESHOLD`) must recover it from pixels.
 """
 
 from __future__ import annotations
@@ -211,24 +212,12 @@ def match_from_runs(runs: int, n_chars: int, n_words: int) -> float:
     return max(0.0, 1.0 - (runs - hi) / max(n_chars, 1))
 
 
-def baseline_jitter(gray: np.ndarray) -> float:
-    """Std of per-column ink centroids / crop height — the irregular-
-    baseline statistic the content-type router keys on (handwritten
-    glyph boxes jitter vertically; printed ones sit on one baseline)."""
-    return crop_features(gray)[3]
-
-
-#: Router threshold: printed baselines measure ≲0.04, handwritten ≳0.10.
+#: Content-type router threshold on the baseline-jitter feature (std of
+#: per-column ink centroids / crop height): printed baselines measure
+#: ≲0.04, handwritten ≳0.10. Above it a line routes to the handwritten
+#: head — the per-line analog of the reference's content classifier that
+#: drives two-head recognition batching (``ocr/trocr.py:193-200``).
 SCRIPT_JITTER_THRESHOLD = 0.07
-
-
-def detect_script(gray: np.ndarray) -> str:
-    """Content-type router (pixels → "printed" | "handwritten") — the
-    per-line analog of the reference's content classifier that drives
-    two-head recognition batching (``ocr/trocr.py:193-200``)."""
-    return ("handwritten"
-            if baseline_jitter(gray) > SCRIPT_JITTER_THRESHOLD
-            else "printed")
 
 
 def confidence_from_features(feats: tuple[float, int, float, float],
@@ -257,46 +246,6 @@ def confidence_from_features(feats: tuple[float, int, float, float],
     else:  # printed
         conf = base * max(0.1, 1.0 - 3.0 * jitter)
     return round(float(np.clip(conf, 0.01, 0.999)), 4)
-
-
-def crop_confidence(gray: np.ndarray, n_chars: int, n_words: int,
-                    head: str = "printed") -> float:
-    """Recognition confidence of a text crop, derived from pixel
-    statistics (the per-token softmax-confidence analog,
-    ``ocr/trocr.py:157-164``) — NOT from any planted value."""
-    return confidence_from_features(crop_features(gray), n_chars, n_words,
-                                    head)
-
-
-def token_confidences(gray: np.ndarray, text: str,
-                      head: str = "printed") -> list[float]:
-    """Per-token confidences of a line crop — the analog of the
-    reference's mean-of-per-token-softmax confidence
-    (``ocr/trocr.py:157-164``: scores → softmax → max-prob per generated
-    token). Here each TOKEN (whitespace word) owns the column span its
-    characters occupy under the uniform glyph pitch, and its confidence
-    is the head confidence of that column slice against the token's own
-    (chars, 1-word) hypothesis. ``mean(token_confidences(...))`` is the
-    token-aggregated line confidence; the whole-crop
-    :func:`crop_confidence` is the line-statistic variant — both derive
-    from the same pixel field."""
-    n = max(1, len(text))
-    w = gray.shape[1] if gray.ndim == 2 else 0
-    out: list[float] = []
-    pos = 0
-    for tok in text.split():
-        a = text.index(tok, pos)
-        b = a + len(tok)
-        pos = b
-        if w < 4:
-            out.append(0.0)
-            continue
-        x1 = int(a / n * w)
-        x2 = max(x1 + 2, int(b / n * w))
-        sl = gray[:, x1:min(w, x2)]
-        out.append(confidence_from_features(
-            crop_features(sl), len(tok), 1, head))
-    return out
 
 
 # ---------------------------------------------------------------------------

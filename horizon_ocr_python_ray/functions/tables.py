@@ -27,35 +27,7 @@ import hashlib
 from typing import Any
 
 from ..config import READING_ORDER_VERTICAL_OVERLAP, TableConfig
-
-
-def _band_rows(lines: list[dict[str, Any]], vertical_overlap: float) -> list[list[int]]:
-    """Group line indices into reading-order rows (same ≥50%-vertical-
-    overlap banding as ``layout.reading_order_indices``), each row's
-    indices sorted left→right."""
-    n = len(lines)
-    order = sorted(
-        range(n),
-        key=lambda i: ((lines[i]["bbox"][1] + lines[i]["bbox"][3]) / 2.0,
-                       lines[i]["bbox"][0], i),
-    )
-    rows: list[dict[str, Any]] = []
-    for i in order:
-        x1, y1, x2, y2 = lines[i]["bbox"]
-        h = max(y2 - y1, 1e-9)
-        placed = False
-        if rows:
-            row = rows[-1]
-            ov = min(y2, row["y2"]) - max(y1, row["y1"])
-            row_h = max(row["y2"] - row["y1"], 1e-9)
-            if ov >= vertical_overlap * min(h, row_h):
-                row["items"].append(i)
-                row["y1"] = min(row["y1"], y1)
-                row["y2"] = max(row["y2"], y2)
-                placed = True
-        if not placed:
-            rows.append({"y1": y1, "y2": y2, "items": [i]})
-    return [sorted(r["items"], key=lambda i: (lines[i]["bbox"][0], i)) for r in rows]
+from .layout import reading_order_rows
 
 
 def _column_signature(lines: list[dict], row: list[int], tol: float) -> tuple[int, ...]:
@@ -78,7 +50,8 @@ def detect_tables(
     are dropped per the reference filters.
     """
     cfg = cfg or TableConfig()
-    rows = _band_rows(lines, READING_ORDER_VERTICAL_OVERLAP)
+    rows = reading_order_rows([ln["bbox"] for ln in lines],
+                              READING_ORDER_VERTICAL_OVERLAP)
     sigs = [_column_signature(lines, r, cfg.x_tolerance) for r in rows]
     tables: list[dict[str, Any]] = []
     i = 0

@@ -18,6 +18,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from ..state.worker import worker_state
+
 
 def _tbl(sf_dir: str, name: str, columns: list[str] | None = None) -> ray.data.Dataset:
     from ..sources.tables import read_sf_table
@@ -164,20 +166,15 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
             on=("o_custkey",), right_on=("c_custkey",),
         )
 
-        class NationLookup:
-            def __init__(self, nref):
-                self.keys, self.names = ray.get(nref)  # fetched once per actor
+        def nation_partial(t: pa.Table) -> pa.Table:
+            keys, names = worker_state("analytics_nation", nref.hex(),
+                                       lambda: ray.get(nref))
+            nk = t.column("c_nationkey").to_numpy().astype(np.int64)
+            mask, nm = _probe(keys, names, nk)
+            return _rollup(np.where(mask, nm, "UNKNOWN"), t.column("o_totalprice"))
 
-            def __call__(self, t: pa.Table) -> pa.Table:
-                nk = t.column("c_nationkey").to_numpy().astype(np.int64)
-                mask, nm = _probe(self.keys, self.names, nk)
-                names = np.where(mask, nm, "UNKNOWN")
-                return _rollup(names, t.column("o_totalprice"))
-
-        partials = joined.map_batches(NationLookup,
-                                      fn_constructor_kwargs={"nref": nref},
-                                      batch_format="pyarrow", batch_size=65536,
-                                      concurrency=2)
+        partials = joined.map_batches(nation_partial, batch_format="pyarrow",
+                                      batch_size=65536)
     out = partials.groupby("n_name").aggregate(
         Sum("p_rev", alias_name="total_revenue"),
         Sum("p_n", alias_name="n_orders"),
@@ -420,33 +417,30 @@ def revenue_by_region_q5(sf_dir: str, num_partitions: int = 8,
         on=("l_orderkey",), right_on=("o_orderkey",),
     )
 
-    class RegionRollup:
-        def __init__(self, nref):
-            self.keys, self.regions = ray.get(nref)
+    def region_partial(t: pa.Table) -> pa.Table:
+        keys, regions = worker_state("analytics_region", nref.hex(),
+                                     lambda: ray.get(nref))
+        same = pc.equal(t.column("c_nationkey"), t.column("s_nationkey"))
+        t = t.filter(same)
+        if not t.num_rows:
+            return pa.Table.from_arrays(
+                [pa.array([], pa.string()), pa.array([], pa.float64()),
+                 pa.array([], pa.int64())],
+                names=["r_name", "p_rev", "p_n"])
+        nk = t.column("s_nationkey").to_numpy().astype(np.int64)
+        idx = np.clip(np.searchsorted(keys, nk), 0, len(keys) - 1)
+        rname = np.where(keys[idx] == nk, regions[idx], "UNKNOWN")
+        rev = pc.multiply(t.column("l_extendedprice"),
+                          pc.subtract(pa.scalar(1.0), t.column("l_discount")))
+        t2 = pa.Table.from_arrays(
+            [pa.array(rname.tolist(), pa.string()), rev],
+            names=["r_name", "rev"])
+        agg = pa.TableGroupBy(t2, ["r_name"]).aggregate(
+            [("rev", "sum"), ([], "count_all")])
+        return agg.rename_columns(["r_name", "p_rev", "p_n"])
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            same = pc.equal(t.column("c_nationkey"), t.column("s_nationkey"))
-            t = t.filter(same)
-            if not t.num_rows:
-                return pa.Table.from_arrays(
-                    [pa.array([], pa.string()), pa.array([], pa.float64()),
-                     pa.array([], pa.int64())],
-                    names=["r_name", "p_rev", "p_n"])
-            nk = t.column("s_nationkey").to_numpy().astype(np.int64)
-            idx = np.clip(np.searchsorted(self.keys, nk), 0, len(self.keys) - 1)
-            rname = np.where(self.keys[idx] == nk, self.regions[idx], "UNKNOWN")
-            rev = pc.multiply(t.column("l_extendedprice"),
-                              pc.subtract(pa.scalar(1.0), t.column("l_discount")))
-            t2 = pa.Table.from_arrays(
-                [pa.array(rname.tolist(), pa.string()), rev],
-                names=["r_name", "rev"])
-            agg = pa.TableGroupBy(t2, ["r_name"]).aggregate(
-                [("rev", "sum"), ([], "count_all")])
-            return agg.rename_columns(["r_name", "p_rev", "p_n"])
-
-    partials = both.map_batches(RegionRollup, fn_constructor_kwargs={"nref": nref},
-                                batch_format="pyarrow", batch_size=65536,
-                                concurrency=2)
+    partials = both.map_batches(region_partial, batch_format="pyarrow",
+                                batch_size=65536)
     out = partials.groupby("r_name").aggregate(
         Sum("p_rev", alias_name="revenue"),
         Sum("p_n", alias_name="n_items"),

@@ -39,6 +39,7 @@ from ..functions.docformat import (
     encode_image_payload,
     make_line,
 )
+from ..schema import PAGES_SCHEMA
 
 _WORDS = (
     "data engine stream batch arrow block shard record table column field "
@@ -100,16 +101,6 @@ STYLE_FIXTURE_TYPE = pa.list_(
 #: the oracle for the link-extraction / host-graph / PageRank ops.
 LINK_FIXTURE_TYPE = pa.list_(
     pa.struct([("href", pa.string()), ("anchor", pa.string())])
-)
-
-PAGES_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("html", pa.binary()),
-        ("text", pa.string()),
-        ("lang", pa.string()),
-    ]
 )
 
 GOLDEN_SCHEMA = pa.schema(

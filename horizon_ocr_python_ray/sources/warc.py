@@ -54,18 +54,10 @@ from datetime import datetime, timezone
 
 import pyarrow as pa
 
+from ..schema import PAGES_SCHEMA
+
 _CRLF = b"\r\n"
 _GZ_MAGIC = b"\x1f\x8b"
-
-#: schema of every Dataset this module produces or consumes
-PAGES_SCHEMA = pa.schema([
-    ("url", pa.string()),
-    ("warc_ts", pa.timestamp("us")),
-    ("html", pa.binary()),
-    ("text", pa.string()),
-    ("lang", pa.string()),
-])
-
 
 # --------------------------------------------------------------------------
 # record encode
@@ -163,7 +155,7 @@ def warcinfo_bytes(*, compress: bool = True) -> bytes:
 
 def _row_record(url: str, ts_us: int, html: bytes | None, text: str | None,
                 lang: str | None, compress: bool = True) -> bytes:
-    if html is None or (not html and text):
+    if html is None:
         payload = (text or "").encode("utf-8")
         ctype = "text/plain; charset=utf-8"
     else:
@@ -499,13 +491,8 @@ PARSE_CHUNK_ROWS = 4096
 
 
 def _rows_to_table(urls, ts, htmls, texts, langs) -> pa.Table:
-    return pa.table({
-        "url": pa.array(urls, pa.string()),
-        "warc_ts": pa.array(ts, pa.int64()).cast(pa.timestamp("us")),
-        "html": pa.array(htmls, pa.binary()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(langs, pa.string()),
-    })
+    return pa.table({"url": urls, "warc_ts": ts, "html": htmls, "text": texts,
+                     "lang": langs}, schema=PAGES_SCHEMA)
 
 
 def iter_warc_file_tables(buf: bytes, chunk_rows: int = PARSE_CHUNK_ROWS):

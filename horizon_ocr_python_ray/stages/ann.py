@@ -9,9 +9,9 @@ Scale paths:
 - :func:`embedding_near_dup_pairs` (exact) sweeps the corpus as a
   block-matmul join: the right side is the dataset's own materialized
   Arrow blocks (object-store refs — never concatenated on the driver),
-  each batch multiplies against one shard at a time with a per-worker
-  shard cache. O(n²) flops, but distributed, memory-bounded and
-  driver-free.
+  each batch multiplies against one shard at a time; each worker decodes
+  a shard once per sweep and keeps only the current sweep's shards.
+  O(n²) flops, but distributed, memory-bounded and driver-free.
 - :func:`embedding_near_dup_pairs_lsh` / :func:`lsh_bucketed_topk` use
   **banded multi-table hyperplane LSH** (``b`` tables × ``r`` planes,
   candidates = union over tables, exact-cosine verify) — the same
@@ -37,7 +37,8 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
-from ..functions.collect import collect_block_refs, iter_tables
+from ..functions.collect import as_arrow_table, collect_block_refs, iter_tables
+from ..state.worker import worker_state
 
 
 def _batch_matrix(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
@@ -57,23 +58,6 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return m / norms
-
-
-#: Worker-process-global state cache for task-based stages (same reuse
-#: pattern as ``stages/extract_stage._WORKER_EXTRACTOR``): Ray reuses
-#: task workers, so per-stage state (broadcast query matrix, LSH planes,
-#: centroids) builds once per worker and the stage scales to every CPU —
-#: no actor-pool spawn latency, no 2-actor concurrency cap. Bounded.
-_STATE_CACHE: dict = {}
-
-
-def _cached_state(key, builder):
-    got = _STATE_CACHE.get(key)
-    if got is None:
-        if len(_STATE_CACHE) >= 32:
-            _STATE_CACHE.clear()
-        got = _STATE_CACHE[key] = builder()
-    return got
 
 
 def smallest_id_rows(ds, n: int = 1, id_col: str = "vec_id") -> pa.Table:
@@ -141,8 +125,8 @@ def brute_force_topk(emb_ds, query: np.ndarray, k: int = 10):
     ref = ray.put(query)
 
     def topk_task(batch: pa.Table, query_ref, k: int) -> pa.Table:
-        scorer = _cached_state(("bftopk", query_ref.hex(), k),
-                               lambda: BruteForceTopK(query_ref, k))
+        scorer = worker_state("ann_bftopk", (query_ref.hex(), k),
+                              lambda: BruteForceTopK(query_ref, k))
         return scorer(batch)
 
     partials = emb_ds.map_batches(
@@ -253,8 +237,8 @@ def embedding_near_dup_pairs_lsh(emb_ds, threshold: float = 0.95, dim: int = 64,
     from ray.data.aggregate import Min
 
     def bucket_task(batch: pa.Table) -> pa.Table:
-        stage = _cached_state(("bucket_rows", dim, n_tables, n_planes, seed),
-                              lambda: _BucketRows(dim, n_tables, n_planes, seed))
+        stage = worker_state("ann_bucket_rows", (dim, n_tables, n_planes, seed),
+                             lambda: _BucketRows(dim, n_tables, n_planes, seed))
         return stage(batch)
 
     bucketed = emb_ds.map_batches(
@@ -322,8 +306,8 @@ def lsh_bucketed_topk(emb_ds, query: np.ndarray, k: int = 10, dim: int = 64,
     def candidate_filter(batch: pa.Table) -> pa.Table:
         if not batch.num_rows:
             return batch
-        stage_lsh = _cached_state(("lsh", dim, n_tables, n_planes, seed),
-                                  lambda: BandedLSH(dim, n_tables, n_planes, seed))
+        stage_lsh = worker_state("ann_lsh", (dim, n_tables, n_planes, seed),
+                                 lambda: BandedLSH(dim, n_tables, n_planes, seed))
         _, emb = _batch_matrix(batch)
         keys = stage_lsh.bucket_keys(emb)  # (n, T)
         hit = np.isin(keys, probed).any(axis=1)
@@ -403,8 +387,8 @@ def ivf_topk(emb_ds, query: np.ndarray, k: int = 10, n_clusters: int = 16,
     cents_ref = ray.put(cents)
 
     def assign_task(batch: pa.Table, cents_ref) -> pa.Table:
-        stage = _cached_state(("ivf_assign", cents_ref.hex()),
-                              lambda: _IVFAssign(cents_ref))
+        stage = worker_state("ann_ivf_assign", cents_ref.hex(),
+                             lambda: _IVFAssign(cents_ref))
         return stage(batch)
 
     assigned = emb_ds.map_batches(
@@ -497,23 +481,16 @@ def ivf_topk(emb_ds, query: np.ndarray, k: int = 10, n_clusters: int = 16,
 
 # -- exact near-dup pairs (block-matmul sweep, driver-free) ------------------
 
-#: Per-worker-process cache of decoded right-side shards keyed by block
-#: ref hex — each worker decodes a shard once, however many batches it
-#: sweeps (task workers are reused across batches).
-_SHARD_CACHE: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _shard_matrix(ref) -> tuple[np.ndarray, np.ndarray]:
-    key = ref.hex()
-    got = _SHARD_CACHE.get(key)
+def _shard_matrix(refs_ref, ref) -> tuple[np.ndarray, np.ndarray]:
+    """Right-side shard ``ref`` of the sweep over ``refs_ref``, decoded
+    and row-normalized once per worker. The worker keeps only the
+    current sweep's shards."""
+    shards = worker_state("ann_shards", refs_ref.hex(), dict)
+    got = shards.get(ref.hex())
     if got is None:
-        from ..functions.collect import as_arrow_table
-
         # zero-copy read; as_arrow_table is identity for arrow blocks
-        tbl: pa.Table = as_arrow_table(ray.get(ref))
-        ids, emb = _batch_matrix(tbl)
-        got = (ids, _normalize(emb))
-        _SHARD_CACHE[key] = got
+        ids, emb = _batch_matrix(as_arrow_table(ray.get(ref)))
+        got = shards[ref.hex()] = (ids, _normalize(emb))
     return got
 
 
@@ -523,16 +500,17 @@ def embedding_near_dup_pairs(emb_ds, threshold: float = 0.95):
 
     The right side is the dataset's own materialized Arrow blocks: the
     driver holds only object refs (never the data); each left batch
-    sweeps the shards one at a time — ``batch × shardᵀ`` — with a
-    per-worker shard cache, so peak worker memory is one batch + one
-    shard. O(n²) flops is inherent to exactness; the sub-quadratic path
-    is :func:`embedding_near_dup_pairs_lsh`.
+    sweeps the shards one at a time — ``batch × shardᵀ`` — and each
+    worker decodes a shard once per sweep (:func:`_shard_matrix`).
+    O(n²) flops is inherent to exactness; the sub-quadratic path is
+    :func:`embedding_near_dup_pairs_lsh`.
     """
     shard_refs = collect_block_refs(emb_ds.select_columns(["vec_id", "embedding"]))
     refs_ref = ray.put(shard_refs)
 
     class PairFinder:
         def __init__(self, refs_ref, threshold):
+            self.refs_ref = refs_ref
             self.shard_refs = ray.get(refs_ref)
             self.threshold = threshold
 
@@ -541,7 +519,7 @@ def embedding_near_dup_pairs(emb_ds, threshold: float = 0.95):
             bn = _normalize(bemb) if len(bids) else bemb
             out_a, out_b, out_s = [], [], []
             for ref in self.shard_refs:
-                sids, smat = _shard_matrix(ref)
+                sids, smat = _shard_matrix(self.refs_ref, ref)
                 if not len(sids) or not len(bids):
                     continue
                 sims = bn @ smat.T  # (batch, shard)
@@ -560,8 +538,8 @@ def embedding_near_dup_pairs(emb_ds, threshold: float = 0.95):
             )
 
     def pair_finder_task(batch: pa.Table, refs_ref, threshold) -> pa.Table:
-        stage = _cached_state(("pair_finder", refs_ref.hex(), threshold),
-                              lambda: PairFinder(refs_ref, threshold))
+        stage = worker_state("ann_pair_finder", (refs_ref.hex(), threshold),
+                             lambda: PairFinder(refs_ref, threshold))
         return stage(batch)
 
     return emb_ds.map_batches(
@@ -570,23 +548,19 @@ def embedding_near_dup_pairs(emb_ds, threshold: float = 0.95):
     )
 
 
-#: e6 fixed-point shard cache for the exact 1-NN sweep (ids sorted, so
-#: in-shard argmin ties resolve to the smaller vec_id for free).
-_INT_SHARD_CACHE: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _int_shard(ref) -> tuple[np.ndarray, np.ndarray]:
-    key = ref.hex()
-    got = _INT_SHARD_CACHE.get(key)
+def _int_shard(refs_ref, ref) -> tuple[np.ndarray, np.ndarray]:
+    """Shard ``ref`` of the 1-NN sweep over ``refs_ref`` in e6 fixed
+    point, ids sorted so in-shard argmin ties resolve to the smaller
+    vec_id for free. The worker keeps only the current sweep's shards."""
+    shards = worker_state("ann_int_shards", refs_ref.hex(), dict)
+    got = shards.get(ref.hex())
     if got is None:
-        from ..functions.collect import as_arrow_table
         from .vecagg import EMB_SCALE, _round_half_away
 
         ids, emb = _batch_matrix(as_arrow_table(ray.get(ref)))
         x = _round_half_away(emb.astype(np.float64) * EMB_SCALE)
         order = np.argsort(ids)
-        got = (ids[order].astype(np.int64), x[order])
-        _INT_SHARD_CACHE[key] = got
+        got = shards[ref.hex()] = (ids[order].astype(np.int64), x[order])
     return got
 
 
@@ -604,9 +578,8 @@ def emb_nn_join(emb_ds):
 
     Plan: the same driver-free block-sweep as
     :func:`embedding_near_dup_pairs` — each left batch folds a running
-    (best_dist, best_id) over the materialized shard refs (per-worker
-    shard cache; shards stored id-sorted so in-shard ``argmin`` ties
-    already favor the smaller id). O(n²) work is inherent to the exact
+    (best_dist, best_id) over the materialized shard refs
+    (:func:`_int_shard`). O(n²) work is inherent to the exact
     answer; the scale path composes :func:`ivf_topk`'s coarse clusters
     (or :mod:`.kmeans`) to restrict each sweep to same-cluster shards.
     """
@@ -626,7 +599,7 @@ def emb_nn_join(emb_ds):
         best_d = np.full(len(bids), np.inf)
         best_id = np.full(len(bids), -1, np.int64)
         for ref in ray.get(refs_ref):
-            sids, y = _int_shard(ref)
+            sids, y = _int_shard(refs_ref, ref)
             if not len(sids):
                 continue
             d2 = xx[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)

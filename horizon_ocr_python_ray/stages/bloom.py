@@ -24,6 +24,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from ..state.worker import worker_state
+
 DEFAULT_M_BITS = 1 << 18
 DEFAULT_K = 4
 
@@ -60,17 +62,11 @@ def build_bloom_ref(keys_ds, key_col: str = "url", k: int = DEFAULT_K,
     return ray.put(np.packbits(bits))
 
 
-_WORKER_BLOOM: tuple[str, np.ndarray] | None = None
-
-
 def _probe_batch(batch: pa.Table, bloom_ref, key_col: str, k: int, m: int) -> pa.Table:
-    global _WORKER_BLOOM
     import ray
 
-    rk = bloom_ref.hex()
-    if _WORKER_BLOOM is None or _WORKER_BLOOM[0] != rk:
-        _WORKER_BLOOM = (rk, np.unpackbits(ray.get(bloom_ref)).astype(bool))
-    bits = _WORKER_BLOOM[1]
+    bits = worker_state("bloom_bits", bloom_ref.hex(),
+                        lambda: np.unpackbits(ray.get(bloom_ref)).astype(bool))
     keys = batch.column(key_col).to_pylist()
     hits = [bool(all(bits[p] for p in bloom_positions(str(key), k, m)))
             for key in keys]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..functions.textstats import tokens
+from ..state.worker import worker_state
 
 #: Default n-gram length. GPT-3 used 13; the synthetic corpus's sentence
 #: generator shares runs of ~4 lowered tokens between near-dup docs, so
@@ -83,20 +84,10 @@ def eval_gram_ref(eval_ds, n: int = DEFAULT_N):
     return ray.put(frozenset(grams))
 
 
-#: Worker-process-global broadcast cache (same reuse pattern as
-#: ``stages/topterms._WORKER_SCORER``): the eval set deserializes once
-#: per Ray worker process, not once per batch.
-_WORKER_EVAL: tuple[str, frozenset] | None = None
-
-
 def _contam_batch(batch: pa.Table, eval_ref, n: int) -> pa.Table:
-    global _WORKER_EVAL
     import ray
 
-    key = eval_ref.hex()
-    if _WORKER_EVAL is None or _WORKER_EVAL[0] != key:
-        _WORKER_EVAL = (key, ray.get(eval_ref))
-    ev = _WORKER_EVAL[1]
+    ev = worker_state("decontam_eval", eval_ref.hex(), lambda: ray.get(eval_ref))
     ids, hits = [], []
     for doc_id, text in zip(batch.column("doc_id").to_pylist(),
                             batch.column("text").to_pylist()):

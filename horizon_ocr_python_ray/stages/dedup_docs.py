@@ -25,6 +25,7 @@ from ..functions.minhash import (
     minhash_signatures_batch,
     shingle_hashes,
 )
+from ..state.worker import worker_state
 
 
 # -- exact dedup -------------------------------------------------------------
@@ -60,19 +61,10 @@ def exact_dedup_docs(docs_ds):
 
 # -- MinHash + LSH near-dup --------------------------------------------------
 
-#: Worker-process-global warm MinHash stages keyed by parameters — the
-#: task-based analog of actor state (Ray reuses task worker processes).
-_WORKER_MINHASH: dict[tuple, "MinHashStage"] = {}
-
-
 def _worker_minhash_stage(num_hashes: int, num_bands: int, k_shingle: int,
                           seed: int = 7) -> "MinHashStage":
     key = (num_hashes, num_bands, k_shingle, seed)
-    st = _WORKER_MINHASH.get(key)
-    if st is None:
-        st = MinHashStage(num_hashes, num_bands, k_shingle, seed)
-        _WORKER_MINHASH[key] = st
-    return st
+    return worker_state("minhash", key, lambda: MinHashStage(*key))
 
 
 def minhash_band_task(batch: pa.Table, num_hashes: int = 128, num_bands: int = 32,
@@ -233,7 +225,7 @@ def minhash_lsh_pairs(docs_ds, num_hashes: int = 128, num_bands: int = 32,
     pairs_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
                               ("est_jaccard", pa.float64())])
 
-    # Task-based stage (worker-global warm MinHashStage — no actor spawn).
+    # Task-based stage; the warm MinHashStage sits in a worker_state slot.
     bands = docs_ds.map_batches(
         minhash_band_task,
         fn_kwargs={"num_hashes": num_hashes, "num_bands": num_bands,
@@ -627,19 +619,9 @@ class _JaccardVerify:
         return t.filter(pc.greater_equal(t.column("jaccard"), pa.scalar(self.threshold)))
 
 
-#: Worker-global verify stages keyed by broadcast-ref hex (task workers
-#: are reused — the texts dict deserializes once per worker).
-_WORKER_VERIFY: dict[tuple, _JaccardVerify] = {}
-
-
 def _verify_task(batch: pa.Table, ref, k: int, threshold: float) -> pa.Table:
-    key = (ref.hex(), k, threshold)
-    st = _WORKER_VERIFY.get(key)
-    if st is None:
-        if len(_WORKER_VERIFY) >= 8:
-            _WORKER_VERIFY.clear()
-        st = _WORKER_VERIFY[key] = _JaccardVerify(ref, k, threshold)
-    return st(batch)
+    return worker_state("jaccard_verify", (ref.hex(), k, threshold),
+                        lambda: _JaccardVerify(ref, k, threshold))(batch)
 
 
 def _verify_distributed_task(batch: pa.Table, k: int, threshold: float) -> pa.Table:
@@ -721,8 +703,7 @@ def near_dup_clusters(pairs_ds):
 
     The candidate-pair set is provably small (≤ duplicate rate × corpus,
     post-LSH + verification), so union-find runs on the driver — the
-    documented fast path; :func:`near_dup_clusters_distributed` is the
-    groupby-iteration form for pair sets too big to collect.
+    documented fast path.
     """
     import ray.data
 
@@ -750,97 +731,3 @@ def near_dup_clusters(pairs_ds):
         names=["doc_id", "cluster_id"],
     )
     return ray.data.from_arrow(table)
-
-
-def near_dup_clusters_distributed(pairs_ds, max_iters: int = 25):
-    """Distributed min-label propagation over the pair graph: each round
-    co-groups edges with current labels on the neighbor key (an explicit
-    partitioned hash join: union with a role marker → ``groupby(key)`` →
-    per-group emit) and takes ``min`` per node. One narrow shuffle per
-    round, converging in O(component diameter) rounds. The scale path
-    when pairs cannot be collected; identical output to
-    :func:`near_dup_clusters` (tested). ``Dataset.join`` is avoided: with
-    small inputs its hash partitions can be empty-schema'd (Ray 2.49)."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Min
-
-    edges = pairs_ds.map_batches(
-        lambda t: pa.Table.from_arrays(
-            [pa.concat_arrays([t.column("doc_a").combine_chunks(),
-                               t.column("doc_b").combine_chunks()]),
-             pa.concat_arrays([t.column("doc_b").combine_chunks(),
-                               t.column("doc_a").combine_chunks()])],
-            names=["u", "v"],
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-
-    labels = edges.groupby("u").aggregate(Min("v", alias_name="m")).map_batches(
-        lambda t: pa.Table.from_arrays(
-            [t.column("u"), pc.min_element_wise(t.column("u"), t.column("m"))],
-            names=["node", "label"],
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def as_edge_rows(t: pa.Table) -> pa.Table:
-        # (key=v, u, label=-1): edge rows awaiting their neighbor's label
-        return pa.Table.from_arrays(
-            [t.column("v"), t.column("u"),
-             pa.array([-1] * t.num_rows, pa.int64())],
-            names=["key", "u", "label"],
-        )
-
-    def as_label_rows(t: pa.Table) -> pa.Table:
-        # (key=node, u=-1, label): the label carrier row for this key
-        return pa.Table.from_arrays(
-            [t.column("node"), pa.array([-1] * t.num_rows, pa.int64()),
-             t.column("label")],
-            names=["key", "u", "label"],
-        )
-
-    def cogroup(g: pd.DataFrame) -> pd.DataFrame:
-        lbl = g.loc[g["u"] < 0, "label"]
-        if lbl.empty:
-            return pd.DataFrame({"u": pd.Series(dtype="int64"),
-                                 "label": pd.Series(dtype="int64")})
-        label_val = int(lbl.min())
-        us = g.loc[g["u"] >= 0, "u"]
-        return pd.DataFrame({"u": us.to_numpy(dtype="int64"),
-                             "label": label_val})
-
-    for _ in range(max_iters):
-        mixed = edges.map_batches(as_edge_rows, batch_format="pyarrow").union(
-            labels.map_batches(as_label_rows, batch_format="pyarrow")
-        )
-        prop = mixed.groupby("key").map_groups(cogroup, batch_format="pandas")
-        # normalize to arrow blocks (union requires homogeneous block types)
-        prop = prop.map_batches(lambda t: t, batch_format="pyarrow")
-        cand = prop.union(
-            labels.map_batches(
-                lambda t: pa.Table.from_arrays(
-                    [t.column("node"), t.column("label")], names=["u", "label"]),
-                batch_format="pyarrow",
-            )
-        )
-        new_labels = cand.groupby("u").aggregate(Min("label", alias_name="label")).map_batches(
-            lambda t: pa.Table.from_arrays(
-                [t.column("u"), t.column("label")], names=["node", "label"]),
-            batch_format="pyarrow",
-        ).materialize()
-        # Distributed convergence check: min-label propagation only ever
-        # DECREASES labels, so the label sum is a strictly-monotone
-        # progress measure — equal sums ⇒ fixed point. Dataset.sum runs
-        # as a distributed aggregate; nothing per-node reaches the driver.
-        old = labels.sum("label")
-        new = new_labels.sum("label")
-        labels = new_labels
-        if old == new:
-            break
-    return labels.map_batches(
-        lambda t: pa.Table.from_arrays(
-            [t.column("node"), t.column("label")], names=["doc_id", "cluster_id"]),
-        batch_format="pyarrow",
-    )

@@ -7,8 +7,10 @@ the batch function and nothing shuffles. Duplicate payloads are
 extracted once per worker by a bounded content-hash memo.
 
 The extractor is a callable class (warm state in ``__init__``, work in
-``__call__``) mirroring the reference's lazily-constructed model
-singletons (``/root/reference/docvision/pipeline/orchestrator.py:150-199``).
+``__call__``) kept once per worker process in the ``extract`` slot of
+``state.worker.worker_state``, keyed by the config — the task
+form of the reference's lazily-constructed model singletons
+(``/root/reference/docvision/pipeline/orchestrator.py:150-199``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pyarrow as pa
 from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..functions.extract_core import extract_payload
 from ..schema import SPAN_TYPE
+from ..state.worker import worker_state
 
 
 class ExtractActor:
@@ -67,20 +70,9 @@ class ExtractActor:
 #: Rows per extraction task batch.
 BATCH_SIZE = 256
 
-#: Per-worker-process extractor. Ray REUSES task worker processes across
-#: tasks (and across Dataset executions in a session), so this module
-#: global gives the warm-state amortization of an actor — construction,
-#: kernel compilation and the content-hash memo all survive between
-#: batches — without an actor process spawn + import storm per pipeline
-#: execution, and without an actor holding a CPU the read task needs.
-_WORKER_EXTRACTOR: ExtractActor | None = None
-
 
 def extract_batch_task(batch: pa.Table, cfg: ExtractConfig) -> pa.Table:
-    global _WORKER_EXTRACTOR
-    if _WORKER_EXTRACTOR is None or _WORKER_EXTRACTOR.cfg != cfg:
-        _WORKER_EXTRACTOR = ExtractActor(cfg)
-    return _WORKER_EXTRACTOR(batch)
+    return worker_state("extract", cfg, lambda: ExtractActor(cfg))(batch)
 
 
 def add_extract_stage(ds, cfg: ExtractConfig | None = None,
@@ -88,7 +80,7 @@ def add_extract_stage(ds, cfg: ExtractConfig | None = None,
                       ray_remote_args: dict | None = None):
     """Attach the route-dispatched extraction stage: a plain-function
     ``map_batches`` on Ray's pre-started, reused task workers, with warm
-    state in the worker-process global above.
+    state held by ``state.worker.worker_state``.
 
     Device placement (reference ``config.py:81-90`` ``device=auto``):
     ``num_gpus`` reserves GPU fractions per task and any extra

@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.minhash import exact_jaccard, shingle_hashes
+from ..state.worker import worker_state
 
 #: Refuse to broadcast a new-side index above this many (shingle, doc)
 #: postings — a "new batch" bigger than this is a corpus, not a batch.
@@ -87,17 +88,9 @@ class _ProbeVerify:
         )
 
 
-_WORKER_PROBE: dict[tuple, _ProbeVerify] = {}
-
-
 def _probe_task(batch: pa.Table, ref, k: int, threshold: float) -> pa.Table:
-    key = (ref.hex(), k, threshold)
-    st = _WORKER_PROBE.get(key)
-    if st is None:
-        if len(_WORKER_PROBE) >= 8:
-            _WORKER_PROBE.clear()
-        st = _WORKER_PROBE[key] = _ProbeVerify(ref, k, threshold)
-    return st(batch)
+    return worker_state("incdedup_probe", (ref.hex(), k, threshold),
+                        lambda: _ProbeVerify(ref, k, threshold))(batch)
 
 
 def incremental_near_dup(base_ds, new_ds, k_shingle: int = 5,

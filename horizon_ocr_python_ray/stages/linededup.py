@@ -12,7 +12,7 @@ Scale shape (100 TB):
   member needs K distinct documents, so |drop| ≤ total_lines / K, and
   in practice boilerplate is a tiny vocabulary. It is folded to the
   driver behind a hard cap (no silent fallback) and broadcast once via
-  ``ray.put`` with the worker-global cache pattern.
+  ``ray.put``, deserialized once per worker process (``worker_state``).
 - Pass 2 re-streams the documents and filters lines locally — no
   second shuffle; output is one narrow row per document.
 
@@ -28,6 +28,7 @@ from collections import Counter
 
 import pyarrow as pa
 from ..functions.collect import iter_tables
+from ..state.worker import worker_state
 
 #: Default document-frequency threshold: a line present in this many
 #: distinct documents is boilerplate.
@@ -182,11 +183,6 @@ def boilerplate_hashes_ref(docs_ds, min_df: int = DEFAULT_MIN_DF,
     return ray.put(arr)
 
 
-#: Worker-process-global broadcast cache (pattern of
-#: ``stages/topterms._WORKER_SCORER``).
-_WORKER_DROP: tuple[str, frozenset] | None = None
-
-
 def _clean_batch_hash(batch: pa.Table, drop, text_col: str) -> pa.Table:
     """Hash64 drop-set probe, fully vectorized: split lines with one
     Arrow kernel, hash the FLAT line array, binary-search the sorted
@@ -237,14 +233,10 @@ def _clean_batch_hash(batch: pa.Table, drop, text_col: str) -> pa.Table:
 
 
 def _clean_batch(batch: pa.Table, drop_ref, text_col: str) -> pa.Table:
-    global _WORKER_DROP
     import numpy as np
     import ray
 
-    key = drop_ref.hex()
-    if _WORKER_DROP is None or _WORKER_DROP[0] != key:
-        _WORKER_DROP = (key, ray.get(drop_ref))
-    drop = _WORKER_DROP[1]
+    drop = worker_state("linededup_drop", drop_ref.hex(), lambda: ray.get(drop_ref))
     if isinstance(drop, np.ndarray):
         return _clean_batch_hash(batch, drop, text_col)
     urls, n_kept, n_dropped, digests = [], [], [], []

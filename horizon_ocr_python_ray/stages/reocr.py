@@ -15,7 +15,8 @@ on REAL pixels end to end:
    recognition head — lines are grouped per head and recognized per
    group, mirroring the reference's batch grouping;
 3. first-pass confidence is DERIVED from the crop's pixel statistics
-   (``crop_confidence``), never read from the payload;
+   (``crop_features`` → ``confidence_from_features``), never read from
+   the payload;
 4. lines under the 0.70 threshold are selected worst-first up to 50 per
    page, enhanced with the aggressive preprocess chain
    (upscale 2× → denoise → CLAHE 3.0 → unsharp 2.0 → adaptive binarize
@@ -163,43 +164,6 @@ def reocr_page(page: dict, key: str,
                 "idx": i, "text": text, "old_conf": old, "new_conf": new,
                 "accepted_engine": engine, "improved": improved,
             })
-    return out
-
-
-def apply_reocr(page: dict, key: str, strategy: str = "ensemble",
-                enabled: bool = True) -> list[dict[str, Any]]:
-    """Final per-line records of one page with re-OCR applied — the
-    ``process_local`` semantics (``targeted_reocr.py:447-500``): only
-    IMPROVED lines update their confidence/engine; everything else keeps
-    its first-pass value. ``enabled=False`` skips the second pass
-    entirely (the on/off fixture axis)."""
-    from ..functions.raster import token_confidences
-
-    img = rasterize_page(page, key)
-    results = reocr_page(page, key, img=img) if enabled else {strategy: []}
-    updates = {r["idx"]: r for r in results.get(strategy, ())
-               if r["improved"]}
-    out = []
-    for i, rec in enumerate(page["lines"]):
-        text, nch, nw = _line_hypothesis(rec)
-        c = _crop(img, rec["bbox"])
-        if c is None:
-            conf, head = 0.0, "printed"
-        else:
-            f = crop_features(c)
-            head = ("handwritten" if f[3] > SCRIPT_JITTER_THRESHOLD
-                    else "printed")
-            conf = confidence_from_features(f, nch, nw, head)
-        r = updates.get(i)
-        out.append({
-            "idx": i, "text": text, "content_type": head,
-            "confidence": r["new_conf"] if r else conf,
-            "engine": r["accepted_engine"] if r else "first_pass",
-            "repassed": r is not None,
-            # per-token softmax-confidence analog (trocr.py:157-164)
-            "token_confs": ([] if c is None
-                            else token_confidences(c, text, head)),
-        })
     return out
 
 

@@ -8,10 +8,8 @@ pipeline — reading order, targeted re-pass), then grid-aligned line
 groups become table structures with cells, accessors and markdown
 rendering (``functions/tables.py``).
 
-Runs as a task-based ``map_batches`` with a worker-process-global warm
-stage (Ray reuses task workers — same amortization as an actor pool
-without the spawn cost, see ``stages/extract_stage.py``). Payload column
-is consumed here and never travels further.
+Runs as a stateless task-based ``map_batches`` (``route.add_heavy_stage``).
+The payload column is consumed here and never travels further.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ import pyarrow as pa
 
 from ..functions.textstats import tokens
 from ..functions.collect import iter_tables
+from ..state.worker import worker_state
 
 #: Above this many distinct terms the broadcast plan refuses (a real
 #: web-scale vocabulary needs the shuffle-join plan instead).
@@ -105,8 +106,8 @@ def build_df_table(docs_ds) -> "pa.Table":
 
 class TopTermsScorer:
     """Broadcast-DF scorer: the DF dict deserializes once per worker
-    (actor ``__init__`` / worker-global for the task form); each doc is
-    scored locally against it."""
+    (``worker_state`` slot ``topterms_scorer``); each doc is scored
+    locally against it."""
 
     def __init__(self, df_ref, k: int) -> None:
         import ray
@@ -136,20 +137,9 @@ class TopTermsScorer:
         )
 
 
-#: Worker-process-global scorer for the task-based stage (same reuse
-#: pattern as ``stages/extract_stage._WORKER_EXTRACTOR``): Ray reuses
-#: task workers, so the broadcast DF dict deserializes once per worker
-#: instead of once per 4-actor pool member — and the stage scales to
-#: every CPU in the cluster with zero actor-spawn latency.
-_WORKER_SCORER: tuple[str, TopTermsScorer] | None = None
-
-
 def _score_batch_task(batch: pa.Table, df_ref, k: int) -> pa.Table:
-    global _WORKER_SCORER
-    key = df_ref.hex()
-    if _WORKER_SCORER is None or _WORKER_SCORER[0] != key or _WORKER_SCORER[1].k != k:
-        _WORKER_SCORER = (key, TopTermsScorer(df_ref, k))
-    return _WORKER_SCORER[1](batch)
+    return worker_state("topterms_scorer", (df_ref.hex(), k),
+                        lambda: TopTermsScorer(df_ref, k))(batch)
 
 
 def _explode_tf(batch: pa.Table) -> pa.Table:
@@ -270,18 +260,18 @@ def doc_mean_rank(docs_ds, rank_docs_ds=None):
     return docs_ds.map_batches(score, batch_format="pyarrow", batch_size=256)
 
 
-def doc_top_terms(docs_ds, k: int = 3, concurrency: tuple[int, int] = (1, 4),
-                  plan: str = "auto", num_partitions: int = 8):
+def doc_top_terms(docs_ds, k: int = 3, plan: str = "auto",
+                  num_partitions: int = 8):
     """documents (doc_id, text) → top-k terms per doc by
     (tf DESC, df ASC, term ASC).
 
-    ``plan``: ``"broadcast"`` ships the DF table to every scorer actor
-    (right for bounded vocabularies); ``"join"`` is the fully distributed
-    path for web-scale vocabularies — explode (doc_id, term, tf), hash
-    join DF on term, regroup by doc_id for the local top-k (two extra
-    shuffles, zero driver state); ``"auto"`` tries broadcast and falls
-    back to join above ``BROADCAST_VOCAB_MAX``. Both plans are tested
-    byte-equal (``tests/test_topterms.py``).
+    ``plan``: ``"broadcast"`` ships the DF table once to every worker
+    process that scores (right for bounded vocabularies); ``"join"`` is
+    the fully distributed path for web-scale vocabularies — explode
+    (doc_id, term, tf), hash join DF on term, regroup by doc_id for the
+    local top-k (two extra shuffles, zero driver state); ``"auto"`` tries
+    broadcast and falls back to join above ``BROADCAST_VOCAB_MAX``. Both
+    plans are tested byte-equal (``tests/test_topterms.py``).
     """
     import ray
 

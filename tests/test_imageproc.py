@@ -10,7 +10,6 @@ from horizon_ocr_python_ray.functions.imageproc import (
     assess_readability,
     binarize_adaptive,
     clahe,
-    crop_to_content,
     deskew_image,
     estimate_noise_level,
     estimate_skew_angle,
@@ -132,14 +131,6 @@ def test_perspective_warp_rectifies_quad():
     out = perspective_warp(img, quad, 40, 60)
     assert out.shape == (60, 40)
     assert (out < 128).mean() > 0.95  # almost all content pixels
-
-
-def test_crop_to_content():
-    img = np.full((100, 100), 255, dtype=np.uint8)
-    img[40:60, 30:50] = 0
-    out = crop_to_content(img, pad=0)
-    assert out.shape == (20, 20)
-    assert (out == 0).all()
 
 
 def test_preprocess_chain_runs_and_keeps_text_dark():

@@ -127,10 +127,7 @@ def test_unknown_plan_raises():
 def test_near_dup_clusters_union_find_and_distributed():
     import pandas as pd
 
-    from horizon_ocr_python_ray.stages.dedup_docs import (
-        near_dup_clusters,
-        near_dup_clusters_distributed,
-    )
+    from horizon_ocr_python_ray.stages.dedup_docs import near_dup_clusters
 
     # components: {1,2,3,9}, {5,6}, singleton pairs absent
     pairs = pa.Table.from_arrays(
@@ -142,9 +139,6 @@ def test_near_dup_clusters_union_find_and_distributed():
     expect = {1: 1, 2: 1, 3: 1, 9: 1, 5: 5, 6: 5}
     got = {r["doc_id"]: r["cluster_id"] for r in near_dup_clusters(pairs_ds).take_all()}
     assert got == expect
-    got_d = {r["doc_id"]: r["cluster_id"]
-             for r in near_dup_clusters_distributed(ray.data.from_arrow(pairs)).take_all()}
-    assert got_d == expect
 
 
 def test_batched_signatures_equal_per_doc():

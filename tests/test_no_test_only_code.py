@@ -1,17 +1,30 @@
-"""Guard against regrowth of test-only code.
+"""Guards on the package's shape, checked by parsing the sources with ``ast``.
 
-Every top-level definition in ``horizon_ocr_python_ray/`` must be used
-by non-test code: the package itself, ``__ray_entry__.py``, ``bench.py``,
-``tools/`` or ``perfbench/``. A use is any ``Name``, ``Attribute`` or
-import alias outside the definition's own body, found by parsing with
-``ast`` — so a mention in a docstring or comment is not a use. The
-allowlist names the few definitions kept on purpose for tests.
+1. Every top-level definition in ``horizon_ocr_python_ray/`` must be used
+   by non-test code: the package itself, ``__ray_entry__.py``,
+   ``bench.py``, ``tools/`` or ``perfbench/``. A use is resolved to the
+   ``(module, name)`` it refers to:
 
-Uses are matched by bare name, not resolved to the defining module: a
-dead definition whose name also appears elsewhere (another module's
-function, any object's attribute, a local variable) counts as used. So
-the guard catches definitions whose name no non-test source mentions;
-a dead ``run`` or ``normalize`` can slip through it.
+   - a bare name refers to the module's own definition, or to what its
+     ``import`` / ``from X import name as alias`` binds (imports anywhere
+     in the file count, function-local ones included);
+   - ``module.attr`` chains resolve through module aliases and submodules;
+   - a name a package re-exports, by import or through its lazy
+     ``__getattr__``, resolves to the module that defines it.
+
+   A name listed in a package's ``__all__`` is public API and counts as
+   used. Any other import alone is not a use, nor is a mention in a
+   docstring or comment. Uses inside a definition's own body do not count.
+   Left out: uses by string (``getattr(module, "name")``) are not seen,
+   and a local variable that shares its name with a definition of the
+   same module counts as a use of it. The allowlist names the few
+   definitions kept on purpose for tests.
+
+2. No map stage in the package runs on an actor pool: ``map_batches``
+   gets a function, never a class, and no ``concurrency=``, ``compute=``
+   or constructor arguments. Warm per-process state goes through
+   ``state.worker.worker_state`` instead; an actor pool holds a CPU that
+   the read tasks of a 1-CPU session need.
 """
 
 from __future__ import annotations
@@ -23,8 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "horizon_ocr_python_ray"
 
 #: Definitions that only tests use, kept on purpose: name → reason.
-#: Oracles and fixtures stay; the entries marked "not an oracle" are
-#: test-only code still to delete together with their tests.
+#: Each is an oracle a batch kernel is compared against, or a fixture.
 ALLOWED = {
     "__all__": "star-import list, read by the import system",
     "__getattr__": "lazy re-export hook, called by the import system",
@@ -38,12 +50,11 @@ ALLOWED = {
     "gen_audio_probe_table": "fixture: driver-side audio probe table the energy-kernel test feeds",
     "_decode_audio": "float-waveform member of the MEDIA_SCHEMA _decode_* family",
     "hll_estimate": "reads HLL registers back; tests check the registers against the true count",
-    "near_dup_clusters_distributed": "not an oracle: the scale fall-through the near-dup cap plans for",
-    "apply_reocr": "not an oracle: per-page re-OCR records that only tests read",
-    "detect_script": "not an oracle: scalar wrapper of the re-OCR pixel router",
-    "crop_confidence": "not an oracle: scalar wrapper of the re-OCR first-pass confidence",
-    "crop_to_content": "not an oracle: M12 kernel that no stage applies",
 }
+
+#: ``map_batches`` keywords that only an actor-pool stage takes.
+ACTOR_POOL_KEYWORDS = {"concurrency", "compute", "fn_constructor_args",
+                       "fn_constructor_kwargs"}
 
 
 def _sources() -> list[Path]:
@@ -75,42 +86,185 @@ def _bound_names(target: ast.expr) -> list[str]:
     return []
 
 
-def _used_names(node: ast.AST) -> set[str]:
-    used = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            used.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            used.add(n.attr)
-        elif isinstance(n, ast.alias):
-            used.update(n.name.split("."))
-    return used
+def _str_const(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
 
-def _scan() -> tuple[dict[str, str], set[str]]:
-    """(package definition name → "path:line", names used outside their
-    own definition anywhere in the non-test sources)."""
-    defs: dict[str, str] = {}
-    used: set[str] = set()
-    for path in _sources():
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            own = _defined_names(stmt)
-            if path.is_relative_to(PACKAGE):
-                for name in own:
-                    defs.setdefault(name, f"{path.relative_to(ROOT)}:{stmt.lineno}")
-            used |= _used_names(stmt) - set(own)
-    return defs, used
+class _Module:
+    """One parsed source file: its dotted name, top-level definitions and
+    import bindings (local name → ``("mod", module)`` for ``import X`` or
+    ``("from", module, name)`` for ``from module import name``)."""
+
+    def __init__(self, path: Path) -> None:
+        parts = list(path.relative_to(ROOT).with_suffix("").parts)
+        self.is_package = parts[-1] == "__init__"
+        self.name = ".".join(parts[:-1] if self.is_package else parts)
+        self.path = path
+        self.tree = ast.parse(path.read_text(), filename=str(path))
+        self.defs = {n: stmt for stmt in self.tree.body for n in _defined_names(stmt)}
+        self.binds: dict[str, tuple] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.asname:
+                        self.binds[a.asname] = ("mod", a.name)
+                    else:
+                        top = a.name.split(".")[0]
+                        self.binds[top] = ("mod", top)
+            elif isinstance(node, ast.ImportFrom):
+                src = self.absolute(node)
+                for a in node.names:
+                    if a.name != "*":
+                        self.binds[a.asname or a.name] = ("from", src, a.name)
+        self.lazy = self._lazy_exports()
+
+    def absolute(self, node: ast.ImportFrom) -> str:
+        if not node.level:
+            return node.module or ""
+        pkg = self.name.split(".")
+        if not self.is_package:
+            pkg = pkg[:-1]
+        pkg = pkg[:len(pkg) - (node.level - 1)]
+        return ".".join(pkg + ([node.module] if node.module else []))
+
+    def _lazy_exports(self) -> dict[str, tuple]:
+        """Names a package's ``__getattr__`` serves: each ``if name == ...``
+        / ``if name in (...)`` branch imports the name itself, or imports a
+        module and returns ``getattr(module, name)``."""
+        fn = self.defs.get("__getattr__")
+        out: dict[str, tuple] = {}
+        if not isinstance(fn, ast.FunctionDef):
+            return out
+        for branch in ast.walk(fn):
+            if not isinstance(branch, ast.If):
+                continue
+            names = [s for s in map(_str_const, ast.walk(branch.test)) if s]
+            for imp in branch.body:
+                if not isinstance(imp, ast.ImportFrom):
+                    continue
+                src = self.absolute(imp)
+                for a in imp.names:
+                    if a.name in names:
+                        out[a.name] = ("from", src, a.name)
+                    else:
+                        out.update((n, ("from", f"{src}.{a.name}", n)) for n in names)
+        return out
+
+
+class _Index:
+    def __init__(self) -> None:
+        self.modules = {m.name: m for m in map(_Module, _sources())}
+        self.package = {n: m for n, m in self.modules.items()
+                        if m.path.is_relative_to(PACKAGE)}
+
+    def resolve(self, module: str, name: str) -> tuple[str, str] | None:
+        """The package definition ``module.name`` refers to, following
+        re-exports, or None if it names none."""
+        seen = set()
+        while (module, name) not in seen:
+            seen.add((module, name))
+            m = self.package.get(module)
+            if m is None:
+                return None
+            if name in m.defs:
+                return module, name
+            bind = m.binds.get(name) or m.lazy.get(name)
+            if bind is None or bind[0] != "from":
+                return None
+            module, name = bind[1], bind[2]
+        return None
+
+    def as_module(self, m: _Module, node: ast.expr) -> str | None:
+        """The module an expression names (an alias or a submodule chain)."""
+        if isinstance(node, ast.Name):
+            bind = m.binds.get(node.id)
+            if bind is None or node.id in m.defs:
+                return None
+            if bind[0] == "mod":
+                return bind[1]
+            sub = f"{bind[1]}.{bind[2]}"
+            return sub if sub in self.modules else None
+        if isinstance(node, ast.Attribute):
+            base = self.as_module(m, node.value)
+            if base and f"{base}.{node.attr}" in self.modules:
+                return f"{base}.{node.attr}"
+        return None
+
+    def uses(self, m: _Module, node: ast.AST) -> set[tuple[str, str]]:
+        out = set()
+        for n in ast.walk(node):
+            got = None
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                if n.id in m.defs:
+                    got = (m.name, n.id)
+                elif m.binds.get(n.id, ("",))[0] == "from":
+                    got = self.resolve(*m.binds[n.id][1:])
+            elif isinstance(n, ast.Attribute):
+                mod = self.as_module(m, n.value)
+                got = self.resolve(mod, n.attr) if mod else None
+            if got:
+                out.add(got)
+        return out
+
+    def scan(self) -> tuple[dict[tuple[str, str], str], set[tuple[str, str]]]:
+        """(package definition → "path:line", definitions used outside
+        their own body anywhere in the non-test sources)."""
+        defs = {(m.name, n): f"{m.path.relative_to(ROOT)}:{stmt.lineno}"
+                for m in self.package.values() for n, stmt in m.defs.items()}
+        used: set[tuple[str, str]] = set()
+        for m in self.package.values():
+            # a package's public API: what its ``__all__`` exports
+            exported = m.defs.get("__all__")
+            if exported is not None:
+                used |= {self.resolve(m.name, s) for s in
+                         map(_str_const, ast.walk(exported.value)) if s} - {None}
+        for m in self.modules.values():
+            for stmt in m.tree.body:
+                own = {(m.name, n) for n in _defined_names(stmt)}
+                used |= self.uses(m, stmt) - own
+        return defs, used
 
 
 def test_every_package_definition_has_a_non_test_user():
-    defs, used = _scan()
-    unused = sorted(f"{where} {name}" for name, where in defs.items()
-                    if name not in used and name not in ALLOWED)
+    defs, used = _Index().scan()
+    unused = sorted(f"{where} {mod}.{name}" for (mod, name), where in defs.items()
+                    if (mod, name) not in used and name not in ALLOWED)
     assert not unused, "defined but used only by tests (delete, or allowlist with a reason):\n" \
         + "\n".join(unused)
 
 
 def test_allowlist_names_are_still_test_only():
-    defs, used = _scan()
-    stale = sorted(n for n in ALLOWED if n not in defs or n in used)
+    defs, used = _Index().scan()
+    stale = sorted(n for n in ALLOWED
+                   if all(d in used for d in defs if d[1] == n)
+                   or not any(d[1] == n for d in defs))
     assert not stale, f"allowlisted names that are gone or now used: {stale}"
+
+
+def test_no_actor_pool_map_stage():
+    index = _Index()
+    bad = []
+    for m in index.package.values():
+        classes = {c.name for c in ast.walk(m.tree) if isinstance(c, ast.ClassDef)}
+        for call in ast.walk(m.tree):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "map_batches"):
+                continue
+            fn = call.args[0] if call.args else next(
+                (k.value for k in call.keywords if k.arg == "fn"), None)
+            target = None
+            if isinstance(fn, ast.Name):
+                bind = m.binds.get(fn.id, ("",))
+                target = (index.resolve(*bind[1:]) if bind[0] == "from"
+                          else (m.name, fn.id))
+            is_class = (isinstance(fn, ast.Name) and fn.id in classes) or (
+                target is not None and target[0] in index.package
+                and isinstance(index.package[target[0]].defs.get(target[1]), ast.ClassDef))
+            keywords = {k.arg for k in call.keywords} & ACTOR_POOL_KEYWORDS
+            if is_class or keywords:
+                bad.append(f"{m.path.relative_to(ROOT)}:{call.lineno} "
+                           f"{'class ' if is_class else ''}{sorted(keywords)}")
+    assert not bad, "actor-pool map stages (use a task function + worker_state):\n" \
+        + "\n".join(bad)

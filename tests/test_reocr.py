@@ -1,12 +1,12 @@
 """Targeted re-OCR ladder: rasterizer, pixel-derived confidence,
-content-type routing, strategy semantics, on/off application, pipeline.
+content-type routing, strategy semantics, pipeline.
 
 Reference semantics under test (targeted_reocr.py):
 - selection: conf < 0.70, worst-first, ≤50/page  (:150-178)
 - strategies: ensemble picks max (strict >), primary/secondary_only
   accept strict >, sequential needs old + 0.05 from primary before
   falling back to secondary (:380-440)
-- improved = gain ≥ 0.05; ONLY improved lines update (:447-500)
+- improved = gain ≥ 0.05 (:447-500)
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import pytest
 from horizon_ocr_python_ray.functions.docformat import encode_glyphs, make_line
 from horizon_ocr_python_ray.functions.raster import (
     RASTER_SCALE,
-    crop_confidence,
+    SCRIPT_JITTER_THRESHOLD,
+    confidence_from_features,
     crop_features,
-    detect_script,
     enhance_crop,
     is_handwritten_line,
     rasterize_page,
@@ -32,7 +32,6 @@ from horizon_ocr_python_ray.stages.reocr import (
     IMPROVEMENT_MARGIN,
     MAX_REOCR_LINES,
     STRATEGIES,
-    apply_reocr,
     reocr_page,
 )
 
@@ -41,6 +40,11 @@ def _fixture_page(i: int = 0) -> dict:
     rng = random.Random(f"reocr-test:{i}")
     recs, *_ = _grid_lines(rng, i, 0, kv_header=True)
     return {"page": 0, "w": 1000.0, "h": 1400.0, "lines": recs}
+
+
+def _head(feats) -> str:
+    """The content-type route ``reocr_page`` takes for a crop."""
+    return "handwritten" if feats[3] > SCRIPT_JITTER_THRESHOLD else "printed"
 
 
 def test_rasterize_deterministic_and_document_like():
@@ -71,9 +75,9 @@ def test_first_pass_confidence_tracks_print_quality():
         from horizon_ocr_python_ray.functions.docformat import decode_glyphs
 
         t = decode_glyphs(text)
-        head = detect_script(crop)
-        conf = crop_confidence(crop, max(1, len(t)),
-                               max(1, len(t.split())), head)
+        f = crop_features(crop)
+        conf = confidence_from_features(f, max(1, len(t)),
+                                        max(1, len(t.split())), _head(f))
         (lows if rec["conf"] < 0.70 else highs).append(conf)
     assert highs and min(highs) >= 0.60     # legible print scores high
     if lows:
@@ -94,7 +98,7 @@ def test_content_type_routing_recovers_planted_script():
                 continue
             want = ("handwritten" if is_handwritten_line(rec["g"])
                     else "printed")
-            hits += detect_script(crop) == want
+            hits += _head(crop_features(crop)) == want
             total += 1
     assert total > 100 and hits / total > 0.95
 
@@ -143,27 +147,6 @@ def test_per_page_cap_worst_first():
         assert len(results[s]) <= MAX_REOCR_LINES
 
 
-def test_apply_reocr_on_off_golden_identity():
-    page = _fixture_page(2)
-    off = apply_reocr(page, "a2", "ensemble", enabled=False)
-    on = apply_reocr(page, "a2", "ensemble", enabled=True)
-    assert len(on) == len(off) == len(page["lines"])
-    # off = pure first pass, byte-identical across runs
-    again = apply_reocr(page, "a2", "ensemble", enabled=False)
-    assert off == again
-    changed = [(a, b) for a, b in zip(off, on) if a != b]
-    assert changed, "fixture page should contain recoverable lines"
-    for a, b in zip(off, on):
-        assert a["text"] == b["text"]
-        if a != b:
-            assert b["repassed"] and b["engine"] in ("primary", "secondary")
-            assert b["confidence"] - a["confidence"] >= IMPROVEMENT_MARGIN
-        else:
-            assert not b["repassed"] and b["engine"] == "first_pass"
-    # determinism of the ON pass too
-    assert on == apply_reocr(page, "a2", "ensemble", enabled=True)
-
-
 def test_enhancement_recovers_midline():
     # a mid-degraded printed line: enhanced confidence must clear the
     # threshold the raw crop failed
@@ -177,43 +160,12 @@ def test_enhancement_recovers_midline():
     img = rasterize_page(page, "rec")
     crop = crop_bbox(img, [v * RASTER_SCALE for v in rec["bbox"]], padding=8)
     nch, nw = len(text), len(text.split())
-    head = detect_script(crop)
-    before = crop_confidence(crop, nch, nw, head)
-    after = crop_confidence(enhance_crop(crop), nch, nw, head)
+    f = crop_features(crop)
+    head = _head(f)
+    before = confidence_from_features(f, nch, nw, head)
+    after = confidence_from_features(crop_features(enhance_crop(crop)),
+                                     nch, nw, head)
     assert before < CONFIDENCE_THRESHOLD < after
-
-
-def test_token_confidences_softmax_analog():
-    # per-token confidences (trocr.py:157-164 analog): one per word,
-    # high on legible print, low on degraded print, deterministic
-    from horizon_ocr_python_ray.functions.imageproc import crop_bbox
-    from horizon_ocr_python_ray.functions.raster import token_confidences
-
-    clean_text = "a clean legible sentence of words"
-    deg_text = "a faint blurry sentence of words"
-    clean = make_line(clean_text,
-                      (50.0, 100.0, 50.0 + 8 * len(clean_text), 128.0), 0.95)
-    deg = make_line(deg_text,
-                    (50.0, 200.0, 50.0 + 8 * len(deg_text), 228.0), 0.40)
-    page = {"page": 0, "w": 1000.0, "h": 1400.0, "lines": [clean, deg]}
-    img = rasterize_page(page, "tok")
-    for rec, text, lo, hi in ((clean, clean_text, 0.6, 1.0),
-                              (deg, deg_text, 0.0, 0.62)):
-        crop = crop_bbox(img, [v * RASTER_SCALE for v in rec["bbox"]],
-                         padding=8)
-        confs = token_confidences(crop, text)
-        assert len(confs) == len(text.split())
-        mean = sum(confs) / len(confs)
-        assert lo <= mean <= hi, (text, confs)
-        assert confs == token_confidences(crop, text)  # deterministic
-
-
-def test_apply_reocr_carries_token_confidences():
-    page = _fixture_page(4)
-    rows = apply_reocr(page, "t4", "ensemble", enabled=False)
-    assert all(len(r["token_confs"]) == len(r["text"].split())
-               for r in rows if r["token_confs"])
-    assert any(r["token_confs"] for r in rows)
 
 
 def test_pipeline_counts(ray_session):

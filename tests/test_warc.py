@@ -85,6 +85,21 @@ def test_text_plain_rows_map_to_text_column():
     assert t.column("lang").to_pylist() == ["unknown"]
 
 
+def test_empty_html_bytes_stay_an_html_row():
+    """Only a null ``html`` selects the text/plain record: empty html
+    bytes read back as empty bytes, not as a text row."""
+    t = pa.table({
+        "url": ["https://x.example/e", "https://x.example/t", "https://x.example/h"],
+        "warc_ts": pa.array([0, 1, 2], pa.timestamp("us")),
+        "html": pa.array([b"", None, b"<p>x</p>"], pa.binary()),
+        "text": ["stray", "plain", ""],
+        "lang": ["en", "en", "en"],
+    })
+    back = W.parse_warc_file_bytes(W.table_to_warc_bytes(t))
+    assert back.column("html").to_pylist() == [b"", None, b"<p>x</p>"]
+    assert back.column("text").to_pylist() == ["", "plain", ""]
+
+
 def test_distributed_sink_manifest(pages_table, tmp_path):
     """write_warc: every row lands in exactly one shard; the manifest's
     record counts sum to the input; a re-read sees all rows."""
