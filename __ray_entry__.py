@@ -1226,7 +1226,8 @@ def _corpus_postings(sf_dir: str):
 
 def _corpus_top_terms(sf_dir: str):
     """Exact corpus-level heavy-hitter terms
-    (``stages/heavyterms.py:corpus_top_terms``, shuffle plan)."""
+    (``stages/heavyterms.py:corpus_top_terms``, driver fold of the
+    batch combiner partials)."""
     import ray.data
     from horizon_ocr_python_ray.stages.heavyterms import corpus_top_terms
 

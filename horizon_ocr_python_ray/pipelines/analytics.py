@@ -42,6 +42,7 @@ def _tbl(sf_dir: str, name: str, columns: list[str] | None = None) -> ray.data.D
 # Same explicit-switch pattern as the MinHash candidate planner and the
 # top-terms vocab guard: the threshold is a named constant, the choice is
 # loggable, and correctness never depends on which side of it we land.
+# Tests lower the cap to run the partitioned plan.
 
 #: Max build-side rows shipped as a broadcast lookup (a 2-column int64
 #: table of this size is ~32 MB — comfortable in driver + worker heaps).
@@ -55,9 +56,9 @@ def _parquet_num_rows(sf_dir: str, name: str) -> int:
         os.path.join(sf_dir, f"{name}.parquet")).metadata.num_rows
 
 
-def _resolve_join_plan(plan: str, sf_dir: str, build_tables: list[str]) -> str:
-    if plan != "auto":
-        return plan
+def _join_plan(sf_dir: str, build_tables: list[str]) -> str:
+    """``"broadcast"`` while every build table fits
+    :data:`BROADCAST_BUILD_MAX_ROWS`, else ``"partitioned"``."""
     n = max(_parquet_num_rows(sf_dir, t) for t in build_tables)
     return "broadcast" if n <= BROADCAST_BUILD_MAX_ROWS else "partitioned"
 
@@ -116,7 +117,7 @@ def q1_pricing_summary(sf_dir: str):
     return out.map_batches(finish, batch_format="pyarrow")
 
 
-def revenue_by_nation(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
+def revenue_by_nation(sf_dir: str, num_partitions: int = 8):
     """Revenue per customer nation. Customer is a FACT-scale side (grows
     with the corpus): the ``partitioned`` plan routes orders⋈customer
     through the hash-partitioned join and broadcasts only nation (a
@@ -125,7 +126,7 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
     under :data:`BROADCAST_BUILD_MAX_ROWS`, the ``broadcast`` plan ships
     a composed custkey→nation-name lookup instead — zero join shuffles,
     one streaming pass over orders."""
-    plan = _resolve_join_plan(plan, sf_dir, ["customer"])
+    plan = _join_plan(sf_dir, ["customer"])
     nation = _tbl(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     nation = nation.sort_values("n_nationkey")
     nkeys = nation["n_nationkey"].to_numpy(np.int64)
@@ -209,13 +210,12 @@ def top_orders(sf_dir: str, k: int = 10):
     return merged
 
 
-def orders_per_customer_join(sf_dir: str, num_partitions: int = 8,
-                             plan: str = "auto"):
+def orders_per_customer_join(sf_dir: str, num_partitions: int = 8):
     """orders ⋈ customer → count + revenue per market segment. Plan
     switch per the size-aware planner: hash-partitioned ``Dataset.join``
     when customer is fact-scale, broadcast custkey→segment lookup when
     its measured size fits the bound."""
-    plan = _resolve_join_plan(plan, sf_dir, ["customer"])
+    plan = _join_plan(sf_dir, ["customer"])
     orders = _tbl(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     if plan == "broadcast":
@@ -364,8 +364,7 @@ def _revenue_by_region_broadcast(sf_dir: str, nref):
     )
 
 
-def revenue_by_region_q5(sf_dir: str, num_partitions: int = 8,
-                         plan: str = "auto"):
+def revenue_by_region_q5(sf_dir: str, num_partitions: int = 8):
     """TPC-H Q5-style: revenue per REGION where customer and supplier
     share a nation — the multi-way join demo.
 
@@ -386,7 +385,7 @@ def revenue_by_region_q5(sf_dir: str, num_partitions: int = 8,
     and lineitem streams through ONE ``map_batches`` with zero join
     shuffles — three hash exchanges collapse into broadcast state.
     """
-    plan = _resolve_join_plan(plan, sf_dir, ["orders", "customer", "supplier"])
+    plan = _join_plan(sf_dir, ["orders", "customer", "supplier"])
     nation = _tbl(sf_dir, "nation", ["n_nationkey", "n_regionkey"]).to_pandas()
     region = _tbl(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
     nation = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
@@ -452,7 +451,7 @@ def revenue_by_region_q5(sf_dir: str, num_partitions: int = 8,
     )
 
 
-def promo_revenue_q14(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
+def promo_revenue_q14(sf_dir: str, num_partitions: int = 8):
     """TPC-H Q14-style promo-revenue share: lineitem ⋈ part with the
     promo flag folded into the partial aggregate — the conditional-sum
     + single-join pattern. Plan switch per the size-aware planner: when
@@ -461,7 +460,7 @@ def promo_revenue_q14(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
     removes the join shuffle entirely. The output is one row, so the
     "shuffle" after the combiner is a trivial all-to-one of partial
     pairs."""
-    plan = _resolve_join_plan(plan, sf_dir, ["part"])
+    plan = _join_plan(sf_dir, ["part"])
     li = _tbl(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
 
     def _sums(rev, promo_mask, n) -> pa.Table:
@@ -511,8 +510,7 @@ def promo_revenue_q14(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
     )
 
 
-def priority_lines_q12(sf_dir: str, num_partitions: int = 8,
-                       plan: str = "auto"):
+def priority_lines_q12(sf_dir: str, num_partitions: int = 8):
     """TPC-H Q12-shaped: lineitem ⋈ orders on orderkey, grouped by
     ``l_returnflag`` with CONDITIONAL counts — urgent/high order
     priority vs the rest (the CASE-WHEN-inside-aggregate pattern over a
@@ -525,7 +523,7 @@ def priority_lines_q12(sf_dir: str, num_partitions: int = 8,
     zero join shuffles; ``partitioned`` runs the native hash join. Both
     end in the per-batch combiner → tiny ``groupby(returnflag).sum``.
     """
-    plan = _resolve_join_plan(plan, sf_dir, ["orders"])
+    plan = _join_plan(sf_dir, ["orders"])
     li = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
     high_set = ("1-URGENT", "2-HIGH")
 
@@ -576,8 +574,7 @@ def priority_lines_q12(sf_dir: str, num_partitions: int = 8,
     )
 
 
-def cust_order_dist_q13(sf_dir: str, num_partitions: int = 8,
-                        plan: str = "auto"):
+def cust_order_dist_q13(sf_dir: str, num_partitions: int = 8):
     """TPC-H Q13 shape: how many customers placed exactly k orders,
     k = 0 included — the LEFT OUTER join surface (customers with no
     orders must survive the join as nulls and land in the k=0 bucket).
@@ -593,7 +590,7 @@ def cust_order_dist_q13(sf_dir: str, num_partitions: int = 8,
     distribution rollup whose final shuffle carries one row per
     distinct order count; plans are tested equal.
     """
-    plan = _resolve_join_plan(plan, sf_dir, ["orders"])
+    plan = _join_plan(sf_dir, ["orders"])
     orders = _tbl(sf_dir, "orders", ["o_custkey"])
 
     def order_partials(t: pa.Table) -> pa.Table:

@@ -34,11 +34,13 @@ integer addition and the DuckDB oracle compares bit-equal — no
 rounded-double ulp hazard (ADVICE.md round-1 finding).
 
 Join/broadcast planning reuses the size-aware planner from
-``pipelines/analytics.py``: every op carries a ``broadcast`` plan
-(``ray.put`` sorted-array lookup probed inside the stream — zero join
-shuffles) and a ``partitioned`` plan (hash-partitioned
-``Dataset.join`` — the 100-TB path), switched on parquet-footer row
-counts and tested row-equal.
+``pipelines/analytics.py`` (``_join_plan``): most ops carry a
+``broadcast`` plan (``ray.put`` sorted-array lookup probed inside the
+stream — zero join shuffles) and a ``partitioned`` plan
+(hash-partitioned ``Dataset.join`` — the 100-TB path), chosen by
+comparing the build tables' parquet-footer row counts with
+``BROADCAST_BUILD_MAX_ROWS``. The tests lower that cap to run the
+partitioned plan and compare it row for row.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from ray.data.aggregate import Count, Max, Sum
 from ..functions.collect import collect_tables, iter_tables
 from .analytics import (
     BROADCAST_BUILD_MAX_ROWS,
+    _join_plan,
     _probe,
-    _resolve_join_plan,
     _sorted_lookup,
     _tbl,
     safe_join,
@@ -73,7 +75,7 @@ def _e2(col: pa.ChunkedArray) -> pa.ChunkedArray:
 # Q4 shape: EXISTS semi-join
 # ---------------------------------------------------------------------------
 
-def orders_exists_q4(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
+def orders_exists_q4(sf_dir: str, num_partitions: int = 8):
     """TPC-H Q4 shape: count 1996 orders per priority where EXISTS a
     returned lineitem (``l_returnflag = 'R'``; this schema has no
     commitdate/receiptdate, so the returned flag plays the "late"
@@ -86,7 +88,7 @@ def orders_exists_q4(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
     distinct set is ≤ |orders| rows) and probed inside the orders
     scan; ``partitioned``: distributed distinct (groupby) + hash join.
     """
-    plan = _resolve_join_plan(plan, sf_dir, ["orders"])
+    plan = _join_plan(sf_dir, ["orders"])
     li = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
 
     def returned_partial(t: pa.Table) -> pa.Table:
@@ -147,7 +149,7 @@ def orders_exists_q4(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
 # Q15 shape: argmax over an aggregate
 # ---------------------------------------------------------------------------
 
-def top_supplier_q15(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
+def top_supplier_q15(sf_dir: str, num_partitions: int = 8):
     """TPC-H Q15 shape: per-supplier revenue over one quarter, return
     the supplier(s) achieving the GLOBAL max (the view + scalar-max
     subquery, decorrelated to aggregate → tiny max fold → filter →
@@ -159,7 +161,7 @@ def top_supplier_q15(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
     narrow shuffle (supplier-dimension cardinality); the max is folded
     from that aggregate's blocks on the driver (tiny); names join by
     the size-aware planner."""
-    plan = _resolve_join_plan(plan, sf_dir, ["supplier"])
+    plan = _join_plan(sf_dir, ["supplier"])
     li = _tbl(sf_dir, "lineitem",
               ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"])
     lo, hi = _TS("1996-01-01"), _TS("1996-04-01")
@@ -216,7 +218,7 @@ def top_supplier_q15(sf_dir: str, num_partitions: int = 8, plan: str = "auto"):
 # ---------------------------------------------------------------------------
 
 def part_small_qty_q17(sf_dir: str, brand: str = "Brand#1",
-                       num_partitions: int = 8, plan: str = "auto"):
+                       num_partitions: int = 8):
     """TPC-H Q17 shape: total price of brand lineitems whose quantity
     is below 20% of that part's average quantity — the correlated
     scalar subquery ``l_quantity < 0.2 * (SELECT avg(l_quantity) …
@@ -234,7 +236,7 @@ def part_small_qty_q17(sf_dir: str, brand: str = "Brand#1",
     instead (``state/checkpoint.py``) rather than re-execute lineage.
     The per-part (sum, n) table is one narrow shuffle, then broadcast —
     its cardinality is |parts of one brand|, planner-bounded."""
-    plan = _resolve_join_plan(plan, sf_dir, ["part"])
+    plan = _join_plan(sf_dir, ["part"])
     li = _tbl(sf_dir, "lineitem",
               ["l_partkey", "l_quantity", "l_extendedprice"])
 
@@ -346,7 +348,7 @@ def _fold_or_shuffle_having(partials, thr_e2: int) -> pd.DataFrame:
     return kept.to_pandas().sort_values("l_orderkey")
 
 def big_orders_q18(sf_dir: str, min_qty: float = 300.0,
-                   num_partitions: int = 8, plan: str = "auto"):
+                   num_partitions: int = 8):
     """TPC-H Q18 shape: orders whose total lineitem quantity exceeds
     ``min_qty``, joined back to orders + customer for display columns —
     the GROUP BY … HAVING subquery feeding an IN filter.
@@ -363,7 +365,7 @@ def big_orders_q18(sf_dir: str, min_qty: float = 300.0,
     HAVING filter leaves a tiny winner set (~0.1% of orders at the
     default threshold) broadcast into the orders scan with zero join
     shuffles; customer names attach by the size-aware planner."""
-    plan = _resolve_join_plan(plan, sf_dir, ["customer"])
+    plan = _join_plan(sf_dir, ["customer"])
     li = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     thr_e2 = int(round(min_qty * 100))
 
@@ -423,7 +425,7 @@ def big_orders_q18(sf_dir: str, min_qty: float = 300.0,
 # ---------------------------------------------------------------------------
 
 def cust_idle_q22(sf_dir: str, since: str = "2000-01-01",
-                  num_partitions: int = 8, plan: str = "auto"):
+                  num_partitions: int = 8):
     """TPC-H Q22 shape: "rich but idle" customers — account balance
     above the global average of positive balances (scalar subquery) AND
     no order since ``since`` (anti-join), grouped into custkey-mod
@@ -434,7 +436,7 @@ def cust_idle_q22(sf_dir: str, since: str = "2000-01-01",
     partials with ``Dataset.sum`` (no shuffle); the anti side is the
     distinct recent-order custkey set — broadcast-probed (``~mask``) or
     a native ``left_anti`` hash join by the planner."""
-    plan = _resolve_join_plan(plan, sf_dir, ["orders"])
+    plan = _join_plan(sf_dir, ["orders"])
     cust = _tbl(sf_dir, "customer", ["c_custkey", "c_acctbal"])
 
     def scalar_partial(t: pa.Table) -> pa.Table:
@@ -514,8 +516,7 @@ def cust_idle_q22(sf_dir: str, since: str = "2000-01-01",
 # Q21 shape: double-correlated EXISTS / NOT EXISTS on the same fact
 # ---------------------------------------------------------------------------
 
-def waiting_supplier_q21(sf_dir: str, num_partitions: int = 8,
-                         plan: str = "auto", k: int = 10):
+def waiting_supplier_q21(sf_dir: str, num_partitions: int = 8, k: int = 10):
     """TPC-H Q21 shape: suppliers who were the SOLE problem in
     multi-supplier finished orders. A lineitem is a "problem" when
     ``l_returnflag = 'R'`` (this schema's stand-in for Q21's
@@ -540,7 +541,7 @@ def waiting_supplier_q21(sf_dir: str, num_partitions: int = 8,
     The 'F'-status order filter follows the size-aware planner:
     broadcast sorted-key probe inside the lineitem scan, or a
     partitioned hash join."""
-    plan = _resolve_join_plan(plan, sf_dir, ["orders"])
+    plan = _join_plan(sf_dir, ["orders"])
     li = _tbl(sf_dir, "lineitem",
               ["l_orderkey", "l_suppkey", "l_returnflag"])
     orders = _tbl(sf_dir, "orders", ["o_orderkey", "o_orderstatus"])
@@ -633,7 +634,7 @@ def waiting_supplier_q21(sf_dir: str, num_partitions: int = 8,
 # ---------------------------------------------------------------------------
 
 def returned_top_customers_q10(sf_dir: str, quarter: str = "1996-01-01",
-                               num_partitions: int = 8, plan: str = "auto",
+                               num_partitions: int = 8,
                                k: int = 20):
     """TPC-H Q10 shape: revenue lost to returns per customer over one
     quarter, top-k by (revenue desc, custkey asc), with customer and
@@ -644,7 +645,7 @@ def returned_top_customers_q10(sf_dir: str, quarter: str = "1996-01-01",
     → order window filter maps orderkey→custkey (broadcast probe or
     hash join by the planner) → ``groupby(custkey).sum`` (one narrow
     shuffle) → tiny top-k fold → broadcast name/nation attach."""
-    plan = _resolve_join_plan(plan, sf_dir, ["orders"])
+    plan = _join_plan(sf_dir, ["orders"])
     li = _tbl(sf_dir, "lineitem",
               ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"])
     lo, hi = _TS(quarter), _TS(
@@ -836,8 +837,7 @@ Q19_BUNDLES = (
 )
 
 
-def disjunctive_revenue_q19(sf_dir: str, num_partitions: int = 8,
-                            plan: str = "auto"):
+def disjunctive_revenue_q19(sf_dir: str, num_partitions: int = 8):
     """TPC-H Q19 shape: revenue over an OR of (brand, size-range,
     quantity-range) predicate bundles — the disjunctive join predicate
     that defeats naive pushdown.
@@ -849,7 +849,7 @@ def disjunctive_revenue_q19(sf_dir: str, num_partitions: int = 8,
     ANDs and one OR per batch — no per-bundle scans, no join shuffle
     on the broadcast plan. The partitioned plan ships the same
     evaluation after a hash join. Exact e4 integer revenue."""
-    plan = _resolve_join_plan(plan, sf_dir, ["part"])
+    plan = _join_plan(sf_dir, ["part"])
     li = _tbl(sf_dir, "lineitem",
               ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
     part = _tbl(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
@@ -924,7 +924,7 @@ def disjunctive_revenue_q19(sf_dir: str, num_partitions: int = 8,
 # ---------------------------------------------------------------------------
 
 def supplier_cnt_q16(sf_dir: str, excl_brand: str = "Brand#5",
-                     num_partitions: int = 8, plan: str = "auto"):
+                     num_partitions: int = 8):
     """TPC-H Q16 shape: distinct suppliers per (brand, type) over the
     part↔supplier incidence (lineitem as the partsupp stand-in),
     excluding one brand (the NOT IN anti-set) →
@@ -934,7 +934,6 @@ def supplier_cnt_q16(sf_dir: str, excl_brand: str = "Brand#5",
     combiner + one pair groupby; part attributes broadcast; the final
     distinct-per-group is a second combiner + a (brand, type, supp)
     groupby whose cardinality is groups × suppliers — dimension-sized."""
-    plan = _resolve_join_plan(plan, sf_dir, ["part"])
     li = _tbl(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
     part = _tbl(sf_dir, "part", ["p_partkey", "p_brand", "p_type"])
 
@@ -1031,8 +1030,7 @@ def important_parts_q11(sf_dir: str, frac_den: int = 1500):
 # ---------------------------------------------------------------------------
 
 def min_cost_supplier_q2(sf_dir: str, p_type: str = "ECONOMY",
-                         max_size: int = 15, num_partitions: int = 8,
-                         plan: str = "auto"):
+                         max_size: int = 15, num_partitions: int = 8):
     """TPC-H Q2 shape: for every qualifying part (type/size filter),
     the supplier(s) achieving the MINIMUM cost — the correlated
     min-subquery join-back (here cost = min extended price per part
@@ -1047,7 +1045,7 @@ def min_cost_supplier_q2(sf_dir: str, p_type: str = "ECONOMY",
     op here)."""
     from ..stages.hashagg import grouped_aggregate
 
-    plan = _resolve_join_plan(plan, sf_dir, ["part"])
+    plan = _join_plan(sf_dir, ["part"])
     part = _tbl(sf_dir, "part", ["p_partkey", "p_type", "p_size"])
     pdf = part.to_pandas()
     keys = np.sort(pdf.loc[(pdf["p_type"] == p_type)
@@ -1137,7 +1135,7 @@ def min_cost_supplier_q2(sf_dir: str, p_type: str = "ECONOMY",
 # ---------------------------------------------------------------------------
 
 def market_share_q8(sf_dir: str, brand: str = "Brand#1",
-                    num_partitions: int = 8, plan: str = "auto"):
+                    num_partitions: int = 8):
     """TPC-H Q8 shape: per order-year, the focal brand's share of
     revenue — emitted as the EXACT integer pair (num_e4, den_e4)
     rather than a rounded ratio (share = num/den; the rational form is
@@ -1146,7 +1144,7 @@ def market_share_q8(sf_dir: str, brand: str = "Brand#1",
     Both legs reduce in ONE lineitem pass: the brand flag gates the
     numerator inside the same combiner that sums the denominator.
     Orderkey→year maps by broadcast probe or hash join (planner)."""
-    plan = _resolve_join_plan(plan, sf_dir, ["orders"])
+    plan = _join_plan(sf_dir, ["orders"])
     part = _tbl(sf_dir, "part", ["p_partkey", "p_brand"])
     pdf = part.to_pandas().sort_values("p_partkey")
     pref = ray.put((pdf["p_partkey"].to_numpy(np.int64),
@@ -1233,7 +1231,7 @@ def market_share_q8(sf_dir: str, brand: str = "Brand#1",
 # ---------------------------------------------------------------------------
 
 def nation_volume_q7(sf_dir: str, nation_a: int = 3, nation_b: int = 8,
-                     num_partitions: int = 8, plan: str = "auto"):
+                     num_partitions: int = 8):
     """TPC-H Q7 shape: shipped revenue between two nations in both
     directions, per year → (supp_nation, cust_nation, o_year, rev_e4).
 
@@ -1244,7 +1242,7 @@ def nation_volume_q7(sf_dir: str, nation_a: int = 3, nation_b: int = 8,
     hash joins (lineitem→orders on orderkey, →customer on custkey)
     with the supplier-nation prefilter shrinking the left side first.
     Plans are row-identical (tested)."""
-    plan = _resolve_join_plan(plan, sf_dir, ["orders"])
+    plan = _join_plan(sf_dir, ["orders"])
     sdf = _tbl(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
     assert len(sdf) <= BROADCAST_BUILD_MAX_ROWS, "supplier dim over cap"
     sdf = sdf.sort_values("s_suppkey")
@@ -1383,7 +1381,7 @@ def nation_volume_q7(sf_dir: str, nation_a: int = 3, nation_b: int = 8,
 # ---------------------------------------------------------------------------
 
 def nation_profit_q9(sf_dir: str, name_sub: str = "bolt",
-                     num_partitions: int = 8, plan: str = "auto"):
+                     num_partitions: int = 8):
     """TPC-H Q9 shape: revenue of parts whose NAME contains a substring
     (the LIKE '%...%' filter), rolled up by supplier nation × order
     year → (n_name, o_year, rev_e4). Supplier→nation(→name) is a
@@ -1393,7 +1391,7 @@ def nation_profit_q9(sf_dir: str, name_sub: str = "bolt",
     lookups into one lineitem pass; the partitioned plan routes them
     through two hash joins (lineitem→filtered-part-keys on partkey,
     →orders on orderkey). Plans row-identical (tested)."""
-    plan = _resolve_join_plan(plan, sf_dir, ["orders"])
+    plan = _join_plan(sf_dir, ["orders"])
     sdf = _tbl(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).to_pandas()
     assert len(sdf) <= BROADCAST_BUILD_MAX_ROWS, "supplier dim over cap"
     sdf = sdf.sort_values("s_suppkey")

@@ -190,23 +190,29 @@ def _discover_pairs_distributed(bands) -> list[tuple[int, int]]:
     )
 
 
+def _discover_pairs(bands, n_band_rows: int) -> list[tuple[int, int]]:
+    """Sorted distinct candidate pairs of a (doc_id, band_key) table: the
+    driver pass up to :data:`DRIVER_MAX_BAND_ROWS` band rows, the
+    distributed one above it. Both give the identical list (tested)."""
+    if n_band_rows <= DRIVER_MAX_BAND_ROWS:
+        return _discover_pairs_driver(bands)
+    return _discover_pairs_distributed(bands)
+
+
 def minhash_lsh_pairs(docs_ds, num_hashes: int = 128, num_bands: int = 32,
-                      k_shingle: int = 5, min_est_jaccard: float = 0.5,
-                      plan: str = "auto", texts_sink: dict | None = None):
+                      k_shingle: int = 5, min_est_jaccard: float = 0.5):
     """documents → near-duplicate candidate pairs (doc_a, doc_b,
     est_jaccard), deduped across bands, est ≥ ``min_est_jaccard``.
 
     Physical plan (combiner + broadcast, no giant tiny-group shuffle):
 
     1. map: shingle → minhash → band keys (one narrow int64 row per band);
-    2. candidate discovery — ``plan="driver"`` (one vectorized pass over
-       the collected two-int64-column band table) below
-       :data:`DRIVER_MAX_BAND_ROWS` band rows, else ``plan="distributed"``
-       (:func:`_discover_pairs_distributed`: groupby-Count → hot-key
+    2. candidate discovery (:func:`_discover_pairs`) — one vectorized
+       driver pass over the collected two-int64-column band table below
+       :data:`DRIVER_MAX_BAND_ROWS` band rows, else
+       :func:`_discover_pairs_distributed` (groupby-Count → hot-key
        broadcast → member filter → within-key pairing → pair dedup, with
        only the tiny hot-key set and final pair list ever on the driver).
-       Both produce the identical pair list (tested byte-equal);
-       ``plan="auto"`` switches on the actual row count.
     3. estimated Jaccard is computed distributed over the pair list from
        re-derived signatures of ONLY the candidate documents: their texts
        are broadcast once via ``ray.put`` while the candidate set is under
@@ -218,6 +224,15 @@ def minhash_lsh_pairs(docs_ds, num_hashes: int = 128, num_bands: int = 32,
     collision threshold at (1/32)^(1/4) ≈ 0.42, matched to the default
     ``min_est_jaccard=0.5`` (16×8 would miss half of 0.5–0.7 near-dups).
     """
+    return _lsh_pairs(docs_ds, num_hashes, num_bands, k_shingle,
+                      min_est_jaccard)[0]
+
+
+def _lsh_pairs(docs_ds, num_hashes: int, num_bands: int, k_shingle: int,
+               min_est_jaccard: float):
+    """:func:`minhash_lsh_pairs` plus the candidate-text dict its
+    broadcast est stage collected (empty when there are no candidates or
+    the join-co-located plan ran), so the verify stage can reuse it."""
     import pyarrow.compute as pc
     import ray
     import ray.data
@@ -232,17 +247,9 @@ def minhash_lsh_pairs(docs_ds, num_hashes: int = 128, num_bands: int = 32,
                    "k_shingle": k_shingle},
         batch_format="pyarrow",
     )
-    if plan == "auto":
-        plan = ("driver" if docs_ds.count() * num_bands <= DRIVER_MAX_BAND_ROWS
-                else "distributed")
-    if plan == "driver":
-        pairs_sorted = _discover_pairs_driver(bands)
-    elif plan == "distributed":
-        pairs_sorted = _discover_pairs_distributed(bands)
-    else:
-        raise ValueError(f"unknown plan {plan!r}; expected auto|driver|distributed")
+    pairs_sorted = _discover_pairs(bands, docs_ds.count() * num_bands)
     if not pairs_sorted:
-        return ray.data.from_arrow(pairs_schema.empty_table())
+        return ray.data.from_arrow(pairs_schema.empty_table()), {}
     cand_ids = sorted({d for p in pairs_sorted for d in p})
 
     pairs_ds = ray.data.from_arrow(pa.Table.from_arrays(
@@ -276,12 +283,10 @@ def minhash_lsh_pairs(docs_ds, num_hashes: int = 128, num_bands: int = 32,
                                                pa.scalar(min_est_jaccard)))
 
         return attach_pair_texts(docs_ds, pairs_ds).map_batches(
-            est_joined_task, batch_format="pyarrow")
+            est_joined_task, batch_format="pyarrow"), {}
 
     # texts of ONLY the candidate docs, broadcast once
     texts = collect_texts_for_ids(docs_ds, cand_ids)
-    if texts_sink is not None:
-        texts_sink.update(texts)
     ref = ray.put(texts)
 
     def est_jaccard_task(t: pa.Table) -> pa.Table:
@@ -303,36 +308,26 @@ def minhash_lsh_pairs(docs_ds, num_hashes: int = 128, num_bands: int = 32,
         return out.filter(pc.greater_equal(out.column("est_jaccard"),
                                            pa.scalar(min_est_jaccard)))
 
-    return pairs_ds.map_batches(est_jaccard_task, batch_format="pyarrow")
+    return pairs_ds.map_batches(est_jaccard_task, batch_format="pyarrow"), texts
 
 
 def minhash_near_dup_verified(docs_ds, num_hashes: int = 128, num_bands: int = 32,
                               k_shingle: int = 5, min_est_jaccard: float = 0.5,
-                              verify_threshold: float = 0.5, verify_plan: str = "auto"):
+                              verify_threshold: float = 0.5):
     """Fused candidates + exact-Jaccard verification. On the broadcast
     path the candidate-text collection runs ONCE and its dict feeds both
     the est-Jaccard filter and the verify stage (they cover the same doc
     set — verification only ever shrinks the pair list). When the
-    candidate set is over :data:`VERIFY_BROADCAST_MAX_DOCS` — or
-    ``verify_plan="distributed"`` — both stages run join-co-located and
-    no text dict exists anywhere."""
-    if verify_plan == "distributed":
-        pairs = minhash_lsh_pairs(docs_ds, num_hashes=num_hashes,
-                                  num_bands=num_bands, k_shingle=k_shingle,
-                                  min_est_jaccard=min_est_jaccard)
-        return ngram_jaccard_verify(docs_ds, pairs, k_shingle=k_shingle,
-                                    threshold=verify_threshold, plan="distributed")
-    texts: dict[int, str] = {}
-    pairs = minhash_lsh_pairs(docs_ds, num_hashes=num_hashes, num_bands=num_bands,
-                              k_shingle=k_shingle, min_est_jaccard=min_est_jaccard,
-                              texts_sink=texts)
+    candidate set is over :data:`VERIFY_BROADCAST_MAX_DOCS` both stages
+    run join-co-located and no text dict exists anywhere."""
+    pairs, texts = _lsh_pairs(docs_ds, num_hashes, num_bands, k_shingle,
+                              min_est_jaccard)
     if texts:
-        return ngram_jaccard_verify(docs_ds, pairs, k_shingle=k_shingle,
-                                    threshold=verify_threshold, texts=texts)
-    # sink empty: no candidates at all, or the est stage auto-switched to
-    # the join plan — let verify re-resolve its own plan from the pairs
+        return _verify_broadcast(pairs, texts, k_shingle, verify_threshold)
+    # no texts: no candidates at all, or the est stage took the join
+    # plan — let verify pick its own plan from the pairs
     return ngram_jaccard_verify(docs_ds, pairs, k_shingle=k_shingle,
-                                threshold=verify_threshold, plan=verify_plan)
+                                threshold=verify_threshold)
 
 
 # -- SimHash -----------------------------------------------------------------
@@ -453,7 +448,7 @@ def _simhash_band_keys(batch: pa.Table, num_bands: int) -> pa.Table:
     )
 
 
-def simhash_near_dup_pairs(docs_ds, max_hamming: int = 3, plan: str = "auto"):
+def simhash_near_dup_pairs(docs_ds, max_hamming: int = 3):
     """documents → EXACT Hamming-ball near-dup pairs
     ``(doc_a, doc_b, hamming)`` with ``hamming <= max_hamming``.
 
@@ -468,8 +463,9 @@ def simhash_near_dup_pairs(docs_ds, max_hamming: int = 3, plan: str = "auto"):
     Physical plan: one narrow (doc_id:int64, simhash:int64) sketch table,
     materialized once for its two consumers (band explosion + candidate
     lookup); candidate discovery reuses the MinHash driver/distributed
-    plan switch; only candidate sketches (multiplicity ~ duplicate rate)
-    and the final pair list ever reach the driver. Because BOTH plans end
+    switch (:func:`_discover_pairs`); only candidate sketches
+    (multiplicity ~ duplicate rate) and the final pair list ever reach
+    the driver. Because BOTH discovery plans end
     with the deduped pair list on the driver, the XOR-popcount verify runs
     right there over the (already collected) candidate sketches — one
     vectorized numpy pass, zero extra dataset executions, and no new
@@ -488,15 +484,7 @@ def simhash_near_dup_pairs(docs_ds, max_hamming: int = 3, plan: str = "auto"):
     sims = docs_ds.map_batches(simhash_batch, batch_format="pyarrow").materialize()
     bands = sims.map_batches(_simhash_band_keys, fn_kwargs={"num_bands": num_bands},
                              batch_format="pyarrow")
-    if plan == "auto":
-        plan = ("driver" if sims.count() * num_bands <= DRIVER_MAX_BAND_ROWS
-                else "distributed")
-    if plan == "driver":
-        pairs_sorted = _discover_pairs_driver(bands)
-    elif plan == "distributed":
-        pairs_sorted = _discover_pairs_distributed(bands)
-    else:
-        raise ValueError(f"unknown plan {plan!r}; expected auto|driver|distributed")
+    pairs_sorted = _discover_pairs(bands, sims.count() * num_bands)
     if not pairs_sorted:
         return ray.data.from_arrow(pairs_schema.empty_table())
 
@@ -650,47 +638,37 @@ def _verify_distributed_task(batch: pa.Table, k: int, threshold: float) -> pa.Ta
 
 
 def ngram_jaccard_verify(docs_ds, pairs_ds, k_shingle: int = 5, threshold: float = 0.5,
-                         texts: dict[int, str] | None = None, plan: str = "auto",
                          num_partitions: int = 8):
     """Verify candidate pairs with EXACT n-gram Jaccard. Two plans,
     row-identical (tested):
 
-    - ``broadcast``: collect the texts of ONLY the docs that appear in a
+    - broadcast: collect the texts of ONLY the docs that appear in a
       candidate pair and broadcast once via ``ray.put`` — the fast path,
-      refused above :data:`VERIFY_BROADCAST_MAX_DOCS` candidates (a
-      driver/worker OOM at crawl-level duplication). Pass ``texts`` to
-      reuse an already-collected dict and skip the collection pass.
-    - ``distributed``: co-locate each pair with both texts via two
-      narrow hash joins (:func:`attach_pair_texts`) and score inside the
-      stream — nothing text-sized ever reaches the driver. The default
-      whenever the candidate set is over the cap (``plan="auto"``).
+      up to :data:`VERIFY_BROADCAST_MAX_DOCS` candidate docs (past it the
+      dict is a driver/worker OOM at crawl-level duplication).
+    - join-co-located, above the cap: pair each candidate with both
+      texts via two narrow hash joins (:func:`attach_pair_texts`) and
+      score inside the stream — nothing text-sized reaches the driver.
     """
-    import ray
-
-    if plan not in ("auto", "broadcast", "distributed"):
-        raise ValueError(f"unknown plan {plan!r}; expected auto|broadcast|distributed")
-    if plan == "distributed":
+    pair_rows = pairs_ds.select_columns(["doc_a", "doc_b"]).take_all()
+    cand = {d for r in pair_rows for d in (r["doc_a"], r["doc_b"])}
+    if len(cand) > VERIFY_BROADCAST_MAX_DOCS:
         return attach_pair_texts(docs_ds, pairs_ds, num_partitions).map_batches(
             _verify_distributed_task,
             fn_kwargs={"k": k_shingle, "threshold": threshold},
             batch_format="pyarrow",
         )
-    if texts is None:
-        pair_rows = pairs_ds.select_columns(["doc_a", "doc_b"]).take_all()
-        cand = {d for r in pair_rows for d in (r["doc_a"], r["doc_b"])}
-        if len(cand) > VERIFY_BROADCAST_MAX_DOCS:
-            if plan == "broadcast":
-                raise ValueError(
-                    f"ngram_jaccard_verify: {len(cand)} candidate docs exceed "
-                    f"VERIFY_BROADCAST_MAX_DOCS={VERIFY_BROADCAST_MAX_DOCS}; "
-                    "use plan='distributed' (join-co-located texts)")
-            return ngram_jaccard_verify(docs_ds, pairs_ds, k_shingle=k_shingle,
-                                        threshold=threshold, plan="distributed",
-                                        num_partitions=num_partitions)
-        texts = collect_texts_for_ids(docs_ds, cand)
+    return _verify_broadcast(pairs_ds, collect_texts_for_ids(docs_ds, cand),
+                             k_shingle, threshold)
+
+
+def _verify_broadcast(pairs_ds, texts: dict[int, str], k: int, threshold: float):
+    """Exact-Jaccard verify against the candidate texts broadcast once."""
+    import ray
+
     ref = ray.put(texts)
     return pairs_ds.map_batches(
-        _verify_task, fn_kwargs={"ref": ref, "k": k_shingle, "threshold": threshold},
+        _verify_task, fn_kwargs={"ref": ref, "k": k, "threshold": threshold},
         batch_format="pyarrow",
     )
 

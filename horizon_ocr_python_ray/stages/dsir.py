@@ -50,25 +50,24 @@ def _md5_low64(s: str) -> int:
     return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[8:], "little")
 
 
-class _BucketCache:
-    """Worker-global token→bucket memo (vocab ≪ corpus)."""
-
-    def __init__(self) -> None:
-        self._m: dict[str, int] = {}
-
-    def bucket(self, term: str) -> int:
-        b = self._m.get(term)
-        if b is None:
-            b = _md5_low64(term) % N_BUCKETS
-            self._m[term] = b
-        return b
+#: Worker-process token → bucket memo (vocab ≪ corpus). Cleared when
+#: full, like ``cms._CELL_CACHE``, so a worker heap stays flat.
+_BUCKET_CACHE: dict[str, int] = {}
+_BUCKET_CACHE_MAX = 2_000_000
 
 
-_CACHE = _BucketCache()
+def _bucket(term: str) -> int:
+    b = _BUCKET_CACHE.get(term)
+    if b is None:
+        b = _md5_low64(term) % N_BUCKETS
+        if len(_BUCKET_CACHE) >= _BUCKET_CACHE_MAX:
+            _BUCKET_CACHE.clear()
+        _BUCKET_CACHE[term] = b
+    return b
 
 
 def _doc_buckets(text: str) -> list[int]:
-    return [_CACHE.bucket(t) for t in (text or "").lower().split()]
+    return [_bucket(t) for t in (text or "").lower().split()]
 
 
 def _hist_partial(batch: pa.Table, target_lang: str) -> pa.Table:

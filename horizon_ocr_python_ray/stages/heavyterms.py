@@ -1,31 +1,16 @@
-"""Corpus-level heavy hitters: the exact global top-k terms by total
-occurrence count, with a sketch-first scale plan.
+"""Corpus-level heavy hitters: the exact global top-k terms (and
+adjacent-token bigrams) by total occurrence count.
 
 The curation primitive behind stopword discovery, boilerplate-phrase
-mining and vocabulary pruning over a web corpus. Two plans, tested
-byte-equal:
-
-- ``plan="shuffle"`` (default): batch-local term-count COMBINER (one
-  ``(term, partial_n)`` row per distinct term per batch — the shuffle
-  carries the reduced vocabulary, never token occurrences) →
-  ``groupby(term).sum`` → per-block partial top-k → tiny driver merge.
-  Exact, one narrow shuffle; the cost driver at 100 TB is vocabulary
-  cardinality crossing the exchange.
-
-- ``plan="sketch"``: two passes that never shuffle the vocabulary.
-  Pass 1 summarizes each batch with a Misra–Gries sketch (capacity
-  ``m``); the driver folds the per-batch summaries (summary merge =
-  counter add, then decrement-all by the (m+1)-largest and drop ≤0 —
-  the standard MG merge, preserving the ``err ≤ N_tokens/m``
-  undercount bound). Every term with true count > N/m survives the
-  fold, so for skewed (Zipf) term distributions the true top-k is in
-  the candidate set whenever ``m`` is comfortably above N/count(k-th).
-  Pass 2 re-reads the docs counting ONLY the broadcast candidate set
-  (a few thousand strings via ``ray.put``) — batch-local partials, no
-  groupby — and the driver folds exact counts. The result is exact
-  whenever the candidate set covers the true top-k (asserted against
-  the shuffle plan in tests); the plan trades one extra read for
-  removing the vocabulary-wide exchange entirely.
+mining and vocabulary pruning over a web corpus. One plan shape:
+a batch-local term-count COMBINER (one ``(term, partial_n)`` row per
+distinct term per batch — token occurrences never leave the task) whose
+partials fold on the DRIVER while the distinct vocabulary stays within
+:data:`FOLD_VOCAB_MAX`; past it the same partials go through one narrow
+``groupby(term).sum`` shuffle with a per-block partial top-k and a tiny
+driver merge. Both give the identical table (tested by lowering the
+cap); a true web-scale vocabulary belongs in the hash exchange, not
+driver memory.
 
 Ranking key is integer-exact ``(n DESC, term ASC)`` — no floats in the
 compare surface (same convention as ``stages/topterms.py``).
@@ -38,10 +23,9 @@ from collections import Counter
 import pyarrow as pa
 from ..functions.collect import collect_tables, iter_tables
 
-#: Misra–Gries capacity: undercount error ≤ total_tokens / MG_CAPACITY.
-MG_CAPACITY_DEFAULT = 8192
-#: Candidates forwarded to the exact pass — a safety multiple of k.
-CANDIDATE_MULTIPLE = 8
+#: Distinct-term bound of the driver fold; above it the partials go
+#: through the ``groupby(term).sum`` shuffle instead.
+FOLD_VOCAB_MAX = 5_000_000
 
 
 def _batch_term_counts(batch: pa.Table) -> Counter:
@@ -65,131 +49,55 @@ def _partial_tf(batch: pa.Table) -> pa.Table:
     )
 
 
-def _local_topk(t: pa.Table, k: int, n_col: str) -> pa.Table:
+def _local_topk(t: pa.Table, k: int) -> pa.Table:
     """Block-local partial top-k on (n DESC, term ASC) — top-k is
     distributive, so the driver merge sees ≤ k rows per block."""
     import pyarrow.compute as pc
 
-    order = pc.sort_indices(t, sort_keys=[(n_col, "descending"),
+    order = pc.sort_indices(t, sort_keys=[("n", "descending"),
                                           ("term", "ascending")])
     return t.take(order[:k])
 
 
-def _finish_topk(parts: list[pa.Table], k: int, n_col: str) -> pa.Table:
-    import pyarrow.compute as pc
-
-    schema = pa.schema([("term", pa.string()), (n_col, pa.int64())])
+def _finish_topk(parts: list[pa.Table], k: int) -> pa.Table:
+    schema = pa.schema([("term", pa.string()), ("n", pa.int64())])
     # 0-row blocks out of an aggregate may carry a null-typed schema.
-    parts = [p.select(["term", n_col]).cast(schema)
+    parts = [p.select(["term", "n"]).cast(schema)
              for p in parts if p.num_rows]
     merged = pa.concat_tables(parts) if parts else schema.empty_table()
-    out = _local_topk(merged, k, n_col)
-    if n_col != "n":
-        out = out.rename_columns(["term", "n"])
+    out = _local_topk(merged, k)
     return out.append_column(
         "rank", pa.array(range(1, out.num_rows + 1), pa.int64()))
 
 
-def _mg_fold(summary: Counter, counts: Counter, m: int) -> Counter:
-    """Merge a batch summary into the running Misra–Gries summary."""
-    summary.update(counts)
-    if len(summary) > m:
-        cut = sorted(summary.values(), reverse=True)[m]
-        summary = Counter({t: c - cut for t, c in summary.items() if c > cut})
-    return summary
+def _top_k(docs_ds, k: int, partial_fn) -> pa.Table:
+    """Exact top-``k`` (term, n, rank) from the ``partial_fn`` combiner:
+    fold the partials on the DRIVER (each is one row per distinct term
+    per batch — the same tables a reducer would hold; skipping the
+    distributed ``groupby(term)`` removes a sort-shuffle round trip, the
+    ``topterms.build_df_table`` result) while the vocabulary fits
+    :data:`FOLD_VOCAB_MAX`, else shuffle."""
+    from ray.data.aggregate import Sum
+
+    partials = docs_ds.map_batches(partial_fn, batch_format="pyarrow")
+    folded: Counter = Counter()
+    for t in iter_tables(partials):
+        folded.update(dict(zip(t.column("term").to_pylist(),
+                               t.column("partial_n").to_pylist())))
+        if len(folded) > FOLD_VOCAB_MAX:
+            totals = partials.groupby("term").aggregate(
+                Sum("partial_n", alias_name="n"))
+            return _finish_topk(collect_tables(totals.map_batches(
+                lambda b: _local_topk(b, k), batch_format="pyarrow")), k)
+    terms = sorted(folded)
+    tbl = pa.table({"term": pa.array(terms, pa.string()),
+                    "n": pa.array([folded[t] for t in terms], pa.int64())})
+    return _finish_topk([tbl], k)
 
 
-def _mg_summary_batch(batch: pa.Table, m: int) -> pa.Table:
-    counts = _batch_term_counts(batch)
-    if len(counts) > m:
-        cut = sorted(counts.values(), reverse=True)[m]
-        counts = Counter({t: c - cut for t, c in counts.items() if c > cut})
-    terms = sorted(counts)
-    return pa.Table.from_arrays(
-        [pa.array(terms, pa.string()),
-         pa.array([counts[t] for t in terms], pa.int64())],
-        names=["term", "mg_n"],
-    )
-
-
-def corpus_top_terms(docs_ds, k: int = 50, plan: str = "auto",
-                     mg_capacity: int = MG_CAPACITY_DEFAULT,
-                     fold_vocab_max: int = 5_000_000):
-    """documents(text) → exact top-``k`` (term, n, rank) Arrow table.
-
-    ``plan="auto"``: fold the combiner partials on the DRIVER (each is
-    one row per distinct term per batch — the same tables a reducer
-    would hold; skipping the distributed ``groupby(term)`` removes a
-    sort-shuffle round trip, the ``topterms.build_df_table`` result).
-    Guarded by ``fold_vocab_max``: past it, fall through to the shuffle
-    plan — a true web-scale vocabulary belongs in a hash exchange, not
-    driver memory."""
-    if plan == "auto":
-        import ray
-
-        folded: Counter = Counter()
-        for t in iter_tables(docs_ds.map_batches(
-                _partial_tf, batch_format="pyarrow")):
-            folded.update(dict(zip(t.column("term").to_pylist(),
-                                   t.column("partial_n").to_pylist())))
-            if len(folded) > fold_vocab_max:
-                return corpus_top_terms(docs_ds, k, "shuffle", mg_capacity)
-        terms = sorted(folded)
-        tbl = pa.table({"term": pa.array(terms, pa.string()),
-                        "n": pa.array([folded[t] for t in terms], pa.int64())})
-        return _finish_topk([tbl], k, "n")
-    if plan == "shuffle":
-        from ray.data.aggregate import Sum
-
-        totals = (docs_ds.map_batches(_partial_tf, batch_format="pyarrow")
-                  .groupby("term").aggregate(Sum("partial_n", alias_name="n")))
-        return _finish_topk(collect_tables(totals.map_batches(
-            lambda t: _local_topk(t, k, "n"), batch_format="pyarrow")), k, "n")
-    if plan != "sketch":
-        raise ValueError(f"unknown plan: {plan!r}")
-
-    import ray
-
-    # Pass 1: per-batch MG summaries, folded on the driver (each summary
-    # is ≤ mg_capacity rows — driver memory is O(mg_capacity)).
-    summary: Counter = Counter()
-    for t in iter_tables(docs_ds.map_batches(
-            lambda t: _mg_summary_batch(t, mg_capacity),
-            batch_format="pyarrow")):
-        summary = _mg_fold(
-            summary,
-            Counter(dict(zip(t.column("term").to_pylist(),
-                             t.column("mg_n").to_pylist()))),
-            mg_capacity)
-    candidates = frozenset(
-        t for t, _ in summary.most_common(CANDIDATE_MULTIPLE * k))
-    cand_ref = ray.put(candidates)
-
-    # Pass 2: exact counts of the candidate set only — no vocabulary
-    # shuffle, partials folded on the driver (≤ |candidates| rows each).
-    def count_candidates(batch: pa.Table) -> pa.Table:
-        cand = ray.get(cand_ref)
-        counts = Counter({t: c for t, c in _batch_term_counts(batch).items()
-                          if t in cand})
-        terms = sorted(counts)
-        return pa.Table.from_arrays(
-            [pa.array(terms, pa.string()),
-             pa.array([counts[t] for t in terms], pa.int64())],
-            names=["term", "partial_n"],
-        )
-
-    exact: Counter = Counter()
-    for t in iter_tables(docs_ds.map_batches(
-            count_candidates, batch_format="pyarrow")):
-        exact.update(dict(zip(t.column("term").to_pylist(),
-                              t.column("partial_n").to_pylist())))
-    terms = sorted(exact)
-    folded = pa.Table.from_arrays(
-        [pa.array(terms, pa.string()),
-         pa.array([exact[t] for t in terms], pa.int64())],
-        names=["term", "n"],
-    )
-    return _finish_topk([folded], k, "n")
+def corpus_top_terms(docs_ds, k: int = 50):
+    """documents(text) → exact top-``k`` (term, n, rank) Arrow table."""
+    return _top_k(docs_ds, k, _partial_tf)
 
 
 # -- bigrams ------------------------------------------------------------------
@@ -224,34 +132,10 @@ def _partial_bigram_tf(batch: pa.Table) -> pa.Table:
     )
 
 
-def corpus_top_bigrams(docs_ds, k: int = 50, plan: str = "auto",
-                       fold_vocab_max: int = 5_000_000):
+def corpus_top_bigrams(docs_ds, k: int = 50):
     """documents(text) → exact top-``k`` adjacent-token bigrams
     (term = "a b", n, rank) — boilerplate-phrase mining / n-gram LM
-    statistics; identical plan structure to :func:`corpus_top_terms`
-    (combiner partials → driver fold below ``fold_vocab_max``, narrow
-    ``groupby(term).sum`` shuffle above it) with the bigram vocabulary's
-    larger cardinality being exactly why the guard exists."""
-    if plan == "auto":
-        import ray
-
-        folded: Counter = Counter()
-        for t in iter_tables(docs_ds.map_batches(
-                _partial_bigram_tf, batch_format="pyarrow")):
-            folded.update(dict(zip(t.column("term").to_pylist(),
-                                   t.column("partial_n").to_pylist())))
-            if len(folded) > fold_vocab_max:
-                return corpus_top_bigrams(docs_ds, k, "shuffle")
-        terms = sorted(folded)
-        tbl = pa.table({"term": pa.array(terms, pa.string()),
-                        "n": pa.array([folded[t] for t in terms], pa.int64())})
-        return _finish_topk([tbl], k, "n")
-    if plan != "shuffle":
-        raise ValueError(f"unknown plan: {plan!r}")
-    import ray
-    from ray.data.aggregate import Sum
-
-    totals = (docs_ds.map_batches(_partial_bigram_tf, batch_format="pyarrow")
-              .groupby("term").aggregate(Sum("partial_n", alias_name="n")))
-    return _finish_topk(collect_tables(totals.map_batches(
-        lambda t: _local_topk(t, k, "n"), batch_format="pyarrow")), k, "n")
+    statistics; the :func:`corpus_top_terms` plan, with the bigram
+    vocabulary's larger cardinality being exactly why the fold cap
+    exists."""
+    return _top_k(docs_ds, k, _partial_bigram_tf)

@@ -34,13 +34,16 @@ path; text never shuffles):
 4. candidates: per-bucket self-merge on prefix grams (the
    winnow_shared_pairs shape); CROSS-bucket pair dedup happens on the
    driver fold the verify step already pays (np.unique on two int64
-   columns) — a fourth exchange only runs on the capped / explicitly
-   distributed plans.
+   columns) — a fourth exchange only runs past the
+   :data:`PAIR_COLLECT_MAX_ROWS` collect cap.
 5. verify: exact inter/union over the full md5-gram sets — candidate
    texts broadcast once via ``ray.put`` under the
    ``dedup_docs.VERIFY_BROADCAST_MAX_DOCS`` cap, else the distributed
    ``attach_pair_texts`` hash-join plan (nothing text-sized reaches
    the driver).
+
+Each plan choice compares a measured size with its module cap; tests
+reach the scale paths by lowering the cap.
 
 Skew: a gram hot in PREFIXES is by construction rare (df-ascending
 order puts common grams at the tail, past the prefix cut), so the
@@ -67,28 +70,19 @@ import pyarrow as pa
 
 from ..functions.gramvec import _gram_windows
 from ..functions.minhash import md5_gram_hashes
+from ..state.worker import worker_state
 from .hashagg import grouped_aggregate, grouped_reduce
 
 _SIGN = np.uint64(1 << 63)
 
-#: ``verify_plan="auto"`` collects candidate pairs to the driver only up
-#: to this many rows (4 int64 columns → ~64 MB at the cap). The prefix
-#: filter bounds candidate generation PER GRAM, not the corpus total — a
+#: Verify collects candidate pairs to the driver only up to this many
+#: rows (4 int64 columns → ~64 MB at the cap). The prefix filter bounds
+#: candidate generation PER GRAM, not the corpus total — a
 #: duplicate-heavy corpus yields O(dup-pairs) candidates — so the fold
 #: streams block-by-block with a running count and falls through to the
 #: distributed ``attach_pair_texts`` verify the moment the cap trips
 #: (the lmscore ``train_bigram_model`` idiom).
 PAIR_COLLECT_MAX_ROWS = 2_000_000
-
-#: The df ≥ 2 gram map (the only grams that can ever be join keys)
-#: broadcasts when it fits — two int64 columns, ~64 MB at the cap —
-#: replacing the full-gram-table doc_id exchange with an in-batch rank
-#: (gram rows are doc-complete by construction). Above the cap (a
-#: duplicate- or boilerplate-heavy corpus, where shared grams ARE
-#: corpus-sized) the plan falls back to the 3-exchange bucketed path —
-#: the same broadcast-under-cap / exchange-above-it duality as
-#: lmscore's model plans.
-DF_BROADCAST_MAX_GRAMS = 4_000_000
 
 _PAIR_SCHEMA = {
     "doc_a": pa.int64(),
@@ -139,121 +133,16 @@ def _prefix_len(n: np.ndarray, thr_num: int, thr_den: int) -> np.ndarray:
     return n - (n * thr_num + thr_den - 1) // thr_den + 1
 
 
-def _prefix_rows_broadcast(batch: pa.Table, k: int, thr_num: int,
-                           thr_den: int, df_ref) -> pa.Table:
-    """(doc_id, text) batch → prefix (doc_id, sh) rows with the df map
-    read from the broadcast ref — the zero-exchange twin of the
-    df_bucket → prefix_bucket pair: gram rows of a doc are complete
-    within the batch, so the (df asc, hash asc) rank is a local lexsort;
-    grams absent from the broadcast have df == 1 by construction and
-    are dropped after ranking exactly like the bucketed plan."""
-    import ray
-
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      "sh": pa.array([], pa.int64())})
-    win = _gram_windows(batch.column("text"), k)
-    if win is None:
-        return empty
-    sh_sorted, df_vals = ray.get(df_ref)  # zero-copy plasma views
-    ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(
-        np.int64)
-    doc_idx, _intra, grams = win
-    hs = md5_gram_hashes(grams)
-    order = np.lexsort((hs, doc_idx))
-    d = doc_idx[order]
-    h = hs[order]
-    keep = np.r_[True, (d[1:] != d[:-1]) | (h[1:] != h[:-1])]
-    d = d[keep]
-    s = (h[keep] ^ _SIGN).view(np.int64)
-    n_per_doc = np.bincount(d, minlength=len(ids)).astype(np.int64)
-    if len(sh_sorted):
-        pos = np.minimum(np.searchsorted(sh_sorted, s), len(sh_sorted) - 1)
-        df = np.where(sh_sorted[pos] == s, df_vals[pos], np.int64(1))
-    else:
-        df = np.ones(len(s), np.int64)
-    o = np.lexsort((s, df, d))
-    d2, s2, df2 = d[o], s[o], df[o]
-    new_seg = np.r_[False, d2[1:] != d2[:-1]]
-    seg = np.cumsum(new_seg)
-    starts = np.r_[0, np.flatnonzero(new_seg)]
-    rank = np.arange(len(d2), dtype=np.int64) - starts[seg]
-    lp = _prefix_len(n_per_doc[d2], thr_num, thr_den)
-    out = (rank < lp) & (df2 > 1)
-    return pa.table({"doc_id": pa.array(ids[d2[out]], pa.int64()),
-                     "sh": pa.array(s2[out], pa.int64())})
-
-
 def jaccard_near_dup_pairs(docs_ds, k_shingle: int = 5,
                            thr_num: int = 1, thr_den: int = 2,
-                           num_buckets: int = 64,
-                           verify_plan: str = "auto",
-                           df_plan: str = "exchange"):
+                           num_buckets: int = 64):
     """documents (doc_id, text) → (doc_a, doc_b, n_inter, n_union):
     every doc_a < doc_b pair whose distinct k-gram sets satisfy
     ``thr_den·inter ≥ thr_num·union`` (Jaccard ≥ thr_num/thr_den),
-    with the exact integer intersection/union sizes as evidence.
-
-    ``df_plan`` picks how gram document frequencies reach the ranker:
-
-    - "exchange" (default): the fully-bucketed 3-exchange plan —
-      correct at any duplicate rate, one streaming job, and FASTER on
-      a single node (the broadcast plan pays a second job barrier +
-      a second gram explode, which dominates below cluster scale).
-    - "auto"/"broadcast": shuffle-minimizing lever for wide clusters —
-      fold df ≥ 2 grams (the only possible join keys) into a capped
-      broadcast and rank in-batch (gram rows are doc-complete), so
-      only TWO exchanges remain, one of them the tiny df aggregate.
-      "auto" falls back to the bucketed plan past
-      ``DF_BROADCAST_MAX_GRAMS``; "broadcast" refuses loudly there.
-      Output is plan-identical (tested)."""
-    if df_plan not in ("auto", "broadcast", "exchange"):
-        raise ValueError(
-            f"unknown df_plan {df_plan!r}; expected auto|broadcast|exchange")
+    with the exact integer intersection/union sizes as evidence."""
     rows = docs_ds.map_batches(
         functools.partial(_distinct_gram_hash_rows, k=k_shingle),
         batch_format="pyarrow")
-
-    prefixes = None
-    if df_plan != "exchange":
-        import pyarrow.compute as pc
-
-        import ray
-        import ray.data
-
-        from ..functions.collect import iter_tables
-
-        df2 = grouped_aggregate(
-            rows, "sh", [("sh", "count", "df")],
-            num_buckets=num_buckets).map_batches(
-            lambda t: t.filter(pc.greater(t.column("df"), 1)),
-            batch_format="pyarrow")
-        parts, n, capped = [], 0, False
-        for t in iter_tables(df2):
-            n += t.num_rows
-            if n > DF_BROADCAST_MAX_GRAMS:
-                capped = True
-                break
-            parts.append(t)
-        if capped and df_plan == "broadcast":
-            raise ValueError(
-                f"jaccard df map: shared grams exceed "
-                f"DF_BROADCAST_MAX_GRAMS={DF_BROADCAST_MAX_GRAMS}; "
-                "use df_plan='exchange'")
-        if not capped:
-            if not parts:  # no gram shared by ≥2 docs → no pairs at all
-                return ray.data.from_arrow(pa.table(
-                    {kk: pa.array([], t)
-                     for kk, t in _PAIR_SCHEMA.items()}))
-            cat = pa.concat_tables(parts)
-            sh = cat.column("sh").to_numpy()
-            dfv = cat.column("df").to_numpy().astype(np.int64)
-            o = np.argsort(sh)
-            df_ref = ray.put((sh[o], dfv[o]))
-            prefixes = docs_ds.map_batches(
-                functools.partial(_prefix_rows_broadcast, k=k_shingle,
-                                  thr_num=thr_num, thr_den=thr_den,
-                                  df_ref=df_ref),
-                batch_format="pyarrow")
 
     def df_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # the exchange co-locates EVERY row of a gram hash in one
@@ -275,13 +164,11 @@ def jaccard_near_dup_pairs(docs_ds, k_shingle: int = 5,
         return g.loc[(rank < lp) & (g["df"].to_numpy() > 1),
                      ["doc_id", "sh"]]
 
-    if prefixes is None:  # bucketed fallback: df in-bucket, rank in-bucket
-        joined = grouped_reduce(rows, "sh", df_bucket,
-                                num_buckets=num_buckets,
-                                batch_format="pandas")
-        prefixes = grouped_reduce(joined, "doc_id", prefix_bucket,
-                                  num_buckets=num_buckets,
-                                  batch_format="pandas")
+    # df in-bucket, then rank in-bucket
+    joined = grouped_reduce(rows, "sh", df_bucket, num_buckets=num_buckets,
+                            batch_format="pandas")
+    prefixes = grouped_reduce(joined, "doc_id", prefix_bucket,
+                              num_buckets=num_buckets, batch_format="pandas")
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         m = g.merge(g, on="sh")
@@ -293,14 +180,13 @@ def jaccard_near_dup_pairs(docs_ds, k_shingle: int = 5,
     # pairs are deduped per sh-bucket here; the CROSS-bucket dedup (a
     # pair can share prefix grams in several buckets) happens in
     # _verify_pairs — driver-side np.unique on the collected fold (no
-    # fourth exchange), or a grouped_aggregate only when the capped /
-    # distributed plan runs
+    # fourth exchange), or a grouped_aggregate only when the collect cap
+    # trips
     cand_partial = grouped_reduce(prefixes, "sh", pairs_bucket,
                                   num_buckets=num_buckets,
                                   batch_format="pandas")
     return _verify_pairs(docs_ds, cand_partial, k_shingle, thr_num,
-                         thr_den, plan=verify_plan,
-                         num_buckets=num_buckets)
+                         thr_den, num_buckets=num_buckets)
 
 
 def _score_pairs(doc_a, doc_b, sets,  # any int → ndarray mapping
@@ -322,27 +208,20 @@ def _score_pairs(doc_a, doc_b, sets,  # any int → ndarray mapping
                      "n_union": pa.array(unions, pa.int64())})
 
 
-#: Worker-global (broadcast-ref hex, doc_id) → shingle-set memo: sets
-#: are built LAZILY for the docs a batch actually references and reused
-#: across batches, so B batches over C candidate docs cost C set
-#: constructions, not B × C.
-_VERIFY_SET_CACHE: dict[tuple[str, int], np.ndarray] = {}
-
-
 class _LazySets:
-    def __init__(self, texts: dict[int, str], key: str, k: int):
+    """doc_id → md5 gram set, built LAZILY for the docs a batch actually
+    references and kept in ``cache`` across batches, so B batches over C
+    candidate docs cost C set constructions, not B × C."""
+
+    def __init__(self, texts: dict[int, str], cache: dict, k: int):
         self._texts = texts
-        self._key = key
+        self._cache = cache
         self._k = k
 
     def __getitem__(self, d: int) -> np.ndarray:
-        kk = (self._key, d)
-        s = _VERIFY_SET_CACHE.get(kk)
+        s = self._cache.get(d)
         if s is None:
-            if len(_VERIFY_SET_CACHE) > 1_000_000:
-                _VERIFY_SET_CACHE.clear()
-            s = _md5_shingle_set(self._texts.get(d, ""), self._k)
-            _VERIFY_SET_CACHE[kk] = s
+            s = self._cache[d] = _md5_shingle_set(self._texts.get(d, ""), self._k)
         return s
 
 
@@ -350,8 +229,10 @@ def _verify_broadcast_task(t: pa.Table, ref, k: int, thr_num: int,
                            thr_den: int) -> pa.Table:
     import ray
 
-    texts = ray.get(ref)
-    sets = _LazySets(texts, ref.hex(), k)
+    # one sweep's sets per worker: the slot drops them when the next
+    # sweep broadcasts a new ref
+    cache = worker_state("jaccard_verify_sets", ref.hex(), dict)
+    sets = _LazySets(ray.get(ref), cache, k)
     return _score_pairs(t.column("doc_a").to_pylist(),
                         t.column("doc_b").to_pylist(),
                         sets, thr_num, thr_den)
@@ -380,9 +261,8 @@ def _verify_distributed_task(t: pa.Table, k: int, thr_num: int,
 
 
 def _dedup_pairs_exchange(pairs_ds, num_buckets: int):
-    """Cross-bucket pair dedup as one narrow exchange — only the capped
-    / explicitly-distributed plans pay it; the collected plan dedups on
-    the driver instead."""
+    """Cross-bucket pair dedup as one narrow exchange — only paid past
+    the collect cap; the collected plan dedups on the driver instead."""
     return grouped_aggregate(
         pairs_ds, ["doc_a", "doc_b"], [("doc_a", "count", "_c")],
         num_buckets=num_buckets, bucket_on="doc_a").map_batches(
@@ -390,81 +270,60 @@ def _dedup_pairs_exchange(pairs_ds, num_buckets: int):
 
 
 def _verify_pairs(docs_ds, pairs_ds, k: int, thr_num: int, thr_den: int,
-                  plan: str = "auto", num_buckets: int = 64):
+                  num_buckets: int = 64):
     """Exact inter/union verify — the ngram_jaccard_verify duality
     (broadcast under the cap, hash-join co-location above it) over md5
     gram sets. ``pairs_ds`` may contain cross-bucket duplicate rows;
     every exit path dedups them exactly once."""
     import ray
+    import ray.data
 
+    from ..functions.collect import iter_tables
     from .dedup_docs import (
         VERIFY_BROADCAST_MAX_DOCS,
         attach_pair_texts,
         collect_texts_for_ids,
     )
 
-    if plan not in ("auto", "broadcast", "distributed"):
-        raise ValueError(
-            f"unknown plan {plan!r}; expected auto|broadcast|distributed")
-    if plan == "distributed":
+    # The driver fold both reads the candidate ids AND feeds the verify
+    # map (on either plan below), so the 3-exchange candidate plan
+    # executes exactly once on the happy path. The prefix filter bounds
+    # candidates per GRAM, not per corpus, so the collect streams
+    # block-by-block under a running row cap; past the cap the partial
+    # tables are abandoned and verification falls through to the
+    # distributed hash-join plan (which re-runs the candidate exchanges
+    # once, but nothing candidate-sized ever sits on the driver).
+    tabs, rows, capped = [], 0, False
+    for t in iter_tables(pairs_ds):
+        rows += t.num_rows
+        if rows > PAIR_COLLECT_MAX_ROWS:
+            capped = True
+            break
+        tabs.append(t)
+    if capped:
         pairs_src = _dedup_pairs_exchange(pairs_ds, num_buckets)
+    elif not tabs:
+        return ray.data.from_arrow(pa.table(
+            {kk: pa.array([], t) for kk, t in _PAIR_SCHEMA.items()}))
     else:
-        import ray.data
-
-        from ..functions.collect import iter_tables
-
-        # The driver fold both reads the candidate ids AND feeds the
-        # verify map (on either plan below), so the 3-exchange candidate
-        # plan executes exactly once on the happy path. The prefix
-        # filter bounds candidates per GRAM, not per corpus, so the
-        # collect streams block-by-block under a running row cap; past
-        # the cap the partial tables are abandoned and verification
-        # falls through to the distributed hash-join plan (which
-        # re-runs the candidate exchanges once, but nothing
-        # candidate-sized ever sits on the driver).
-        tabs, rows, capped = [], 0, False
-        for t in iter_tables(pairs_ds):
-            rows += t.num_rows
-            if rows > PAIR_COLLECT_MAX_ROWS:
-                capped = True
-                break
-            tabs.append(t)
-        if capped:
-            if plan == "broadcast":
-                raise ValueError(
-                    f"jaccard verify: candidate pairs exceed "
-                    f"PAIR_COLLECT_MAX_ROWS={PAIR_COLLECT_MAX_ROWS}; "
-                    "use verify_plan='distributed'")
-            pairs_src = _dedup_pairs_exchange(pairs_ds, num_buckets)
-        elif not tabs:
-            return ray.data.from_arrow(pa.table(
-                {kk: pa.array([], t) for kk, t in _PAIR_SCHEMA.items()}))
-        else:
-            # driver-side cross-bucket dedup — removes the fourth
-            # exchange on the common (collected) plan
-            cat = pa.concat_tables(tabs)
-            ab = np.stack([cat.column("doc_a").to_numpy(),
-                           cat.column("doc_b").to_numpy()], axis=1)
-            ab = np.unique(ab, axis=0)
-            pairs_tab = pa.table({"doc_a": pa.array(ab[:, 0], pa.int64()),
-                                  "doc_b": pa.array(ab[:, 1], pa.int64())})
-            pairs_src = ray.data.from_arrow(pairs_tab)
-        if not capped:
-            cand = set(pairs_tab.column("doc_a").to_pylist())
-            cand.update(pairs_tab.column("doc_b").to_pylist())
-        if not capped and len(cand) <= VERIFY_BROADCAST_MAX_DOCS:
-            texts = collect_texts_for_ids(docs_ds, cand)
-            ref = ray.put(texts)
+        # driver-side cross-bucket dedup — removes the fourth exchange
+        # on the common (collected) plan
+        cat = pa.concat_tables(tabs)
+        ab = np.stack([cat.column("doc_a").to_numpy(),
+                       cat.column("doc_b").to_numpy()], axis=1)
+        ab = np.unique(ab, axis=0)
+        pairs_tab = pa.table({"doc_a": pa.array(ab[:, 0], pa.int64()),
+                              "doc_b": pa.array(ab[:, 1], pa.int64())})
+        pairs_src = ray.data.from_arrow(pairs_tab)
+        cand = set(pairs_tab.column("doc_a").to_pylist())
+        cand.update(pairs_tab.column("doc_b").to_pylist())
+        if len(cand) <= VERIFY_BROADCAST_MAX_DOCS:
+            ref = ray.put(collect_texts_for_ids(docs_ds, cand))
             return pairs_src.map_batches(
                 _verify_broadcast_task,
                 fn_kwargs={"ref": ref, "k": k, "thr_num": thr_num,
                            "thr_den": thr_den},
                 batch_format="pyarrow")
-        if plan == "broadcast":
-            raise ValueError(
-                f"jaccard verify: {len(cand)} candidate docs exceed "
-                f"VERIFY_BROADCAST_MAX_DOCS={VERIFY_BROADCAST_MAX_DOCS}; "
-                "use verify_plan='distributed'")
     return attach_pair_texts(docs_ds, pairs_src).map_batches(
         _verify_distributed_task,
         fn_kwargs={"k": k, "thr_num": thr_num, "thr_den": thr_den},

@@ -11,14 +11,18 @@ Scale shape (100 TB):
 - The DROP-SET (lines with df ≥ K) is small by construction — every
   member needs K distinct documents, so |drop| ≤ total_lines / K, and
   in practice boilerplate is a tiny vocabulary. It is folded to the
-  driver behind a hard cap (no silent fallback) and broadcast once via
-  ``ray.put``, deserialized once per worker process (``worker_state``).
+  driver as exact strings up to :data:`DROP_SET_MAX` lines, past that
+  as sorted 64-bit line hashes (:func:`boilerplate_hashes_ref`, hard
+  cap :data:`DROP_HASH_MAX`), and broadcast once via ``ray.put``,
+  deserialized once per worker process (``worker_state``).
 - Pass 2 re-streams the documents and filters lines locally — no
   second shuffle; output is one narrow row per document.
 
 Lines cross the shuffle as STRINGS (not 64-bit hashes): a hash
 collision would silently drop an innocent line, and the compare
-contract is exact string semantics mirrored in the DuckDB oracle.
+contract is exact string semantics mirrored in the DuckDB oracle. The
+hash representation only runs where the string set is too big to
+broadcast.
 """
 
 from __future__ import annotations
@@ -34,10 +38,9 @@ from ..state.worker import worker_state
 #: distinct documents is boilerplate.
 DEFAULT_MIN_DF = 5
 
-#: Refuse to broadcast a drop-set of Python STRINGS larger than this —
-#: a 2M-line frozenset is ~100s of MB deserialized per worker process;
-#: anything bigger must use the hash64 representation (or K is far too
-#: low for the corpus).
+#: Largest drop-set broadcast as Python STRINGS — a 2M-line frozenset
+#: is ~100s of MB deserialized per worker process; a bigger one is
+#: broadcast in the hash64 representation instead.
 DROP_SET_MAX = 2_000_000
 
 #: Cap for the hash64 drop-set representation: a sorted uint64 numpy
@@ -61,9 +64,9 @@ def _partial_line_df(batch: pa.Table, text_col: str) -> pa.Table:
     )
 
 
-#: Distinct-line bound for the driver-fold DF plan (``plan="auto"``):
-#: above this the line vocabulary is folded through the distributed
-#: ``groupby(line)`` shuffle instead.
+#: Distinct-line bound for the driver-fold DF plan: above this the line
+#: vocabulary is folded through the distributed ``groupby(line)``
+#: shuffle instead.
 DRIVER_FOLD_LINE_MAX = 5_000_000
 
 
@@ -100,45 +103,37 @@ class _FoldOverflow(Exception):
 
 
 def boilerplate_lines_ref(docs_ds, min_df: int = DEFAULT_MIN_DF,
-                          text_col: str = "extracted_text",
-                          plan: str = "auto"):
-    """docs → ``ray.put`` handle of the frozenset of boilerplate lines
-    (df ≥ min_df).
+                          text_col: str = "extracted_text"):
+    """docs → ``ray.put`` handle of the boilerplate drop-set (df ≥
+    min_df): the frozenset of lines, or — past :data:`DROP_SET_MAX`
+    lines — the sorted hash64 array of :func:`boilerplate_hashes_ref`.
 
-    ``plan="auto"`` folds the combiner partials on the driver (no
-    shuffle) while the distinct-line vocabulary fits
-    :data:`DRIVER_FOLD_LINE_MAX`, else — or with ``plan="shuffle"`` —
-    runs the distributed ``groupby(line).sum`` and collects only the
-    filtered drop-set. Both plans produce the identical set (tested)."""
+    The line DF folds the combiner partials on the driver (no shuffle)
+    while the distinct-line vocabulary fits
+    :data:`DRIVER_FOLD_LINE_MAX`, else runs the distributed
+    ``groupby(line).sum`` and collects only the filtered drop-set. Both
+    produce the identical set (tested)."""
     import ray
 
     partials = docs_ds.map_batches(_partial_line_df, batch_format="pyarrow",
                                    fn_kwargs={"text_col": text_col})
-    drop: set[str] = set()
-    if plan == "auto":
-        try:
-            df_tbl = _line_df_table_driver_fold(partials)
-        except _FoldOverflow:
-            plan = "shuffle"
-        else:
-            mask = pa.compute.greater_equal(df_tbl.column("df"), min_df)
-            drop = set(df_tbl.filter(mask).column("line").to_pylist())
-    if plan == "shuffle":
+    try:
+        df_tbl = _line_df_table_driver_fold(partials)
+    except _FoldOverflow:
         from ray.data.aggregate import Sum
 
         df = partials.groupby("line").aggregate(Sum("partial_df", alias_name="df"))
-        drop = set()
+        drop: set[str] = set()
         for t in df.iter_batches(batch_format="pyarrow"):
             mask = pa.compute.greater_equal(t.column("df"), min_df)
             drop.update(t.filter(mask).column("line").to_pylist())
             if len(drop) > DROP_SET_MAX:
-                raise ValueError(
-                    f"boilerplate drop-set exceeds {DROP_SET_MAX}: "
-                    f"min_df={min_df} is too low for this corpus")
+                break
+    else:
+        mask = pa.compute.greater_equal(df_tbl.column("df"), min_df)
+        drop = set(df_tbl.filter(mask).column("line").to_pylist())
     if len(drop) > DROP_SET_MAX:
-        raise ValueError(
-            f"boilerplate drop-set exceeds {DROP_SET_MAX}: min_df={min_df} "
-            "is too low for this corpus; use drop_repr='hash64'")
+        return boilerplate_hashes_ref(docs_ds, min_df, text_col)
     return ray.put(frozenset(drop))
 
 
@@ -152,8 +147,8 @@ def boilerplate_hashes_ref(docs_ds, min_df: int = DEFAULT_MIN_DF,
     The drop decision becomes hash-based: with |drop| = 2·10⁷ and 64-bit
     hashes the chance ANY innocent corpus line collides into the set is
     ~|corpus|·|drop|/2⁶⁴ (≈ 1e-5 even at 10¹² lines) — documented,
-    non-exact; the string plan stays the exactness default under its
-    cap."""
+    non-exact; the string set stays the exact representation up to
+    :data:`DROP_SET_MAX`."""
     import numpy as np
     import ray
     from ray.data.aggregate import Sum
@@ -258,8 +253,7 @@ def _clean_batch(batch: pa.Table, drop_ref, text_col: str) -> pa.Table:
 
 
 def boilerplate_line_dedup(docs_ds, min_df: int = DEFAULT_MIN_DF,
-                           text_col: str = "extracted_text",
-                           plan: str = "auto", drop_repr: str = "strings"):
+                           text_col: str = "extracted_text"):
     """docs (url, text) → per-doc (url, n_kept, n_dropped, kept_md5)
     after removing every line present in ≥ min_df distinct documents.
 
@@ -267,18 +261,9 @@ def boilerplate_line_dedup(docs_ds, min_df: int = DEFAULT_MIN_DF,
     verifiable without shipping it; a production sink would emit the
     cleaned text column instead (same kernel, different projection).
     Documents whose text is empty are passed over (nothing to clean).
-
-    ``drop_repr``: ``"strings"`` (exact membership, the oracle-backed
-    default, capped at :data:`DROP_SET_MAX`) or ``"hash64"`` (sorted
-    uint64 array + vectorized ``searchsorted`` probe — 8 bytes/line,
-    :data:`DROP_HASH_MAX` cap, documented ~2⁻⁶⁴-per-comparison
-    collision odds; the 100-TB representation)."""
-    if drop_repr == "hash64":
-        ref = boilerplate_hashes_ref(docs_ds, min_df, text_col)
-    elif drop_repr == "strings":
-        ref = boilerplate_lines_ref(docs_ds, min_df, text_col, plan=plan)
-    else:
-        raise ValueError(f"unknown drop_repr {drop_repr!r}; "
-                         "expected strings|hash64")
+    The drop-set is exact strings up to :data:`DROP_SET_MAX` lines, else
+    hash64 (:func:`boilerplate_lines_ref`); both clean identically
+    (tested) bar a documented ~2⁻⁶⁴-per-comparison collision."""
+    ref = boilerplate_lines_ref(docs_ds, min_df, text_col)
     return docs_ds.map_batches(_clean_batch, batch_format="pyarrow",
                                fn_kwargs={"drop_ref": ref, "text_col": text_col})

@@ -24,14 +24,14 @@ SQL and order-independent across shards).
 Scale notes (10^12 pages → ~10^8 hosts): the edge harvest and the
 per-(src,dst) combiner stream; the iteration state is ONE row PER HOST
 — 4–5 orders of magnitude smaller than the page table.
-``plan="broadcast"`` folds the distinct edge list to the driver (test
-scale / small graphs, hard-capped). ``plan="partitioned"`` keeps edges
-distributed and per iteration broadcasts only the rank vector (two
-int64/object arrays) into a ``map_batches`` contribution pass followed
-by one ``groupby(dst_host).sum`` — the rank vector is the natural
-broadcast side long before edges are. Past ~10^8 hosts the same loop
-runs with ranks hash-partitioned by host and edges co-partitioned by
-src (documented; not needed below that).
+Up to :data:`BROADCAST_MAX_EDGES` distinct edges the edge list folds to
+the driver and the iterations run there in numpy. Past it the
+partitioned plan keeps edges distributed and per iteration broadcasts
+only the rank vector (two int64/object arrays) into a ``map_batches``
+contribution pass followed by one ``groupby(dst_host).sum`` — the rank
+vector is the natural broadcast side long before edges are. Past
+~10^8 hosts the same loop runs with ranks hash-partitioned by host and
+edges co-partitioned by src (documented; not needed below that).
 
 Reference parity: the reference is a single-document OCR engine with no
 web-graph surface; these ops belong to the large-scale-training-data
@@ -57,8 +57,8 @@ DAMP_NUM, DAMP_DEN = 85, 100
 #: Base (1 − d) · scale, exact.
 RANK_BASE = 150_000_000_000
 
-#: Distinct-edge count above which the broadcast plan refuses to fold
-#: the edge list to the driver and the partitioned plan takes over.
+#: Distinct-edge count above which the edge list is not folded to the
+#: driver and the partitioned plan takes over.
 BROADCAST_MAX_EDGES = 5_000_000
 
 
@@ -212,9 +212,17 @@ def _edges_if_small(partials, cap: int):
     return None if out.num_rows > cap else out
 
 
-def host_components(
-    pages: ray.data.Dataset, sweeps: int = 4, plan: str = "auto"
-) -> ray.data.Dataset:
+def _node_partial(t: pa.Table) -> pa.Table:
+    """Distinct hosts of an edge batch, either endpoint."""
+    cols = []
+    for name in ("src_host", "dst_host"):
+        c = t.column(name)
+        cols.append(c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c)
+    both = pa.table({"host": pa.concat_arrays(cols)})
+    return both.group_by("host").aggregate([])
+
+
+def host_components(pages: ray.data.Dataset, sweeps: int = 4) -> ray.data.Dataset:
     """Weakly-connected host components by FIXED-SWEEP min-label
     propagation → (host, comp_label).
 
@@ -229,34 +237,29 @@ def host_components(
     distributed label propagation (iterate-until-fixpoint); this one
     pins the sweep count so the oracle can replay it exactly."""
     partials = _edge_partials(pages)
-    if plan in ("auto", "broadcast"):
-        cap = (BROADCAST_MAX_EDGES if plan == "auto"
-               else (1 << 62))  # explicit broadcast: caller takes the risk
-        edges = _edges_if_small(partials, cap)
-        if edges is not None:
-            s = edges.column("src_host").to_numpy(zero_copy_only=False)
-            d = edges.column("dst_host").to_numpy(zero_copy_only=False)
-            hosts = np.unique(np.concatenate([s, d])) if len(s) else np.array([], object)
-            si = np.searchsorted(hosts, s).astype(np.int64)
-            di = np.searchsorted(hosts, d).astype(np.int64)
-            u = np.concatenate([si, di])  # undirected: both directions
-            v = np.concatenate([di, si])
-            lab = np.arange(len(hosts), dtype=np.int64)
-            for _ in range(sweeps):
-                nxt = lab.copy()
-                np.minimum.at(nxt, v, lab[u])
-                lab = np.minimum(lab, nxt)
-            return ray.data.from_arrow(pa.table({
-                "host": pa.array(hosts.tolist(), pa.string()),
-                "comp_label": pa.array([hosts[i] for i in lab], pa.string()),
-            }))
-        # fall through: too many edges to hold on the driver
-    elif plan != "partitioned":
-        raise ValueError(f"unknown plan {plan!r}; expected auto|broadcast|partitioned")
+    edges = _edges_if_small(partials, BROADCAST_MAX_EDGES)
+    if edges is not None:
+        s = edges.column("src_host").to_numpy(zero_copy_only=False)
+        d = edges.column("dst_host").to_numpy(zero_copy_only=False)
+        hosts = np.unique(np.concatenate([s, d])) if len(s) else np.array([], object)
+        si = np.searchsorted(hosts, s).astype(np.int64)
+        di = np.searchsorted(hosts, d).astype(np.int64)
+        u = np.concatenate([si, di])  # undirected: both directions
+        v = np.concatenate([di, si])
+        lab = np.arange(len(hosts), dtype=np.int64)
+        for _ in range(sweeps):
+            nxt = lab.copy()
+            np.minimum.at(nxt, v, lab[u])
+            lab = np.minimum(lab, nxt)
+        return ray.data.from_arrow(pa.table({
+            "host": pa.array(hosts.tolist(), pa.string()),
+            "comp_label": pa.array([hosts[i] for i in lab], pa.string()),
+        }))
 
-    # Partitioned plan (bit-identical labels — tested): edges stay a
-    # Dataset; per sweep only the PER-HOST label vector is broadcast
-    # (ray.put once, read per task) and only per-host incoming minima
+    # Too many edges for the driver. Partitioned plan (bit-identical
+    # labels — tested): edges stay a Dataset; per sweep only the
+    # PER-HOST label vector is broadcast (ray.put once, read per task)
+    # and only per-host incoming minima
     # return — the same O(hosts) driver state host_pagerank's
     # partitioned loop already carries, with synchronous sweep
     # semantics (mins computed from the PREVIOUS sweep's labels).
@@ -269,16 +272,8 @@ def host_components(
         .materialize()  # consumed once per sweep + once for the node set
     )
 
-    def node_partial(t: pa.Table) -> pa.Table:
-        cols = []
-        for name in ("src_host", "dst_host"):
-            c = t.column(name)
-            cols.append(c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c)
-        both = pa.table({"host": pa.concat_arrays(cols)})
-        return both.group_by("host").aggregate([])
-
     node_tbls = collect_tables(
-        edges_ds.map_batches(node_partial, batch_format="pyarrow"))
+        edges_ds.map_batches(_node_partial, batch_format="pyarrow"))
     if not node_tbls:
         return ray.data.from_arrow(pa.table({
             "host": pa.array([], pa.string()),
@@ -319,33 +314,28 @@ def host_components(
     }))
 
 
-def host_pagerank(
-    pages: ray.data.Dataset, iters: int = 3, plan: str = "auto"
-) -> ray.data.Dataset:
+def host_pagerank(pages: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
     """K-iteration integer-exact PageRank → (host, rank_e12).
 
     Both plans produce bit-identical ranks (integer update rule);
     ``tests/test_linkgraph.py`` asserts it."""
     partials = _edge_partials(pages)
 
-    if plan in ("auto", "broadcast"):
-        # Edge partials are already batch-distinct; the global distinct
-        # folds on the driver under a RUNNING cap (bail before memory
-        # blows, not after — _edges_if_small).
-        cap = (BROADCAST_MAX_EDGES if plan == "auto"
-               else (1 << 62))  # explicit broadcast: caller takes the risk
-        edges = _edges_if_small(partials, cap)
-        if edges is not None:
-            s = edges.column("src_host").to_numpy(zero_copy_only=False)
-            d = edges.column("dst_host").to_numpy(zero_copy_only=False)
-            hosts = np.unique(np.concatenate([s, d])) if len(s) else np.array([], object)
-            src = np.searchsorted(hosts, s).astype(np.int64)
-            dst = np.searchsorted(hosts, d).astype(np.int64)
-            return _rank_table(hosts, _pagerank_vec(src, dst, len(hosts), iters))
-        # fall through: too many edges to hold on the driver
+    # Edge partials are already batch-distinct; the global distinct
+    # folds on the driver under a RUNNING cap (bail before memory
+    # blows, not after — _edges_if_small).
+    edges = _edges_if_small(partials, BROADCAST_MAX_EDGES)
+    if edges is not None:
+        s = edges.column("src_host").to_numpy(zero_copy_only=False)
+        d = edges.column("dst_host").to_numpy(zero_copy_only=False)
+        hosts = np.unique(np.concatenate([s, d])) if len(s) else np.array([], object)
+        src = np.searchsorted(hosts, s).astype(np.int64)
+        dst = np.searchsorted(hosts, d).astype(np.int64)
+        return _rank_table(hosts, _pagerank_vec(src, dst, len(hosts), iters))
 
-    # Partitioned plan: global distinct via one (src,dst) shuffle keeps
-    # edges a Dataset; only per-HOST state ever reaches the driver.
+    # Too many edges for the driver. Partitioned plan: global distinct
+    # via one (src,dst) shuffle keeps edges a Dataset; only per-HOST
+    # state ever reaches the driver.
     edges_ds = (
         partials.groupby(["src_host", "dst_host"])
         .aggregate(Count(alias_name="_n"))
@@ -362,16 +352,8 @@ def host_pagerank(
     deg_tbls = collect_tables(
         edges_ds.map_batches(deg_partial, batch_format="pyarrow"))
 
-    def node_partial(t: pa.Table) -> pa.Table:
-        cols = []
-        for name in ("src_host", "dst_host"):
-            c = t.column(name)
-            cols.append(c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c)
-        both = pa.table({"host": pa.concat_arrays(cols)})
-        return both.group_by("host").aggregate([])
-
     node_tbls = collect_tables(
-        edges_ds.map_batches(node_partial, batch_format="pyarrow"))
+        edges_ds.map_batches(_node_partial, batch_format="pyarrow"))
     if not node_tbls:
         return _rank_table(np.array([], object), np.array([], np.int64))
     hosts = np.unique(

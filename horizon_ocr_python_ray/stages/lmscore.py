@@ -24,15 +24,15 @@ Scale shape (100 TB):
   ``(gram, partial count)`` row per DISTINCT gram per batch → narrow ``groupby().sum()``.
   Token occurrences never cross the cluster.
 - The model broadcast is guarded by ``BROADCAST_VOCAB_MAX`` /
-  ``BROADCAST_BIGRAM_MAX``; beyond it ``doc_lm_score(plan="auto")``
-  switches to the fully distributed gram hash-join plan
+  ``BROADCAST_BIGRAM_MAX``; beyond it ``doc_lm_score`` switches to the
+  fully distributed gram hash-join plan
   (:func:`doc_lm_score_join`, the ``topterms.py`` shuffle-join shape):
   explode scored docs into per-doc DISTINCT transition counts
   ``(doc_id, w1, w2, k)``, left-join the pruned bigram-term table on
   ``(w1, w2)`` and the unigram-backoff-term table on ``w2``, then
   ``groupby(doc_id).sum()`` the per-pair terms. Both plans are tested
-  byte-equal (``tests/test_lmscore.py``). No driver state beyond the
-  scalar token total.
+  byte-equal by lowering the caps (``tests/test_lmscore.py``). No
+  driver state beyond the scalar token total.
 - Score pass: whole-batch Arrow tokenize + dictionary-encode, one
   ``searchsorted`` over the batch's DISTINCT tokens against the
   broadcast sorted model arrays, transition terms vectorized across the
@@ -63,8 +63,8 @@ BROADCAST_BIGRAM_MAX = 20_000_000
 class ModelTooLargeError(NotImplementedError):
     """The pruned model exceeds the broadcast budget.
 
-    Raised by :func:`train_bigram_model`; ``doc_lm_score(plan="auto")``
-    catches it and runs the distributed gram hash-join plan instead, so
+    Raised by :func:`train_bigram_model`; :func:`doc_lm_score` catches
+    it and runs the distributed gram hash-join plan instead, so
     an over-budget corpus always has a working path.
     """
 
@@ -171,8 +171,8 @@ def train_bigram_model(docs_ds, counts=None) -> dict:
     """One counting pass → broadcast-ready integer model dict.
 
     Raises :class:`ModelTooLargeError` when the pruned model exceeds the
-    broadcast budget — ``doc_lm_score(plan="auto")`` then falls back to
-    the gram hash-join plan. ``counts`` lets the caller pass an
+    broadcast budget — :func:`doc_lm_score` then falls back to the gram
+    hash-join plan. ``counts`` lets the caller pass an
     already-built (ideally materialized) gram-count Dataset so the
     fallback can REUSE the counting pass instead of re-running the
     corpus-wide shuffle."""
@@ -187,8 +187,8 @@ def train_bigram_model(docs_ds, counts=None) -> dict:
             raise ModelTooLargeError(
                 f"pruned model exceeds {BROADCAST_VOCAB_MAX} vocab + "
                 f"{BROADCAST_BIGRAM_MAX} bigram broadcast budget; "
-                f"doc_lm_score(plan='auto') falls back to the explode + "
-                f"gram hash-join plan (doc_lm_score_join)")
+                f"doc_lm_score falls back to the explode + gram "
+                f"hash-join plan (doc_lm_score_join)")
         parts.append(x)
     t = pa.concat_tables(parts) if parts else pa.table(
         {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string()),
@@ -203,16 +203,15 @@ def train_bigram_model(docs_ds, counts=None) -> dict:
     if len(vocab) > BROADCAST_VOCAB_MAX:
         raise ModelTooLargeError(
             f"vocabulary {len(vocab)} exceeds BROADCAST_VOCAB_MAX "
-            f"({BROADCAST_VOCAB_MAX}); doc_lm_score(plan='auto') falls "
-            f"back to the explode + gram hash-join plan")
+            f"({BROADCAST_VOCAB_MAX}); doc_lm_score falls back to the "
+            f"explode + gram hash-join plan")
     total = int(c1.sum())
     keep = ~is_uni  # bigrams below MIN_BIGRAM_COUNT already pruned remotely
     if int(keep.sum()) > BROADCAST_BIGRAM_MAX:
         raise ModelTooLargeError(
             f"pruned bigram table {int(keep.sum())} exceeds "
             f"BROADCAST_BIGRAM_MAX ({BROADCAST_BIGRAM_MAX}); "
-            f"doc_lm_score(plan='auto') falls back to the gram hash-join "
-            f"plan")
+            f"doc_lm_score falls back to the gram hash-join plan")
     v = len(vocab)
     i1 = np.searchsorted(vocab, w1[keep].astype(str))
     i2 = np.searchsorted(vocab, w2[keep].astype(str))
@@ -330,7 +329,7 @@ def doc_lm_score_join(docs_ds, score_docs_ds=None, num_partitions: int = 8,
     """Fully distributed gram hash-join scoring plan — the 100 TB path
     when the pruned model exceeds the broadcast budget.
 
-    Shape (the ``topterms.py`` ``plan="join"`` shuffle-join shape):
+    Shape (the ``topterms.doc_top_terms`` shuffle-join shape):
 
     1. ``train_bigram_counts`` → distributed pruned ``(w1, w2, c)``
        (materialized once: model-sized, object-store-spillable, read by
@@ -443,27 +442,19 @@ def doc_lm_score_join(docs_ds, score_docs_ds=None, num_partitions: int = 8,
     return out.map_batches(_finalize, batch_format="pyarrow")
 
 
-def doc_lm_score(docs_ds, score_docs_ds=None, plan: str = "auto",
-                 num_partitions: int = 8):
+def doc_lm_score(docs_ds, score_docs_ds=None, num_partitions: int = 8):
     """documents → (doc_id, n_tokens, n_transitions, lm_score).
 
     Trains on ``docs_ds``; scores ``score_docs_ds`` (defaults to the
     training set — the CCNet self-scoring shape).
 
-    ``plan``: ``"broadcast"`` ships the pruned model via ``ray.put``
-    (two streaming passes, one narrow gram shuffle, vectorized scoring —
-    right for bounded vocabularies); ``"join"`` is the fully distributed
-    gram hash-join path (:func:`doc_lm_score_join`); ``"auto"`` tries
-    broadcast and falls back to join when the model exceeds the
-    broadcast budget — every corpus size has a working path."""
+    The pruned model ships via ``ray.put`` (two streaming passes, one
+    narrow gram shuffle, vectorized scoring) while it fits the broadcast
+    budget (:data:`BROADCAST_VOCAB_MAX` / :data:`BROADCAST_BIGRAM_MAX`);
+    past it the fully distributed gram hash-join path runs
+    (:func:`doc_lm_score_join`) — every corpus size has a working path."""
     import functools
 
-    if plan not in ("auto", "broadcast", "join"):
-        raise ValueError(
-            f"unknown plan {plan!r}; expected auto|broadcast|join")
-    if plan == "join":
-        return doc_lm_score_join(docs_ds, score_docs_ds,
-                                 num_partitions=num_partitions)
     # Materialize the pruned gram counts ONCE: the broadcast attempt
     # streams them, and if it overflows the budget the join fallback
     # reuses the same counts instead of re-running the corpus-wide
@@ -472,8 +463,6 @@ def doc_lm_score(docs_ds, score_docs_ds=None, plan: str = "auto",
     try:
         model = train_bigram_model(docs_ds, counts=counts)
     except ModelTooLargeError:
-        if plan == "broadcast":
-            raise
         return doc_lm_score_join(docs_ds, score_docs_ds,
                                  num_partitions=num_partitions,
                                  counts=counts)

@@ -88,53 +88,46 @@ def _partial_registers(batch: pa.Table, group_col: str, member_col: str,
 FOLD_REGISTER_MAX = 50_000_000
 
 
-def hll_registers(ds, group_col: str, member_col: str, p: int = DEFAULT_P,
-                  plan: str = "auto"):
+def hll_registers(ds, group_col: str, member_col: str, p: int = DEFAULT_P):
     """events → (group, bucket, r): the merged HLL register table
     (only non-zero registers are materialized).
 
-    ``plan="auto"``: the batch partials are already ≤ 2^p rows per group,
-    so the max-merge folds on the DRIVER with pyarrow ``group_by`` — no
-    shuffle at all (the whole reason to sketch); a register table above
+    The batch partials are already ≤ 2^p rows per group, so the
+    max-merge folds on the DRIVER with pyarrow ``group_by`` — no shuffle
+    at all (the whole reason to sketch); a register table above
     :data:`FOLD_REGISTER_MAX` (i.e. an enormous group count) falls back
-    to the distributed ``groupby((group, bucket)).max`` shuffle, also
-    reachable directly with ``plan="shuffle"``. Plans are merge-order
-    independent by the monoid property (tested equal)."""
+    to the distributed ``groupby((group, bucket)).max`` shuffle. Both
+    are merge-order independent by the monoid property (tested
+    equal)."""
+    import ray.data
+    from ray.data.aggregate import Max
+
     partials = ds.map_batches(_partial_registers, batch_format="pyarrow",
                               fn_kwargs={"group_col": group_col,
                                          "member_col": member_col, "p": p})
-    if plan in ("auto", "fold"):
-        import ray
-        import ray.data
 
-        def _fold(tables):
-            merged = (pa.concat_tables(tables)
-                      .group_by([group_col, "bucket"]).aggregate([("r", "max")])
-                      .rename_columns([group_col, "bucket", "r"]))
-            if merged.num_rows > FOLD_REGISTER_MAX:
-                raise _RegisterOverflow()
-            return merged
+    def _fold(tables):
+        merged = (pa.concat_tables(tables)
+                  .group_by([group_col, "bucket"]).aggregate([("r", "max")])
+                  .rename_columns([group_col, "bucket", "r"]))
+        if merged.num_rows > FOLD_REGISTER_MAX:
+            raise _RegisterOverflow()
+        return merged
 
-        empty = pa.table({group_col: pa.array([], pa.string()),
-                          "bucket": pa.array([], pa.int64()),
-                          "r": pa.array([], pa.int64())})
-        chunk = [empty]
-        try:
-            for t in iter_tables(partials):
-                chunk.append(t)
-                if len(chunk) >= 64:
-                    chunk = [_fold(chunk)]
-            out = _fold(chunk) if len(chunk) > 1 else chunk[0]
-            return ray.data.from_arrow(out)
-        except _RegisterOverflow:
-            if plan == "fold":
-                raise ValueError(
-                    f"register table exceeds {FOLD_REGISTER_MAX} rows; "
-                    "use plan='shuffle'")
-    from ray.data.aggregate import Max
-
-    return (partials.groupby([group_col, "bucket"])
-            .aggregate(Max("r", alias_name="r")))
+    empty = pa.table({group_col: pa.array([], pa.string()),
+                      "bucket": pa.array([], pa.int64()),
+                      "r": pa.array([], pa.int64())})
+    chunk = [empty]
+    try:
+        for t in iter_tables(partials):
+            chunk.append(t)
+            if len(chunk) >= 64:
+                chunk = [_fold(chunk)]
+        out = _fold(chunk) if len(chunk) > 1 else chunk[0]
+    except _RegisterOverflow:
+        return (partials.groupby([group_col, "bucket"])
+                .aggregate(Max("r", alias_name="r")))
+    return ray.data.from_arrow(out)
 
 
 class _RegisterOverflow(Exception):

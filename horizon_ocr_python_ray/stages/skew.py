@@ -147,19 +147,18 @@ def host_lang_mode(pages_ds):
 ENRICH_BROADCAST_MAX_ROWS = 2_000_000
 
 
-def host_enrich_join(pages_ds, num_salts: int = 8, num_partitions: int = 8,
-                     plan: str = "auto"):
+def host_enrich_join(pages_ds, num_salts: int = 8, num_partitions: int = 8):
     """Fact-enrichment join UNDER KEY SKEW: attach each page's per-host
     page count back onto the page stream → (url, host, host_n_pages).
 
     The host key is Zipf-hot (the heaviest host owns ~20% of rows), so
     a plain hash join sends a fifth of the fact table to ONE partition.
-    Two plans, row-identical (tested):
+    Two plans, row-identical (tested), switched on the host count:
 
-    - ``broadcast`` (small dimension): fold the per-host counts (one
-      narrow salted aggregation) and probe inside the stream — zero
-      join shuffles. The right answer whenever the dimension fits.
-    - ``salted`` (the 10^8-host path): REPLICATE the build side once
+    - broadcast (up to :data:`ENRICH_BROADCAST_MAX_ROWS` hosts): fold
+      the per-host counts (one narrow salted aggregation) and probe
+      inside the stream — zero join shuffles.
+    - salted (the 10^8-host path): REPLICATE the build side once
       per salt ((host, salt) × S rows) and salt the probe side with
       ``hash64(url) % S``, then hash-join on the composite (host, salt)
       key — the hot host's probe rows spread over S partitions instead
@@ -180,30 +179,29 @@ def host_enrich_join(pages_ds, num_salts: int = 8, num_partitions: int = 8,
               .map_batches(count_partial, batch_format="pyarrow")
               .groupby("host").aggregate(Sum("p_n", alias_name="host_n_pages")))
 
-    if plan in ("auto", "broadcast"):
-        cdf = counts.to_pandas()
-        if len(cdf) <= ENRICH_BROADCAST_MAX_ROWS or plan == "broadcast":
-            cdf = cdf.sort_values("host")
-            keys = cdf["host"].to_numpy()
-            vals = cdf["host_n_pages"].to_numpy(dtype="int64")
-            bref = ray.put((keys, vals))
+    cdf = counts.to_pandas()
+    if len(cdf) <= ENRICH_BROADCAST_MAX_ROWS:
+        cdf = cdf.sort_values("host")
+        keys = cdf["host"].to_numpy()
+        vals = cdf["host_n_pages"].to_numpy(dtype="int64")
+        bref = ray.put((keys, vals))
 
-            def probe(t: pa.Table) -> pa.Table:
-                ks, vs = ray.get(bref)
-                host_arr = host_of_array(t.column("url"))
-                hosts = host_arr.to_numpy(zero_copy_only=False)
-                idx = np.searchsorted(ks, hosts)
-                idx = np.clip(idx, 0, len(ks) - 1)
-                hit = ks[idx] == hosts
-                return pa.table({
-                    "url": t.column("url"),
-                    "host": host_arr,
-                    "host_n_pages": pa.array(
-                        np.where(hit, vs[idx], 0), pa.int64()),
-                })
+        def probe(t: pa.Table) -> pa.Table:
+            ks, vs = ray.get(bref)
+            host_arr = host_of_array(t.column("url"))
+            hosts = host_arr.to_numpy(zero_copy_only=False)
+            idx = np.searchsorted(ks, hosts)
+            idx = np.clip(idx, 0, len(ks) - 1)
+            hit = ks[idx] == hosts
+            return pa.table({
+                "url": t.column("url"),
+                "host": host_arr,
+                "host_n_pages": pa.array(
+                    np.where(hit, vs[idx], 0), pa.int64()),
+            })
 
-            return (pages_ds.select_columns(["url"])
-                    .map_batches(probe, batch_format="pyarrow"))
+        return (pages_ds.select_columns(["url"])
+                .map_batches(probe, batch_format="pyarrow"))
 
     # salted partitioned plan
     def replicate(t: pa.Table) -> pa.Table:

@@ -15,12 +15,13 @@ Scale shape (100 TB):
 - Phase 2 re-reads the docs and scores per document entirely locally:
   a document's terms all live in its own row, so top-k needs no second
   shuffle — only the DF table crosses the cluster.
-- ``plan="auto"`` broadcasts the DF table via ``ray.put`` when it is
-  small (bounded vocabulary) and otherwise switches to the fully
-  distributed SHUFFLE-JOIN plan — explode ``(doc_id, term, tf)``, hash
-  join the DF table on ``term``, regroup by ``doc_id`` for the local
-  top-k. Same explicit-switch pattern as the MinHash candidate planner
-  (``stages/dedup_docs.py``); both plans are tested byte-equal.
+- The DF table broadcasts via ``ray.put`` while the vocabulary fits
+  :data:`BROADCAST_VOCAB_MAX`; past it the operator switches to the
+  fully distributed SHUFFLE-JOIN plan — explode ``(doc_id, term, tf)``,
+  hash join the DF table on ``term``, regroup by ``doc_id`` for the
+  local top-k. Same explicit-switch pattern as the MinHash candidate
+  planner (``stages/dedup_docs.py``); both plans are tested byte-equal
+  by lowering the cap.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ..functions.textstats import tokens
 from ..functions.collect import iter_tables
 from ..state.worker import worker_state
 
-#: Above this many distinct terms the broadcast plan refuses (a real
+#: Above this many distinct terms the DF table is not broadcast (a real
 #: web-scale vocabulary needs the shuffle-join plan instead).
 BROADCAST_VOCAB_MAX = 5_000_000
 
@@ -74,8 +75,8 @@ def build_df_table(docs_ds) -> "pa.Table":
     sort-shuffle round trip (measured 7 s → 0.5 s on a 5k-doc corpus).
     Partials are folded incrementally in chunks so driver memory stays
     O(vocabulary + chunk), and the broadcast bound is enforced on every
-    fold. Raises when the vocabulary exceeds the bound — callers use
-    ``plan="join"`` (or ``"auto"``) instead."""
+    fold. Raises when the vocabulary exceeds the bound —
+    :func:`doc_top_terms` then takes its shuffle-join plan."""
     import ray
 
     empty = pa.table(
@@ -88,9 +89,9 @@ def build_df_table(docs_ds) -> "pa.Table":
         if merged.num_rows > BROADCAST_VOCAB_MAX:
             raise ValueError(
                 f"vocabulary {merged.num_rows} exceeds broadcast bound "
-                f"{BROADCAST_VOCAB_MAX}; use plan='join' (explode (doc_id, "
-                "term, tf) → hash join DF on term → groupby(doc_id) top-k)"
-            )
+                f"{BROADCAST_VOCAB_MAX}; score through the shuffle join "
+                "(explode (doc_id, term, tf) → hash join DF on term → "
+                "groupby(doc_id) top-k)")
         return merged
 
     partials = docs_ds.map_batches(_partial_df, batch_format="pyarrow")
@@ -203,7 +204,7 @@ def build_rank_table(docs_ds) -> "pa.Table":
             raise ValueError(
                 f"vocabulary {merged.num_rows} exceeds broadcast bound "
                 f"{BROADCAST_VOCAB_MAX}; shuffle-join the rank table on "
-                "term instead (the doc_top_terms plan='join' shape)")
+                "term instead (the doc_top_terms shuffle-join shape)")
         return merged
 
     partials = docs_ds.map_batches(_partial_tf, batch_format="pyarrow")
@@ -260,49 +261,37 @@ def doc_mean_rank(docs_ds, rank_docs_ds=None):
     return docs_ds.map_batches(score, batch_format="pyarrow", batch_size=256)
 
 
-def doc_top_terms(docs_ds, k: int = 3, plan: str = "auto",
-                  num_partitions: int = 8):
+def doc_top_terms(docs_ds, k: int = 3, num_partitions: int = 8):
     """documents (doc_id, text) → top-k terms per doc by
     (tf DESC, df ASC, term ASC).
 
-    ``plan``: ``"broadcast"`` ships the DF table once to every worker
-    process that scores (right for bounded vocabularies); ``"join"`` is
-    the fully distributed path for web-scale vocabularies — explode
-    (doc_id, term, tf), hash join DF on term, regroup by doc_id for the
-    local top-k (two extra shuffles, zero driver state); ``"auto"`` tries
-    broadcast and falls back to join above ``BROADCAST_VOCAB_MAX``. Both
-    plans are tested byte-equal (``tests/test_topterms.py``).
+    The DF table ships once to every worker process that scores while
+    the vocabulary fits :data:`BROADCAST_VOCAB_MAX`; above it the fully
+    distributed path runs — explode (doc_id, term, tf), hash join DF on
+    term, regroup by doc_id for the local top-k (two extra shuffles,
+    zero driver state). Both plans are tested byte-equal
+    (``tests/test_topterms.py``).
     """
     import ray
 
-    if plan == "auto":
-        try:
-            df_tbl = build_df_table(docs_ds)
-            plan = "broadcast"
-        except ValueError:
-            plan = "join"
-    elif plan == "broadcast":
+    try:
         df_tbl = build_df_table(docs_ds)
-
-    if plan == "broadcast":
-        df_ref = ray.put(df_tbl)
-        return docs_ds.map_batches(
-            _score_batch_task,
-            fn_kwargs={"df_ref": df_ref, "k": k},
-            batch_format="pyarrow",
-            batch_size=256,
+    except ValueError:
+        tf_rows = docs_ds.map_batches(_explode_tf, batch_format="pyarrow")
+        joined = tf_rows.join(
+            build_df_dataset(docs_ds), join_type="inner",
+            num_partitions=num_partitions, on=("term",),
         )
-    if plan != "join":
-        raise ValueError(f"unknown plan {plan!r}; expected auto|broadcast|join")
-
-    tf_rows = docs_ds.map_batches(_explode_tf, batch_format="pyarrow")
-    joined = tf_rows.join(
-        build_df_dataset(docs_ds), join_type="inner",
-        num_partitions=num_partitions, on=("term",),
-    )
-    out = joined.groupby("doc_id").map_groups(
-        lambda g: _topk_in_doc(g, k), batch_format="pyarrow")
-    return out.map_batches(
-        lambda t: t.select(["doc_id", "term", "tf", "df", "rank"]),
+        out = joined.groupby("doc_id").map_groups(
+            lambda g: _topk_in_doc(g, k), batch_format="pyarrow")
+        return out.map_batches(
+            lambda t: t.select(["doc_id", "term", "tf", "df", "rank"]),
+            batch_format="pyarrow",
+        )
+    df_ref = ray.put(df_tbl)
+    return docs_ds.map_batches(
+        _score_batch_task,
+        fn_kwargs={"df_ref": df_ref, "k": k},
         batch_format="pyarrow",
+        batch_size=256,
     )

@@ -1,6 +1,7 @@
 """Size-aware join planner (pipelines/analytics.py): broadcast and
-partitioned plans must agree row-for-row, and the auto switch must pick
-by measured parquet size."""
+partitioned plans must agree row-for-row (the partitioned one reached by
+lowering BROADCAST_BUILD_MAX_ROWS), and the switch must pick by measured
+parquet size."""
 
 from __future__ import annotations
 
@@ -25,11 +26,12 @@ def _df(res) -> pd.DataFrame:
     (analytics.priority_lines_q12, "l_returnflag"),
     (analytics.cust_order_dist_q13, "c_count"),
 ])
-def test_plans_agree(ray_session, fn, sort_col):
-    a = _df(fn(SF, plan="broadcast"))
+def test_plans_agree(ray_session, monkeypatch, fn, sort_col):
+    a = _df(fn(SF))  # broadcast: the sf0.001 build sides fit the cap
+    monkeypatch.setattr(analytics, "BROADCAST_BUILD_MAX_ROWS", 0)
     # num_partitions=2: the hash-shuffle join spawns one aggregator actor
     # per partition, and the 4-cpu test session can't host 8.
-    b = _df(fn(SF, plan="partitioned", num_partitions=2))
+    b = _df(fn(SF, num_partitions=2))
     assert list(a.columns) == list(b.columns)
     # float sums may differ by partial-order ulps; compare exact ints and
     # near-exact floats the same way the driver compare does post-e2.
@@ -40,12 +42,7 @@ def test_plans_agree(ray_session, fn, sort_col):
             assert a[c].tolist() == b[c].tolist(), c
 
 
-def test_auto_resolves_by_size():
-    assert analytics._resolve_join_plan("auto", SF, ["customer"]) == "broadcast"
-    old = analytics.BROADCAST_BUILD_MAX_ROWS
-    try:
-        analytics.BROADCAST_BUILD_MAX_ROWS = 0
-        assert analytics._resolve_join_plan("auto", SF, ["customer"]) == "partitioned"
-    finally:
-        analytics.BROADCAST_BUILD_MAX_ROWS = old
-    assert analytics._resolve_join_plan("partitioned", SF, ["customer"]) == "partitioned"
+def test_auto_resolves_by_size(monkeypatch):
+    assert analytics._join_plan(SF, ["customer"]) == "broadcast"
+    monkeypatch.setattr(analytics, "BROADCAST_BUILD_MAX_ROWS", 0)
+    assert analytics._join_plan(SF, ["customer"]) == "partitioned"

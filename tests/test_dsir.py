@@ -101,3 +101,16 @@ def test_sharding_invariance(ray_session):
         ray.data.from_arrow(tbl).repartition(4)
     ).to_pandas().sort_values("doc_id")
     assert one.dsir_score_e6.tolist() == many.dsir_score_e6.tolist()
+
+
+def test_bucket_memo_cleared_at_its_bound(monkeypatch):
+    from horizon_ocr_python_ray.stages import dsir
+
+    monkeypatch.setattr(dsir, "_BUCKET_CACHE", {})
+    monkeypatch.setattr(dsir, "_BUCKET_CACHE_MAX", 3)
+    words = [f"w{i}" for i in range(10)]
+    got = _doc_buckets(" ".join(words))
+    assert got == [_md5_low64(w) % N_BUCKETS for w in words]
+    # cleared whenever it reached the bound: never more than 3 entries
+    assert 0 < len(dsir._BUCKET_CACHE) <= 3
+    assert "w9" in dsir._BUCKET_CACHE

@@ -1,16 +1,12 @@
-"""Corpus heavy hitters: exact shuffle plan vs Misra-Gries two-pass
-sketch plan (stages/heavyterms.py) — equality + guarantee checks."""
+"""Corpus heavy hitters (stages/heavyterms.py): exact top-k, driver
+fold vs the shuffle past FOLD_VOCAB_MAX."""
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pyarrow as pa
 
-from horizon_ocr_python_ray.stages.heavyterms import (
-    _mg_fold,
-    corpus_top_terms,
-)
+from horizon_ocr_python_ray.stages import heavyterms
+from horizon_ocr_python_ray.stages.heavyterms import corpus_top_terms
 
 
 def _docs_ds(texts):
@@ -29,49 +25,16 @@ def test_exact_topk_counts_and_ranking(ray_session):
         ("a", 4, 1), ("b", 4, 2), ("c", 1, 3)]
 
 
-def test_sketch_plan_equals_shuffle_plan_on_corpus(ray_session):
-    import ray.data
-
-    # driver testdata documents table (Zipf-ish natural text)
-    docs = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
-                                 columns=["text"])
-    a = corpus_top_terms(docs, k=25, plan="shuffle").to_pylist()
-    b = corpus_top_terms(docs, k=25, plan="sketch").to_pylist()
-    assert a == b
-    assert len(a) == 25 and a[0]["n"] >= a[-1]["n"]
-
-
-def test_mg_fold_bound():
-    # after folding, every term with true count > N/m survives
-    stream = ["hot"] * 50 + [f"t{i}" for i in range(40)] + ["warm"] * 10
-    m = 8
-    s: Counter = Counter()
-    for i in range(0, len(stream), 10):
-        s = _mg_fold(s, Counter(stream[i:i + 10]), m)
-    assert "hot" in s  # 50 > 100/8
-    assert "warm" in s  # 10 > 100/8 = 12.5? no — bound is >N/m; warm=10 < 12.5,
-    # but MG may still retain it; only assert the guaranteed one.
-
-
-def test_unknown_plan_raises(ray_session):
-    import pytest
-
-    with pytest.raises(ValueError):
-        corpus_top_terms(_docs_ds(["a"]), plan="nope")
-
-
-def test_auto_fold_plan_equals_shuffle(ray_session):
+def test_auto_fold_plan_equals_shuffle(ray_session, monkeypatch):
     texts = ["a a b c d", "b b e", "a f g b", "h"]
-    a = corpus_top_terms(_docs_ds(texts), k=4, plan="auto").to_pylist()
-    b = corpus_top_terms(_docs_ds(texts), k=4, plan="shuffle").to_pylist()
+    a = corpus_top_terms(_docs_ds(texts), k=4).to_pylist()
+    # vocab cap: a tiny bound forces the shuffle fallback, same result
+    monkeypatch.setattr(heavyterms, "FOLD_VOCAB_MAX", 2)
+    b = corpus_top_terms(_docs_ds(texts), k=4).to_pylist()
     assert a == b
-    # vocab guard: a tiny bound forces the shuffle fallback, same result
-    c = corpus_top_terms(_docs_ds(texts), k=4, plan="auto",
-                         fold_vocab_max=2).to_pylist()
-    assert c == b
 
 
-def test_top_bigrams_plans_equal_and_match_bruteforce(ray_session):
+def test_top_bigrams_plans_equal_and_match_bruteforce(ray_session, monkeypatch):
     from collections import Counter
 
     import pyarrow as pa
@@ -92,7 +55,8 @@ def test_top_bigrams_plans_equal_and_match_bruteforce(ray_session):
         want.update(f"{a} {b}" for a, b in zip(tk, tk[1:]))
     top = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
 
-    for plan in ("auto", "shuffle"):
-        got = corpus_top_bigrams(ds, k=5, plan=plan).to_pylist()
-        assert [(r["term"], r["n"]) for r in got] == top, plan
+    for cap in (heavyterms.FOLD_VOCAB_MAX, 0):  # driver fold, shuffle
+        monkeypatch.setattr(heavyterms, "FOLD_VOCAB_MAX", cap)
+        got = corpus_top_bigrams(ds, k=5).to_pylist()
+        assert [(r["term"], r["n"]) for r in got] == top, cap
         assert [r["rank"] for r in got] == list(range(1, len(top) + 1))

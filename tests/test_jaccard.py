@@ -7,7 +7,6 @@ import itertools
 
 import numpy as np
 import pyarrow as pa
-import pytest
 import ray
 
 from horizon_ocr_python_ray.stages.jaccard import (
@@ -103,38 +102,41 @@ def test_prefix_len_bounds():
     assert (_prefix_len(n, 1, 1) == 1).all()
 
 
-def test_distributed_verify_plan_is_row_identical():
+def test_distributed_verify_plan_is_row_identical(monkeypatch):
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
+
     rows = _synth(n_docs=15, seed=9)
-    assert (_run(rows, verify_plan="distributed")
-            == _run(rows, verify_plan="broadcast"))
+    broadcast = _run(rows)
+    monkeypatch.setattr(dd, "VERIFY_BROADCAST_MAX_DOCS", 0)
+    assert _run(rows) == broadcast == _naive(rows)
 
 
 def test_auto_plan_caps_candidate_collect(monkeypatch):
     """A dup-heavy corpus past PAIR_COLLECT_MAX_ROWS must route to the
     distributed verify (never a full driver collect) with identical
-    pairs; an explicit broadcast plan refuses loudly."""
+    pairs."""
     from horizon_ocr_python_ray.stages import jaccard as jmod
 
     # every doc duplicates one of 3 base texts → dense candidate set
     base = _synth(n_docs=3, seed=5)[:3]
     rows = [(i + 1, base[i % 3][1]) for i in range(24)]
     monkeypatch.setattr(jmod, "PAIR_COLLECT_MAX_ROWS", 0)
-    assert _run(rows, verify_plan="auto") == _naive(rows)
-    with pytest.raises(ValueError, match="PAIR_COLLECT_MAX_ROWS"):
-        _run(rows, verify_plan="broadcast")
+    assert _run(rows) == _naive(rows)
 
 
-def test_df_plan_parity_and_refusal(monkeypatch):
-    """The broadcast-df (2-exchange) and bucketed (3-exchange) plans
-    must produce identical pairs; past the gram cap auto falls back to
-    the bucketed plan with identical output and broadcast refuses."""
+def test_verify_sets_kept_for_one_sweep_only(ray_session):
+    """The broadcast verify's per-worker gram-set memo lives in one
+    worker_state slot keyed by the sweep's ref: a new sweep drops the
+    previous sweep's sets."""
     from horizon_ocr_python_ray.stages import jaccard as jmod
+    from horizon_ocr_python_ray.state import worker
 
-    rows = _synth(n_docs=25, seed=11)
-    want = _naive(rows)
-    assert _run(rows, df_plan="broadcast") == want
-    assert _run(rows, df_plan="exchange") == want
-    monkeypatch.setattr(jmod, "DF_BROADCAST_MAX_GRAMS", 0)
-    assert _run(rows, df_plan="auto") == want
-    with pytest.raises(ValueError, match="DF_BROADCAST_MAX_GRAMS"):
-        _run(rows, df_plan="broadcast")
+    pairs = pa.table({"doc_a": pa.array([1], pa.int64()),
+                      "doc_b": pa.array([2], pa.int64())})
+    text = "alpha bravo charlie delta echo foxtrot"
+    for _ in range(2):
+        ref = ray.put({1: text, 2: text})
+        out = jmod._verify_broadcast_task(pairs, ref, k=5, thr_num=1, thr_den=2)
+        assert out.column("n_inter").to_pylist() == [2]
+        key, sets = worker._SLOTS["jaccard_verify_sets"]
+        assert key == ref.hex() and sorted(sets) == [1, 2]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pyarrow as pa
 import pytest
 import ray
@@ -58,34 +59,55 @@ def test_empty_lines_never_dropped():
     assert (out["n_kept"] == 3).all()  # the blank line survives in all
 
 
-def test_plans_agree():
+def test_plans_agree(monkeypatch):
     ds = _ds([
         ("a", "unique alpha\nfooter\nbody a"),
         ("b", "footer\nbody b"),
         ("c", "body c\nfooter"),
     ])
-    auto = (boilerplate_line_dedup(ds, min_df=3, plan="auto").to_pandas()
+    fold = (boilerplate_line_dedup(ds, min_df=3).to_pandas()
             .sort_values("url").reset_index(drop=True))
-    shuf = (boilerplate_line_dedup(ds, min_df=3, plan="shuffle").to_pandas()
+    monkeypatch.setattr(linededup, "DRIVER_FOLD_LINE_MAX", 0)
+    shuf = (boilerplate_line_dedup(ds, min_df=3).to_pandas()
             .sort_values("url").reset_index(drop=True))
-    assert auto.equals(shuf)
+    assert fold.equals(shuf)
 
 
 def test_auto_falls_back_to_shuffle_on_fold_overflow(monkeypatch):
     monkeypatch.setattr(linededup, "DRIVER_FOLD_LINE_MAX", 1)
     ds = _ds([("a", "l1\nl2\nl3"), ("b", "l1\nx"), ("c", "l1\ny")])
-    out = boilerplate_line_dedup(ds, min_df=3, plan="auto").to_pandas()
+    out = boilerplate_line_dedup(ds, min_df=3).to_pandas()
     assert out.set_index("url").loc["a", "n_dropped"] == 1  # "l1" dropped
 
 
 def test_drop_set_cap(monkeypatch):
+    # past DROP_SET_MAX the drop-set is broadcast as hash64, on both the
+    # fold and the shuffle DF path, and cleans the same
+    ds = _ds([("a", "l1\nl2"), ("b", "l1\nl2\nx"), ("c", "y")])
+    want = (boilerplate_line_dedup(ds, min_df=2).to_pandas()
+            .sort_values("url").reset_index(drop=True))
     monkeypatch.setattr(linededup, "DROP_SET_MAX", 1)
-    ds = _ds([("a", "l1\nl2"), ("b", "l1\nl2"), ("c", "l1\nl2")])
-    with pytest.raises(ValueError, match="drop-set exceeds"):
-        boilerplate_line_dedup(ds, min_df=2).to_pandas()
+    for fold_max in (linededup.DRIVER_FOLD_LINE_MAX, 0):
+        monkeypatch.setattr(linededup, "DRIVER_FOLD_LINE_MAX", fold_max)
+        drop = ray.get(linededup.boilerplate_lines_ref(ds, min_df=2))
+        assert isinstance(drop, np.ndarray) and len(drop) == 2
+        got = (boilerplate_line_dedup(ds, min_df=2).to_pandas()
+               .sort_values("url").reset_index(drop=True))
+        assert got.equals(want)
+    assert want.n_dropped.tolist() == [2, 2, 0]
 
 
-def test_hash64_repr_matches_strings_repr(ray_session):
+def _strings_vs_hash64(monkeypatch, ds, min_df):
+    key = "url"
+    s = (boilerplate_line_dedup(ds, min_df=min_df)
+         .to_pandas().sort_values(key).reset_index(drop=True))
+    monkeypatch.setattr(linededup, "DROP_SET_MAX", 0)
+    h = (boilerplate_line_dedup(ds, min_df=min_df)
+         .to_pandas().sort_values(key).reset_index(drop=True))
+    return s, h
+
+
+def test_hash64_repr_matches_strings_repr(ray_session, monkeypatch):
     ds = _ds([
         ("a", "unique alpha\nfooter\nbody a\n\nx"),
         ("b", "footer\nbody b\n"),
@@ -93,42 +115,34 @@ def test_hash64_repr_matches_strings_repr(ray_session):
         ("d", ""),
         ("e", "footer\nfooter\nonly footer doc"),
     ])
-    key = "url"
-    s = (boilerplate_line_dedup(ds, min_df=3, drop_repr="strings")
-         .to_pandas().sort_values(key).reset_index(drop=True))
-    h = (boilerplate_line_dedup(ds, min_df=3, drop_repr="hash64")
-         .to_pandas().sort_values(key).reset_index(drop=True))
+    s, h = _strings_vs_hash64(monkeypatch, ds, 3)
     assert s.equals(h)
     assert (s.loc[s.url != "a", "n_dropped"] > 0).any()
 
 
-def test_hash64_repr_on_real_corpus(ray_session, corpus_dir):
+def test_hash64_repr_on_real_corpus(ray_session, corpus_dir, monkeypatch):
     from horizon_ocr_python_ray import build_extract_pipeline, read_pages
 
     docs = build_extract_pipeline(read_pages(corpus_dir)).select_columns(
         ["url", "extracted_text"]).materialize()
-    key = "url"
-    s = (boilerplate_line_dedup(docs, min_df=5, drop_repr="strings")
-         .to_pandas().sort_values(key).reset_index(drop=True))
-    h = (boilerplate_line_dedup(docs, min_df=5, drop_repr="hash64")
-         .to_pandas().sort_values(key).reset_index(drop=True))
+    s, h = _strings_vs_hash64(monkeypatch, docs, 5)
     assert len(s) > 0
     assert s.equals(h)
 
 
 def test_hash64_no_boilerplate_is_noop(ray_session):
     ds = _ds([("a", "x\ny"), ("b", "p\nq")])
-    out = boilerplate_line_dedup(ds, min_df=2, drop_repr="hash64").to_pandas()
-    assert (out.n_dropped == 0).all()
-
-
-def test_unknown_drop_repr_raises():
-    with pytest.raises(ValueError, match="drop_repr"):
-        boilerplate_line_dedup(_ds([("a", "x")]), drop_repr="bogus")
+    ref = linededup.boilerplate_hashes_ref(ds, min_df=2)
+    assert len(ray.get(ref)) == 0
+    out = ds.map_batches(linededup._clean_batch, batch_format="pyarrow",
+                         fn_kwargs={"drop_ref": ref,
+                                    "text_col": "extracted_text"}).to_pandas()
+    assert (out.n_dropped == 0).all() and (out.n_kept == 2).all()
 
 
 def test_hash_cap_enforced(ray_session, monkeypatch):
+    monkeypatch.setattr(linededup, "DROP_SET_MAX", 0)
     monkeypatch.setattr(linededup, "DROP_HASH_MAX", 0)
     ds = _ds([("a", "footer\nx"), ("b", "footer\ny"), ("c", "footer")])
     with pytest.raises(ValueError, match="DROP_HASH_MAX"):
-        boilerplate_line_dedup(ds, min_df=2, drop_repr="hash64").to_pandas()
+        boilerplate_line_dedup(ds, min_df=2).to_pandas()

@@ -189,15 +189,18 @@ def test_components_two_islands_limited_sweeps():
     assert got == {"a": "a", "b": "a", "c": "a", "d": "a", "x": "x", "y": "x"}
 
 
-def test_pagerank_plans_bit_identical(corpus_dir):
+def test_pagerank_plans_bit_identical(corpus_dir, monkeypatch):
     from horizon_ocr_python_ray import read_pages
 
+    import horizon_ocr_python_ray.stages.linkgraph as lg
+
     b = (
-        host_pagerank(read_pages(corpus_dir), plan="broadcast")
+        host_pagerank(read_pages(corpus_dir))
         .to_pandas().sort_values("host").reset_index(drop=True)
     )
+    monkeypatch.setattr(lg, "BROADCAST_MAX_EDGES", 0)  # partitioned plan
     p = (
-        host_pagerank(read_pages(corpus_dir), plan="partitioned")
+        host_pagerank(read_pages(corpus_dir))
         .to_pandas().sort_values("host").reset_index(drop=True)
     )
     assert b.equals(p)
@@ -207,16 +210,19 @@ def test_pagerank_plans_bit_identical(corpus_dir):
     assert top.host == "host000.example.org"
 
 
-def test_host_components_plans_bit_identical(corpus_dir):
+def test_host_components_plans_bit_identical(corpus_dir, monkeypatch):
     """The partitioned fixed-sweep plan (edges stay a Dataset, only the
     per-host label vector broadcasts per sweep) produces exactly the
-    broadcast plan's labels."""
+    driver plan's labels."""
     from horizon_ocr_python_ray import read_pages
     from horizon_ocr_python_ray.stages.linkgraph import host_components
 
-    a = (host_components(read_pages(corpus_dir), sweeps=4, plan="broadcast")
+    import horizon_ocr_python_ray.stages.linkgraph as lg
+
+    a = (host_components(read_pages(corpus_dir), sweeps=4)
          .to_pandas().sort_values("host").reset_index(drop=True))
-    b = (host_components(read_pages(corpus_dir), sweeps=4, plan="partitioned")
+    monkeypatch.setattr(lg, "BROADCAST_MAX_EDGES", 0)
+    b = (host_components(read_pages(corpus_dir), sweeps=4)
          .to_pandas().sort_values("host").reset_index(drop=True))
     assert a.equals(b)
     assert len(a) > 0

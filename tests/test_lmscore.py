@@ -124,11 +124,13 @@ def _rand_corpus(rng, n_docs, words, max_len=30):
             for _ in range(n_docs)]
 
 
-def test_join_plan_matches_broadcast(ray_session):
-    """The distributed gram hash-join plan is byte-equal to the
-    broadcast plan — self-scoring and held-out (incl. OOV, empty and
-    one-token docs)."""
+def test_join_plan_matches_broadcast(ray_session, monkeypatch):
+    """The distributed gram hash-join plan (past the broadcast budget) is
+    byte-equal to the broadcast plan — self-scoring and held-out (incl.
+    OOV, empty and one-token docs)."""
     import ray.data
+
+    import horizon_ocr_python_ray.stages.lmscore as mod
 
     rng = np.random.default_rng(23)
     words = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
@@ -139,44 +141,47 @@ def test_join_plan_matches_broadcast(ray_session):
                           "alpha beta gamma delta"], pa.string()),
     }))
 
-    def run(plan, score=None):
-        return (doc_lm_score(docs, score_docs_ds=score, plan=plan)
+    def run(score=None):
+        return (doc_lm_score(docs, score_docs_ds=score)
                 .to_pandas().sort_values("doc_id").reset_index(drop=True))
 
-    assert run("broadcast").equals(run("join"))
-    assert run("broadcast", held).equals(run("join", held))
+    broadcast = run(), run(held)
+    monkeypatch.setattr(mod, "BROADCAST_VOCAB_MAX", 1)
+    assert run().equals(broadcast[0])
+    assert run(held).equals(broadcast[1])
 
 
-def test_join_plan_empty_training_corpus(ray_session):
+def test_join_plan_empty_training_corpus(ray_session, monkeypatch):
     import ray.data
+
+    import horizon_ocr_python_ray.stages.lmscore as mod
 
     empty = ray.data.from_arrow(pa.table({
         "doc_id": pa.array([], pa.int64()),
         "text": pa.array([], pa.string())}))
     held = _docs(["a b c"])
-    out = doc_lm_score(empty, score_docs_ds=held, plan="join").to_pandas()
+    # a negative budget: even the empty model is over it
+    monkeypatch.setattr(mod, "BROADCAST_VOCAB_MAX", -1)
+    out = doc_lm_score(empty, score_docs_ds=held).to_pandas()
     assert out["lm_score"].tolist() == [0]
     assert out["n_transitions"].tolist() == [2]
 
 
 def test_auto_plan_falls_back_to_join(ray_session, monkeypatch):
-    """Over the broadcast budget, plan='auto' must still produce the
+    """Over the broadcast budget doc_lm_score must still produce the
     exact broadcast-plan result via the hash-join fallback — the cap is
-    a plan switch now, not a refusal."""
+    a plan switch, not a refusal."""
     import horizon_ocr_python_ray.stages.lmscore as mod
 
     rng = np.random.default_rng(31)
     docs = _docs(_rand_corpus(rng, 60, ["a", "b", "c", "d"]))
-    expected = (doc_lm_score(docs, plan="broadcast").to_pandas()
+    expected = (doc_lm_score(docs).to_pandas()
                 .sort_values("doc_id").reset_index(drop=True))
     monkeypatch.setattr(mod, "BROADCAST_VOCAB_MAX", 1)
     monkeypatch.setattr(mod, "BROADCAST_BIGRAM_MAX", 1)
-    got = (doc_lm_score(docs, plan="auto").to_pandas()
+    got = (doc_lm_score(docs).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
     assert got.equals(expected)
-    # plan='broadcast' still refuses loudly over budget
-    with pytest.raises(NotImplementedError):
-        doc_lm_score(docs, plan="broadcast")
 
 
 def test_vectorized_scorer_matches_naive_reference(ray_session):

@@ -97,34 +97,28 @@ def test_lsh_pipeline_no_dups_is_empty():
     assert pairs.count() == 0
 
 
-def test_discovery_plans_byte_equal():
-    # the distributed candidate plan must produce exactly the driver
-    # plan's output — checked on the constructed corpus and on the
-    # driver's sf0.001 documents table
-    docs = ray.data.from_arrow(_docs_table())
-    a = minhash_lsh_pairs(docs, min_est_jaccard=0.5, plan="driver").to_pandas()
-    b = minhash_lsh_pairs(docs, min_est_jaccard=0.5, plan="distributed").to_pandas()
-    assert a.equals(b)
+def test_discovery_plans_byte_equal(monkeypatch):
+    # the distributed candidate plan (past DRIVER_MAX_BAND_ROWS) must
+    # produce exactly the driver plan's output — checked on the
+    # constructed corpus and on the driver's sf0.001 documents table
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
 
+    docs = ray.data.from_arrow(_docs_table())
     real = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
                                  columns=["doc_id", "text"])
-    ra = minhash_lsh_pairs(real, min_est_jaccard=0.5, plan="driver").to_pandas()
-    rb = minhash_lsh_pairs(real, min_est_jaccard=0.5, plan="distributed").to_pandas()
+    a = minhash_lsh_pairs(docs, min_est_jaccard=0.5).to_pandas()
+    ra = minhash_lsh_pairs(real, min_est_jaccard=0.5).to_pandas()
+    monkeypatch.setattr(dd, "DRIVER_MAX_BAND_ROWS", 0)
+    b = minhash_lsh_pairs(docs, min_est_jaccard=0.5).to_pandas()
+    rb = minhash_lsh_pairs(real, min_est_jaccard=0.5).to_pandas()
+    assert a.equals(b)
     key = ["doc_a", "doc_b"]
     assert ra.sort_values(key).reset_index(drop=True).equals(
         rb.sort_values(key).reset_index(drop=True))
     assert len(ra) > 0
 
 
-def test_unknown_plan_raises():
-    import pytest
-
-    docs = ray.data.from_arrow(_docs_table())
-    with pytest.raises(ValueError, match="unknown plan"):
-        minhash_lsh_pairs(docs, plan="bogus")
-
-
-def test_near_dup_clusters_union_find_and_distributed():
+def test_near_dup_clusters_union_find():
     import pandas as pd
 
     from horizon_ocr_python_ray.stages.dedup_docs import near_dup_clusters
@@ -224,66 +218,70 @@ def test_simhash_batch_matches_per_doc_kernel():
     assert got == want
 
 
-def test_simhash_near_dup_plans_equal():
-    from horizon_ocr_python_ray.stages.dedup_docs import simhash_near_dup_pairs
+def test_simhash_near_dup_plans_equal(monkeypatch):
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
 
     docs = ray.data.from_arrow(_docs_table())
-    by_plan = {}
-    for plan in ("driver", "distributed"):
-        rows = simhash_near_dup_pairs(docs, max_hamming=6, plan=plan).take_all()
-        by_plan[plan] = sorted((r["doc_a"], r["doc_b"], r["hamming"]) for r in rows)
-    assert by_plan["driver"] == by_plan["distributed"]
+
+    def run():
+        rows = dd.simhash_near_dup_pairs(docs, max_hamming=6).take_all()
+        return sorted((r["doc_a"], r["doc_b"], r["hamming"]) for r in rows)
+
+    driver = run()
+    monkeypatch.setattr(dd, "DRIVER_MAX_BAND_ROWS", 0)
+    assert run() == driver
+    assert driver  # the exact dup pair (0, 2) is found
 
 
-def test_verify_plans_row_equal(ray_session):
+def test_verify_plans_row_equal(ray_session, monkeypatch):
     # broadcast vs join-co-located exact-Jaccard verify: identical rows
     # on the sf0.001 documents table (round-3: the distributed plan must
     # replace the driver text dict without changing a single value)
-    from horizon_ocr_python_ray.stages.dedup_docs import ngram_jaccard_verify
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
 
     real = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
                                  columns=["doc_id", "text"])
     pairs = minhash_lsh_pairs(real, min_est_jaccard=0.5).materialize()
     key = ["doc_a", "doc_b"]
-    b = (ngram_jaccard_verify(real, pairs, threshold=0.5, plan="broadcast")
+    b = (dd.ngram_jaccard_verify(real, pairs, threshold=0.5)
          .to_pandas().sort_values(key).reset_index(drop=True))
-    d = (ngram_jaccard_verify(real, pairs, threshold=0.5, plan="distributed")
+    monkeypatch.setattr(dd, "VERIFY_BROADCAST_MAX_DOCS", 0)
+    d = (dd.ngram_jaccard_verify(real, pairs, threshold=0.5)
          .to_pandas().sort_values(key).reset_index(drop=True))
     assert len(b) > 0
     assert list(b.columns) == list(d.columns)
     assert b.equals(d)
 
 
-def test_verified_fused_distributed_equals_broadcast(ray_session):
-    from horizon_ocr_python_ray.stages.dedup_docs import minhash_near_dup_verified
+def test_verified_fused_distributed_equals_broadcast(ray_session, monkeypatch):
+    # past the cap both the est and the verify stage run join-co-located
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
 
     real = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
                                  columns=["doc_id", "text"])
     key = ["doc_a", "doc_b"]
-    b = (minhash_near_dup_verified(real).to_pandas()
+    b = (dd.minhash_near_dup_verified(real).to_pandas()
          .sort_values(key).reset_index(drop=True))
-    d = (minhash_near_dup_verified(real, verify_plan="distributed").to_pandas()
+    monkeypatch.setattr(dd, "VERIFY_BROADCAST_MAX_DOCS", 0)
+    d = (dd.minhash_near_dup_verified(real).to_pandas()
          .sort_values(key).reset_index(drop=True))
     assert len(b) > 0
     assert b.equals(d)
 
 
-def test_verify_broadcast_cap_switches_and_raises(ray_session, monkeypatch):
+def test_verify_broadcast_cap_switches(ray_session, monkeypatch):
     import horizon_ocr_python_ray.stages.dedup_docs as dd
 
     docs = ray.data.from_arrow(_docs_table())
     pairs = minhash_lsh_pairs(docs, min_est_jaccard=0.5).materialize()
-    want = (dd.ngram_jaccard_verify(docs, pairs, threshold=0.5, plan="broadcast")
+    want = (dd.ngram_jaccard_verify(docs, pairs, threshold=0.5)
             .to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
     monkeypatch.setattr(dd, "VERIFY_BROADCAST_MAX_DOCS", 1)
-    # auto silently takes the join plan…
-    got = (dd.ngram_jaccard_verify(docs, pairs, threshold=0.5, plan="auto")
+    # over the cap the join plan runs, with the same rows
+    got = (dd.ngram_jaccard_verify(docs, pairs, threshold=0.5)
            .to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
+    assert len(want) > 0
     assert got.equals(want)
-    # …while an explicit broadcast request over the cap refuses loudly
-    import pytest
-    with pytest.raises(ValueError, match="VERIFY_BROADCAST_MAX_DOCS"):
-        dd.ngram_jaccard_verify(docs, pairs, threshold=0.5, plan="broadcast")
 
 
 def test_est_jaccard_join_path_equals_broadcast(ray_session, monkeypatch):

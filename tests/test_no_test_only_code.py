@@ -25,6 +25,13 @@
    or constructor arguments. Warm per-process state goes through
    ``state.worker.worker_state`` instead; an actor pool holds a CPU that
    the read tasks of a 1-CPU session need.
+
+3. No function in the package takes a parameter that picks a plan by
+   hand: ``plan``, ``*_plan``, ``drop_repr``, ``mg_capacity``,
+   ``fold_vocab_max`` or ``texts_sink``. A plan choice reads its cap
+   constant (a module-level ``*_MAX``) against the size it measures, so
+   every caller runs the plan that fits; a test reaches the other plan
+   by monkeypatching that cap.
 """
 
 from __future__ import annotations
@@ -51,6 +58,10 @@ ALLOWED = {
     "_decode_audio": "float-waveform member of the MEDIA_SCHEMA _decode_* family",
     "hll_estimate": "reads HLL registers back; tests check the registers against the true count",
 }
+
+#: Parameter names that would let a caller force a plan (besides
+#: ``plan`` and any ``*_plan``).
+PLAN_PARAMS = {"plan", "drop_repr", "mg_capacity", "fold_vocab_max", "texts_sink"}
 
 #: ``map_batches`` keywords that only an actor-pool stage takes.
 ACTOR_POOL_KEYWORDS = {"concurrency", "compute", "fn_constructor_args",
@@ -267,4 +278,19 @@ def test_no_actor_pool_map_stage():
                 bad.append(f"{m.path.relative_to(ROOT)}:{call.lineno} "
                            f"{'class ' if is_class else ''}{sorted(keywords)}")
     assert not bad, "actor-pool map stages (use a task function + worker_state):\n" \
+        + "\n".join(bad)
+
+
+def test_no_plan_keyword():
+    bad = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            hits = [n for n in names if n in PLAN_PARAMS or n.endswith("_plan")]
+            if hits:
+                bad.append(f"{path.relative_to(ROOT)}:{fn.lineno} {hits}")
+    assert not bad, "plan keywords (compare the measured size with a cap instead):\n" \
         + "\n".join(bad)

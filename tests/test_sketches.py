@@ -53,14 +53,19 @@ def test_duplicates_do_not_change_sketch():
     assert s1.equals(s2)
 
 
-def test_fold_and_shuffle_plans_agree():
+def test_fold_and_shuffle_plans_agree(monkeypatch):
+    import horizon_ocr_python_ray.stages.sketches as sk
+
     t = _events(n_users=200, n_types=2)
     ds = ray.data.from_arrow(t).repartition(5)
-    a = (hll_registers(ds, "event_type", "user_id", plan="fold").to_pandas()
-         .sort_values(["event_type", "bucket"]).reset_index(drop=True))
-    b = (hll_registers(ds, "event_type", "user_id", plan="shuffle").to_pandas()
-         .sort_values(["event_type", "bucket"]).reset_index(drop=True))
-    assert a.equals(b)
+
+    def run():
+        return (hll_registers(ds, "event_type", "user_id").to_pandas()
+                .sort_values(["event_type", "bucket"]).reset_index(drop=True))
+
+    a = run()
+    monkeypatch.setattr(sk, "FOLD_REGISTER_MAX", 0)  # shuffle plan
+    assert a.equals(run())
 
 
 def test_estimate_accuracy():

@@ -1,6 +1,6 @@
 """Decorrelated-subquery pipelines (pipelines/subqueries.py): the
 broadcast and partitioned plans of each op must agree row-for-row
-(same contract as tests/test_analytics_plans.py), and the exactness
+(same contract, and same lowered cap, as tests/test_analytics_plans.py), and the exactness
 rewrites (rational-average clearing, int64 fixed point) must hold on
 hand-built cases."""
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from horizon_ocr_python_ray.pipelines import subqueries
+from horizon_ocr_python_ray.pipelines import analytics, subqueries
 
 SF = "/root/testdata/sf0.001"
 
@@ -33,11 +33,13 @@ def _df(res) -> pd.DataFrame:
     subqueries.nation_profit_q9,
     subqueries.min_cost_supplier_q2,
 ])
-def test_plans_agree(ray_session, fn):
-    a = _df(fn(SF, plan="broadcast"))
+def test_plans_agree(ray_session, monkeypatch, fn):
+    a = _df(fn(SF))  # broadcast: the sf0.001 build sides fit the cap
+    # the planner reads the cap from analytics, where it is defined
+    monkeypatch.setattr(analytics, "BROADCAST_BUILD_MAX_ROWS", 0)
     # num_partitions=2: one aggregator actor per partition; the 4-cpu
     # test session can't host 8.
-    b = _df(fn(SF, plan="partitioned", num_partitions=2))
+    b = _df(fn(SF, num_partitions=2))
     assert list(a.columns) == list(b.columns)
     for c in a.columns:
         assert a[c].tolist() == b[c].tolist(), c

@@ -52,17 +52,21 @@ def test_top_terms_ranking(ray_session):
     assert len(rows) == 4
 
 
-def test_join_plan_equals_broadcast(ray_session):
+def test_join_plan_equals_broadcast(ray_session, monkeypatch):
     import ray.data
 
-    ds = ray.data.from_arrow(_docs_table())
-    bc = doc_top_terms(ds, k=2, plan="broadcast").to_pandas() \
-        .sort_values(["doc_id", "rank"]).reset_index(drop=True)
-    jn = doc_top_terms(ray.data.from_arrow(_docs_table()), k=2,
-                       plan="join").to_pandas() \
-        .sort_values(["doc_id", "rank"]).reset_index(drop=True)
-    assert bc[["doc_id", "term", "tf", "df", "rank"]].values.tolist() == \
-        jn[["doc_id", "term", "tf", "df", "rank"]].values.tolist()
+    import horizon_ocr_python_ray.stages.topterms as tt
+
+    cols = ["doc_id", "term", "tf", "df", "rank"]
+
+    def run():
+        return (doc_top_terms(ray.data.from_arrow(_docs_table()), k=2)
+                .to_pandas().sort_values(["doc_id", "rank"])
+                .reset_index(drop=True)[cols].values.tolist())
+
+    bc = run()
+    monkeypatch.setattr(tt, "BROADCAST_VOCAB_MAX", 0)  # join plan
+    assert run() == bc
 
 
 def test_auto_plan_falls_back_to_join(ray_session, monkeypatch):
@@ -72,7 +76,7 @@ def test_auto_plan_falls_back_to_join(ray_session, monkeypatch):
 
     monkeypatch.setattr(tt, "BROADCAST_VOCAB_MAX", 2)
     ds = ray.data.from_arrow(_docs_table())
-    out = doc_top_terms(ds, k=2, plan="auto").to_pandas()
+    out = doc_top_terms(ds, k=2).to_pandas()
     assert len(out) == 4  # same result through the join plan
 
 
@@ -83,7 +87,7 @@ def test_vocab_guard(ray_session, monkeypatch):
 
     monkeypatch.setattr(tt, "BROADCAST_VOCAB_MAX", 2)
     ds = ray.data.from_arrow(_docs_table())
-    with pytest.raises(ValueError, match="plan='join'"):
+    with pytest.raises(ValueError, match="exceeds broadcast bound"):
         build_df_table(ds)
     assert BROADCAST_VOCAB_MAX > 2  # module default untouched
 
