@@ -861,14 +861,13 @@ def _q6(sf_dir: str):
 def _minhash_dup_clusters(sf_dir: str):
     import ray.data
     from horizon_ocr_python_ray.stages.dedup_docs import (
-        minhash_lsh_pairs,
+        minhash_near_dup_verified,
         near_dup_clusters,
-        ngram_jaccard_verify,
     )
 
     docs = _sf_table(sf_dir, "documents", columns=["doc_id", "text"])
-    pairs = minhash_lsh_pairs(docs, min_est_jaccard=0.5)
-    verified = ngram_jaccard_verify(docs, pairs, threshold=0.5)
+    verified = minhash_near_dup_verified(docs, min_est_jaccard=0.5,
+                                         verify_threshold=0.5)
     return near_dup_clusters(verified)
 
 

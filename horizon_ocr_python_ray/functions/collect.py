@@ -1,28 +1,35 @@
-"""Driver-side block collection without the hidden schema re-execution.
+"""Driver-side collection: the one fold-and-cap rule.
 
-``Dataset.to_arrow_refs()`` (ray 2.49) calls ``self.schema(
-fetch_if_missing=True)`` AFTER consuming the ref bundles; on a
-non-materialized dataset the consumed plan has no cached schema, so Ray
-re-runs a ``limit=1`` plan of the WHOLE upstream pipeline just to
-re-derive a schema the caller never needed. Every partial-aggregate fold
-in this repo (sketch folds, top-k merges, pair discovery) collects small
-narrow tables to the driver, so that tax was paid dozens of times per
-query session.
+A driver fold streams a Dataset's partial blocks once, merges them on
+the driver and stops at a named module cap. :func:`fold_capped` is the
+only implementation of that rule:
 
-:func:`collect_tables` pulls the blocks through
-``iter_internal_ref_bundles()`` (one execution, streaming) and converts
-each block via ``BlockAccessor.to_arrow()`` (zero-copy identity for the
-pyarrow blocks all our stages emit).
+- blocks stream through ``iter_internal_ref_bundles()`` (one execution)
+  and the driver keeps each block's ref;
+- with group keys, every :data:`FOLD_EVERY` tables (sooner once the
+  rows pending since the last fold pass the cap) a pyarrow
+  ``group_by(keys).aggregate(aggs)`` merges them, and the cap bounds the
+  folded (distinct-key) rows; without keys the tables are only
+  concatenated and the cap bounds their rows;
+- under the cap the caller gets the folded Table; past it, a Dataset
+  over the same partial blocks (those already pulled and the rest of
+  the stream), so the caller's distributed plan consumes the partials
+  instead of re-running the upstream map.
 
-These helpers are for PROVABLY-SMALL results only (partial-aggregate
-tables, pair lists, hot-key sets, top-k candidates) — the same driver
-bound the old ``to_arrow_refs`` call sites already asserted.
+The other helpers collect results that are small by construction.
+``Dataset.to_arrow_refs()`` (ray 2.49) is avoided throughout: after
+consuming the ref bundles it calls ``self.schema(fetch_if_missing=True)``,
+which on a non-materialized Dataset re-runs a ``limit=1`` plan of the
+whole upstream just to re-derive a schema.
 """
 from __future__ import annotations
 
 from typing import Iterator, List
 
 import pyarrow as pa
+
+#: Partial tables the driver holds before it folds them.
+FOLD_EVERY = 64
 
 
 def iter_tables(ds) -> Iterator[pa.Table]:
@@ -78,3 +85,57 @@ def collect_table(ds, schema: pa.Schema | None = None) -> pa.Table:
             raise ValueError("collect_table on an empty dataset needs an explicit schema")
         return schema.empty_table()
     return pa.concat_tables(tables).combine_chunks()
+
+
+def fold_capped(ds, schema: pa.Schema, keys: list[str] | None,
+                aggs: list[tuple[str, str]] | None, cap: int):
+    """Fold the partial blocks of ``ds`` on the driver under ``cap``.
+
+    ``schema`` is the partials' layout. With ``keys``, each
+    ``(column, fn)`` of ``aggs`` is a pyarrow hash aggregate whose result
+    is written back to ``column``, so a folded table is itself a partial
+    in ``schema`` (``aggs=[]`` is a distinct); the cap bounds the
+    distinct keys. With ``keys=None`` blocks are concatenated as they
+    come and the cap bounds the rows.
+
+    Returns ``(table, None)`` when the result fits (``schema``'s empty
+    table for an empty ``ds``), else ``(None, rest)`` where ``rest`` is
+    a Dataset over every partial block of ``ds``."""
+    import ray.data
+    from ray.data.block import BlockAccessor
+
+    def fold(tables: list[pa.Table]) -> pa.Table:
+        if keys is None:
+            return pa.concat_tables(tables)
+        out = pa.concat_tables(tables).group_by(keys).aggregate(aggs)
+        cols = {k: out.column(k) for k in keys}
+        cols.update((c, out.column(f"{c}_{fn}")) for c, fn in aggs)
+        return pa.table([cols[n] for n in schema.names], schema=schema)
+
+    refs: list = []
+    acc: list[pa.Table] = []
+    rows = pending = 0  # rows: held (keys=None) or folded (keys) rows
+    bundles = ds.iter_internal_ref_bundles()
+    for bundle in bundles:
+        block_refs = list(bundle.block_refs)
+        refs += block_refs
+        for block in ray.get(block_refs):
+            t = BlockAccessor.for_block(block).to_arrow()
+            if not t.num_rows:
+                continue
+            acc.append(t)
+            pending += t.num_rows
+            if keys is None:
+                rows = pending
+            elif len(acc) > FOLD_EVERY or pending > cap:
+                acc, pending = [fold(acc)], 0
+                rows = acc[0].num_rows
+            if rows > cap:
+                refs += [r for b in bundles for r in b.block_refs]
+                return None, ray.data.from_arrow_refs(refs)
+    if not acc:
+        return schema.empty_table(), None
+    out = fold(acc) if pending else acc[0]
+    if out.num_rows > cap:
+        return None, ray.data.from_arrow_refs(refs)
+    return out, None

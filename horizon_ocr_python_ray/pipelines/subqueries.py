@@ -53,7 +53,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Sum
 
-from ..functions.collect import collect_tables, iter_tables
+from ..functions.collect import collect_table, collect_tables, fold_capped
 from .analytics import (
     BROADCAST_BUILD_MAX_ROWS,
     _join_plan,
@@ -311,41 +311,35 @@ def part_small_qty_q17(sf_dir: str, brand: str = "Brand#1",
 HAVING_FOLD_MAX_KEYS = 5_000_000
 
 
-def _fold_or_shuffle_having(partials, thr_e2: int) -> pd.DataFrame:
-    """(l_orderkey, p_q) partials → HAVING-filtered sums as a driver
-    DataFrame. Driver fold under :data:`HAVING_FOLD_MAX_KEYS`, bucketed
-    hash-aggregate shuffle past it (both exact: integer sums)."""
+_Q18_PARTIAL_SCHEMA = pa.schema([("l_orderkey", pa.int64()), ("p_q", pa.int64())])
+
+
+def _q18_qty_partial(t: pa.Table) -> pa.Table:
+    """Batch combiner: (l_orderkey, p_q) quantity sums in e2."""
+    g = pa.table({"l_orderkey": t.column("l_orderkey"),
+                  "p_q": _e2(t.column("l_quantity"))})
+    agg = pa.TableGroupBy(g, "l_orderkey").aggregate([("p_q", "sum")])
+    return agg.rename_columns(["l_orderkey", "p_q"])
+
+
+def _having_sums(partials, thr_e2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(l_orderkey, p_q) partials → the HAVING-filtered (orderkeys,
+    sums), sorted by key. Driver fold under :data:`HAVING_FOLD_MAX_KEYS`,
+    bucketed hash-aggregate shuffle over the same partials past it (both
+    exact: integer sums)."""
     from ..stages.hashagg import grouped_aggregate
 
-    acc: list[pa.Table] = []
-    n_keys = 0
-    over = False
-    for t in iter_tables(partials):
-        acc.append(t)
-        if sum(a.num_rows for a in acc) > 262_144 or over:
-            merged = (pa.concat_tables(acc).group_by("l_orderkey")
-                      .aggregate([("p_q", "sum")])
-                      .rename_columns(["l_orderkey", "p_q"]))
-            acc = [merged]
-            n_keys = merged.num_rows
-            if n_keys > HAVING_FOLD_MAX_KEYS:
-                over = True
-                break
-    if over:
-        sums = grouped_aggregate(partials, "l_orderkey",
-                                 [("p_q", "sum", "sum_q")])
-        return (sums.filter(expr=f"sum_q > {thr_e2}")
-                .to_pandas().sort_values("l_orderkey"))
-    merged = (pa.concat_tables(acc).group_by("l_orderkey")
-              .aggregate([("p_q", "sum")])
-              .rename_columns(["l_orderkey", "sum_q"])) if acc else pa.table(
-        {"l_orderkey": pa.array([], pa.int64()),
-         "sum_q": pa.array([], pa.int64())})
-    import pyarrow.compute as _pc
+    sums, rest = fold_capped(partials, _Q18_PARTIAL_SCHEMA, ["l_orderkey"],
+                             [("p_q", "sum")], HAVING_FOLD_MAX_KEYS)
+    if rest is not None:
+        sums = collect_table(
+            grouped_aggregate(rest, "l_orderkey", [("p_q", "sum", "p_q")])
+            .filter(expr=f"p_q > {thr_e2}"), _Q18_PARTIAL_SCHEMA)
+    kept = sums.filter(pc.greater(sums.column("p_q"),
+                                  pa.scalar(thr_e2, pa.int64()))).sort_by("l_orderkey")
+    return (kept.column("l_orderkey").to_numpy().astype(np.int64),
+            kept.column("p_q").to_numpy().astype(np.int64))
 
-    kept = merged.filter(_pc.greater(merged.column("sum_q"),
-                                     pa.scalar(thr_e2, pa.int64())))
-    return kept.to_pandas().sort_values("l_orderkey")
 
 def big_orders_q18(sf_dir: str, min_qty: float = 300.0,
                    num_partitions: int = 8):
@@ -355,9 +349,8 @@ def big_orders_q18(sf_dir: str, min_qty: float = 300.0,
 
     The per-order quantity sums reduce through the combiner, then —
     because the winner set must reach the driver for the broadcast
-    anyway — the partials are FOLDED incrementally on the driver (a
-    `pa.Table.group_by` per chunk, hard-capped like
-    ``stages/topterms.build_df_table``), skipping the distributed
+    anyway — the partials are FOLDED incrementally on the driver
+    (``functions/collect.fold_capped``), skipping the distributed
     groupby entirely: measured 9.9 s (plain sort-shuffle groupby) →
     4.2 s (bucketed hash agg) → ~2 s (driver fold) at sf0.1. Past the
     cap it falls back to the bucketed hash aggregate
@@ -368,18 +361,9 @@ def big_orders_q18(sf_dir: str, min_qty: float = 300.0,
     plan = _join_plan(sf_dir, ["customer"])
     li = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     thr_e2 = int(round(min_qty * 100))
-
-    def qty_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"l_orderkey": t.column("l_orderkey"),
-                      "p_q": _e2(t.column("l_quantity"))})
-        agg = pa.TableGroupBy(g, "l_orderkey").aggregate([("p_q", "sum")])
-        return agg.rename_columns(["l_orderkey", "p_q"])
-
-    partials = li.map_batches(qty_partial, batch_format="pyarrow",
+    partials = li.map_batches(_q18_qty_partial, batch_format="pyarrow",
                               batch_size=65536)
-    wdf = _fold_or_shuffle_having(partials, thr_e2)
-    wref = ray.put((wdf["l_orderkey"].to_numpy(np.int64),
-                    wdf["sum_q"].to_numpy(np.int64)))
+    wref = ray.put(_having_sums(partials, thr_e2))
 
     orders = _tbl(sf_dir, "orders",
                   ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])

@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.collect import collect_table, collect_tables
+from ..functions.collect import collect_table, collect_tables, fold_capped
 from ..functions.minhash import (
     band_hash_matrix,
     estimated_jaccard,
@@ -165,7 +165,8 @@ def _discover_pairs_distributed(bands) -> list[tuple[int, int]]:
         lambda t: t.filter(pc.greater(t.column("n"), pa.scalar(1))).select(["band_key"]),
         batch_format="pyarrow",
     )
-    hot_keys = pa.array([r["band_key"] for r in hot.take_all()], pa.int64())
+    hot_rows = hot.take_all()  # bounded: band keys shared by ≥ 2 docs
+    hot_keys = pa.array([r["band_key"] for r in hot_rows], pa.int64())
     if not len(hot_keys):
         return []
     members = bands_m.map_batches(
@@ -184,10 +185,8 @@ def _discover_pairs_distributed(bands) -> list[tuple[int, int]]:
 
     pairs = members.groupby("band_key").map_groups(pairs_in_group, batch_format="pandas")
     deduped = pairs.groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name="_n"))
-    return sorted(
-        (r["doc_a"], r["doc_b"])
-        for r in deduped.select_columns(["doc_a", "doc_b"]).take_all()
-    )
+    rows = deduped.select_columns(["doc_a", "doc_b"]).take_all()  # bounded: candidate pairs
+    return sorted((r["doc_a"], r["doc_b"]) for r in rows)
 
 
 def _discover_pairs(bands, n_band_rows: int) -> list[tuple[int, int]]:
@@ -199,10 +198,13 @@ def _discover_pairs(bands, n_band_rows: int) -> list[tuple[int, int]]:
     return _discover_pairs_distributed(bands)
 
 
-def minhash_lsh_pairs(docs_ds, num_hashes: int = 128, num_bands: int = 32,
-                      k_shingle: int = 5, min_est_jaccard: float = 0.5):
-    """documents → near-duplicate candidate pairs (doc_a, doc_b,
-    est_jaccard), deduped across bands, est ≥ ``min_est_jaccard``.
+def _lsh_pairs(docs_ds, num_hashes: int, num_bands: int, k_shingle: int,
+               min_est_jaccard: float):
+    """documents → (near-duplicate candidate pairs (doc_a, doc_b,
+    est_jaccard), deduped across bands, est ≥ ``min_est_jaccard``; the
+    candidate-text dict the broadcast est stage collected — empty when
+    there are no candidates or the join-co-located plan ran — so the
+    verify stage can reuse it).
 
     Physical plan (combiner + broadcast, no giant tiny-group shuffle):
 
@@ -220,19 +222,11 @@ def minhash_lsh_pairs(docs_ds, num_hashes: int = 128, num_bands: int = 32,
        with both texts via two narrow hash joins
        (:func:`attach_pair_texts`) and scored in-stream.
 
-    Banding defaults (128 hashes, 32 bands × 4 rows) put the s-curve
-    collision threshold at (1/32)^(1/4) ≈ 0.42, matched to the default
-    ``min_est_jaccard=0.5`` (16×8 would miss half of 0.5–0.7 near-dups).
+    The :func:`minhash_near_dup_verified` banding defaults (128 hashes,
+    32 bands × 4 rows) put the s-curve collision threshold at
+    (1/32)^(1/4) ≈ 0.42, matched to its default ``min_est_jaccard=0.5``
+    (16×8 would miss half of 0.5–0.7 near-dups).
     """
-    return _lsh_pairs(docs_ds, num_hashes, num_bands, k_shingle,
-                      min_est_jaccard)[0]
-
-
-def _lsh_pairs(docs_ds, num_hashes: int, num_bands: int, k_shingle: int,
-               min_est_jaccard: float):
-    """:func:`minhash_lsh_pairs` plus the candidate-text dict its
-    broadcast est stage collected (empty when there are no candidates or
-    the join-co-located plan ran), so the verify stage can reuse it."""
     import pyarrow.compute as pc
     import ray
     import ray.data
@@ -458,7 +452,7 @@ def simhash_near_dup_pairs(docs_ds, max_hamming: int = 3):
     at least one band — candidate recall is exactly 1, and the vectorized
     XOR-popcount verify makes the result exact, never approximate (the
     deterministic counterpart of the reference's near-dup merges, D5–D6;
-    same banding machinery as :func:`minhash_lsh_pairs`).
+    same banding machinery as :func:`_lsh_pairs`).
 
     Physical plan: one narrow (doc_id:int64, simhash:int64) sketch table,
     materialized once for its two consumers (band explosion + candidate
@@ -524,6 +518,16 @@ def simhash_near_dup_pairs(docs_ds, max_hamming: int = 3):
 #: broadcast dict is one Python string per candidate doc — 2M web pages
 #: at ~4 KB is ~8 GB; anything bigger must not land on one machine.
 VERIFY_BROADCAST_MAX_DOCS = 2_000_000
+
+#: Verify collects candidate pairs to the driver only up to this many
+#: rows (a few int64 columns → tens of MB at the cap). Candidate
+#: generation is bounded per band key or prefix gram, not per corpus —
+#: a duplicate-heavy corpus yields O(dup-pairs) candidates — so the
+#: collect streams with a running count and, past the cap, the verify
+#: takes the join-co-located plan over the pairs already produced.
+PAIR_COLLECT_MAX_ROWS = 2_000_000
+
+PAIR_IDS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
 
 
 def attach_pair_texts(docs_ds, pairs_ds, num_partitions: int = 8):
@@ -649,17 +653,29 @@ def ngram_jaccard_verify(docs_ds, pairs_ds, k_shingle: int = 5, threshold: float
     - join-co-located, above the cap: pair each candidate with both
       texts via two narrow hash joins (:func:`attach_pair_texts`) and
       score inside the stream — nothing text-sized reaches the driver.
+
+    The pairs are collected once, under :data:`PAIR_COLLECT_MAX_ROWS`,
+    and both plans verify what was collected: the pair Dataset's
+    upstream runs once. Past the pair cap the join plan runs over the
+    pair blocks already produced.
     """
-    pair_rows = pairs_ds.select_columns(["doc_a", "doc_b"]).take_all()
-    cand = {d for r in pair_rows for d in (r["doc_a"], r["doc_b"])}
-    if len(cand) > VERIFY_BROADCAST_MAX_DOCS:
-        return attach_pair_texts(docs_ds, pairs_ds, num_partitions).map_batches(
-            _verify_distributed_task,
-            fn_kwargs={"k": k_shingle, "threshold": threshold},
-            batch_format="pyarrow",
-        )
-    return _verify_broadcast(pairs_ds, collect_texts_for_ids(docs_ds, cand),
-                             k_shingle, threshold)
+    import ray.data
+
+    pairs, pairs_src = fold_capped(pairs_ds, PAIR_IDS_SCHEMA, None, None,
+                                   PAIR_COLLECT_MAX_ROWS)
+    if pairs_src is None:
+        pairs_src = ray.data.from_arrow(pairs)
+        cand = set(pairs.column("doc_a").to_pylist())
+        cand.update(pairs.column("doc_b").to_pylist())
+        if len(cand) <= VERIFY_BROADCAST_MAX_DOCS:
+            return _verify_broadcast(pairs_src,
+                                     collect_texts_for_ids(docs_ds, cand),
+                                     k_shingle, threshold)
+    return attach_pair_texts(docs_ds, pairs_src, num_partitions).map_batches(
+        _verify_distributed_task,
+        fn_kwargs={"k": k_shingle, "threshold": threshold},
+        batch_format="pyarrow",
+    )
 
 
 def _verify_broadcast(pairs_ds, texts: dict[int, str], k: int, threshold: float):

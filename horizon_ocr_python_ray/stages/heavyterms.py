@@ -21,11 +21,13 @@ from __future__ import annotations
 from collections import Counter
 
 import pyarrow as pa
-from ..functions.collect import collect_tables, iter_tables
+from ..functions.collect import collect_tables, fold_capped
 
 #: Distinct-term bound of the driver fold; above it the partials go
 #: through the ``groupby(term).sum`` shuffle instead.
 FOLD_VOCAB_MAX = 5_000_000
+
+_PARTIAL_SCHEMA = pa.schema([("term", pa.string()), ("partial_n", pa.int64())])
 
 
 def _batch_term_counts(batch: pa.Table) -> Counter:
@@ -74,25 +76,19 @@ def _top_k(docs_ds, k: int, partial_fn) -> pa.Table:
     """Exact top-``k`` (term, n, rank) from the ``partial_fn`` combiner:
     fold the partials on the DRIVER (each is one row per distinct term
     per batch — the same tables a reducer would hold; skipping the
-    distributed ``groupby(term)`` removes a sort-shuffle round trip, the
-    ``topterms.build_df_table`` result) while the vocabulary fits
-    :data:`FOLD_VOCAB_MAX`, else shuffle."""
+    distributed ``groupby(term)`` removes a sort-shuffle round trip, as
+    in ``topterms.doc_top_terms``) while the vocabulary fits
+    :data:`FOLD_VOCAB_MAX`, else shuffle the same partials."""
     from ray.data.aggregate import Sum
 
     partials = docs_ds.map_batches(partial_fn, batch_format="pyarrow")
-    folded: Counter = Counter()
-    for t in iter_tables(partials):
-        folded.update(dict(zip(t.column("term").to_pylist(),
-                               t.column("partial_n").to_pylist())))
-        if len(folded) > FOLD_VOCAB_MAX:
-            totals = partials.groupby("term").aggregate(
-                Sum("partial_n", alias_name="n"))
-            return _finish_topk(collect_tables(totals.map_batches(
-                lambda b: _local_topk(b, k), batch_format="pyarrow")), k)
-    terms = sorted(folded)
-    tbl = pa.table({"term": pa.array(terms, pa.string()),
-                    "n": pa.array([folded[t] for t in terms], pa.int64())})
-    return _finish_topk([tbl], k)
+    folded, rest = fold_capped(partials, _PARTIAL_SCHEMA, ["term"],
+                               [("partial_n", "sum")], FOLD_VOCAB_MAX)
+    if rest is None:
+        return _finish_topk([folded.rename_columns(["term", "n"])], k)
+    totals = rest.groupby("term").aggregate(Sum("partial_n", alias_name="n"))
+    return _finish_topk(collect_tables(totals.map_batches(
+        lambda b: _local_topk(b, k), batch_format="pyarrow")), k)
 
 
 def corpus_top_terms(docs_ds, k: int = 50):

@@ -35,7 +35,7 @@ path; text never shuffles):
    winnow_shared_pairs shape); CROSS-bucket pair dedup happens on the
    driver fold the verify step already pays (np.unique on two int64
    columns) — a fourth exchange only runs past the
-   :data:`PAIR_COLLECT_MAX_ROWS` collect cap.
+   ``dedup_docs.PAIR_COLLECT_MAX_ROWS`` collect cap.
 5. verify: exact inter/union over the full md5-gram sets — candidate
    texts broadcast once via ``ray.put`` under the
    ``dedup_docs.VERIFY_BROADCAST_MAX_DOCS`` cap, else the distributed
@@ -75,21 +75,8 @@ from .hashagg import grouped_aggregate, grouped_reduce
 
 _SIGN = np.uint64(1 << 63)
 
-#: Verify collects candidate pairs to the driver only up to this many
-#: rows (4 int64 columns → ~64 MB at the cap). The prefix filter bounds
-#: candidate generation PER GRAM, not the corpus total — a
-#: duplicate-heavy corpus yields O(dup-pairs) candidates — so the fold
-#: streams block-by-block with a running count and falls through to the
-#: distributed ``attach_pair_texts`` verify the moment the cap trips
-#: (the lmscore ``train_bigram_model`` idiom).
-PAIR_COLLECT_MAX_ROWS = 2_000_000
-
-_PAIR_SCHEMA = {
-    "doc_a": pa.int64(),
-    "doc_b": pa.int64(),
-    "n_inter": pa.int64(),
-    "n_union": pa.int64(),
-}
+_PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                          ("n_inter", pa.int64()), ("n_union", pa.int64())])
 
 
 def _distinct_gram_hash_rows(batch: pa.Table, k: int) -> pa.Table:
@@ -278,37 +265,30 @@ def _verify_pairs(docs_ds, pairs_ds, k: int, thr_num: int, thr_den: int,
     import ray
     import ray.data
 
-    from ..functions.collect import iter_tables
+    from ..functions.collect import fold_capped
     from .dedup_docs import (
+        PAIR_COLLECT_MAX_ROWS,
+        PAIR_IDS_SCHEMA,
         VERIFY_BROADCAST_MAX_DOCS,
         attach_pair_texts,
         collect_texts_for_ids,
     )
 
-    # The driver fold both reads the candidate ids AND feeds the verify
-    # map (on either plan below), so the 3-exchange candidate plan
-    # executes exactly once on the happy path. The prefix filter bounds
-    # candidates per GRAM, not per corpus, so the collect streams
-    # block-by-block under a running row cap; past the cap the partial
-    # tables are abandoned and verification falls through to the
-    # distributed hash-join plan (which re-runs the candidate exchanges
-    # once, but nothing candidate-sized ever sits on the driver).
-    tabs, rows, capped = [], 0, False
-    for t in iter_tables(pairs_ds):
-        rows += t.num_rows
-        if rows > PAIR_COLLECT_MAX_ROWS:
-            capped = True
-            break
-        tabs.append(t)
-    if capped:
-        pairs_src = _dedup_pairs_exchange(pairs_ds, num_buckets)
-    elif not tabs:
-        return ray.data.from_arrow(pa.table(
-            {kk: pa.array([], t) for kk, t in _PAIR_SCHEMA.items()}))
+    # The collect both reads the candidate ids AND feeds the verify map
+    # (on either plan below), so the 3-exchange candidate plan executes
+    # exactly once. The prefix filter bounds candidates per GRAM, not per
+    # corpus, so the collect streams under a running row cap; past it
+    # the verify takes the distributed hash-join plan over the same
+    # candidate blocks (nothing candidate-sized sits on the driver).
+    cat, rest = fold_capped(pairs_ds, PAIR_IDS_SCHEMA, None, None,
+                            PAIR_COLLECT_MAX_ROWS)
+    if rest is not None:
+        pairs_src = _dedup_pairs_exchange(rest, num_buckets)
+    elif not cat.num_rows:
+        return ray.data.from_arrow(_PAIR_SCHEMA.empty_table())
     else:
         # driver-side cross-bucket dedup — removes the fourth exchange
         # on the common (collected) plan
-        cat = pa.concat_tables(tabs)
         ab = np.stack([cat.column("doc_a").to_numpy(),
                        cat.column("doc_b").to_numpy()], axis=1)
         ab = np.unique(ab, axis=0)

@@ -76,7 +76,7 @@ def _seed_centroids(emb_ds, k: int, id_col: str, emb_col: str) -> np.ndarray:
         return pa.table({id_col: pa.array(ids[keep], pa.int64()),
                          "e6": pa.array(list(x), pa.list_(pa.int64()))})
 
-    rows = emb_ds.map_batches(partial, batch_format="pyarrow").take_all()
+    rows = emb_ds.map_batches(partial, batch_format="pyarrow").take_all()  # bounded: ≤ k rows per batch
     rows.sort(key=lambda r: r[id_col])
     return np.asarray([r["e6"] for r in rows[:k]], dtype=np.int64)
 
@@ -117,7 +117,7 @@ def kmeans_centroids(emb_ds, k: int = 8, id_col: str = "vec_id",
     sums = (emb_ds.map_batches(sum_partial, batch_format="pyarrow")
             .groupby(["cluster", "dim"])
             .aggregate(Sum("p_s", alias_name="s"), Sum("p_n", alias_name="n"))
-            ).take_all()  # k×d rows — tiny for any sane k
+            ).take_all()  # bounded: k×d rows
     dim = seeds.shape[1]
     cents = seeds.copy()  # empty clusters keep their seed centroid
     acc = np.zeros((k, dim), np.int64)

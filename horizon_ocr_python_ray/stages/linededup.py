@@ -31,7 +31,7 @@ import hashlib
 from collections import Counter
 
 import pyarrow as pa
-from ..functions.collect import iter_tables
+from ..functions.collect import fold_capped
 from ..state.worker import worker_state
 
 #: Default document-frequency threshold: a line present in this many
@@ -69,37 +69,7 @@ def _partial_line_df(batch: pa.Table, text_col: str) -> pa.Table:
 #: shuffle instead.
 DRIVER_FOLD_LINE_MAX = 5_000_000
 
-
-def _line_df_table_driver_fold(partials) -> pa.Table:
-    """Fold the batch-local (line, partial_df) combiner outputs on the
-    driver with pyarrow ``group_by`` — skips the distributed
-    ``groupby(line)`` sort-shuffle (measured 8.6 s → ~3 s at sf0.1,
-    where the shuffle dominated). Memory stays O(distinct lines +
-    chunk); the bound is enforced on every fold and a breach falls back
-    to the shuffle plan (same switch pattern as
-    ``stages/topterms.build_df_table``)."""
-    import ray
-
-    def _fold(tables: list[pa.Table]) -> pa.Table:
-        merged = (pa.concat_tables(tables)
-                  .group_by("line").aggregate([("df", "sum")])
-                  .select(["line", "df_sum"]).rename_columns(["line", "df"]))
-        if merged.num_rows > DRIVER_FOLD_LINE_MAX:
-            raise _FoldOverflow()
-        return merged
-
-    empty = pa.table(
-        {"line": pa.array([], pa.string()), "df": pa.array([], pa.int64())})
-    chunk: list[pa.Table] = [empty]
-    for t in iter_tables(partials):
-        chunk.append(t.rename_columns(["line", "df"]))
-        if len(chunk) >= 64:
-            chunk = [_fold(chunk)]
-    return _fold(chunk) if len(chunk) > 1 else chunk[0]
-
-
-class _FoldOverflow(Exception):
-    pass
+_LINE_DF_SCHEMA = pa.schema([("line", pa.string()), ("partial_df", pa.int64())])
 
 
 def boilerplate_lines_ref(docs_ds, min_df: int = DEFAULT_MIN_DF,
@@ -108,30 +78,31 @@ def boilerplate_lines_ref(docs_ds, min_df: int = DEFAULT_MIN_DF,
     min_df): the frozenset of lines, or — past :data:`DROP_SET_MAX`
     lines — the sorted hash64 array of :func:`boilerplate_hashes_ref`.
 
-    The line DF folds the combiner partials on the driver (no shuffle)
-    while the distinct-line vocabulary fits
-    :data:`DRIVER_FOLD_LINE_MAX`, else runs the distributed
-    ``groupby(line).sum`` and collects only the filtered drop-set. Both
-    produce the identical set (tested)."""
+    The line DF folds the combiner partials on the driver (no shuffle;
+    measured 8.6 s → ~3 s at sf0.1, where the shuffle dominated) while
+    the distinct-line vocabulary fits :data:`DRIVER_FOLD_LINE_MAX`, else
+    runs the distributed ``groupby(line).sum`` over the same partials
+    and collects only the filtered drop-set. Both produce the identical
+    set (tested)."""
     import ray
 
     partials = docs_ds.map_batches(_partial_line_df, batch_format="pyarrow",
                                    fn_kwargs={"text_col": text_col})
-    try:
-        df_tbl = _line_df_table_driver_fold(partials)
-    except _FoldOverflow:
+    df_tbl, rest = fold_capped(partials, _LINE_DF_SCHEMA, ["line"],
+                               [("partial_df", "sum")], DRIVER_FOLD_LINE_MAX)
+    if rest is None:
+        mask = pa.compute.greater_equal(df_tbl.column("partial_df"), min_df)
+        drop = set(df_tbl.filter(mask).column("line").to_pylist())
+    else:
         from ray.data.aggregate import Sum
 
-        df = partials.groupby("line").aggregate(Sum("partial_df", alias_name="df"))
-        drop: set[str] = set()
+        df = rest.groupby("line").aggregate(Sum("partial_df", alias_name="df"))
+        drop = set()
         for t in df.iter_batches(batch_format="pyarrow"):
             mask = pa.compute.greater_equal(t.column("df"), min_df)
             drop.update(t.filter(mask).column("line").to_pylist())
             if len(drop) > DROP_SET_MAX:
                 break
-    else:
-        mask = pa.compute.greater_equal(df_tbl.column("df"), min_df)
-        drop = set(df_tbl.filter(mask).column("line").to_pylist())
     if len(drop) > DROP_SET_MAX:
         return boilerplate_hashes_ref(docs_ds, min_df, text_col)
     return ray.put(frozenset(drop))

@@ -48,7 +48,7 @@ from ray.data.aggregate import Count, Sum
 
 from ..functions.links import outlinks_batch
 from ..functions.sniff import sniff_route
-from ..functions.collect import collect_tables, iter_tables
+from ..functions.collect import collect_tables, fold_capped
 
 #: Fixed-point scale of the rank column (rank_e12 = rank × 1e12).
 RANK_SCALE = 1_000_000_000_000
@@ -60,6 +60,8 @@ RANK_BASE = 150_000_000_000
 #: Distinct-edge count above which the edge list is not folded to the
 #: driver and the partitioned plan takes over.
 BROADCAST_MAX_EDGES = 5_000_000
+
+_EDGE_SCHEMA = pa.schema([("src_host", pa.string()), ("dst_host", pa.string())])
 
 
 def _html_links(pages: ray.data.Dataset) -> ray.data.Dataset:
@@ -183,35 +185,6 @@ def _rank_table(hosts: np.ndarray, r: np.ndarray) -> ray.data.Dataset:
     )
 
 
-
-def _edges_if_small(partials, cap: int):
-    """Stream the batch-distinct edge partials to the driver under a
-    RUNNING row cap: fold every 64 tables into a global distinct so the
-    bound tracks DISTINCT edges (partials overlap across batches), and
-    bail out with ``None`` the moment the fold exceeds ``cap`` — the
-    driver never holds more than ~cap + one block of rows, so the
-    broadcast-vs-partitioned decision itself can't OOM on a huge graph.
-    Returns the distinct edge Table when it fits."""
-    empty = pa.table({"src_host": pa.array([], pa.string()),
-                      "dst_host": pa.array([], pa.string())})
-    chunk = [empty]
-    pending = 0
-    for t in iter_tables(partials):
-        chunk.append(t)
-        pending += t.num_rows
-        if pending > cap or len(chunk) >= 64:
-            folded = (pa.concat_tables(chunk)
-                      .group_by(["src_host", "dst_host"]).aggregate([]))
-            if folded.num_rows > cap:
-                return None
-            chunk = [folded]
-            pending = 0
-    out = (pa.concat_tables(chunk)
-           .group_by(["src_host", "dst_host"]).aggregate([])
-           if len(chunk) > 1 else chunk[0])
-    return None if out.num_rows > cap else out
-
-
 def _node_partial(t: pa.Table) -> pa.Table:
     """Distinct hosts of an edge batch, either endpoint."""
     cols = []
@@ -236,9 +209,9 @@ def host_components(pages: ray.data.Dataset, sweeps: int = 4) -> ray.data.Datase
     variant for arbitrary graphs is `stages/dedup_docs.py`'s
     distributed label propagation (iterate-until-fixpoint); this one
     pins the sweep count so the oracle can replay it exactly."""
-    partials = _edge_partials(pages)
-    edges = _edges_if_small(partials, BROADCAST_MAX_EDGES)
-    if edges is not None:
+    edges, rest = fold_capped(_edge_partials(pages), _EDGE_SCHEMA,
+                              ["src_host", "dst_host"], [], BROADCAST_MAX_EDGES)
+    if rest is None:
         s = edges.column("src_host").to_numpy(zero_copy_only=False)
         d = edges.column("dst_host").to_numpy(zero_copy_only=False)
         hosts = np.unique(np.concatenate([s, d])) if len(s) else np.array([], object)
@@ -266,7 +239,7 @@ def host_components(pages: ray.data.Dataset, sweeps: int = 4) -> ray.data.Datase
     from ray.data.aggregate import Min
 
     edges_ds = (
-        partials.groupby(["src_host", "dst_host"])
+        rest.groupby(["src_host", "dst_host"])
         .aggregate(Count(alias_name="_n"))
         .drop_columns(["_n"])
         .materialize()  # consumed once per sweep + once for the node set
@@ -319,13 +292,9 @@ def host_pagerank(pages: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
 
     Both plans produce bit-identical ranks (integer update rule);
     ``tests/test_linkgraph.py`` asserts it."""
-    partials = _edge_partials(pages)
-
-    # Edge partials are already batch-distinct; the global distinct
-    # folds on the driver under a RUNNING cap (bail before memory
-    # blows, not after — _edges_if_small).
-    edges = _edges_if_small(partials, BROADCAST_MAX_EDGES)
-    if edges is not None:
+    edges, rest = fold_capped(_edge_partials(pages), _EDGE_SCHEMA,
+                              ["src_host", "dst_host"], [], BROADCAST_MAX_EDGES)
+    if rest is None:
         s = edges.column("src_host").to_numpy(zero_copy_only=False)
         d = edges.column("dst_host").to_numpy(zero_copy_only=False)
         hosts = np.unique(np.concatenate([s, d])) if len(s) else np.array([], object)
@@ -337,7 +306,7 @@ def host_pagerank(pages: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
     # via one (src,dst) shuffle keeps edges a Dataset; only per-HOST
     # state ever reaches the driver.
     edges_ds = (
-        partials.groupby(["src_host", "dst_host"])
+        rest.groupby(["src_host", "dst_host"])
         .aggregate(Count(alias_name="_n"))
         .drop_columns(["_n"])
         .materialize()  # consumed once per iteration + twice for degree/nodes

@@ -47,7 +47,7 @@ import pyarrow as pa
 import ray
 
 from ..functions.textstats import tokens
-from ..functions.collect import iter_tables
+from ..functions.collect import fold_capped
 
 #: Integer scale of each transition term (fits int64 with room: SCALE ·
 #: c2 ≤ 1e6 · corpus tokens).
@@ -60,14 +60,8 @@ MIN_BIGRAM_COUNT = 2
 BROADCAST_VOCAB_MAX = 5_000_000
 BROADCAST_BIGRAM_MAX = 20_000_000
 
-class ModelTooLargeError(NotImplementedError):
-    """The pruned model exceeds the broadcast budget.
-
-    Raised by :func:`train_bigram_model`; :func:`doc_lm_score` catches
-    it and runs the distributed gram hash-join plan instead, so
-    an over-budget corpus always has a working path.
-    """
-
+_COUNT_SCHEMA = pa.schema([("w1", pa.string()), ("w2", pa.string()),
+                           ("c", pa.int64())])
 
 _SCORE_SCHEMA = pa.schema([
     ("doc_id", pa.int64()),
@@ -167,32 +161,22 @@ def train_bigram_counts(docs_ds):
             .map_batches(_prune_grams, batch_format="pyarrow"))
 
 
-def train_bigram_model(docs_ds, counts=None) -> dict:
-    """One counting pass → broadcast-ready integer model dict.
+def train_bigram_model(docs_ds):
+    """One counting pass → ``(model, None)``: the broadcast-ready integer
+    model dict, or ``(None, counts)`` when the pruned model exceeds the
+    broadcast budget (:data:`BROADCAST_VOCAB_MAX` /
+    :data:`BROADCAST_BIGRAM_MAX`). ``counts`` is the pruned gram-count
+    Dataset, built from the rows already counted, so the gram hash-join
+    plan (:func:`doc_lm_score_join`) reuses the counting pass instead of
+    re-running the corpus-wide tokenize + gram shuffle. The collect
+    streams under a running row cap, so the over-budget answer comes
+    BEFORE driver memory blows, not after."""
+    import ray.data
 
-    Raises :class:`ModelTooLargeError` when the pruned model exceeds the
-    broadcast budget — :func:`doc_lm_score` then falls back to the gram
-    hash-join plan. ``counts`` lets the caller pass an
-    already-built (ideally materialized) gram-count Dataset so the
-    fallback can REUSE the counting pass instead of re-running the
-    corpus-wide shuffle."""
-    if counts is None:
-        counts = train_bigram_counts(docs_ds)
-    # Pull block-by-block with a running cap so the loud refusal fires
-    # BEFORE driver memory blows, not after.
-    parts, rows = [], 0
-    for x in iter_tables(counts):
-        rows += x.num_rows
-        if rows > BROADCAST_VOCAB_MAX + BROADCAST_BIGRAM_MAX:
-            raise ModelTooLargeError(
-                f"pruned model exceeds {BROADCAST_VOCAB_MAX} vocab + "
-                f"{BROADCAST_BIGRAM_MAX} bigram broadcast budget; "
-                f"doc_lm_score falls back to the explode + gram "
-                f"hash-join plan (doc_lm_score_join)")
-        parts.append(x)
-    t = pa.concat_tables(parts) if parts else pa.table(
-        {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string()),
-         "c": pa.array([], pa.int64())})
+    t, rest = fold_capped(train_bigram_counts(docs_ds), _COUNT_SCHEMA, None,
+                          None, BROADCAST_VOCAB_MAX + BROADCAST_BIGRAM_MAX)
+    if rest is not None:
+        return None, rest
     w1 = np.asarray(t.column("w1").to_pylist(), dtype=object)
     w2 = np.asarray(t.column("w2").to_pylist(), dtype=object)
     c = t.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -200,25 +184,17 @@ def train_bigram_model(docs_ds, counts=None) -> dict:
     vocab = np.sort(w1[is_uni].astype(str))
     c1_by_tok = dict(zip(w1[is_uni], c[is_uni]))
     c1 = np.array([c1_by_tok[v] for v in vocab], dtype=np.int64)
-    if len(vocab) > BROADCAST_VOCAB_MAX:
-        raise ModelTooLargeError(
-            f"vocabulary {len(vocab)} exceeds BROADCAST_VOCAB_MAX "
-            f"({BROADCAST_VOCAB_MAX}); doc_lm_score falls back to the "
-            f"explode + gram hash-join plan")
     total = int(c1.sum())
     keep = ~is_uni  # bigrams below MIN_BIGRAM_COUNT already pruned remotely
-    if int(keep.sum()) > BROADCAST_BIGRAM_MAX:
-        raise ModelTooLargeError(
-            f"pruned bigram table {int(keep.sum())} exceeds "
-            f"BROADCAST_BIGRAM_MAX ({BROADCAST_BIGRAM_MAX}); "
-            f"doc_lm_score falls back to the gram hash-join plan")
+    if len(vocab) > BROADCAST_VOCAB_MAX or int(keep.sum()) > BROADCAST_BIGRAM_MAX:
+        return None, ray.data.from_arrow(t)
     v = len(vocab)
     i1 = np.searchsorted(vocab, w1[keep].astype(str))
     i2 = np.searchsorted(vocab, w2[keep].astype(str))
     bkey = i1.astype(np.int64) * v + i2
     order = np.argsort(bkey)
     return {"vocab": vocab, "c1": c1, "total": total,
-            "bkey": bkey[order], "c2": c[keep][order]}
+            "bkey": bkey[order], "c2": c[keep][order]}, None
 
 
 def _score_batch(batch: pa.Table, model_ref) -> pa.Table:
@@ -455,14 +431,11 @@ def doc_lm_score(docs_ds, score_docs_ds=None, num_partitions: int = 8):
     (:func:`doc_lm_score_join`) — every corpus size has a working path."""
     import functools
 
-    # Materialize the pruned gram counts ONCE: the broadcast attempt
-    # streams them, and if it overflows the budget the join fallback
-    # reuses the same counts instead of re-running the corpus-wide
-    # tokenize + gram shuffle (the most expensive stage of the query).
-    counts = train_bigram_counts(docs_ds).materialize()
-    try:
-        model = train_bigram_model(docs_ds, counts=counts)
-    except ModelTooLargeError:
+    model, counts = train_bigram_model(docs_ds)
+    if model is None:
+        # over budget: the join plan reuses the counts already produced
+        # instead of re-running the tokenize + gram shuffle (the most
+        # expensive stage of the query)
         return doc_lm_score_join(docs_ds, score_docs_ds,
                                  num_partitions=num_partitions,
                                  counts=counts)

@@ -211,31 +211,14 @@ def build_reocr_pipeline(pages_ds) -> pa.Table:
     One streaming pass: the raster/kernel work happens inside the batch
     fn (parallel across payload batches); each batch emits exactly 4
     partial rows, so the final merge is a PROVABLY-SMALL driver fold
-    (``functions/collect.iter_tables``, incremental Arrow group-sum) —
-    a ``groupby("strategy")`` here would ship 4-row partials through
-    the full sort exchange and pay its multi-second executor spin-up on
-    what is a 4-key monoid fold."""
-    from ..functions.collect import iter_tables
+    (``functions/collect.fold_capped``: Arrow group-sum, at most one row
+    per strategy) — a ``groupby("strategy")`` here would ship 4-row
+    partials through the full sort exchange and pay its multi-second
+    executor spin-up on what is a 4-key monoid fold."""
+    from ..functions.collect import fold_capped
 
     partials = pages_ds.map_batches(
         _payload_batch_counts, batch_format="pyarrow", batch_size=32)
-
-    def fold(t: pa.Table) -> pa.Table:
-        agg = t.group_by("strategy").aggregate(
-            [(f, "sum") for f in _COUNT_FIELDS])
-        return pa.Table.from_arrays(
-            [agg.column("strategy")]
-            + [agg.column(f"{f}_sum") for f in _COUNT_FIELDS],
-            names=["strategy", *_COUNT_FIELDS])
-
-    merged: pa.Table | None = None
-    for t in iter_tables(partials):  # few rows per block, streaming
-        # fold the FIRST block too: a block is one task's output and may
-        # itself concatenate several 4-row batch partials (batch_size <
-        # block rows), so a single-block dataset must still group-sum
-        merged = fold(t if merged is None else pa.concat_tables([merged, t]))
-    if merged is None:
-        return pa.Table.from_pydict(
-            {"strategy": [], **{f: [] for f in _COUNT_FIELDS}},
-            schema=REOCR_SCHEMA)
-    return merged.sort_by("strategy").cast(REOCR_SCHEMA)
+    merged, _ = fold_capped(partials, REOCR_SCHEMA, ["strategy"],
+                            [(f, "sum") for f in _COUNT_FIELDS], len(STRATEGIES))
+    return merged.sort_by("strategy")

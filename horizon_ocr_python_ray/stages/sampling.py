@@ -190,7 +190,8 @@ def _stratum_counts(ds, stratum: str) -> dict:
 
     counts = (ds.map_batches(count_partial, batch_format="pyarrow")
               .groupby(stratum).aggregate(Sum("p_n", alias_name="n")))
-    return {r[stratum]: int(r["n"]) for r in counts.take_all()}
+    return {r[stratum]: int(r["n"])
+            for r in counts.take_all()}  # bounded: one row per stratum
 
 
 def mix_rebalance(ds, stratum: str = "lang", key: str = "doc_id"):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 
 import pyarrow as pa
-from ..functions.collect import iter_tables
+from ..functions.collect import fold_capped
 
 #: Register-index bits: m = 2^p registers per group.
 DEFAULT_P = 12
@@ -105,33 +105,13 @@ def hll_registers(ds, group_col: str, member_col: str, p: int = DEFAULT_P):
     partials = ds.map_batches(_partial_registers, batch_format="pyarrow",
                               fn_kwargs={"group_col": group_col,
                                          "member_col": member_col, "p": p})
-
-    def _fold(tables):
-        merged = (pa.concat_tables(tables)
-                  .group_by([group_col, "bucket"]).aggregate([("r", "max")])
-                  .rename_columns([group_col, "bucket", "r"]))
-        if merged.num_rows > FOLD_REGISTER_MAX:
-            raise _RegisterOverflow()
-        return merged
-
-    empty = pa.table({group_col: pa.array([], pa.string()),
-                      "bucket": pa.array([], pa.int64()),
-                      "r": pa.array([], pa.int64())})
-    chunk = [empty]
-    try:
-        for t in iter_tables(partials):
-            chunk.append(t)
-            if len(chunk) >= 64:
-                chunk = [_fold(chunk)]
-        out = _fold(chunk) if len(chunk) > 1 else chunk[0]
-    except _RegisterOverflow:
-        return (partials.groupby([group_col, "bucket"])
-                .aggregate(Max("r", alias_name="r")))
+    schema = pa.schema([(group_col, pa.string()), ("bucket", pa.int64()),
+                        ("r", pa.int64())])
+    out, rest = fold_capped(partials, schema, [group_col, "bucket"],
+                            [("r", "max")], FOLD_REGISTER_MAX)
+    if rest is not None:
+        return rest.groupby([group_col, "bucket"]).aggregate(Max("r", alias_name="r"))
     return ray.data.from_arrow(out)
-
-
-class _RegisterOverflow(Exception):
-    pass
 
 
 def hll_sketch_summary(ds, group_col: str, member_col: str, p: int = DEFAULT_P):

@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
+from ..functions.collect import fold_capped
 from ..functions.fasthash import hash64_bytes_column
 
 
@@ -146,6 +147,16 @@ def host_lang_mode(pages_ds):
 #: Build-side row cap for the broadcast fact-enrichment join.
 ENRICH_BROADCAST_MAX_ROWS = 2_000_000
 
+_HOST_COUNT_SCHEMA = pa.schema([("host", pa.string()), ("host_n_pages", pa.int64())])
+
+
+def _host_count_partial(t: pa.Table) -> pa.Table:
+    """Batch combiner: (host, p_n) page counts of a url batch."""
+    hosts = host_of_array(t.column("url"))
+    g = pa.TableGroupBy(pa.table({"host": hosts}), "host").aggregate(
+        [([], "count_all")])
+    return g.rename_columns(["host", "p_n"])
+
 
 def host_enrich_join(pages_ds, num_salts: int = 8, num_partitions: int = 8):
     """Fact-enrichment join UNDER KEY SKEW: attach each page's per-host
@@ -169,21 +180,15 @@ def host_enrich_join(pages_ds, num_salts: int = 8, num_partitions: int = 8):
     import numpy as np
     import ray
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        hosts = host_of_array(t.column("url"))
-        g = pa.TableGroupBy(pa.table({"host": hosts}), "host").aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["host", "p_n"])
-
     counts = (pages_ds.select_columns(["url"])
-              .map_batches(count_partial, batch_format="pyarrow")
+              .map_batches(_host_count_partial, batch_format="pyarrow")
               .groupby("host").aggregate(Sum("p_n", alias_name="host_n_pages")))
-
-    cdf = counts.to_pandas()
-    if len(cdf) <= ENRICH_BROADCAST_MAX_ROWS:
-        cdf = cdf.sort_values("host")
-        keys = cdf["host"].to_numpy()
-        vals = cdf["host_n_pages"].to_numpy(dtype="int64")
+    ctbl, rest = fold_capped(counts, _HOST_COUNT_SCHEMA, None, None,
+                             ENRICH_BROADCAST_MAX_ROWS)
+    if rest is None:
+        ctbl = ctbl.sort_by("host")
+        keys = ctbl.column("host").to_numpy()
+        vals = ctbl.column("host_n_pages").to_numpy()
         bref = ray.put((keys, vals))
 
         def probe(t: pa.Table) -> pa.Table:
@@ -218,7 +223,7 @@ def host_enrich_join(pages_ds, num_salts: int = 8, num_partitions: int = 8):
         })
         return reps
 
-    build = counts.map_batches(replicate, batch_format="pyarrow")
+    build = rest.map_batches(replicate, batch_format="pyarrow")
 
     def salt_probe(t: pa.Table) -> pa.Table:
         urls = t.column("url")

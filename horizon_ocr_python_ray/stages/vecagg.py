@@ -139,7 +139,7 @@ def emb_gram(emb_ds, emb_col: str = "embedding"):
     rows = (emb_ds.map_batches(partial, batch_format="pyarrow")
             .map_batches(fold, batch_format="pyarrow",
                          batch_size=_GRAM_FOLD_WIDTH)
-            .take_all())
+            .take_all())  # bounded: one d×d row per _GRAM_FOLD_WIDTH batches
     rows = [r for r in rows if r["d"]]
     if not rows:
         return pa.table({"dim_i": pa.array([], pa.int64()),

@@ -600,7 +600,7 @@ def events_rollup(events_ds, width_s: int = 3600):
     level1 = per_type.map_batches(finish_type, batch_format="pyarrow").materialize()
 
     # grand total folds from level 1 (a handful of rows) on the driver
-    rows = level1.take_all()
+    rows = level1.take_all()  # bounded: one row per event type
     total = pa.Table.from_arrays(
         [pa.array([ROLLUP_ALL_TYPE], pa.string()),
          pa.array([ROLLUP_ALL_WINDOW_US], pa.int64()).cast(pa.timestamp("us")),

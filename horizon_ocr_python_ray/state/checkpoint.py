@@ -103,7 +103,7 @@ def _dataset_rows_checksum(ds) -> tuple[int, str]:
         )
 
     rows, acc = 0, 0
-    for rec in ds.map_batches(partial, batch_format="pyarrow").take_all():
+    for rec in ds.map_batches(partial, batch_format="pyarrow").take_all():  # bounded: one row per batch
         rows += rec["n"]
         acc ^= (int(rec["hi"]) << 64) | int(rec["lo"])
     return rows, f"{acc:032x}"

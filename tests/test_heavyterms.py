@@ -25,13 +25,20 @@ def test_exact_topk_counts_and_ranking(ray_session):
         ("a", 4, 1), ("b", 4, 2), ("c", 1, 3)]
 
 
-def test_auto_fold_plan_equals_shuffle(ray_session, monkeypatch):
+def test_auto_fold_plan_equals_shuffle(ray_session, monkeypatch, udf_calls):
     texts = ["a a b c d", "b b e", "a f g b", "h"]
-    a = corpus_top_terms(_docs_ds(texts), k=4).to_pylist()
+    ds = _docs_ds(texts).materialize()
+    calls = udf_calls(heavyterms, "_partial_tf")
+    a = corpus_top_terms(ds, k=4).to_pylist()
+    assert calls() == ds.num_blocks()
     # vocab cap: a tiny bound forces the shuffle fallback, same result
     monkeypatch.setattr(heavyterms, "FOLD_VOCAB_MAX", 2)
-    b = corpus_top_terms(_docs_ds(texts), k=4).to_pylist()
-    assert a == b
+    b = corpus_top_terms(ds, k=4).to_pylist()
+    assert calls() == ds.num_blocks()  # the shuffle reuses the partials
+    assert a == b == [{"term": "b", "n": 4, "rank": 1},
+                      {"term": "a", "n": 3, "rank": 2},
+                      {"term": "c", "n": 1, "rank": 3},
+                      {"term": "d", "n": 1, "rank": 4}]
 
 
 def test_top_bigrams_plans_equal_and_match_bruteforce(ray_session, monkeypatch):

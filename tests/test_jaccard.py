@@ -111,17 +111,25 @@ def test_distributed_verify_plan_is_row_identical(monkeypatch):
     assert _run(rows) == broadcast == _naive(rows)
 
 
-def test_auto_plan_caps_candidate_collect(monkeypatch):
+def test_auto_plan_caps_candidate_collect(monkeypatch, udf_calls):
     """A dup-heavy corpus past PAIR_COLLECT_MAX_ROWS must route to the
     distributed verify (never a full driver collect) with identical
-    pairs."""
+    pairs, over the candidate blocks already produced: the 3-exchange
+    candidate plan runs once."""
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
     from horizon_ocr_python_ray.stages import jaccard as jmod
 
     # every doc duplicates one of 3 base texts → dense candidate set
     base = _synth(n_docs=3, seed=5)[:3]
     rows = [(i + 1, base[i % 3][1]) for i in range(24)]
-    monkeypatch.setattr(jmod, "PAIR_COLLECT_MAX_ROWS", 0)
-    assert _run(rows) == _naive(rows)
+    calls = udf_calls(jmod, "_distinct_gram_hash_rows")
+    want = _naive(rows)
+    assert _run(rows) == want
+    n = calls()
+    assert n > 0
+    monkeypatch.setattr(dd, "PAIR_COLLECT_MAX_ROWS", 0)
+    assert _run(rows) == want
+    assert calls() == n
 
 
 def test_verify_sets_kept_for_one_sweep_only(ray_session):

@@ -59,18 +59,23 @@ def test_empty_lines_never_dropped():
     assert (out["n_kept"] == 3).all()  # the blank line survives in all
 
 
-def test_plans_agree(monkeypatch):
+def test_plans_agree(monkeypatch, udf_calls):
     ds = _ds([
         ("a", "unique alpha\nfooter\nbody a"),
         ("b", "footer\nbody b"),
         ("c", "body c\nfooter"),
-    ])
+    ]).materialize()
+    calls = udf_calls(linededup, "_partial_line_df")
     fold = (boilerplate_line_dedup(ds, min_df=3).to_pandas()
             .sort_values("url").reset_index(drop=True))
+    assert calls() == ds.num_blocks()
     monkeypatch.setattr(linededup, "DRIVER_FOLD_LINE_MAX", 0)
     shuf = (boilerplate_line_dedup(ds, min_df=3).to_pandas()
             .sort_values("url").reset_index(drop=True))
+    # the shuffle plan consumes the partials the tripped fold produced
+    assert calls() == ds.num_blocks()
     assert fold.equals(shuf)
+    assert (fold["n_dropped"] == 1).all()
 
 
 def test_auto_falls_back_to_shuffle_on_fold_overflow(monkeypatch):

@@ -189,20 +189,24 @@ def test_components_two_islands_limited_sweeps():
     assert got == {"a": "a", "b": "a", "c": "a", "d": "a", "x": "x", "y": "x"}
 
 
-def test_pagerank_plans_bit_identical(corpus_dir, monkeypatch):
+def test_pagerank_plans_bit_identical(corpus_dir, monkeypatch, udf_calls):
     from horizon_ocr_python_ray import read_pages
 
     import horizon_ocr_python_ray.stages.linkgraph as lg
 
+    calls = udf_calls(lg, "outlinks_batch")  # the harvest map's kernel
     b = (
         host_pagerank(read_pages(corpus_dir))
         .to_pandas().sort_values("host").reset_index(drop=True)
     )
+    n = calls()
+    assert n > 0
     monkeypatch.setattr(lg, "BROADCAST_MAX_EDGES", 0)  # partitioned plan
     p = (
         host_pagerank(read_pages(corpus_dir))
         .to_pandas().sort_values("host").reset_index(drop=True)
     )
+    assert calls() == n  # the partitioned plan reuses the edge partials
     assert b.equals(p)
     assert b.rank_e12.dtype == np.int64
     # Zipf-skewed host pool: the heaviest host must out-rank the tail.
@@ -210,19 +214,23 @@ def test_pagerank_plans_bit_identical(corpus_dir, monkeypatch):
     assert top.host == "host000.example.org"
 
 
-def test_host_components_plans_bit_identical(corpus_dir, monkeypatch):
+def test_host_components_plans_bit_identical(corpus_dir, monkeypatch, udf_calls):
     """The partitioned fixed-sweep plan (edges stay a Dataset, only the
     per-host label vector broadcasts per sweep) produces exactly the
-    driver plan's labels."""
+    driver plan's labels, from the edge partials the fold produced."""
     from horizon_ocr_python_ray import read_pages
     from horizon_ocr_python_ray.stages.linkgraph import host_components
 
     import horizon_ocr_python_ray.stages.linkgraph as lg
 
+    calls = udf_calls(lg, "outlinks_batch")
     a = (host_components(read_pages(corpus_dir), sweeps=4)
          .to_pandas().sort_values("host").reset_index(drop=True))
+    n = calls()
+    assert n > 0
     monkeypatch.setattr(lg, "BROADCAST_MAX_EDGES", 0)
     b = (host_components(read_pages(corpus_dir), sweeps=4)
          .to_pandas().sort_values("host").reset_index(drop=True))
+    assert calls() == n
     assert a.equals(b)
     assert len(a) > 0

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 from horizon_ocr_python_ray.stages.lmscore import (
     MIN_BIGRAM_COUNT,
@@ -27,7 +26,7 @@ def _docs(texts):
 
 def test_model_counts_and_pruning(ray_session):
     # "a b" appears twice (kept), "b c" once (pruned)
-    m = train_bigram_model(_docs(["a b c", "a b"]))
+    m, _ = train_bigram_model(_docs(["a b c", "a b"]))
     vocab = list(m["vocab"])
     assert vocab == ["a", "b", "c"]
     assert m["total"] == 5
@@ -86,26 +85,33 @@ def test_quality_separation(ray_session):
 def test_broadcast_guard(ray_session, monkeypatch):
     import horizon_ocr_python_ray.stages.lmscore as mod
 
+    # over the vocabulary budget: no model, and the pruned counts
+    # (5 unigrams; every bigram occurs once) handed to the join plan
     monkeypatch.setattr(mod, "BROADCAST_VOCAB_MAX", 2)
-    with pytest.raises(NotImplementedError, match="hash-join"):
-        train_bigram_model(_docs(["a b c d e"]))
+    model, counts = train_bigram_model(_docs(["a b c d e"]))
+    assert model is None
+    assert sorted(counts.to_pandas()["w1"]) == ["a", "b", "c", "d", "e"]
 
 
 def test_streaming_cap_fires_before_collection(ray_session, monkeypatch):
-    # the running-row cap must refuse BEFORE concatenating the model on
-    # the driver, not after — both caps shrunk so rows > vocab+bigram
+    # the running row cap (vocab + bigram budget) trips while the counts
+    # stream, and the pruned counts pulled so far are handed over, not
+    # recounted — both caps shrunk so rows > vocab+bigram
     import horizon_ocr_python_ray.stages.lmscore as mod
 
     monkeypatch.setattr(mod, "BROADCAST_VOCAB_MAX", 1)
     monkeypatch.setattr(mod, "BROADCAST_BIGRAM_MAX", 1)
-    with pytest.raises(NotImplementedError, match="broadcast budget"):
-        train_bigram_model(_docs(["a b c d e a b c d e"]))
+    model, counts = train_bigram_model(_docs(["a b c d e a b c d e"]))
+    assert model is None
+    got = counts.to_pandas()
+    # 5 unigrams + a→b, b→c, c→d, d→e (e→a occurs once: pruned)
+    assert len(got) == 9 and int(got["c"].sum()) == 10 + 8
 
 
 def test_singleton_bigrams_pruned_remotely(ray_session):
     # "b c" occurs once → pruned by _prune_grams before collection, so
     # the trained model must not contain it, and scoring still backs off
-    m = train_bigram_model(_docs(["a b c", "a b"]))
+    m, _ = train_bigram_model(_docs(["a b c", "a b"]))
     assert len(m["bkey"]) == 1  # only a→b survives
 
     # _score_batch accepts the raw model dict (no ObjectRef) and matches
@@ -167,20 +173,25 @@ def test_join_plan_empty_training_corpus(ray_session, monkeypatch):
     assert out["n_transitions"].tolist() == [2]
 
 
-def test_auto_plan_falls_back_to_join(ray_session, monkeypatch):
+def test_auto_plan_falls_back_to_join(ray_session, monkeypatch, udf_calls):
     """Over the broadcast budget doc_lm_score must still produce the
     exact broadcast-plan result via the hash-join fallback — the cap is
-    a plan switch, not a refusal."""
+    a plan switch, not a refusal — from the counts the tripped collect
+    already produced (the counting map runs once per batch)."""
     import horizon_ocr_python_ray.stages.lmscore as mod
 
     rng = np.random.default_rng(31)
-    docs = _docs(_rand_corpus(rng, 60, ["a", "b", "c", "d"]))
+    docs = _docs(_rand_corpus(rng, 60, ["a", "b", "c", "d"])).repartition(3)
+    docs = docs.materialize()
+    calls = udf_calls(mod, "_partial_counts")
     expected = (doc_lm_score(docs).to_pandas()
                 .sort_values("doc_id").reset_index(drop=True))
+    assert calls() == docs.num_blocks()
     monkeypatch.setattr(mod, "BROADCAST_VOCAB_MAX", 1)
     monkeypatch.setattr(mod, "BROADCAST_BIGRAM_MAX", 1)
     got = (doc_lm_score(docs).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
+    assert calls() == docs.num_blocks()
     assert got.equals(expected)
 
 
@@ -197,7 +208,7 @@ def test_vectorized_scorer_matches_naive_reference(ray_session):
         " ".join(rng.choice(vocab_words, size=rng.integers(2, 30)))
         for _ in range(40)
     ]
-    m = train_bigram_model(_docs(train_texts))
+    m, _ = train_bigram_model(_docs(train_texts))
 
     # Held-out scoring set with empties, singletons, tabs and OOV terms.
     score_texts = [

@@ -16,9 +16,15 @@ from horizon_ocr_python_ray.functions.minhash import (
     shingle_hashes,
 )
 from horizon_ocr_python_ray.stages.dedup_docs import (
-    minhash_lsh_pairs,
+    _lsh_pairs,
     ngram_jaccard_verify,
 )
+
+
+def _pairs(docs):
+    """MinHash candidate pairs at the default banding (128 hashes, 32
+    bands, 5-token shingles), est ≥ 0.5."""
+    return _lsh_pairs(docs, 128, 32, 5, 0.5)[0]
 
 
 def test_shingle_hashes_deterministic_and_cached():
@@ -74,7 +80,7 @@ def _docs_table():
 
 def test_lsh_pipeline_finds_near_dups():
     docs = ray.data.from_arrow(_docs_table())
-    pairs = minhash_lsh_pairs(docs, min_est_jaccard=0.5)
+    pairs = _pairs(docs)
     verified = ngram_jaccard_verify(docs, pairs, threshold=0.5).to_pandas()
     found = {tuple(sorted((a, b))) for a, b in zip(verified.doc_a, verified.doc_b)}
     assert (0, 1) in found
@@ -93,7 +99,7 @@ def test_lsh_pipeline_no_dups_is_empty():
         names=["doc_id", "text"],
     )
     docs = ray.data.from_arrow(t)
-    pairs = minhash_lsh_pairs(docs, min_est_jaccard=0.5)
+    pairs = _pairs(docs)
     assert pairs.count() == 0
 
 
@@ -106,11 +112,11 @@ def test_discovery_plans_byte_equal(monkeypatch):
     docs = ray.data.from_arrow(_docs_table())
     real = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
                                  columns=["doc_id", "text"])
-    a = minhash_lsh_pairs(docs, min_est_jaccard=0.5).to_pandas()
-    ra = minhash_lsh_pairs(real, min_est_jaccard=0.5).to_pandas()
+    a = _pairs(docs).to_pandas()
+    ra = _pairs(real).to_pandas()
     monkeypatch.setattr(dd, "DRIVER_MAX_BAND_ROWS", 0)
-    b = minhash_lsh_pairs(docs, min_est_jaccard=0.5).to_pandas()
-    rb = minhash_lsh_pairs(real, min_est_jaccard=0.5).to_pandas()
+    b = _pairs(docs).to_pandas()
+    rb = _pairs(real).to_pandas()
     assert a.equals(b)
     key = ["doc_a", "doc_b"]
     assert ra.sort_values(key).reset_index(drop=True).equals(
@@ -241,7 +247,7 @@ def test_verify_plans_row_equal(ray_session, monkeypatch):
 
     real = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
                                  columns=["doc_id", "text"])
-    pairs = minhash_lsh_pairs(real, min_est_jaccard=0.5).materialize()
+    pairs = _pairs(real).materialize()
     key = ["doc_a", "doc_b"]
     b = (dd.ngram_jaccard_verify(real, pairs, threshold=0.5)
          .to_pandas().sort_values(key).reset_index(drop=True))
@@ -273,7 +279,7 @@ def test_verify_broadcast_cap_switches(ray_session, monkeypatch):
     import horizon_ocr_python_ray.stages.dedup_docs as dd
 
     docs = ray.data.from_arrow(_docs_table())
-    pairs = minhash_lsh_pairs(docs, min_est_jaccard=0.5).materialize()
+    pairs = _pairs(docs).materialize()
     want = (dd.ngram_jaccard_verify(docs, pairs, threshold=0.5)
             .to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
     monkeypatch.setattr(dd, "VERIFY_BROADCAST_MAX_DOCS", 1)
@@ -284,15 +290,41 @@ def test_verify_broadcast_cap_switches(ray_session, monkeypatch):
     assert got.equals(want)
 
 
+def test_verify_collects_pairs_once(ray_session, monkeypatch, udf_calls):
+    """ngram_jaccard_verify collects the pairs once and verifies what it
+    collected; past PAIR_COLLECT_MAX_ROWS the join plan runs over the
+    pair blocks already produced. Either way the lazy est stage upstream
+    of the pairs runs once per batch, with identical rows."""
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
+
+    docs = ray.data.from_arrow(_docs_table())
+    calls = udf_calls(dd, "_worker_minhash_stage")  # once per est batch
+    key = ["doc_a", "doc_b"]
+
+    def run():
+        pairs = _pairs(docs)  # discovery runs eagerly; count the rest
+        calls()
+        out = (dd.ngram_jaccard_verify(docs, pairs, threshold=0.5).to_pandas()
+               .sort_values(key).reset_index(drop=True))
+        return out, calls()
+
+    want, n = run()
+    assert n == 1 and len(want) > 0
+    monkeypatch.setattr(dd, "PAIR_COLLECT_MAX_ROWS", 0)
+    got, n = run()
+    assert n == 1
+    assert got.equals(want)
+
+
 def test_est_jaccard_join_path_equals_broadcast(ray_session, monkeypatch):
     import horizon_ocr_python_ray.stages.dedup_docs as dd
 
     docs = ray.data.from_arrow(_docs_table())
     key = ["doc_a", "doc_b"]
-    want = (minhash_lsh_pairs(docs, min_est_jaccard=0.5).to_pandas()
+    want = (_pairs(docs).to_pandas()
             .sort_values(key).reset_index(drop=True))
     monkeypatch.setattr(dd, "VERIFY_BROADCAST_MAX_DOCS", 1)
-    got = (dd.minhash_lsh_pairs(docs, min_est_jaccard=0.5).to_pandas()
+    got = (_pairs(docs).to_pandas()
            .sort_values(key).reset_index(drop=True))
     assert len(want) > 0
     assert got.equals(want)

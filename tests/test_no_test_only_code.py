@@ -32,6 +32,12 @@
    constant (a module-level ``*_MAX``) against the size it measures, so
    every caller runs the plan that fits; a test reaches the other plan
    by monkeypatching that cap.
+
+4. No ``take_all()`` in the package outside ``functions/collect.py``
+   unless its line carries a ``# bounded: <why>`` note: a driver
+   collect goes through ``collect.fold_capped`` under a module cap, or
+   says why its size is bounded. ``TAKE_ALL_OPEN`` names the sites that
+   are neither yet.
 """
 
 from __future__ import annotations
@@ -62,6 +68,12 @@ ALLOWED = {
 #: Parameter names that would let a caller force a plan (besides
 #: ``plan`` and any ``*_plan``).
 PLAN_PARAMS = {"plan", "drop_repr", "mg_capacity", "fold_vocab_max", "texts_sink"}
+
+#: Unbounded ``take_all()`` sites still open: (package path, enclosing
+#: function) → reason.
+TAKE_ALL_OPEN = {
+    ("stages/dedup_docs.py", "near_dup_clusters"): "open: ROADMAP direction 2 fall-through",
+}
 
 #: ``map_batches`` keywords that only an actor-pool stage takes.
 ACTOR_POOL_KEYWORDS = {"concurrency", "compute", "fn_constructor_args",
@@ -294,3 +306,41 @@ def test_no_plan_keyword():
                 bad.append(f"{path.relative_to(ROOT)}:{fn.lineno} {hits}")
     assert not bad, "plan keywords (compare the measured size with a cap instead):\n" \
         + "\n".join(bad)
+
+
+def _take_all_sites(tree: ast.AST, lines: list[str]):
+    """(enclosing function, line, has a ``# bounded:`` note) for every
+    ``.take_all()`` call."""
+    out = []
+
+    def visit(node: ast.AST, fn: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = fn
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "take_all"):
+                ends = {child.func.end_lineno, child.end_lineno}
+                out.append((fn, child.func.end_lineno,
+                            any("# bounded:" in lines[n - 1] for n in ends)))
+            visit(child, name)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_no_unbounded_driver_collect():
+    bad, seen = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        if rel == "functions/collect.py":
+            continue
+        text = path.read_text()
+        for fn, line, noted in _take_all_sites(ast.parse(text), text.splitlines()):
+            if (rel, fn) in TAKE_ALL_OPEN:
+                seen.add((rel, fn))
+            elif not noted:
+                bad.append(f"{rel}:{line} in {fn}")
+    assert not bad, ("take_all() without a '# bounded: <why>' note (collect "
+                     "through functions/collect.fold_capped instead):\n" + "\n".join(bad))
+    assert seen == set(TAKE_ALL_OPEN), f"stale TAKE_ALL_OPEN: {set(TAKE_ALL_OPEN) - seen}"

@@ -53,19 +53,22 @@ def test_duplicates_do_not_change_sketch():
     assert s1.equals(s2)
 
 
-def test_fold_and_shuffle_plans_agree(monkeypatch):
+def test_fold_and_shuffle_plans_agree(monkeypatch, udf_calls):
     import horizon_ocr_python_ray.stages.sketches as sk
 
     t = _events(n_users=200, n_types=2)
-    ds = ray.data.from_arrow(t).repartition(5)
+    ds = ray.data.from_arrow(t).repartition(5).materialize()
+    calls = udf_calls(sk, "_partial_registers")
 
     def run():
         return (hll_registers(ds, "event_type", "user_id").to_pandas()
                 .sort_values(["event_type", "bucket"]).reset_index(drop=True))
 
     a = run()
+    assert calls() == ds.num_blocks()
     monkeypatch.setattr(sk, "FOLD_REGISTER_MAX", 0)  # shuffle plan
     assert a.equals(run())
+    assert calls() == ds.num_blocks()  # the shuffle reuses the partials
 
 
 def test_estimate_accuracy():

@@ -88,17 +88,22 @@ def test_events_distinct_users_two_phase(ray_session):
     assert out.loc["b", "n_users"] == 1
 
 
-def test_host_enrich_join_plans_row_equal(ray_session, corpus_dir, monkeypatch):
+def test_host_enrich_join_plans_row_equal(ray_session, corpus_dir, monkeypatch,
+                                          udf_calls):
     from horizon_ocr_python_ray import read_pages
     from horizon_ocr_python_ray.stages import skew
     from horizon_ocr_python_ray.stages.skew import host_enrich_join
 
+    calls = udf_calls(skew, "_host_count_partial")
     b = (host_enrich_join(read_pages(corpus_dir, columns=["url"]))
          .to_pandas().sort_values("url").reset_index(drop=True))
+    n = calls()
+    assert n > 0
     monkeypatch.setattr(skew, "ENRICH_BROADCAST_MAX_ROWS", 0)  # salted plan
     s = (host_enrich_join(read_pages(corpus_dir, columns=["url"]),
                           num_partitions=2)
          .to_pandas().sort_values("url").reset_index(drop=True))
+    assert calls() == n  # the salted build replicates the collected counts
     assert b.equals(s)
     # the count really is the per-host row count
     sizes = b.groupby("host").size()

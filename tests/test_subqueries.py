@@ -88,6 +88,19 @@ def test_q18_threshold_filters(ray_session):
     assert out["o_orderkey"].is_unique
 
 
+def test_q18_having_fold_cap_trips(ray_session, monkeypatch, udf_calls):
+    """Past HAVING_FOLD_MAX_KEYS the bucketed hash aggregate runs over
+    the quantity partials the driver fold already produced: same rows,
+    and the lineitem combiner runs once per batch."""
+    calls = udf_calls(subqueries, "_q18_qty_partial")
+    fold = _df(subqueries.big_orders_q18(SF, min_qty=150.0))
+    n = calls()
+    assert n > 0 and len(fold) > 0
+    monkeypatch.setattr(subqueries, "HAVING_FOLD_MAX_KEYS", 0)
+    assert _df(subqueries.big_orders_q18(SF, min_qty=150.0)).equals(fold)
+    assert calls() == n
+
+
 def test_q21_sole_problem_supplier_semantics(ray_session):
     """Brute-force replay: an order counts for supplier s iff s is the
     ONLY supplier with a returned line and the order has ≥2 suppliers

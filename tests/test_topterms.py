@@ -9,7 +9,7 @@ from horizon_ocr_python_ray.stages.topterms import (
     BROADCAST_VOCAB_MAX,
     _doc_terms,
     _partial_df,
-    build_df_table,
+    build_rank_table,
     doc_top_terms,
 )
 
@@ -52,21 +52,25 @@ def test_top_terms_ranking(ray_session):
     assert len(rows) == 4
 
 
-def test_join_plan_equals_broadcast(ray_session, monkeypatch):
+def test_join_plan_equals_broadcast(ray_session, monkeypatch, udf_calls):
     import ray.data
 
     import horizon_ocr_python_ray.stages.topterms as tt
 
     cols = ["doc_id", "term", "tf", "df", "rank"]
+    ds = ray.data.from_arrow(_docs_table()).repartition(2).materialize()
+    calls = udf_calls(tt, "_partial_df")
 
     def run():
-        return (doc_top_terms(ray.data.from_arrow(_docs_table()), k=2)
+        return (doc_top_terms(ds, k=2)
                 .to_pandas().sort_values(["doc_id", "rank"])
                 .reset_index(drop=True)[cols].values.tolist())
 
     bc = run()
+    assert calls() == ds.num_blocks()
     monkeypatch.setattr(tt, "BROADCAST_VOCAB_MAX", 0)  # join plan
     assert run() == bc
+    assert calls() == ds.num_blocks()  # the join's DF reuses the partials
 
 
 def test_auto_plan_falls_back_to_join(ray_session, monkeypatch):
@@ -85,10 +89,11 @@ def test_vocab_guard(ray_session, monkeypatch):
 
     import horizon_ocr_python_ray.stages.topterms as tt
 
+    # the rank table has no distributed plan: past the cap it refuses
     monkeypatch.setattr(tt, "BROADCAST_VOCAB_MAX", 2)
     ds = ray.data.from_arrow(_docs_table())
     with pytest.raises(ValueError, match="exceeds broadcast bound"):
-        build_df_table(ds)
+        build_rank_table(ds)
     assert BROADCAST_VOCAB_MAX > 2  # module default untouched
 
 
