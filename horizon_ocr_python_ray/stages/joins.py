@@ -23,13 +23,28 @@ when the empty side's schema cannot be inferred (every column produced
 by a typed projection infers fine; a fully-filtered row-lambda does
 not).
 
+:func:`lookup_join` is the join the query pipelines call. It measures
+the build (right) side with one capped driver fold and probes it as a
+broadcast sorted lookup while it fits :data:`BROADCAST_BUILD_MAX_ROWS`,
+else hands the same partial blocks to :func:`safe_join`.
+
 The reference never joins across machines (single-process dicts —
 SURVEY.md §4); this is engine infrastructure for the distributed plans.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.collect import fold_capped
+from ..state.worker import worker_state
+
+#: Max distinct build-side rows :func:`lookup_join` ships as a broadcast
+#: lookup (a 2-column int64 table of this size is ~32 MB — comfortable
+#: in driver + worker heaps); past it the join is a hash join.
+BROADCAST_BUILD_MAX_ROWS = 2_000_000
 
 
 def _arrow_schema(ds) -> pa.Schema | None:
@@ -105,3 +120,78 @@ def safe_join(left, right, *, join_type: str, num_partitions: int,
         return t
 
     return lm.map_batches(add_null_cols, batch_format="pyarrow")
+
+
+def _lookup_batch(t: pa.Table, ref, on: str, join_type: str) -> pa.Table:
+    """One left batch against the broadcast (sorted keys, value columns)."""
+    import ray
+
+    keys, vals = worker_state("lookup_join", ref.hex(), lambda: ray.get(ref))
+    probe = t.column(on).to_numpy()
+    idx = np.searchsorted(keys, probe)
+    hit = idx < len(keys)
+    hit[hit] = keys[idx[hit]] == probe[hit]
+    if join_type == "left_anti":
+        return t.filter(pa.array(~hit))
+    if join_type == "inner":
+        t, rows = t.filter(pa.array(hit)), pa.array(idx[hit])
+    else:
+        rows = pa.array(idx, mask=~hit)
+    for field, col in zip(vals.schema, vals.columns):
+        t = t.append_column(field, col.take(rows))
+    return t
+
+
+def lookup_join(left, right, *, on: tuple, right_on: tuple,
+                join_type: str, num_partitions: int):
+    """``left`` joined with the distinct rows of ``right`` on one key,
+    laid out like :func:`safe_join` (left columns, then right's non-key
+    columns). Supported ``join_type``: ``inner``, ``left_outer``,
+    ``left_anti``.
+
+    ``right`` is materialized once and folded to its distinct rows on
+    the driver (``functions/collect.fold_capped``). Under
+    :data:`BROADCAST_BUILD_MAX_ROWS` the rows are sorted by key, shipped
+    once with ``ray.put`` and probed by ``searchsorted`` in one
+    ``map_batches`` over ``left`` (batches of up to 65536 rows, like the
+    query pipelines' own maps, which it fuses with); a
+    key that repeats raises ``ValueError``, since a probe keeps one match
+    where a hash join keeps all. Past the cap the distinct of the same
+    partial blocks goes through :func:`safe_join` with
+    ``num_partitions``. Either way ``right``'s upstream runs once."""
+    import ray
+
+    if len(on) != 1 or len(right_on) != 1:
+        raise ValueError("lookup_join: joins on exactly one key column")
+    if join_type not in ("inner", "left_outer", "left_anti"):
+        raise ValueError(f"lookup_join: unsupported join_type {join_type!r}")
+    right = right.materialize()
+    schema = _arrow_schema(right)
+    if schema is None:
+        raise ValueError("lookup_join: build side has no schema")
+    built, rest = fold_capped(right, schema, schema.names, [],
+                              BROADCAST_BUILD_MAX_ROWS)
+    if rest is not None:
+        # the hash join needs equal key types; the probe does not
+        left = left.materialize()
+        ls = _arrow_schema(left)
+        key = pa.field(right_on[0], ls.field(on[0]).type if ls else
+                       schema.field(right_on[0]).type)
+        schema = schema.set(schema.get_field_index(key.name), key)
+        distinct = (rest.groupby(schema.names).count()
+                    .drop_columns(["count()"])
+                    .map_batches(lambda t: t.cast(schema), batch_format="pyarrow"))
+        return safe_join(left, distinct, join_type=join_type,
+                         num_partitions=num_partitions, on=on,
+                         right_on=right_on, right_schema=schema)
+
+    key = right_on[0]
+    built = built.filter(pc.is_valid(built.column(key))).sort_by(key)
+    keys = built.column(key).to_numpy()
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError(f"lookup_join: build key {key!r} repeats")
+    ref = ray.put((keys, built.drop_columns([key])))
+    return left.map_batches(_lookup_batch, batch_format="pyarrow",
+                            batch_size=65536,
+                            fn_kwargs={"ref": ref, "on": on[0],
+                                       "join_type": join_type})

@@ -12,8 +12,8 @@ Scale shape (100 TB):
   member needs K distinct documents, so |drop| ≤ total_lines / K, and
   in practice boilerplate is a tiny vocabulary. It is folded to the
   driver as exact strings up to :data:`DROP_SET_MAX` lines, past that
-  as sorted 64-bit line hashes (:func:`boilerplate_hashes_ref`, hard
-  cap :data:`DROP_HASH_MAX`), and broadcast once via ``ray.put``,
+  as sorted 64-bit line hashes (:func:`_drop_set`, hard cap
+  :data:`DROP_HASH_MAX`), and broadcast once via ``ray.put``,
   deserialized once per worker process (``worker_state``).
 - Pass 2 re-streams the documents and filters lines locally — no
   second shuffle; output is one narrow row per document.
@@ -75,15 +75,14 @@ _LINE_DF_SCHEMA = pa.schema([("line", pa.string()), ("partial_df", pa.int64())])
 def boilerplate_lines_ref(docs_ds, min_df: int = DEFAULT_MIN_DF,
                           text_col: str = "extracted_text"):
     """docs → ``ray.put`` handle of the boilerplate drop-set (df ≥
-    min_df): the frozenset of lines, or — past :data:`DROP_SET_MAX`
-    lines — the sorted hash64 array of :func:`boilerplate_hashes_ref`.
+    min_df), in the representation :func:`_drop_set` picks.
 
     The line DF folds the combiner partials on the driver (no shuffle;
     measured 8.6 s → ~3 s at sf0.1, where the shuffle dominated) while
     the distinct-line vocabulary fits :data:`DRIVER_FOLD_LINE_MAX`, else
     runs the distributed ``groupby(line).sum`` over the same partials
-    and collects only the filtered drop-set. Both produce the identical
-    set (tested)."""
+    and streams only the filtered drop-set. Both produce the identical
+    set (tested), and the documents are mapped once either way."""
     import ray
 
     partials = docs_ds.map_batches(_partial_line_df, batch_format="pyarrow",
@@ -91,29 +90,24 @@ def boilerplate_lines_ref(docs_ds, min_df: int = DEFAULT_MIN_DF,
     df_tbl, rest = fold_capped(partials, _LINE_DF_SCHEMA, ["line"],
                                [("partial_df", "sum")], DRIVER_FOLD_LINE_MAX)
     if rest is None:
-        mask = pa.compute.greater_equal(df_tbl.column("partial_df"), min_df)
-        drop = set(df_tbl.filter(mask).column("line").to_pylist())
+        tables = [df_tbl]
     else:
         from ray.data.aggregate import Sum
 
-        df = rest.groupby("line").aggregate(Sum("partial_df", alias_name="df"))
-        drop = set()
-        for t in df.iter_batches(batch_format="pyarrow"):
-            mask = pa.compute.greater_equal(t.column("df"), min_df)
-            drop.update(t.filter(mask).column("line").to_pylist())
-            if len(drop) > DROP_SET_MAX:
-                break
-    if len(drop) > DROP_SET_MAX:
-        return boilerplate_hashes_ref(docs_ds, min_df, text_col)
-    return ray.put(frozenset(drop))
+        tables = (rest.groupby("line")
+                  .aggregate(Sum("partial_df", alias_name="partial_df"))
+                  .iter_batches(batch_format="pyarrow"))
+    return ray.put(_drop_set(
+        t.filter(pa.compute.greater_equal(t.column("partial_df"), min_df))
+        .column("line") for t in tables if t.num_rows))
 
 
-def boilerplate_hashes_ref(docs_ds, min_df: int = DEFAULT_MIN_DF,
-                           text_col: str = "extracted_text"):
-    """docs → ``ray.put`` handle of a SORTED uint64 array of hash64
-    values (``functions/fasthash.py``) of the boilerplate lines — the
-    scale representation: 8 bytes/line broadcast, vectorized
-    ``searchsorted`` probe, capped at :data:`DROP_HASH_MAX`.
+def _drop_set(chunks):
+    """Boilerplate lines, streamed as string arrays → the frozenset of
+    lines up to :data:`DROP_SET_MAX` lines, else the SORTED uint64 array
+    of their hash64 values (``functions/fasthash.py``) — the scale
+    representation: 8 bytes/line broadcast, vectorized ``searchsorted``
+    probe, capped at :data:`DROP_HASH_MAX`.
 
     The drop decision becomes hash-based: with |drop| = 2·10⁷ and 64-bit
     hashes the chance ANY innocent corpus line collides into the set is
@@ -121,32 +115,24 @@ def boilerplate_hashes_ref(docs_ds, min_df: int = DEFAULT_MIN_DF,
     non-exact; the string set stays the exact representation up to
     :data:`DROP_SET_MAX`."""
     import numpy as np
-    import ray
-    from ray.data.aggregate import Sum
 
     from ..functions.fasthash import hash64_bytes_column
 
-    partials = docs_ds.map_batches(_partial_line_df, batch_format="pyarrow",
-                                   fn_kwargs={"text_col": text_col})
-    df = partials.groupby("line").aggregate(Sum("partial_df", alias_name="df"))
-    chunks: list = []
+    lines: set = set()
+    hashes: list = []
     total = 0
-    for t in df.iter_batches(batch_format="pyarrow"):
-        if t.num_rows == 0 or "line" not in t.column_names:
-            continue
-        mask = pa.compute.greater_equal(t.column("df"), min_df)
-        kept = t.filter(mask)
-        if kept.num_rows:
-            chunks.append(hash64_bytes_column(kept.column("line")))
-            total += kept.num_rows
-            if total > DROP_HASH_MAX:
-                raise ValueError(
-                    f"boilerplate drop-set exceeds DROP_HASH_MAX="
-                    f"{DROP_HASH_MAX}: min_df={min_df} is too low for "
-                    "this corpus")
-    arr = (np.sort(np.concatenate(chunks)) if chunks
-           else np.empty(0, np.uint64))
-    return ray.put(arr)
+    for chunk in chunks:
+        total += len(chunk)
+        if total > DROP_HASH_MAX:
+            raise ValueError(
+                f"boilerplate drop-set exceeds DROP_HASH_MAX={DROP_HASH_MAX}: "
+                "min_df is too low for this corpus")
+        hashes.append(hash64_bytes_column(chunk))
+        if total <= DROP_SET_MAX:
+            lines.update(chunk.to_pylist())
+    if total <= DROP_SET_MAX:
+        return frozenset(lines)
+    return np.sort(np.concatenate(hashes))
 
 
 def _clean_batch_hash(batch: pa.Table, drop, text_col: str) -> pa.Table:

@@ -1,7 +1,8 @@
-"""Size-aware join planner (pipelines/analytics.py): broadcast and
-partitioned plans must agree row-for-row (the partitioned one reached by
-lowering BROADCAST_BUILD_MAX_ROWS), and the switch must pick by measured
-parquet size."""
+"""Analytics joins (pipelines/analytics.py) go through
+stages/joins.lookup_join: its broadcast and partitioned plans must agree
+row-for-row (the partitioned one reached by lowering
+BROADCAST_BUILD_MAX_ROWS), and it must pick the plan by the build side's
+measured size."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import pandas as pd
 import pytest
 
 from horizon_ocr_python_ray.pipelines import analytics
+from horizon_ocr_python_ray.sources.tables import read_sf_table
+from horizon_ocr_python_ray.stages import joins
 
 SF = "/root/testdata/sf0.001"
 
@@ -28,7 +31,7 @@ def _df(res) -> pd.DataFrame:
 ])
 def test_plans_agree(ray_session, monkeypatch, fn, sort_col):
     a = _df(fn(SF))  # broadcast: the sf0.001 build sides fit the cap
-    monkeypatch.setattr(analytics, "BROADCAST_BUILD_MAX_ROWS", 0)
+    monkeypatch.setattr(joins, "BROADCAST_BUILD_MAX_ROWS", 0)
     # num_partitions=2: the hash-shuffle join spawns one aggregator actor
     # per partition, and the 4-cpu test session can't host 8.
     b = _df(fn(SF, num_partitions=2))
@@ -42,7 +45,23 @@ def test_plans_agree(ray_session, monkeypatch, fn, sort_col):
             assert a[c].tolist() == b[c].tolist(), c
 
 
-def test_auto_resolves_by_size(monkeypatch):
-    assert analytics._join_plan(SF, ["customer"]) == "broadcast"
-    monkeypatch.setattr(analytics, "BROADCAST_BUILD_MAX_ROWS", 0)
-    assert analytics._join_plan(SF, ["customer"]) == "partitioned"
+def test_auto_resolves_by_size(ray_session, monkeypatch):
+    """customer fits the cap: a probe, no hash join. Past the cap the
+    same call hash-joins through safe_join, with the same rows."""
+    hash_joins = []
+    safe_join = joins.safe_join
+    monkeypatch.setattr(joins, "safe_join",
+                        lambda *a, **k: hash_joins.append(k) or safe_join(*a, **k))
+
+    def join():
+        return _df(joins.lookup_join(
+            read_sf_table(SF, "orders", ["o_orderkey", "o_custkey"]),
+            read_sf_table(SF, "customer", ["c_custkey", "c_mktsegment"]),
+            on=("o_custkey",), right_on=("c_custkey",), join_type="inner",
+            num_partitions=2))
+
+    probed = join()
+    assert hash_joins == []
+    monkeypatch.setattr(joins, "BROADCAST_BUILD_MAX_ROWS", 0)
+    assert join().equals(probed)
+    assert len(hash_joins) == 1

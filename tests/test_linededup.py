@@ -135,10 +135,13 @@ def test_hash64_repr_on_real_corpus(ray_session, corpus_dir, monkeypatch):
     assert s.equals(h)
 
 
-def test_hash64_no_boilerplate_is_noop(ray_session):
+def test_hash64_no_boilerplate_is_noop(ray_session, monkeypatch):
+    """No line reaches min_df: the drop-set is empty, and an empty
+    hash64 drop-set cleans nothing."""
     ds = _ds([("a", "x\ny"), ("b", "p\nq")])
-    ref = linededup.boilerplate_hashes_ref(ds, min_df=2)
-    assert len(ray.get(ref)) == 0
+    monkeypatch.setattr(linededup, "DROP_SET_MAX", 0)
+    assert len(ray.get(linededup.boilerplate_lines_ref(ds, min_df=2))) == 0
+    ref = ray.put(np.empty(0, np.uint64))
     out = ds.map_batches(linededup._clean_batch, batch_format="pyarrow",
                          fn_kwargs={"drop_ref": ref,
                                     "text_col": "extracted_text"}).to_pandas()
@@ -151,3 +154,21 @@ def test_hash_cap_enforced(ray_session, monkeypatch):
     ds = _ds([("a", "footer\nx"), ("b", "footer\ny"), ("c", "footer")])
     with pytest.raises(ValueError, match="DROP_HASH_MAX"):
         boilerplate_line_dedup(ds, min_df=2).to_pandas()
+
+
+def test_hash64_drop_set_reuses_line_df(ray_session, monkeypatch, udf_calls):
+    """Past DROP_SET_MAX the hash64 drop-set comes from the line DF
+    already folded (or shuffled): the documents are mapped once per
+    batch, and the array is the sorted hash64 of the boilerplate lines."""
+    from horizon_ocr_python_ray.functions.fasthash import hash64_bytes_column
+
+    ds = _ds([("a", "l1\nl2"), ("b", "l1\nl2\nx"), ("c", "y")]).materialize()
+    want = np.sort(hash64_bytes_column(pa.array(["l1", "l2"])))
+    calls = udf_calls(linededup, "_partial_line_df")
+    monkeypatch.setattr(linededup, "DROP_SET_MAX", 1)
+    for fold_max in (linededup.DRIVER_FOLD_LINE_MAX, 0):
+        monkeypatch.setattr(linededup, "DRIVER_FOLD_LINE_MAX", fold_max)
+        drop = ray.get(linededup.boilerplate_lines_ref(ds, min_df=2))
+        assert calls() == ds.num_blocks()
+        assert drop.dtype == np.uint64
+        assert np.array_equal(drop, want)

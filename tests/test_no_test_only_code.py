@@ -38,6 +38,12 @@
    collect goes through ``collect.fold_capped`` under a module cap, or
    says why its size is bounded. ``TAKE_ALL_OPEN`` names the sites that
    are neither yet.
+
+5. Joins in the query pipelines go through ``stages.joins.lookup_join``,
+   which picks broadcast or hash join by the build side's measured size:
+   no ``safe_join(`` or ``Dataset.join(`` call in ``pipelines/``, and no
+   package function compares a ``plan`` (or ``*_plan``) local to a
+   string.
 """
 
 from __future__ import annotations
@@ -344,3 +350,25 @@ def test_no_unbounded_driver_collect():
     assert not bad, ("take_all() without a '# bounded: <why>' note (collect "
                      "through functions/collect.fold_capped instead):\n" + "\n".join(bad))
     assert seen == set(TAKE_ALL_OPEN), f"stale TAKE_ALL_OPEN: {set(TAKE_ALL_OPEN) - seen}"
+
+
+def test_pipeline_joins_go_through_lookup_join():
+    bad = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and rel.startswith("pipelines/"):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                # Dataset.join takes join_type; str.join and os.path.join do not
+                if name == "safe_join" or (
+                        name == "join" and any(k.arg == "join_type" for k in node.keywords)):
+                    bad.append(f"{rel}:{node.lineno} {name}(")
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                plan = [n.id for n in sides if isinstance(n, ast.Name)
+                        and (n.id == "plan" or n.id.endswith("_plan"))]
+                if plan and any(_str_const(n) is not None for n in sides):
+                    bad.append(f"{rel}:{node.lineno} {plan[0]} compared to a string")
+    assert not bad, "hand-picked join plans (call stages.joins.lookup_join):\n" \
+        + "\n".join(bad)

@@ -9,7 +9,8 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from horizon_ocr_python_ray.pipelines import analytics, subqueries
+from horizon_ocr_python_ray.pipelines import subqueries
+from horizon_ocr_python_ray.stages import joins
 
 SF = "/root/testdata/sf0.001"
 
@@ -35,8 +36,8 @@ def _df(res) -> pd.DataFrame:
 ])
 def test_plans_agree(ray_session, monkeypatch, fn):
     a = _df(fn(SF))  # broadcast: the sf0.001 build sides fit the cap
-    # the planner reads the cap from analytics, where it is defined
-    monkeypatch.setattr(analytics, "BROADCAST_BUILD_MAX_ROWS", 0)
+    # lookup_join reads the cap from stages/joins, where it is defined
+    monkeypatch.setattr(joins, "BROADCAST_BUILD_MAX_ROWS", 0)
     # num_partitions=2: one aggregator actor per partition; the 4-cpu
     # test session can't host 8.
     b = _df(fn(SF, num_partitions=2))
@@ -99,6 +100,18 @@ def test_q18_having_fold_cap_trips(ray_session, monkeypatch, udf_calls):
     monkeypatch.setattr(subqueries, "HAVING_FOLD_MAX_KEYS", 0)
     assert _df(subqueries.big_orders_q18(SF, min_qty=150.0)).equals(fold)
     assert calls() == n
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_q18_empty_having_set(ray_session, monkeypatch, cap):
+    """No order passes the HAVING threshold: zero rows with Q18's five
+    columns, with the join cap at its default or lowered to 0."""
+    if cap is not None:
+        monkeypatch.setattr(joins, "BROADCAST_BUILD_MAX_ROWS", cap)
+    out = subqueries.big_orders_q18(SF, min_qty=1e9, num_partitions=2)
+    assert out.count() == 0
+    assert out.schema().names == ["c_name", "o_orderkey", "o_orderdate",
+                                  "total_price_e2", "sum_qty_e2"]
 
 
 def test_q21_sole_problem_supplier_semantics(ray_session):

@@ -4,6 +4,11 @@ ray.init → import __ray_entry__ → entry() smoke → every queries()[name]
 vs oracle_sql()[name] via DuckDB at the given sf_dir (row count, schema,
 order-insensitive value hash with columns sorted by name).
 
+Each line also reports how many Dataset executions
+(``StreamingExecutor.execute`` calls in this driver process) the query
+took, the final ``to_pandas`` included; the summary adds the total over
+``entry()`` and every query run.
+
 Usage: python tools/driver_mimic.py [sf_dir] [query ...]
 """
 
@@ -12,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -35,6 +41,29 @@ def to_pandas(res) -> pd.DataFrame:
     return df
 
 
+class ExecCounter:
+    """Counts ``StreamingExecutor.execute`` calls made by this process."""
+
+    def __init__(self) -> None:
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor,
+        )
+
+        self.n = self.total = 0
+        orig = StreamingExecutor.execute
+
+        def execute(executor, *args, **kwargs):
+            self.n += 1
+            self.total += 1
+            return orig(executor, *args, **kwargs)
+
+        StreamingExecutor.execute = execute
+
+    def take(self) -> int:
+        n, self.n = self.n, 0
+        return n
+
+
 def value_hash(df: pd.DataFrame) -> str:
     df = df[sorted(df.columns)].copy()
     rows = sorted(
@@ -55,8 +84,9 @@ def main() -> int:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    execs = ExecCounter()
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import importlib
 
     entry_mod = importlib.import_module("__ray_entry__")
@@ -64,7 +94,8 @@ def main() -> int:
     t0 = time.monotonic()
     res = entry_mod.entry()
     df = to_pandas(res)
-    print(f"entry(): {len(df)} rows, schema={list(df.columns)} ({time.monotonic()-t0:.1f}s)")
+    print(f"entry(): {len(df)} rows, schema={list(df.columns)} "
+          f"({time.monotonic()-t0:.1f}s, {execs.take()} exec)")
     assert len(df) > 0
 
     con = duckdb.connect()
@@ -82,12 +113,14 @@ def main() -> int:
         try:
             got = to_pandas(fn(sf_dir))
         except Exception as exc:
-            print(f"FAIL {name}: query raised {type(exc).__name__}: {exc}")
+            print(f"FAIL {name}: query raised {type(exc).__name__}: {exc} "
+                  f"({execs.take()} exec)")
             n_fail += 1
             continue
         dt = time.monotonic() - t0
+        n_exec = execs.take()
         if name not in oracles:
-            print(f"ok   {name}: rows-only ({len(got)} rows, {dt:.1f}s)")
+            print(f"ok   {name}: rows-only ({len(got)} rows, {dt:.1f}s, {n_exec} exec)")
             n_pass += 1
             continue
         if "hopr_corpus" in oracles[name] and "sf0.01" not in sf_dir:
@@ -95,7 +128,7 @@ def main() -> int:
             # driver's compare scale); at other scales it can't match —
             # fall back to rows-only.
             print(f"ok   {name}: rows-only at this sf (oracle pinned to sf0.01; "
-                  f"{len(got)} rows, {dt:.1f}s)")
+                  f"{len(got)} rows, {dt:.1f}s, {n_exec} exec)")
             n_pass += 1
             continue
         want = con.execute(oracles[name]).fetchdf()
@@ -103,11 +136,12 @@ def main() -> int:
         ok_schema = sorted(got.columns) == sorted(want.columns)
         ok_hash = ok_rows and ok_schema and value_hash(got) == value_hash(want)
         if ok_hash:
-            print(f"PASS {name}: {len(got)} rows match oracle ({dt:.1f}s)")
+            print(f"PASS {name}: {len(got)} rows match oracle ({dt:.1f}s, {n_exec} exec)")
             n_pass += 1
         else:
             n_fail += 1
-            print(f"FAIL {name}: rows {len(got)}/{len(want)} schema_ok={ok_schema} hash_ok={ok_hash}")
+            print(f"FAIL {name}: rows {len(got)}/{len(want)} schema_ok={ok_schema} "
+                  f"hash_ok={ok_hash} ({n_exec} exec)")
             if ok_schema and ok_rows:
                 g = got[sorted(got.columns)].sort_values(sorted(got.columns)).reset_index(drop=True)
                 w = want[sorted(want.columns)].sort_values(sorted(want.columns)).reset_index(drop=True)
@@ -118,7 +152,7 @@ def main() -> int:
             else:
                 print("  got cols:", sorted(got.columns))
                 print("  want cols:", sorted(want.columns))
-    print(f"== {n_pass} pass, {n_fail} fail ==")
+    print(f"== {n_pass} pass, {n_fail} fail, {execs.total} executions ==")
     ray.shutdown()
     return 1 if n_fail else 0
 
