@@ -121,37 +121,47 @@ def orders_exists_q4(sf_dir: str, num_partitions: int = 8):
 # Q15 shape: argmax over an aggregate
 # ---------------------------------------------------------------------------
 
+_Q15_PARTIAL_SCHEMA = pa.schema([("l_suppkey", pa.int64()), ("p_rev", pa.int64())])
+
+
+def _q15_rev_partial(t: pa.Table) -> pa.Table:
+    """Batch combiner: (l_suppkey, p_rev) e4 revenue of the 1996-Q1 lines."""
+    d = t.column("l_shipdate")
+    t = t.filter(pc.and_(pc.greater_equal(d, _TS("1996-01-01")),
+                         pc.less(d, _TS("1996-04-01"))))
+    g = pa.table({"l_suppkey": t.column("l_suppkey").cast(pa.int64()),
+                  "p_rev": _rev_e4(t)})
+    agg = pa.TableGroupBy(g, "l_suppkey").aggregate([("p_rev", "sum")])
+    return agg.rename_columns(["l_suppkey", "p_rev"])
+
+
 def top_supplier_q15(sf_dir: str, num_partitions: int = 8):
     """TPC-H Q15 shape: per-supplier revenue over one quarter, return
     the supplier(s) achieving the GLOBAL max (the view + scalar-max
-    subquery, decorrelated to aggregate → tiny max fold → filter →
-    name join).
+    subquery, decorrelated to aggregate → max → filter → name join).
 
     Revenue is exact int64 e4 fixed point (``price_e2 × (100 −
     disc_e2)``), so the argmax is well-defined and bit-equal to the
-    oracle — no float-sum tie hazard. The per-supplier aggregate is one
-    narrow shuffle (supplier-dimension cardinality); the max is folded
-    from that aggregate's blocks on the driver (tiny); names attach by a
-    lookup join."""
+    oracle — no float-sum tie hazard. The per-supplier partials fold on
+    the driver under :data:`HAVING_FOLD_MAX_KEYS` (supplier-dimension
+    cardinality), so lineitem is scanned once and the max and the
+    winners come from the folded table; past the cap one groupby over
+    the partial blocks the fold handed over takes their place. Names
+    attach by a lookup join."""
     li = read_sf_table(sf_dir, "lineitem",
                        ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"])
-    lo, hi = _TS("1996-01-01"), _TS("1996-04-01")
-
-    def partial(t: pa.Table) -> pa.Table:
-        d = t.column("l_shipdate")
-        t = t.filter(pc.and_(pc.greater_equal(d, lo), pc.less(d, hi)))
-        g = pa.table({"l_suppkey": t.column("l_suppkey"), "rev": _rev_e4(t)})
-        agg = pa.TableGroupBy(g, "l_suppkey").aggregate([("rev", "sum")])
-        return agg.rename_columns(["l_suppkey", "p_rev"])
-
-    per_supp = (li.map_batches(partial, batch_format="pyarrow",
-                               batch_size=65536)
-                .groupby("l_suppkey")
-                .aggregate(Sum("p_rev", alias_name="total_revenue_e4")))
-
-    best = per_supp.max("total_revenue_e4")
-    winners = per_supp.filter(
-        expr=f"total_revenue_e4 == {int(best)}")
+    partials = li.map_batches(_q15_rev_partial, batch_format="pyarrow",
+                              batch_size=65536)
+    sums, rest = fold_capped(partials, _Q15_PARTIAL_SCHEMA, ["l_suppkey"],
+                             [("p_rev", "sum")], HAVING_FOLD_MAX_KEYS)
+    if rest is None:
+        winners = ray.data.from_arrow(sums.filter(
+            pc.equal(sums.column("p_rev"), pc.max(sums.column("p_rev")))))
+    else:
+        per_supp = (rest.groupby("l_suppkey")
+                    .aggregate(Sum("p_rev", alias_name="p_rev"))
+                    .materialize())  # read by the max and by the filter
+        winners = per_supp.filter(expr=f"p_rev == {int(per_supp.max('p_rev'))}")
     joined = lookup_join(winners,
                          read_sf_table(sf_dir, "supplier", ["s_suppkey", "s_name"]),
                          on=("l_suppkey",), right_on=("s_suppkey",),
@@ -160,7 +170,7 @@ def top_supplier_q15(sf_dir: str, num_partitions: int = 8):
         lambda t: pa.table({
             "s_suppkey": t.column("l_suppkey").cast(pa.int64()),
             "s_name": t.column("s_name"),
-            "total_revenue_e4": t.column("total_revenue_e4").cast(pa.int64()),
+            "total_revenue_e4": t.column("p_rev").cast(pa.int64()),
         }), batch_format="pyarrow")
 
 
@@ -387,12 +397,12 @@ def cust_idle_q22(sf_dir: str, since: str = "2000-01-01",
     out = (idle.map_batches(bucket_partial, batch_format="pyarrow")
            .groupby("cgroup").aggregate(Sum("p_n", alias_name="n_cust"),
                                         Sum("p_a", alias_name="total_acct_e2")))
-    return out.map_batches(
-        lambda t: pa.table({
-            "cgroup": t.column("cgroup").cast(pa.int64()),
-            "n_cust": t.column("n_cust").cast(pa.int64()),
-            "total_acct_e2": t.column("total_acct_e2").cast(pa.int64()),
-        }), batch_format="pyarrow")
+    layout = pa.schema([(c, pa.int64()) for c in ("cgroup", "n_cust", "total_acct_e2")])
+    typed = out.map_batches(lambda t: t.select(layout.names).cast(layout),
+                            batch_format="pyarrow")
+    # a map over no rows emits no block, so with no idle customer the
+    # Dataset alone has no schema; the empty table keeps the columns
+    return typed.union(ray.data.from_arrow(layout.empty_table()))
 
 
 # ---------------------------------------------------------------------------

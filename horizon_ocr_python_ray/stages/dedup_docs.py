@@ -691,37 +691,43 @@ def _verify_broadcast(pairs_ds, texts: dict[int, str], k: int, threshold: float)
 
 # -- near-dup clustering (connected components over verified pairs) ----------
 
+def _hook_send(s, d, f, outdeg):
+    """Each pair, both directions, sends its source's root to its
+    target's root (``f`` is the parent vector, all stars after
+    :func:`_hook_update`)."""
+    return np.concatenate([f[d], f[s]]), np.concatenate([f[s], f[d]])
+
+
+def _hook_update(f, inbox):
+    """Hook each root to the smallest root it heard from, then jump
+    pointers until every node points at its root. Parents only ever
+    point at smaller indexes, so the forest has no cycles; each round at
+    least halves the roots of every component that is not done."""
+    f = np.minimum(f, inbox)
+    while not np.array_equal(f[f], f):
+        f = f[f]
+    return f
+
+
 def near_dup_clusters(pairs_ds):
     """Verified near-dup pairs → (doc_id, cluster_id) with cluster_id =
-    min doc_id of the connected component.
+    min doc_id of the connected component, one row per doc in a pair.
 
-    The candidate-pair set is provably small (≤ duplicate rate × corpus,
-    post-LSH + verification), so union-find runs on the driver — the
-    documented fast path.
-    """
+    ``linkgraph.propagate`` with min rounds over both pair directions to
+    a fixpoint: the state is a parent vector over the sorted doc ids,
+    and each round hooks roots onto smaller neighbouring roots and
+    shortcuts (:func:`_hook_update`), so a component of n docs settles
+    in about log2(n) rounds. The pairs fold to the driver under
+    ``linkgraph.BROADCAST_MAX_EDGES``; past it the rounds run over the
+    distributed pairs."""
     import ray.data
 
-    rows = pairs_ds.select_columns(["doc_a", "doc_b"]).take_all()
-    parent: dict[int, int] = {}
+    from .linkgraph import MIN_LABEL, propagate
 
-    def find(x: int) -> int:
-        r = x
-        while parent.setdefault(r, r) != r:
-            r = parent[r]
-        while parent[x] != r:  # path compression
-            parent[x], x = r, parent[x]
-        return r
-
-    for r in rows:
-        ra, rb = find(r["doc_a"]), find(r["doc_b"])
-        if ra != rb:
-            # union by min so the representative is the smallest doc_id
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-    nodes = sorted(parent)
-    table = pa.Table.from_arrays(
-        [pa.array(nodes, pa.int64()),
-         pa.array([find(n) for n in nodes], pa.int64())],
-        names=["doc_id", "cluster_id"],
-    )
-    return ray.data.from_arrow(table)
+    hook = MIN_LABEL._replace(send=_hook_send, update=_hook_update)
+    docs, f = propagate(pairs_ds.select_columns(["doc_a", "doc_b"]),
+                        PAIR_IDS_SCHEMA, hook, None)
+    return ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(docs, pa.int64()),
+        "cluster_id": pa.array(docs[f], pa.int64()),
+    }))

@@ -1,18 +1,26 @@
-"""Host-level web-graph ops: outlink harvest → link graph → PageRank.
+"""Host-level web-graph ops and the one vertex-propagation loop.
 
-The classic web-scale trio over the pages corpus:
+Over the pages corpus:
 
 - :func:`page_outlinks` — per-page absolute-anchor harvest (one
   ``map_batches`` pass over the html-sniffed rows; no shuffle).
 - :func:`host_link_counts` — (src_host, dst_host, n_links) frequency
   table: batch-local combiner partials → ONE narrow groupby.
+- :func:`host_anchor_terms` — top-k anchor terms per destination host.
 - :func:`host_pagerank` — K fixed iterations of integer-exact PageRank
-  over the DISTINCT non-self host edge set. All arithmetic is int64
-  (ranks at e12 scale, floor-divided damping contributions), so every
-  plan — and the DuckDB oracle replay — produces bit-identical ranks
-  regardless of summation order.
+  over the DISTINCT non-self host edge set.
+- :func:`host_components` — fixed-sweep min-label components over the
+  same edges, undirected.
 
-Update rule (per node v, damping 85/100, rank scale 1e12):
+Both graph ops are :func:`propagate`, the package's one loop that
+carries a per-node int64 state along an edge list: sum rounds over the
+directed edges for PageRank, min rounds over both directions for
+components; ``dedup_docs.near_dup_clusters`` runs it to a fixpoint over
+doc-id pairs. All arithmetic is integer and every combine is
+order-independent, so both of its plans — and the DuckDB oracle replays
+— give bit-identical results.
+
+PageRank update rule (per node v, damping 85/100, rank scale 1e12):
 
     r_0(v)   = 1_000_000_000_000
     r_t+1(v) = 150_000_000_000 + Σ_{(u→v)} (85 · r_t(u)) // (100 · outdeg(u))
@@ -22,16 +30,12 @@ update local to in-edges, which is what makes it exactly replayable in
 SQL and order-independent across shards).
 
 Scale notes (10^12 pages → ~10^8 hosts): the edge harvest and the
-per-(src,dst) combiner stream; the iteration state is ONE row PER HOST
-— 4–5 orders of magnitude smaller than the page table.
-Up to :data:`BROADCAST_MAX_EDGES` distinct edges the edge list folds to
-the driver and the iterations run there in numpy. Past it the
-partitioned plan keeps edges distributed and per iteration broadcasts
-only the rank vector (two int64/object arrays) into a ``map_batches``
-contribution pass followed by one ``groupby(dst_host).sum`` — the rank
-vector is the natural broadcast side long before edges are. Past
-~10^8 hosts the same loop runs with ranks hash-partitioned by host and
-edges co-partitioned by src (documented; not needed below that).
+per-(src,dst) combiner stream; the propagation state is ONE value PER
+NODE — 4–5 orders of magnitude smaller than the page table, so past
+:data:`BROADCAST_MAX_EDGES` the edges stay distributed and only the
+state vector is broadcast per round. Past ~10^8 hosts the same loop
+would run with the state hash-partitioned by node (not needed below
+that).
 
 Reference parity: the reference is a single-document OCR engine with no
 web-graph surface; these ops belong to the large-scale-training-data
@@ -40,11 +44,14 @@ example)."""
 
 from __future__ import annotations
 
+import itertools
+from typing import Callable, NamedTuple
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Count, Min, Sum
 
 from ..functions.links import outlinks_batch
 from ..functions.sniff import sniff_route
@@ -57,8 +64,8 @@ DAMP_NUM, DAMP_DEN = 85, 100
 #: Base (1 − d) · scale, exact.
 RANK_BASE = 150_000_000_000
 
-#: Distinct-edge count above which the edge list is not folded to the
-#: driver and the partitioned plan takes over.
+#: Distinct-edge count above which :func:`propagate` does not fold the
+#: edge list to the driver and runs its rounds over the distributed edges.
 BROADCAST_MAX_EDGES = 5_000_000
 
 _EDGE_SCHEMA = pa.schema([("src_host", pa.string()), ("dst_host", pa.string())])
@@ -159,40 +166,136 @@ def _edge_partials(pages: ray.data.Dataset) -> ray.data.Dataset:
     return _html_links(pages).map_batches(partial, batch_format="pyarrow")
 
 
-def _pagerank_vec(
-    src: np.ndarray, dst: np.ndarray, n: int, iters: int
-) -> np.ndarray:
-    """The update rule, vectorized: one out-degree bincount, then per
-    iteration a gather + floor-div + int64 scatter-add (``np.add.at``
-    — bincount would round through float64)."""
-    outdeg = np.bincount(src, minlength=n).astype(np.int64)
-    r = np.full(n, RANK_SCALE, np.int64)
-    denom = DAMP_DEN * outdeg[src]  # per-edge, constant across iterations
-    for _ in range(iters):
-        contrib = (DAMP_NUM * r[src]) // denom
-        nxt = np.full(n, RANK_BASE, np.int64)
-        np.add.at(nxt, dst, contrib)
-        r = nxt
-    return r
+class Rule(NamedTuple):
+    """What :func:`propagate` carries along the edges. Node values and
+    messages are int64; a node is its index into the sorted node array."""
+
+    #: How a node's messages combine: ``"sum"`` or ``"min"``.
+    combine: str
+    #: ``init(n)`` → the state before the first round.
+    init: Callable
+    #: ``send(s, d, state, outdeg)`` → (target indexes, messages), from
+    #: the edges' endpoint indexes and the previous round's state.
+    send: Callable
+    #: ``update(state, inbox)`` → the next state; the inbox holds each
+    #: node's combined messages (0, or int64 max, where none arrive).
+    update: Callable
 
 
-def _rank_table(hosts: np.ndarray, r: np.ndarray) -> ray.data.Dataset:
-    return ray.data.from_arrow(
-        pa.table(
-            {"host": pa.array(hosts.tolist(), pa.string()),
-             "rank_e12": pa.array(r, pa.int64())}
-        )
-    )
+#: Per combine: the scatter ufunc, the inbox value of a node no message
+#: reaches, and the Ray aggregate of the distributed rounds.
+_COMBINE = {"sum": (np.add, 0, Sum),
+            "min": (np.minimum, np.iinfo(np.int64).max, Min)}
 
 
-def _node_partial(t: pa.Table) -> pa.Table:
-    """Distinct hosts of an edge batch, either endpoint."""
-    cols = []
-    for name in ("src_host", "dst_host"):
-        c = t.column(name)
-        cols.append(c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c)
-    both = pa.table({"host": pa.concat_arrays(cols)})
-    return both.group_by("host").aggregate([])
+def _rounds(rule: Rule, n: int, messages, rounds):
+    """The round loop: ``messages(state)`` yields (targets, messages)
+    array pairs; ``rounds`` rounds, or with ``rounds=None`` until the
+    state stops changing."""
+    ufunc, fill, _ = _COMBINE[rule.combine]
+    state = rule.init(n)
+    for _ in itertools.count() if rounds is None else range(rounds):
+        inbox = np.full(n, fill, np.int64)
+        for tgt, msg in messages(state):
+            ufunc.at(inbox, tgt, msg)
+        nxt = rule.update(state, inbox)
+        if rounds is None and np.array_equal(nxt, state):
+            break
+        state = nxt
+    return state
+
+
+def propagate_arrays(s: np.ndarray, d: np.ndarray, n: int, rule: Rule, rounds):
+    """:func:`propagate`'s driver plan: ``rule`` over the distinct edges
+    ``s[i] → d[i]`` of nodes ``0..n-1``, in numpy → the final state."""
+    outdeg = np.bincount(s, minlength=n).astype(np.int64)
+    return _rounds(rule, n, lambda state: [rule.send(s, d, state, outdeg)], rounds)
+
+
+def _node_degrees(t: pa.Table) -> pa.Table:
+    """Node-pass partial over a batch of distinct edges: every endpoint
+    with its out-degree within the batch."""
+    s, d = (c.combine_chunks() for c in t.columns)
+    g = pa.table({
+        "node": pa.concat_arrays([s, d]),
+        "p_deg": np.concatenate([np.ones(len(s), np.int64),
+                                 np.zeros(len(d), np.int64)]),
+    })
+    return g.group_by("node").aggregate([("p_deg", "sum")]).rename_columns(
+        ["node", "p_deg"])
+
+
+def propagate(partials, schema: pa.Schema, rule: Rule, rounds):
+    """Vertex propagation: ``rule`` over the distinct edges of
+    ``partials`` for ``rounds`` rounds (``None``: until the state stops
+    changing) → ``(nodes, state)``, the sorted node array and each
+    node's final int64 value.
+
+    ``partials`` holds batch-local edge partials laid out as ``schema``
+    (source column, target column); the nodes are the endpoints. Up to
+    :data:`BROADCAST_MAX_EDGES` distinct edges fold to the driver
+    (``collect.fold_capped``) and :func:`propagate_arrays` runs the
+    rounds in numpy. Past it the edges stay a Dataset: one distinct
+    groupby over the partial blocks the fold handed over, one node pass
+    for the node array and the out-degrees, then per round the state
+    vector is ``ray.put`` once, each batch pre-combines its messages by
+    target, and one ``groupby(target)`` Sum/Min returns O(nodes) rows
+    that scatter with the same ufunc. Both plans give the same state
+    (integer messages, order-independent combines)."""
+    src, dst = schema.names
+    edges, rest = fold_capped(partials, schema, [src, dst], [],
+                              BROADCAST_MAX_EDGES)
+    if rest is None:
+        s = edges.column(src).to_numpy(zero_copy_only=False)
+        d = edges.column(dst).to_numpy(zero_copy_only=False)
+        nodes = np.unique(np.concatenate([s, d]))
+        return nodes, propagate_arrays(np.searchsorted(nodes, s),
+                                       np.searchsorted(nodes, d),
+                                       len(nodes), rule, rounds)
+
+    edges = (rest.groupby([src, dst]).aggregate(Count(alias_name="_n"))
+             .drop_columns(["_n"])
+             .materialize())  # read once per round + once by the node pass
+    deg = pa.concat_tables(collect_tables(
+        edges.map_batches(_node_degrees, batch_format="pyarrow")
+        .groupby("node").aggregate(Sum("p_deg", alias_name="deg"))
+    )).sort_by("node")
+    nodes = deg.column("node").to_numpy(zero_copy_only=False)
+    nodes_ref = ray.put(nodes)
+    deg_ref = ray.put(deg.column("deg").to_numpy().astype(np.int64))
+    agg = _COMBINE[rule.combine][2]
+
+    def messages(state):
+        state_ref = ray.put(state)
+
+        def batch(t: pa.Table) -> pa.Table:
+            nv = ray.get(nodes_ref)
+            tgt, msg = rule.send(
+                np.searchsorted(nv, t.column(src).to_numpy(zero_copy_only=False)),
+                np.searchsorted(nv, t.column(dst).to_numpy(zero_copy_only=False)),
+                ray.get(state_ref), ray.get(deg_ref))
+            g = pa.table({"t": pa.array(tgt, pa.int64()),
+                          "m": pa.array(msg, pa.int64())})
+            return g.group_by("t").aggregate([("m", rule.combine)]).rename_columns(
+                ["t", "m"])
+
+        out = (edges.map_batches(batch, batch_format="pyarrow")
+               .groupby("t").aggregate(agg("m", alias_name="m")))
+        return [(t.column("t").to_numpy(), t.column("m").to_numpy())
+                for t in collect_tables(out)]
+
+    return nodes, _rounds(rule, len(nodes), messages, rounds)
+
+
+def _min_label_send(s, d, lab, outdeg):
+    """Each edge, both directions, sends its source's label to its target."""
+    return np.concatenate([d, s]), np.concatenate([lab[s], lab[d]])
+
+
+#: Synchronous min-label sweeps over the undirected edges; labels start
+#: as the node's own index.
+MIN_LABEL = Rule("min", lambda n: np.arange(n, dtype=np.int64),
+                 _min_label_send, np.minimum)
 
 
 def host_components(pages: ray.data.Dataset, sweeps: int = 4) -> ray.data.Dataset:
@@ -200,170 +303,38 @@ def host_components(pages: ray.data.Dataset, sweeps: int = 4) -> ray.data.Datase
     propagation → (host, comp_label).
 
     Each sweep sets ``label(v) = min(label(v), min_{u~v} label(u))``
-    over the undirected adjacency (labels start as the host's own name;
-    the final label is the lexicographic min reached within ``sweeps``
-    hops — a pinned, SQL-replayable semantics; sweeps ≥ graph diameter
-    gives true components). Same two plans as :func:`host_pagerank`;
-    internally labels are indexes into the SORTED host array, so
-    integer min ≡ lexicographic string min. The engine's converged
-    variant for arbitrary graphs is `stages/dedup_docs.py`'s
-    distributed label propagation (iterate-until-fixpoint); this one
-    pins the sweep count so the oracle can replay it exactly."""
-    edges, rest = fold_capped(_edge_partials(pages), _EDGE_SCHEMA,
-                              ["src_host", "dst_host"], [], BROADCAST_MAX_EDGES)
-    if rest is None:
-        s = edges.column("src_host").to_numpy(zero_copy_only=False)
-        d = edges.column("dst_host").to_numpy(zero_copy_only=False)
-        hosts = np.unique(np.concatenate([s, d])) if len(s) else np.array([], object)
-        si = np.searchsorted(hosts, s).astype(np.int64)
-        di = np.searchsorted(hosts, d).astype(np.int64)
-        u = np.concatenate([si, di])  # undirected: both directions
-        v = np.concatenate([di, si])
-        lab = np.arange(len(hosts), dtype=np.int64)
-        for _ in range(sweeps):
-            nxt = lab.copy()
-            np.minimum.at(nxt, v, lab[u])
-            lab = np.minimum(lab, nxt)
-        return ray.data.from_arrow(pa.table({
-            "host": pa.array(hosts.tolist(), pa.string()),
-            "comp_label": pa.array([hosts[i] for i in lab], pa.string()),
-        }))
-
-    # Too many edges for the driver. Partitioned plan (bit-identical
-    # labels — tested): edges stay a Dataset; per sweep only the
-    # PER-HOST label vector is broadcast (ray.put once, read per task)
-    # and only per-host incoming minima
-    # return — the same O(hosts) driver state host_pagerank's
-    # partitioned loop already carries, with synchronous sweep
-    # semantics (mins computed from the PREVIOUS sweep's labels).
-    from ray.data.aggregate import Min
-
-    edges_ds = (
-        rest.groupby(["src_host", "dst_host"])
-        .aggregate(Count(alias_name="_n"))
-        .drop_columns(["_n"])
-        .materialize()  # consumed once per sweep + once for the node set
-    )
-
-    node_tbls = collect_tables(
-        edges_ds.map_batches(_node_partial, batch_format="pyarrow"))
-    if not node_tbls:
-        return ray.data.from_arrow(pa.table({
-            "host": pa.array([], pa.string()),
-            "comp_label": pa.array([], pa.string())}))
-    hosts = np.unique(
-        pa.concat_tables(node_tbls).column("host").to_numpy(zero_copy_only=False))
-    hosts_ref = ray.put(hosts)
-    lab = np.arange(len(hosts), dtype=np.int64)
-    for _ in range(sweeps):
-        lab_ref = ray.put(lab)
-
-        def min_partial(t: pa.Table, _l=lab_ref, _h=hosts_ref) -> pa.Table:
-            hv, lv = ray.get(_h), ray.get(_l)
-            s = t.column("src_host").to_numpy(zero_copy_only=False)
-            d = t.column("dst_host").to_numpy(zero_copy_only=False)
-            si = np.searchsorted(hv, s)
-            di = np.searchsorted(hv, d)
-            g = pa.table({
-                "host": pa.array(np.concatenate([d, s])),
-                "m": pa.array(np.concatenate([lv[si], lv[di]]), pa.int64()),
-            })
-            return (g.group_by("host").aggregate([("m", "min")])
-                    .rename_columns(["host", "p_m"]))
-
-        mins = (edges_ds.map_batches(min_partial, batch_format="pyarrow")
-                .groupby("host").aggregate(Min("p_m", alias_name="m")))
-        nxt = lab.copy()
-        in_tbls = collect_tables(mins)
-        if in_tbls:
-            it = pa.concat_tables(in_tbls)
-            ti = np.searchsorted(
-                hosts, it.column("host").to_numpy(zero_copy_only=False))
-            np.minimum.at(nxt, ti, it.column("m").to_numpy())
-        lab = np.minimum(lab, nxt)
+    over the undirected distinct host graph, synchronously (from the
+    previous sweep's labels): :func:`propagate` with :data:`MIN_LABEL`.
+    Labels start as the host's own name and are indexes into the SORTED
+    host array inside the loop, so integer min ≡ lexicographic string
+    min. The final label is the smallest host within ``sweeps`` hops — a
+    pinned, SQL-replayable semantics; sweeps ≥ graph diameter gives true
+    components (the converged form over doc ids is
+    ``dedup_docs.near_dup_clusters``)."""
+    hosts, lab = propagate(_edge_partials(pages), _EDGE_SCHEMA, MIN_LABEL, sweeps)
     return ray.data.from_arrow(pa.table({
-        "host": pa.array(hosts.tolist(), pa.string()),
-        "comp_label": pa.array([hosts[i] for i in lab], pa.string()),
+        "host": pa.array(hosts, pa.string()),
+        "comp_label": pa.array(hosts[lab], pa.string()),
     }))
 
 
+def _pagerank_send(s, d, r, outdeg):
+    """Each edge sends ``(85 · r(src)) // (100 · outdeg(src))`` to dst."""
+    return d, (DAMP_NUM * r[s]) // (DAMP_DEN * outdeg[s])
+
+
+#: The PageRank update rule of the module docstring.
+PAGERANK = Rule("sum", lambda n: np.full(n, RANK_SCALE, np.int64),
+                _pagerank_send, lambda r, inbox: RANK_BASE + inbox)
+
+
 def host_pagerank(pages: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
-    """K-iteration integer-exact PageRank → (host, rank_e12).
-
-    Both plans produce bit-identical ranks (integer update rule);
-    ``tests/test_linkgraph.py`` asserts it."""
-    edges, rest = fold_capped(_edge_partials(pages), _EDGE_SCHEMA,
-                              ["src_host", "dst_host"], [], BROADCAST_MAX_EDGES)
-    if rest is None:
-        s = edges.column("src_host").to_numpy(zero_copy_only=False)
-        d = edges.column("dst_host").to_numpy(zero_copy_only=False)
-        hosts = np.unique(np.concatenate([s, d])) if len(s) else np.array([], object)
-        src = np.searchsorted(hosts, s).astype(np.int64)
-        dst = np.searchsorted(hosts, d).astype(np.int64)
-        return _rank_table(hosts, _pagerank_vec(src, dst, len(hosts), iters))
-
-    # Too many edges for the driver. Partitioned plan: global distinct
-    # via one (src,dst) shuffle keeps edges a Dataset; only per-HOST
-    # state ever reaches the driver.
-    edges_ds = (
-        rest.groupby(["src_host", "dst_host"])
-        .aggregate(Count(alias_name="_n"))
-        .drop_columns(["_n"])
-        .materialize()  # consumed once per iteration + twice for degree/nodes
-    )
-
-    def deg_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["src_host"]), "src_host").aggregate(
-            [([], "count_all")]
-        )
-        return g.rename_columns(["src_host", "p_n"])
-
-    deg_tbls = collect_tables(
-        edges_ds.map_batches(deg_partial, batch_format="pyarrow"))
-
-    node_tbls = collect_tables(
-        edges_ds.map_batches(_node_partial, batch_format="pyarrow"))
-    if not node_tbls:
-        return _rank_table(np.array([], object), np.array([], np.int64))
-    hosts = np.unique(
-        pa.concat_tables(node_tbls).column("host").to_numpy(zero_copy_only=False)
-    )
-    deg = (
-        pa.concat_tables(deg_tbls).group_by("src_host").aggregate([("p_n", "sum")])
-        if deg_tbls
-        else pa.table({"src_host": pa.array([], pa.string()),
-                       "p_n_sum": pa.array([], pa.int64())})
-    )
-    outdeg = np.zeros(len(hosts), np.int64)
-    di = np.searchsorted(hosts, deg.column("src_host").to_numpy(zero_copy_only=False))
-    outdeg[di] = deg.column("p_n_sum").to_numpy()
-
-    hosts_ref = ray.put(hosts)
-    deg_ref = ray.put(outdeg)
-    r = np.full(len(hosts), RANK_SCALE, np.int64)
-    for _ in range(iters):
-        r_ref = ray.put(r)
-
-        def contrib_partial(
-            t: pa.Table, _r=r_ref, _h=hosts_ref, _d=deg_ref
-        ) -> pa.Table:
-            hv, rv, dv = ray.get(_h), ray.get(_r), ray.get(_d)
-            si = np.searchsorted(hv, t.column("src_host").to_numpy(zero_copy_only=False))
-            contrib = (DAMP_NUM * rv[si]) // (DAMP_DEN * dv[si])
-            g = pa.table({"dst_host": t.column("dst_host"),
-                          "c": pa.array(contrib, pa.int64())})
-            return (g.group_by("dst_host").aggregate([("c", "sum")])
-                    .rename_columns(["dst_host", "p_c"]))
-
-        sums = (
-            edges_ds.map_batches(contrib_partial, batch_format="pyarrow")
-            .groupby("dst_host").aggregate(Sum("p_c", alias_name="c"))
-        )
-        nxt = np.full(len(hosts), RANK_BASE, np.int64)
-        in_tbls = collect_tables(sums)
-        if in_tbls:
-            it = pa.concat_tables(in_tbls)
-            ti = np.searchsorted(hosts, it.column("dst_host").to_numpy(zero_copy_only=False))
-            np.add.at(nxt, ti, it.column("c").to_numpy())
-        r = nxt
-    return _rank_table(hosts, r)
+    """K-iteration integer-exact PageRank → (host, rank_e12):
+    :func:`propagate` with :data:`PAGERANK` for ``iters`` rounds over
+    the directed distinct edges. Both plans produce bit-identical ranks
+    (integer update rule); ``tests/test_linkgraph.py`` asserts it."""
+    hosts, r = propagate(_edge_partials(pages), _EDGE_SCHEMA, PAGERANK, iters)
+    return ray.data.from_arrow(pa.table({
+        "host": pa.array(hosts, pa.string()),
+        "rank_e12": pa.array(r, pa.int64()),
+    }))

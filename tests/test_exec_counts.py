@@ -1,0 +1,42 @@
+"""Dataset executions per driver query, pinned.
+
+Each query in ``__ray_entry__.queries()`` runs on the sf0.001 tables
+while ``tools/driver_mimic.py:ExecCounter`` counts its
+``StreamingExecutor.execute`` calls, the final ``to_pandas`` included,
+as the driver mimic reports them. A count above its pin means some stage
+now runs twice; a count below it should lower the pin."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from test_subqueries import SF  # the sf0.001 tables
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Query → Dataset executions at sf0.001, the final ``to_pandas`` included.
+EXECUTIONS = {
+    "host_pagerank": 2,
+    "host_components": 2,
+    "minhash_dup_clusters": 4,
+    "top_supplier": 3,
+    "cust_idle": 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXECUTIONS))
+def test_query_executions(ray_session, monkeypatch, name):
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    monkeypatch.syspath_prepend(str(ROOT))
+    # ExecCounter wraps StreamingExecutor.execute; undo that after the test
+    monkeypatch.setattr(StreamingExecutor, "execute", StreamingExecutor.execute)
+    import __ray_entry__
+    from tools.driver_mimic import ExecCounter, to_pandas
+
+    query = __ray_entry__.queries()[name]
+    execs = ExecCounter()
+    to_pandas(query(SF))
+    assert execs.take() == EXECUTIONS[name]

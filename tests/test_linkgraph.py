@@ -11,14 +11,20 @@ from horizon_ocr_python_ray.functions.links import extract_outlinks, host_of
 from horizon_ocr_python_ray.stages.linkgraph import (
     DAMP_DEN,
     DAMP_NUM,
+    PAGERANK,
     RANK_BASE,
     RANK_SCALE,
-    _pagerank_vec,
     host_anchor_terms,
     host_link_counts,
     host_pagerank,
     page_outlinks,
+    propagate_arrays,
 )
+
+
+def _pagerank_vec(src, dst, n, iters):
+    """host_pagerank's update rule on index edges, in numpy."""
+    return propagate_arrays(src, dst, n, PAGERANK, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -160,33 +166,24 @@ def test_components_corpus_labels_valid(corpus_dir):
     assert (out.comp_label <= out.host).all()
 
 
-def test_components_two_islands_limited_sweeps():
+def test_components_two_islands_limited_sweeps(monkeypatch):
     """Hand-built graph: chain a-b-c-d plus isolated pair x-y. One
-    sweep is enough for the pair; the chain needs ≤3."""
+    sweep is enough for the pair; the chain needs 3. Both plans, with
+    the pages' edge harvest replaced by the hand-built edges."""
     import ray.data
 
     import horizon_ocr_python_ray.stages.linkgraph as lg
+    from horizon_ocr_python_ray.stages.linkgraph import host_components
 
-    edges = pa.table({
-        "src_host": pa.array(["b", "c", "d", "x"], pa.string()),
-        "dst_host": pa.array(["a", "b", "c", "y"], pa.string()),
-    })
-    # drive the kernel directly (edge fold path) via a fake pages table
-    # is heavyweight; replay the sweep math instead
-    s = edges.column("src_host").to_numpy(zero_copy_only=False)
-    d = edges.column("dst_host").to_numpy(zero_copy_only=False)
-    hosts = np.unique(np.concatenate([s, d]))
-    si = np.searchsorted(hosts, s)
-    di = np.searchsorted(hosts, d)
-    u = np.concatenate([si, di])
-    v = np.concatenate([di, si])
-    lab = np.arange(len(hosts), dtype=np.int64)
-    for _ in range(4):
-        nxt = lab.copy()
-        np.minimum.at(nxt, v, lab[u])
-        lab = np.minimum(lab, nxt)
-    got = dict(zip(hosts, (hosts[i] for i in lab)))
-    assert got == {"a": "a", "b": "a", "c": "a", "d": "a", "x": "x", "y": "x"}
+    edges = pa.table({"src_host": ["b", "c", "d", "x"], "dst_host": ["a", "b", "c", "y"]})
+    monkeypatch.setattr(lg, "_edge_partials", lambda pages: ray.data.from_arrow(edges))
+    for cap in (lg.BROADCAST_MAX_EDGES, 0):
+        monkeypatch.setattr(lg, "BROADCAST_MAX_EDGES", cap)
+        got = {sweeps: dict(host_components(None, sweeps=sweeps).to_pandas()
+                            .itertuples(index=False, name=None))
+               for sweeps in (1, 4)}
+        assert got[1] == {"a": "a", "b": "a", "c": "b", "d": "c", "x": "x", "y": "x"}
+        assert got[4] == {"a": "a", "b": "a", "c": "a", "d": "a", "x": "x", "y": "x"}
 
 
 def test_pagerank_plans_bit_identical(corpus_dir, monkeypatch, udf_calls):

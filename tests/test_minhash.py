@@ -4,6 +4,7 @@ on constructed near-duplicates."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 import pyarrow as pa
 import ray.data
 
@@ -139,6 +140,61 @@ def test_near_dup_clusters_union_find():
     expect = {1: 1, 2: 1, 3: 1, 9: 1, 5: 5, 6: 5}
     got = {r["doc_id"]: r["cluster_id"] for r in near_dup_clusters(pairs_ds).take_all()}
     assert got == expect
+
+
+# The pair Dataset's upstream UDF. A lambda, so workers unpickle it by
+# value instead of importing this test module.
+_pair_udf = lambda t: t  # noqa: E731
+
+
+def _pair_blocks(case):
+    """Two pair blocks per case: two components; a 500-doc path over
+    shuffled ids (many rounds); no pairs at all."""
+    if case == "two":
+        a, b = [1, 2, 9, 5, 40, 41], [2, 3, 3, 6, 5, 40]
+    elif case == "path":
+        ids = np.random.RandomState(7).permutation(500) * 3 + 11
+        a, b = ids[:-1], ids[1:]
+    else:
+        a = b = []
+    half = len(a) // 2
+    return [pa.table({"doc_a": pa.array(x, pa.int64()), "doc_b": pa.array(y, pa.int64())})
+            for x, y in ((a[:half], b[:half]), (a[half:], b[half:]))]
+
+
+@pytest.mark.parametrize("case", ["two", "path", "empty"])
+def test_near_dup_clusters_plans_agree(ray_session, monkeypatch, udf_calls, case):
+    """Under BROADCAST_MAX_EDGES the pairs fold to the driver; past it
+    the rounds run over the pair blocks the fold produced. Same labels,
+    same typed layout, and the pair UDF runs once per input batch."""
+    import sys
+
+    import horizon_ocr_python_ray.stages.linkgraph as lg
+    from horizon_ocr_python_ray.stages.dedup_docs import near_dup_clusters
+
+    calls = udf_calls(sys.modules[__name__], "_pair_udf")
+    blocks = _pair_blocks(case)
+
+    def run():
+        ds = near_dup_clusters(ray.data.from_arrow(blocks).map_batches(
+            _pair_udf, batch_format="pyarrow"))
+        # typed even when empty (to_pandas drops an empty result's columns)
+        assert ds.schema().names == ["doc_id", "cluster_id"]
+        assert ds.schema().types == [pa.int64(), pa.int64()]
+        return sorted(ds.to_pandas().itertuples(index=False, name=None)), calls()
+
+    want, n = run()
+    monkeypatch.setattr(lg, "BROADCAST_MAX_EDGES", 0)
+    got, n_past = run()
+    assert got == want
+    assert n == n_past == (0 if case == "empty" else 2)
+    labels = dict(want)
+    if case == "two":
+        assert labels == {1: 1, 2: 1, 3: 1, 9: 1, 5: 5, 6: 5, 40: 5, 41: 5}
+    elif case == "path":
+        assert len(labels) == 500 and set(labels.values()) == {11}
+    else:
+        assert not labels
 
 
 def test_batched_signatures_equal_per_doc():

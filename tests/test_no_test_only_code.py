@@ -36,8 +36,7 @@
 4. No ``take_all()`` in the package outside ``functions/collect.py``
    unless its line carries a ``# bounded: <why>`` note: a driver
    collect goes through ``collect.fold_capped`` under a module cap, or
-   says why its size is bounded. ``TAKE_ALL_OPEN`` names the sites that
-   are neither yet.
+   says why its size is bounded.
 
 5. Joins in the query pipelines go through ``stages.joins.lookup_join``,
    which picks broadcast or hash join by the build side's measured size:
@@ -74,12 +73,6 @@ ALLOWED = {
 #: Parameter names that would let a caller force a plan (besides
 #: ``plan`` and any ``*_plan``).
 PLAN_PARAMS = {"plan", "drop_repr", "mg_capacity", "fold_vocab_max", "texts_sink"}
-
-#: Unbounded ``take_all()`` sites still open: (package path, enclosing
-#: function) → reason.
-TAKE_ALL_OPEN = {
-    ("stages/dedup_docs.py", "near_dup_clusters"): "open: ROADMAP direction 2 fall-through",
-}
 
 #: ``map_batches`` keywords that only an actor-pool stage takes.
 ACTOR_POOL_KEYWORDS = {"concurrency", "compute", "fn_constructor_args",
@@ -336,20 +329,17 @@ def _take_all_sites(tree: ast.AST, lines: list[str]):
 
 
 def test_no_unbounded_driver_collect():
-    bad, seen = [], set()
+    bad = []
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = path.relative_to(PACKAGE).as_posix()
         if rel == "functions/collect.py":
             continue
         text = path.read_text()
         for fn, line, noted in _take_all_sites(ast.parse(text), text.splitlines()):
-            if (rel, fn) in TAKE_ALL_OPEN:
-                seen.add((rel, fn))
-            elif not noted:
+            if not noted:
                 bad.append(f"{rel}:{line} in {fn}")
     assert not bad, ("take_all() without a '# bounded: <why>' note (collect "
                      "through functions/collect.fold_capped instead):\n" + "\n".join(bad))
-    assert seen == set(TAKE_ALL_OPEN), f"stale TAKE_ALL_OPEN: {set(TAKE_ALL_OPEN) - seen}"
 
 
 def test_pipeline_joins_go_through_lookup_join():

@@ -270,7 +270,10 @@ def test_pagerank_mass_bound_and_determinism(ne, iters):
     import numpy as np
 
     from horizon_ocr_python_ray.stages.linkgraph import (
-        DAMP_DEN, DAMP_NUM, RANK_BASE, RANK_SCALE, _pagerank_vec)
+        DAMP_DEN, DAMP_NUM, PAGERANK, RANK_BASE, RANK_SCALE, propagate_arrays)
+
+    def _pagerank_vec(src, dst, n, iters):
+        return propagate_arrays(src, dst, n, PAGERANK, iters)
 
     n, edges = ne
     if not edges:

@@ -66,6 +66,19 @@ def test_q15_single_exact_max(ray_session):
     assert out["total_revenue_e4"].nunique() == 1  # all rows share the max
 
 
+def test_q15_fold_cap_trips(ray_session, monkeypatch, udf_calls):
+    """The revenue partials fold once (lineitem scanned once per batch);
+    past HAVING_FOLD_MAX_KEYS a groupby over the partial blocks the fold
+    produced gives the same winners without re-running the combiner."""
+    calls = udf_calls(subqueries, "_q15_rev_partial")
+    fold = _df(subqueries.top_supplier_q15(SF))
+    n = calls()
+    assert n > 0 and len(fold) > 0
+    monkeypatch.setattr(subqueries, "HAVING_FOLD_MAX_KEYS", 0)
+    assert _df(subqueries.top_supplier_q15(SF)).equals(fold)
+    assert calls() == n
+
+
 def test_q17_integer_rewrite_matches_float_semantics(ray_session):
     """5·qty_e2·n < sum_e2 must equal qty < 0.2·avg on the real data."""
     import numpy as np
@@ -208,3 +221,14 @@ def test_q22_buckets_cover_output(ray_session):
     out = _df(subqueries.cust_idle_q22(SF))
     assert set(out["cgroup"]) <= set(range(8))
     assert (out["n_cust"] > 0).all()
+
+
+def test_q22_empty_keeps_columns(ray_session):
+    """Every customer has an order since 1900: zero rows, still with
+    Q22's three int64 columns."""
+    import pyarrow as pa
+
+    out = subqueries.cust_idle_q22(SF, since="1900-01-01")
+    assert out.count() == 0
+    assert out.schema().names == ["cgroup", "n_cust", "total_acct_e2"]
+    assert out.schema().types == [pa.int64()] * 3
