@@ -295,7 +295,6 @@ def _minhash_near_dup(sf_dir: str):
 
 def _ann_topk(sf_dir: str):
     import numpy as np
-    import ray.data
     from horizon_ocr_python_ray.stages.ann import (
         brute_force_topk,
         smallest_id_rows,
@@ -314,12 +313,11 @@ def _ann_topk(sf_dir: str):
             names=["vec_id", "score", "rank"],
         )
 
-    return out.map_batches(project, batch_format="pyarrow")
+    return project(out)
 
 
 def _ann_topk_lsh(sf_dir: str):
     import numpy as np
-    import ray.data
     from horizon_ocr_python_ray.stages.ann import (
         lsh_bucketed_topk,
         smallest_id_rows,
@@ -338,12 +336,11 @@ def _ann_topk_lsh(sf_dir: str):
             names=["vec_id", "score", "rank"],
         )
 
-    return out.map_batches(project, batch_format="pyarrow")
+    return project(out)
 
 
 def _ann_topk_ivf(sf_dir: str):
     import numpy as np
-    import ray.data
     from horizon_ocr_python_ray.stages.ann import ivf_topk, smallest_id_rows
 
     emb = _sf_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
@@ -359,7 +356,7 @@ def _ann_topk_ivf(sf_dir: str):
             names=["vec_id", "score", "rank"],
         )
 
-    return out.map_batches(project, batch_format="pyarrow")
+    return project(out)
 
 
 def _events_hourly(sf_dir: str):
@@ -1077,10 +1074,10 @@ def _emb_centroids(sf_dir: str):
 
 def _ann_topk_quantized(sf_dir: str):
     """Top-10 by INTEGER dot product of int8 max-abs codes (the
-    quantized column driving the search it exists for): per-batch
-    partial top-k against the broadcast quantized query, ≤k-row
-    partials folded on the driver — no sort exchange, no float in the
-    compare (``stages/quantize.py:quantized_topk``)."""
+    quantized column driving the search it exists for): every batch
+    scores against the broadcast quantized query and ``collect.top_k``
+    merges the block-local top-k on the driver — no sort exchange, no
+    float in the compare (``stages/quantize.py:quantized_topk``)."""
     import numpy as np
     from horizon_ocr_python_ray.stages.ann import smallest_id_rows
     from horizon_ocr_python_ray.stages.quantize import quantized_topk
@@ -1097,7 +1094,7 @@ def _ann_topk_batch(sf_dir: str):
     queries (the 8 smallest-vec_id vectors, fetched by a ≤8-row monoid
     fold — no sort exchange) in ONE corpus pass: the query matrix
     broadcasts once via ``ray.put`` and every batch scores all queries
-    in a single matmul, emitting per-query partial top-k rows keyed by
+    in a single matmul, and ``collect.top_k`` keeps k rows per
     ``query_idx`` (``stages/ann.py:brute_force_topk``)."""
     import numpy as np
     from horizon_ocr_python_ray.stages.ann import (
@@ -1122,7 +1119,7 @@ def _ann_topk_batch(sf_dir: str):
             names=["query_idx", "vec_id", "score", "rank"],
         )
 
-    return out.map_batches(project, batch_format="pyarrow")
+    return project(out)
 
 
 def _ann_topk_quantized_batch(sf_dir: str):
@@ -1925,9 +1922,7 @@ def _doc_global_rank(sf_dir: str):
 
 def _corpus_tfidf_topk(sf_dir: str):
     """Integer-exact TF-IDF retrieval: corpus top-3-DF terms as the
-    query, idf_e6 floor-div weights, per-batch partial top-k fold."""
-    import ray.data
-
+    query, idf_e6 floor-div weights, ``collect.top_k`` over the scores."""
     from horizon_ocr_python_ray.stages.ranking import tfidf_topk
 
     docs = _sf_table(sf_dir, "documents", columns=["doc_id", "text"])

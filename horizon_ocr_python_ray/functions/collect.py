@@ -1,4 +1,5 @@
-"""Driver-side collection: the one fold-and-cap rule.
+"""Driver-side collection: the one fold-and-cap rule and the one top-k
+rule.
 
 A driver fold streams a Dataset's partial blocks once, merges them on
 the driver and stops at a named module cap. :func:`fold_capped` is the
@@ -16,6 +17,16 @@ only implementation of that rule:
   the stream), so the caller's distributed plan consumes the partials
   instead of re-running the upstream map.
 
+"The first k rows under a total order" (per group) is :func:`top_k`,
+the only implementation of a distributed top-k:
+
+- a ``map_batches`` that Ray fuses into the caller's scoring map trims
+  each block to its first k rows per group with one ``sort_indices``;
+- the trimmed blocks stream once and the driver re-trims every
+  :data:`FOLD_EVERY` tables, so it holds at most
+  ``(FOLD_EVERY + 1) · k`` rows per group;
+- the result is a Table in order with a 1-based per-group ``rank``.
+
 The other helpers collect results that are small by construction.
 ``Dataset.to_arrow_refs()`` (ray 2.49) is avoided throughout: after
 consuming the ref bundles it calls ``self.schema(fetch_if_missing=True)``,
@@ -26,7 +37,9 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 #: Partial tables the driver holds before it folds them.
 FOLD_EVERY = 64
@@ -139,3 +152,59 @@ def fold_capped(ds, schema: pa.Schema, keys: list[str] | None,
     if out.num_rows > cap:
         return None, ray.data.from_arrow_refs(refs)
     return out, None
+
+
+def _first_k(t: pa.Table, keys: list[tuple[str, str]], group: str | None,
+             k: int) -> tuple[pa.Table, np.ndarray]:
+    """``t`` sorted by ``keys`` (the group column first, if any) and cut
+    to the first ``k`` rows per group, with each kept row's 0-based
+    position in its group."""
+    if not t.num_rows:
+        return t, np.zeros(0, np.int64)
+    idx = pc.sort_indices(t, sort_keys=keys)
+    if group is None:
+        idx = idx[:k]
+        pos = np.arange(len(idx))
+    else:
+        g = t.column(group).take(idx).to_numpy()
+        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        pos = np.arange(len(g)) - np.repeat(starts, np.diff(np.r_[starts, len(g)]))
+        keep = pos < k
+        idx, pos = idx.filter(pa.array(keep)), pos[keep]
+    return t.take(idx), pos
+
+
+def top_k(ds, order: list[tuple[str, str]], k: int,
+          group: str | None) -> pa.Table:
+    """The first ``k`` rows of ``ds`` under ``order``, per value of the
+    ``group`` column when it is not ``None``.
+
+    ``order`` is a pyarrow sort-key list ``[(column, "ascending" |
+    "descending")]`` ending in a unique key, so the answer does not
+    depend on how the rows are sharded. ``ds`` is a Dataset, or a Table
+    already on the driver (a folded table, or ranked results to merge
+    once their ``rank`` is dropped).
+
+    Returns a Table sorted by the group, then ``order``, with a 1-based
+    int64 ``rank`` within each group. For an empty Dataset that is the
+    empty table of ``ds.schema()`` (a ``limit(1)`` run of the upstream,
+    only in that case), or of null-typed key columns when Ray knows no
+    schema (a map that never saw a row), plus ``rank``."""
+    keys = ([(group, "ascending")] if group is not None else []) + list(order)
+    if isinstance(ds, pa.Table):
+        acc = [ds]
+    else:
+        acc = []
+        trimmed = ds.map_batches(lambda t: _first_k(t, keys, group, k)[0],
+                                 batch_format="pyarrow")
+        for t in iter_tables(trimmed):
+            # one output block can hold several trimmed batches
+            acc.append(t if t.num_rows <= k else _first_k(t, keys, group, k)[0])
+            if len(acc) > FOLD_EVERY:
+                acc = [_first_k(pa.concat_tables(acc), keys, group, k)[0]]
+        if not acc:
+            sch = ds.schema()
+            acc = [sch.base_schema.empty_table() if sch is not None
+                   else pa.table({c: pa.array([], pa.null()) for c, _ in keys})]
+    out, pos = _first_k(pa.concat_tables(acc), keys, group, k)
+    return out.append_column("rank", pa.array(pos + 1, pa.int64()))

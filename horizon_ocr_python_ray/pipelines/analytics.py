@@ -17,6 +17,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
+from ..functions.collect import top_k
 from ..sources.tables import read_sf_table
 from ..stages.joins import lookup_join
 
@@ -105,26 +106,11 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 8):
 
 
 def top_orders(sf_dir: str, k: int = 10):
-    """Global top-k by total price — per-batch partial top-k, then a tiny
-    driver-side merge; never a full sort of the table."""
+    """Global top-k by total price (``collect.top_k``: block-local
+    trims, driver merge); never a full sort of the table."""
     orders = read_sf_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-
-    def partial_topk(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        return pa.Table.from_pandas(
-            df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True]).head(k),
-            preserve_index=False,
-        )
-
-    partials = orders.map_batches(partial_topk, batch_format="pyarrow", batch_size=65536)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True]).head(k)
-        return df.reset_index(drop=True)
-
-    merged = merge(partials.to_pandas())
-    merged["rank"] = np.arange(1, len(merged) + 1, dtype=np.int64)
-    return merged
+    return top_k(orders, [("o_totalprice", "descending"), ("o_orderkey", "ascending")],
+                 k, None)
 
 
 def orders_per_customer_join(sf_dir: str, num_partitions: int = 8):

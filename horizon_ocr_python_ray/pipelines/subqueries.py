@@ -42,6 +42,8 @@ compare it row for row.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -49,7 +51,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Sum
 
-from ..functions.collect import collect_table, collect_tables, fold_capped
+from ..functions.collect import collect_table, fold_capped, top_k
 from ..sources.tables import clean_schema, read_sf_table
 from ..stages.joins import lookup_join
 
@@ -516,8 +518,8 @@ def returned_top_customers_q10(sf_dir: str, quarter: str = "1996-01-01",
     Revenue is exact int64 e4 (``price_e2 · (100 − disc_e2)``). Plan:
     returned-lineitem partial sums per orderkey (combiner, no shuffle)
     → order window filter maps orderkey→custkey (lookup join) →
-    ``groupby(custkey).sum`` (one narrow shuffle) → tiny top-k fold →
-    name/nation attach on the driver."""
+    ``groupby(custkey).sum`` (one narrow shuffle) → ``collect.top_k`` →
+    the winners' customer rows and the nation table attach on the driver."""
     li = read_sf_table(sf_dir, "lineitem",
                        ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"])
     lo, hi = _TS(quarter), _TS(
@@ -556,29 +558,26 @@ def returned_top_customers_q10(sf_dir: str, quarter: str = "1996-01-01",
         Sum("p_r", alias_name="revenue_e4"))
 
     # Customer is NOT a bounded dimension at 100×: never fold the full
-    # per-customer aggregate. (revenue_e4 desc, c_custkey asc) is a
-    # total order over exactly the folded columns, so per-block partial
-    # top-k is exact — only k rows per block reach the driver.
-    def topk_partial(t: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(t, sort_keys=[("revenue_e4", "descending"),
-                                            ("c_custkey", "ascending")])
-        return t.take(idx[:k])
+    # per-customer aggregate, nor collect the customer table.
+    # (revenue_e4 desc, c_custkey asc) is a total order over exactly the
+    # folded columns, so the block-local top-k is exact.
+    top = top_k(by_cust, [("revenue_e4", "descending"), ("c_custkey", "ascending")],
+                k, None)
+    wanted = top.column("c_custkey").combine_chunks()  # ≤ k keys: ship inline
 
-    parts = collect_tables(
-        by_cust.map_batches(topk_partial, batch_format="pyarrow"))
-    cdf = (pa.concat_tables(parts).to_pandas() if parts
-           else pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
-                              "revenue_e4": pd.Series(dtype="int64")}))
-    cdf["revenue_e4"] = cdf["revenue_e4"].astype("int64")
-    cdf = (cdf.sort_values(["revenue_e4", "c_custkey"],
-                           ascending=[False, True]).head(k))
-    names = read_sf_table(sf_dir, "customer",
-                 ["c_custkey", "c_name", "c_nationkey"]).to_pandas()
+    def winners(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t.column("c_custkey"), value_set=wanted))
+
+    cust_cols = ["c_custkey", "c_name", "c_nationkey"]
+    names = collect_table(
+        read_sf_table(sf_dir, "customer", cust_cols).map_batches(
+            winners, batch_format="pyarrow"),
+        clean_schema(os.path.join(sf_dir, "customer.parquet"), cust_cols))
     nation = read_sf_table(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    out = (cdf.merge(names, on="c_custkey")
+    # inner merges keep the left (ranked) row order
+    out = (top.select(["c_custkey", "revenue_e4"]).to_pandas()
+           .merge(names.to_pandas(), on="c_custkey")
            .merge(nation, left_on="c_nationkey", right_on="n_nationkey"))
-    out = out.sort_values(["revenue_e4", "c_custkey"],
-                          ascending=[False, True]).reset_index(drop=True)
     return out[["c_custkey", "c_name", "n_name", "revenue_e4"]]
 
 

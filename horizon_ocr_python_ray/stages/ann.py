@@ -1,8 +1,8 @@
 """Similarity search over an embedding column (``list<float>``).
 
 Baseline: brute-force cosine top-k — numpy matmul per batch against a
-broadcast query matrix (``ray.put`` once, read once per worker), per-batch
-partial top-k, tiny global merge.
+broadcast query matrix (``ray.put`` once, read once per worker), then
+``collect.top_k``: block-local trims, one driver merge.
 
 Scale paths:
 
@@ -33,11 +33,10 @@ Reference semantics: D5/D6 near-dup merges
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
-from ..functions.collect import as_arrow_table, collect_block_refs, iter_tables
+from ..functions.collect import as_arrow_table, collect_block_refs, iter_tables, top_k
 from ..state.worker import worker_state
 
 
@@ -62,85 +61,48 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 def smallest_id_rows(ds, n: int = 1, id_col: str = "vec_id") -> pa.Table:
     """The ``n`` smallest-``id_col`` rows of a dataset WITHOUT a sort
-    exchange: each batch emits a ≤n-row partial (vectorized partial
-    top-n ascending), folded on the driver with a running trim — the
-    tiny-key monoid idiom. Query planting (`the first k vectors`) and
-    min-key probes use this instead of ``ds.sort(id).take(n)``, which
-    pays a full all-to-all sort of the table for an n-row answer."""
-    import pyarrow.compute as pc
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows <= n:
-            return t
-        return t.take(pc.sort_indices(t.column(id_col)).slice(0, n))
-
-    best: pa.Table | None = None
-    for t in iter_tables(ds.map_batches(partial, batch_format="pyarrow")):
-        best = t if best is None else pa.concat_tables([best, t])
-        if best.num_rows > n:
-            best = best.take(pc.sort_indices(best.column(id_col)).slice(0, n))
-    if best is None:
+    exchange (``collect.top_k``). Query planting (`the first k vectors`)
+    and min-key probes use this instead of ``ds.sort(id).take(n)``,
+    which pays a full all-to-all sort of the table for an n-row answer."""
+    out = top_k(ds, [(id_col, "ascending")], n, None)
+    if not out.num_rows:
         raise ValueError("smallest_id_rows on an empty dataset")
-    # the first (possibly only) block can hold several concatenated
-    # ≤n-row partials — always apply the final trim
-    return best.take(pc.sort_indices(best.column(id_col)).slice(0, n))
+    return out.drop_columns(["rank"])
 
 
 # -- brute-force top-k -------------------------------------------------------
 
-class BruteForceTopK:
-    """Per-batch partial top-k against the broadcast query matrix."""
-
-    def __init__(self, query_ref, k: int) -> None:
-        q = ray.get(query_ref)  # (n_query, dim) float64 — fetched once per worker
-        self.qn = _normalize(q)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, emb = _batch_matrix(batch)
-        sims = _normalize(emb) @ self.qn.T  # (batch, n_query)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(sims.shape[1]):
-            col = sims[:, qi]
-            k = min(self.k, len(col))
-            # partial top-k, ties broken by vec_id ascending
-            idx = np.lexsort((ids, -col))[:k]
-            out_q.extend([qi] * k)
-            out_id.extend(ids[idx].tolist())
-            out_s.extend(col[idx].tolist())
-        return pa.Table.from_arrays(
-            [pa.array(out_q, pa.int32()), pa.array(out_id, pa.int64()),
-             pa.array(out_s, pa.float64())],
-            names=["query_idx", "vec_id", "score"],
-        )
+def _cosine_scores(batch: pa.Table, query_ref) -> pa.Table:
+    """(query_idx, vec_id, score) for every (row, query) pair of the
+    batch: one matmul against the broadcast query matrix, which each
+    worker fetches and normalizes once."""
+    qn = worker_state("ann_query", query_ref.hex(),
+                      lambda: _normalize(ray.get(query_ref)))
+    ids, emb = _batch_matrix(batch)
+    sims = _normalize(emb) @ qn.T  # (batch, n_query)
+    n_query = sims.shape[1]
+    return pa.table({
+        "query_idx": pa.array(np.tile(np.arange(n_query, dtype=np.int32), len(ids))),
+        "vec_id": pa.array(np.repeat(ids, n_query), pa.int64()),
+        "score": pa.array(sims.ravel(), pa.float64()),
+    })
 
 
-def brute_force_topk(emb_ds, query: np.ndarray, k: int = 10):
-    """embeddings dataset → top-k rows per query: (query_idx, vec_id, score).
+def brute_force_topk(emb_ds, query: np.ndarray, k: int = 10) -> pa.Table:
+    """embeddings dataset → top-k rows per query: a Table of
+    (query_idx, vec_id, score, rank), rank 1-based by (score desc,
+    vec_id asc) within each query.
 
-    The global merge is a per-query groupby over the tiny partial-top-k
-    set (≤ k rows per batch per query), not a full sort of the corpus.
+    Each batch scores every query; ``collect.top_k`` trims each block to
+    k rows per query and merges them on the driver — no sort exchange.
     """
     query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    ref = ray.put(query)
-
-    def topk_task(batch: pa.Table, query_ref, k: int) -> pa.Table:
-        scorer = worker_state("ann_bftopk", (query_ref.hex(), k),
-                              lambda: BruteForceTopK(query_ref, k))
-        return scorer(batch)
-
-    partials = emb_ds.map_batches(
-        topk_task, fn_kwargs={"query_ref": ref, "k": k},
+    scored = emb_ds.map_batches(
+        _cosine_scores, fn_kwargs={"query_ref": ray.put(query)},
         batch_format="pyarrow", batch_size=4096,
     )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_idx").map_groups(merge, batch_format="pandas")
+    return top_k(scored, [("score", "descending"), ("vec_id", "ascending")],
+                 k, "query_idx")
 
 
 # -- banded multi-table hyperplane LSH ---------------------------------------
@@ -224,9 +186,9 @@ def embedding_near_dup_pairs_lsh(emb_ds, threshold: float = 0.95, dim: int = 64,
     with exact cosine — fully distributed (no driver materialization):
 
     1. map: (bucket_key, vec_id, embedding) rows, one per table;
-    2. ``groupby(bucket_key)`` → within-bucket exact-cosine pairs ≥
-       threshold (verification happens inside the group, so only TRUE
-       pairs survive);
+    2. ``hashagg.grouped_reduce`` on bucket_key → within-bucket
+       exact-cosine pairs ≥ threshold (verification happens inside the
+       bucket, so only TRUE pairs survive);
     3. ``groupby(vec_a, vec_b)`` → per-pair first (dedup across tables).
 
     With the defaults (32 tables × 2 planes), a pair at cosine 0.4 has
@@ -235,6 +197,8 @@ def embedding_near_dup_pairs_lsh(emb_ds, threshold: float = 0.95, dim: int = 64,
     :func:`embedding_near_dup_pairs`).
     """
     from ray.data.aggregate import Min
+
+    from .hashagg import grouped_reduce
 
     def bucket_task(batch: pa.Table) -> pa.Table:
         stage = worker_state("ann_bucket_rows", (dim, n_tables, n_planes, seed),
@@ -269,7 +233,15 @@ def embedding_near_dup_pairs_lsh(emb_ds, threshold: float = 0.95, dim: int = 64,
             names=["vec_a", "vec_b", "sim_e6"],
         )
 
-    pairs = bucketed.groupby("bucket_key").map_groups(pairs_in_bucket, batch_format="pyarrow")
+    def pairs_in_buckets(t: pa.Table) -> pa.Table:
+        """Within-bucket pairs of every bucket_key in one coarse bucket."""
+        t = t.sort_by("bucket_key")
+        keys = t.column("bucket_key").to_numpy()
+        cuts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
+        return pa.concat_tables([pairs_in_bucket(t.slice(a, b - a))
+                                 for a, b in zip(cuts[:-1], cuts[1:])])
+
+    pairs = grouped_reduce(bucketed, "bucket_key", pairs_in_buckets)
     # dedup across tables — sim_e6 is identical per pair, Min is just the
     # vectorized way to keep one row per (vec_a, vec_b)
     out = pairs.groupby(["vec_a", "vec_b"]).aggregate(Min("sim_e6", alias_name="sim_e6"))
@@ -429,7 +401,7 @@ def ivf_topk(emb_ds, query: np.ndarray, k: int = 10, n_clusters: int = 16,
     for qi in range(ub.shape[0]):
         scanned.update(order[qi, :probe].tolist())
 
-    def scan(clusters: set[int]):
+    def scan(clusters: set[int]) -> pa.Table:
         cl = np.array(sorted(clusters), dtype=np.int32)  # ≤ K ids: ship inline
 
         def in_clusters(t: pa.Table) -> pa.Table:
@@ -444,39 +416,30 @@ def ivf_topk(emb_ds, query: np.ndarray, k: int = 10, n_clusters: int = 16,
         return brute_force_topk(cand.select_columns(["vec_id", "embedding"]),
                                 query, k)
 
-    def merge_partials(parts: list[pd.DataFrame]) -> pd.DataFrame:
-        """Driver-side re-rank of per-round partial top-k's (≤ Q·k rows
-        per round — tiny). Same (score desc, vec_id asc) semantics as
-        :func:`brute_force_topk`'s group merge."""
-        cat = pd.concat(parts, ignore_index=True)
-        out = []
-        for qi, g in cat.groupby("query_idx"):
-            g = g.sort_values(["score", "vec_id"],
-                              ascending=[False, True]).head(k).reset_index(drop=True)
-            g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-            out.append(g)
-        return pd.concat(out, ignore_index=True)
-
     # Round 1 scans the probe set; each later round scans ONLY the delta
-    # clusters whose bound still beats some query's kth-best, merging the
-    # tiny partial top-k's on the driver — no cluster is read twice.
-    partials = [scan(scanned).to_pandas()]
+    # clusters whose bound still beats some query's kth-best and merges
+    # its ranked rows into the result on the driver — no cluster is read
+    # twice.
+    res = scan(scanned)
     while True:
-        res_df = merge_partials(partials)
+        qidx = res.column("query_idx").to_numpy()
+        score = res.column("score").to_numpy()
         need: set[int] = set()
         for qi in range(ub.shape[0]):
-            mine = res_df[res_df["query_idx"] == qi]["score"]
+            mine = score[qidx == qi]
             kth = float(mine.min()) if len(mine) >= k else -np.inf
             need.update(
                 c for c in range(k_clusters)
                 if c not in scanned and ub[qi, c] > kth
             )
         if not need:
-            import ray.data as _rd
-
-            return _rd.from_pandas(res_df)
-        partials.append(scan(need).to_pandas())
+            return res
+        new = scan(need)
         scanned |= need
+        if new.num_rows:
+            res = top_k(pa.concat_tables([res, new]).drop_columns(["rank"]),
+                        [("score", "descending"), ("vec_id", "ascending")],
+                        k, "query_idx")
 
 
 # -- exact near-dup pairs (block-matmul sweep, driver-free) ------------------

@@ -7,8 +7,8 @@ a batch-local term-count COMBINER (one ``(term, partial_n)`` row per
 distinct term per batch — token occurrences never leave the task) whose
 partials fold on the DRIVER while the distinct vocabulary stays within
 :data:`FOLD_VOCAB_MAX`; past it the same partials go through one narrow
-``groupby(term).sum`` shuffle with a per-block partial top-k and a tiny
-driver merge. Both give the identical table (tested by lowering the
+``groupby(term).sum`` shuffle; ``collect.top_k`` ranks the totals of
+either plan. Both give the identical table (tested by lowering the
 cap); a true web-scale vocabulary belongs in the hash exchange, not
 driver memory.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pyarrow as pa
-from ..functions.collect import collect_tables, fold_capped
+from ..functions.collect import fold_capped, top_k
 
 #: Distinct-term bound of the driver fold; above it the partials go
 #: through the ``groupby(term).sum`` shuffle instead.
@@ -51,44 +51,22 @@ def _partial_tf(batch: pa.Table) -> pa.Table:
     )
 
 
-def _local_topk(t: pa.Table, k: int) -> pa.Table:
-    """Block-local partial top-k on (n DESC, term ASC) — top-k is
-    distributive, so the driver merge sees ≤ k rows per block."""
-    import pyarrow.compute as pc
-
-    order = pc.sort_indices(t, sort_keys=[("n", "descending"),
-                                          ("term", "ascending")])
-    return t.take(order[:k])
-
-
-def _finish_topk(parts: list[pa.Table], k: int) -> pa.Table:
-    schema = pa.schema([("term", pa.string()), ("n", pa.int64())])
-    # 0-row blocks out of an aggregate may carry a null-typed schema.
-    parts = [p.select(["term", "n"]).cast(schema)
-             for p in parts if p.num_rows]
-    merged = pa.concat_tables(parts) if parts else schema.empty_table()
-    out = _local_topk(merged, k)
-    return out.append_column(
-        "rank", pa.array(range(1, out.num_rows + 1), pa.int64()))
-
-
 def _top_k(docs_ds, k: int, partial_fn) -> pa.Table:
     """Exact top-``k`` (term, n, rank) from the ``partial_fn`` combiner:
     fold the partials on the DRIVER (each is one row per distinct term
     per batch — the same tables a reducer would hold; skipping the
     distributed ``groupby(term)`` removes a sort-shuffle round trip, as
     in ``topterms.doc_top_terms``) while the vocabulary fits
-    :data:`FOLD_VOCAB_MAX`, else shuffle the same partials."""
+    :data:`FOLD_VOCAB_MAX`, else shuffle the same partials. Either way
+    ``collect.top_k`` ranks the totals."""
     from ray.data.aggregate import Sum
 
     partials = docs_ds.map_batches(partial_fn, batch_format="pyarrow")
     folded, rest = fold_capped(partials, _PARTIAL_SCHEMA, ["term"],
                                [("partial_n", "sum")], FOLD_VOCAB_MAX)
-    if rest is None:
-        return _finish_topk([folded.rename_columns(["term", "n"])], k)
-    totals = rest.groupby("term").aggregate(Sum("partial_n", alias_name="n"))
-    return _finish_topk(collect_tables(totals.map_batches(
-        lambda b: _local_topk(b, k), batch_format="pyarrow")), k)
+    totals = (folded.rename_columns(["term", "n"]) if rest is None
+              else rest.groupby("term").aggregate(Sum("partial_n", alias_name="n")))
+    return top_k(totals, [("n", "descending"), ("term", "ascending")], k, None)
 
 
 def corpus_top_terms(docs_ds, k: int = 50):

@@ -22,8 +22,8 @@ Algorithm (pinned for cross-engine exactness — every step is integer):
 4. **Assign** (iteration 2): final assignment against the updated
    centroids.
 
-Scale shape: seeds via a per-batch min-k combiner + tiny driver merge
-(never a global sort); each assign pass is one stateless
+Scale shape: seeds via ``collect.top_k`` (block-local min-k trims, one
+driver merge; never a global sort); each assign pass is one stateless
 ``map_batches`` against a ``ray.put`` broadcast centroid matrix (k×d
 ints — k·d ≪ memory for any sane k); the update reuses the
 :func:`.vecagg.emb_centroids` combiner shape (one narrow
@@ -44,6 +44,7 @@ import pyarrow as pa
 import ray
 from ray.data.aggregate import Sum
 
+from ..functions.collect import iter_tables, top_k
 from .vecagg import EMB_SCALE, _batch_matrix, _round_half_away
 
 
@@ -65,20 +66,10 @@ def _assign(x: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _seed_centroids(emb_ds, k: int, id_col: str, emb_col: str) -> np.ndarray:
-    """k smallest-id embeddings: per-batch min-k partials → driver merge."""
-    def partial(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy()
-        if len(ids) == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "e6": pa.array([], pa.list_(pa.int64()))})
-        keep = np.argsort(ids, kind="stable")[:k]
-        x = _scaled(t, emb_col)[keep]
-        return pa.table({id_col: pa.array(ids[keep], pa.int64()),
-                         "e6": pa.array(list(x), pa.list_(pa.int64()))})
-
-    rows = emb_ds.map_batches(partial, batch_format="pyarrow").take_all()  # bounded: ≤ k rows per batch
-    rows.sort(key=lambda r: r[id_col])
-    return np.asarray([r["e6"] for r in rows[:k]], dtype=np.int64)
+    """The embeddings of the k smallest ids (``collect.top_k``), in e6."""
+    seeds = top_k(emb_ds.select_columns([id_col, emb_col]),
+                  [(id_col, "ascending")], k, None)
+    return _scaled(seeds, emb_col)
 
 
 def kmeans_centroids(emb_ds, k: int = 8, id_col: str = "vec_id",
@@ -116,15 +107,15 @@ def kmeans_centroids(emb_ds, k: int = 8, id_col: str = "vec_id",
 
     sums = (emb_ds.map_batches(sum_partial, batch_format="pyarrow")
             .groupby(["cluster", "dim"])
-            .aggregate(Sum("p_s", alias_name="s"), Sum("p_n", alias_name="n"))
-            ).take_all()  # bounded: k×d rows
+            .aggregate(Sum("p_s", alias_name="s"), Sum("p_n", alias_name="n")))
     dim = seeds.shape[1]
     cents = seeds.copy()  # empty clusters keep their seed centroid
     acc = np.zeros((k, dim), np.int64)
     cnt = np.zeros(k, np.int64)
-    for r in sums:
-        acc[r["cluster"], r["dim"]] = r["s"]
-        cnt[r["cluster"]] = r["n"]
+    for t in iter_tables(sums):  # k×d rows in all
+        cl = t.column("cluster").to_numpy()
+        acc[cl, t.column("dim").to_numpy()] = t.column("s").to_numpy()
+        cnt[cl] = t.column("n").to_numpy()
     nonempty = cnt > 0
     cents[nonempty] = acc[nonempty] // cnt[nonempty, None]  # floor div
     return cents

@@ -99,77 +99,38 @@ def quantized_topk(emb_ds, query: np.ndarray, k: int = 10,
     into the matrix) and rank is per query; a 1-D query keeps the
     original 3-column layout.
 
-    Scale shape (the ``ann.brute_force_topk`` shape minus its per-query
-    groupby): each batch quantizes locally against the broadcast
-    quantized query matrix and emits ≤ Q·k partial rows; the per-block
-    partials are folded ON THE DRIVER (``functions/collect.iter_tables``
-    — the tiny-key monoid-fold idiom, no sort exchange for a Q·k-row
-    merge). Returns a pyarrow Table of ``Q · min(k, n)`` rows with rank
-    1-based by (score_q DESC, vec_id) within each query."""
+    Scale shape (the ``ann.brute_force_topk`` shape): each batch
+    quantizes locally and scores every query against the broadcast
+    quantized query matrix; ``collect.top_k`` trims each block to k rows
+    per query and merges them on the driver — no sort exchange. Returns
+    a pyarrow Table of ``Q · min(k, n)`` rows with rank 1-based by
+    (score_q DESC, vec_id) within each query."""
     import ray
 
-    from ..functions.collect import iter_tables
+    from ..functions.collect import top_k
 
     query = np.asarray(query, dtype=np.float32)
-    single = query.ndim == 1
     qcodes, _ = _codes_matrix(np.atleast_2d(query))
     qref = ray.put(qcodes)  # (Q, dim) int64 codes
-    n_query = qcodes.shape[0]
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def scores(batch: pa.Table) -> pa.Table:
         qc = ray.get(qref)
         ids = batch.column(id_col).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
-        empty = pa.table({"query_idx": pa.array([], pa.int64()),
-                          "vec_id": pa.array([], pa.int64()),
-                          "score_q": pa.array([], pa.int64())})
-        if len(ids) == 0:
-            return empty
         mat = _batch_matrix(batch, emb_col)
         if mat.size == 0:
             # all-empty embedding lists: score 0 (the oracle's
             # coalesce), rows kept — the _quantize_batch invariant
-            scores = np.zeros((len(ids), qc.shape[0]), np.int64)
+            sc = np.zeros((len(ids), qc.shape[0]), np.int64)
         else:
-            codes, _ = _codes_matrix(mat)
-            scores = codes @ qc.T  # (batch, Q) exact int64
-        take = min(k, len(ids))
-        out_q, out_id, out_s = [], [], []
-        for qi in range(scores.shape[1]):
-            col = scores[:, qi]
-            # partial top-k with the pinned (score DESC, vec_id ASC) order
-            order = np.lexsort((ids, -col))[:take]
-            out_q.append(np.full(take, qi, np.int64))
-            out_id.append(ids[order])
-            out_s.append(col[order])
+            sc = _codes_matrix(mat)[0] @ qc.T  # (batch, Q) exact int64
+        n_query = sc.shape[1]
         return pa.table({
-            "query_idx": pa.array(np.concatenate(out_q), pa.int64()),
-            "vec_id": pa.array(np.concatenate(out_id), pa.int64()),
-            "score_q": pa.array(np.concatenate(out_s), pa.int64())})
+            "query_idx": pa.array(np.tile(np.arange(n_query, dtype=np.int64), len(ids))),
+            "vec_id": pa.array(np.repeat(ids, n_query), pa.int64()),
+            "score_q": pa.array(sc.ravel(), pa.int64())})
 
-    partials = emb_ds.map_batches(partial_topk, batch_format="pyarrow")
-    tabs = list(iter_tables(partials))  # yields non-empty blocks only
-    if tabs:
-        merged = pa.concat_tables(tabs)
-        qidx = merged.column("query_idx").to_numpy()
-        ids = merged.column("vec_id").to_numpy()
-        scores = merged.column("score_q").to_numpy()
-    else:
-        qidx = ids = scores = np.array([], np.int64)
-    out_q, out_id, out_s, out_r = [], [], [], []
-    for qi in range(n_query):
-        m = qidx == qi
-        order = np.lexsort((ids[m], -scores[m]))[:k]
-        out_q.append(np.full(len(order), qi, np.int64))
-        out_id.append(ids[m][order])
-        out_s.append(scores[m][order])
-        out_r.append(np.arange(1, len(order) + 1, dtype=np.int64))
-    cols = {
-        "query_idx": pa.array(np.concatenate(out_q), pa.int64()),
-        "vec_id": pa.array(np.concatenate(out_id), pa.int64()),
-        "score_q": pa.array(np.concatenate(out_s), pa.int64()),
-        "rank": pa.array(np.concatenate(out_r), pa.int64()),
-    }
-    if single:
-        cols.pop("query_idx")
-    return pa.table(cols)
+    out = top_k(emb_ds.map_batches(scores, batch_format="pyarrow"),
+                [("score_q", "descending"), ("vec_id", "ascending")],
+                k, "query_idx")
+    return out.drop_columns(["query_idx"]) if query.ndim == 1 else out

@@ -17,7 +17,7 @@
   ``Σ tf(term)·idf_e6`` and the top-k by ``(score desc, doc_id)``
   return. DF pass = per-batch distinct-term combiner → one narrow
   term shuffle; score pass streams with the tiny query broadcast;
-  top-k folds per-batch partial top-k rows only.
+  both rankings go through ``collect.top_k``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data.aggregate import Sum
-from ..functions.collect import collect_tables, iter_tables
+from ..functions.collect import iter_tables, top_k
 
 
 def _token_counts(text: str) -> int:
@@ -143,9 +143,8 @@ def top_df_terms(docs: ray.data.Dataset, n: int) -> list[tuple[int, str]]:
     ``[(−df, term)]`` sorted by ``(df desc, term asc)`` — the
     deterministic self-derived "query" used by the retrieval ops.
 
-    DF pass = distinct terms per doc (combiner) → one term shuffle;
-    the fold keeps only ``n`` rows per block (vocab never reaches the
-    driver)."""
+    DF pass = distinct terms per doc (combiner) → one term shuffle →
+    ``collect.top_k`` (only ``n`` rows per block reach the driver)."""
 
     def df_partial(t: pa.Table) -> pa.Table:
         texts = t.column("text").to_pylist()
@@ -161,20 +160,12 @@ def top_df_terms(docs: ray.data.Dataset, n: int) -> list[tuple[int, str]]:
 
     df_ds = (docs.map_batches(df_partial, batch_format="pyarrow")
              .groupby("term").aggregate(Sum("p_df", alias_name="df")))
-    best: list[tuple[int, str]] = []
-    for t in iter_tables(df_ds):
-        block = sorted(
-            (-int(df), term)
-            for term, df in zip(t.column("term").to_pylist(),
-                                t.column("df").to_pylist())
-        )[:n]
-        best = sorted(best + block)[:n]
-    return best
+    top = top_k(df_ds, [("df", "descending"), ("term", "ascending")], n, None)
+    return [(-df, term) for df, term in zip(top.column("df").to_pylist(),
+                                           top.column("term").to_pylist())]
 
 
-def tfidf_topk(
-    docs: ray.data.Dataset, n_query: int = 3, k: int = 20
-) -> ray.data.Dataset:
+def tfidf_topk(docs: ray.data.Dataset, n_query: int = 3, k: int = 20) -> pa.Table:
     """Top-k documents for the corpus's own top-``n_query``-DF terms.
 
     Returns (doc_id, score_e6, n_tokens) for the k best by
@@ -198,29 +189,15 @@ def tfidf_topk(
         tok_idf = idf_plus0[idx_np]
         cs = np.concatenate([[0], np.cumsum(tok_idf)])
         scores = cs[offsets[1:]] - cs[offsets[:-1]]
-        ids = t.column("doc_id").to_numpy()
         keep = scores > 0
-        part = pd.DataFrame({"doc_id": ids[keep].astype(np.int64),
-                             "score_e6": scores[keep],
-                             "n_tokens": n_tokens[keep]})
-        # partial top-k: only k candidate rows leave each batch
-        part = part.sort_values(["score_e6", "doc_id"],
-                                ascending=[False, True]).head(k)
-        return pa.Table.from_pandas(part[["doc_id", "score_e6", "n_tokens"]],
-                                    preserve_index=False).cast(
-            pa.schema([("doc_id", pa.int64()), ("score_e6", pa.int64()),
-                       ("n_tokens", pa.int64())]))
+        return pa.table({
+            "doc_id": t.column("doc_id").cast(pa.int64()).filter(pa.array(keep)),
+            "score_e6": pa.array(scores[keep], pa.int64()),
+            "n_tokens": pa.array(n_tokens[keep], pa.int64())})
 
-    parts = collect_tables(
-        docs.map_batches(score_partial, batch_format="pyarrow"))
-    merged = (pa.concat_tables(parts).to_pandas() if parts
-              else pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
-                                 "score_e6": pd.Series(dtype="int64"),
-                                 "n_tokens": pd.Series(dtype="int64")}))
-    merged = (merged.sort_values(["score_e6", "doc_id"],
-                                 ascending=[False, True])
-              .head(k).reset_index(drop=True))
-    return ray.data.from_arrow(pa.Table.from_pandas(merged, preserve_index=False))
+    top = top_k(docs.map_batches(score_partial, batch_format="pyarrow"),
+                [("score_e6", "descending"), ("doc_id", "ascending")], k, None)
+    return top.drop_columns(["rank"])
 
 
 def and_search(docs: ray.data.Dataset, n_query: int = 3) -> ray.data.Dataset:

@@ -76,25 +76,13 @@ def worst_styles_topk(styles_ds, k: int = 50):
     (``ocr/targeted_reocr.py:150-178`` sorts ascending and takes the
     worst K per page; K3's global form per SURVEY.md §2.6).
 
-    Never a full sort: each batch forwards its own k worst rows
-    (min-k is distributive), the tiny partial set merges on the driver.
-    Total tie-break (confidence, url, page, line_idx) keeps the result
-    deterministic under any sharding. Returns a pandas DataFrame with a
-    1-based ``rank``.
+    Never a full sort: ``collect.top_k`` trims each block to its k worst
+    rows and merges them on the driver. Total tie-break (confidence,
+    url, page, line_idx) keeps the result deterministic under any
+    sharding. Returns a pandas DataFrame with a 1-based ``rank``.
     """
-    import numpy as np
-    import pandas as pd
+    from ..functions.collect import top_k
 
-    order_cols = ["style_confidence", "url", "page", "line_idx"]
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.select(["url", "page", "line_idx", "kind",
-                       "style_confidence"]).to_pandas()
-        return pa.Table.from_pandas(df.sort_values(order_cols).head(k),
-                                    preserve_index=False)
-
-    partials = styles_ds.map_batches(partial, batch_format="pyarrow")
-    merged = partials.to_pandas().sort_values(order_cols).head(k)
-    merged = merged.reset_index(drop=True)
-    merged["rank"] = np.arange(1, len(merged) + 1, dtype=np.int64)
-    return merged
+    cols = ["url", "page", "line_idx", "kind", "style_confidence"]
+    order = [(c, "ascending") for c in ("style_confidence", "url", "page", "line_idx")]
+    return top_k(styles_ds.select_columns(cols), order, k, None).to_pandas()

@@ -8,6 +8,7 @@ tests pin that equality (the scale paths must not be recall-broken).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray.data
@@ -163,3 +164,28 @@ def test_batched_lsh_topk_equals_batched_brute_force():
     b = brute.sort_values(key).reset_index(drop=True)
     l = lsh.sort_values(key).reset_index(drop=True)
     assert b["vec_id"].tolist() == l["vec_id"].tolist()
+
+
+def test_brute_force_topk_runs_no_groupby(monkeypatch):
+    """The per-query top-k merges on the driver (``collect.top_k``), not
+    in a ``groupby(query_idx)`` sort shuffle; the result equals a numpy
+    full ranking."""
+    from horizon_ocr_python_ray.stages.ann import _normalize
+
+    def no_groupby(self, *args, **kwargs):
+        raise AssertionError("brute_force_topk ran Dataset.groupby")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", no_groupby)
+    t = pq.read_table(f"{SF_DIR}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ids = np.array(t.column("vec_id").to_pylist(), dtype=np.int64)
+    mat = np.array(t.column("embedding").to_pylist(), dtype=np.float64)
+    qmat = mat[:3]
+    got = brute_force_topk(_emb_ds().repartition(4), qmat, k=5)
+    assert got.column_names == ["query_idx", "vec_id", "score", "rank"]
+    sims = _normalize(mat) @ _normalize(qmat).T
+    for qi in range(3):
+        mine = got.filter(pc.equal(got.column("query_idx"), qi))
+        order = np.lexsort((ids, -sims[:, qi]))[:5]
+        assert mine.column("vec_id").to_pylist() == ids[order].tolist()
+        assert np.allclose(mine.column("score").to_numpy(), sims[order, qi])
+        assert mine.column("rank").to_pylist() == [1, 2, 3, 4, 5]

@@ -23,6 +23,12 @@ EXECUTIONS = {
     "minhash_dup_clusters": 4,
     "top_supplier": 3,
     "cust_idle": 3,
+    "ann_topk": 2,
+    "ann_topk_batch": 2,
+    "ann_topk_ivf": 6,
+    "returned_top_customers": 4,
+    "corpus_tfidf_topk": 2,
+    "top_orders": 1,
 }
 
 

@@ -167,6 +167,37 @@ def test_q10_revenue_is_exact_integer(ray_session):
     assert pairs == sorted(pairs)
 
 
+def test_q10_collects_only_winning_customers(ray_session, monkeypatch):
+    """At most k customer rows reach the driver: the winners' keys
+    filter the customer table before it is collected."""
+    import ray.data
+
+    seen: list[tuple[list[str], int]] = []  # (columns, rows) per collect
+    orig_collect = subqueries.collect_table
+    orig_to_pandas = ray.data.Dataset.to_pandas
+
+    def collect_spy(ds, *args, **kwargs):
+        t = orig_collect(ds, *args, **kwargs)
+        seen.append((t.column_names, t.num_rows))
+        return t
+
+    def to_pandas_spy(self, *args, **kwargs):
+        df = orig_to_pandas(self, *args, **kwargs)
+        seen.append((list(df.columns), len(df)))
+        return df
+
+    monkeypatch.setattr(subqueries, "collect_table", collect_spy)
+    monkeypatch.setattr(ray.data.Dataset, "to_pandas", to_pandas_spy)
+    k = 3
+    out = subqueries.returned_top_customers_q10(SF, k=k)
+    customer_rows = [n for cols, n in seen if "c_name" in cols]
+    assert customer_rows and max(customer_rows) <= k
+    monkeypatch.undo()
+    full = subqueries.returned_top_customers_q10(SF)
+    assert len(out) == k
+    assert out.to_dict("records") == full.head(k).to_dict("records")
+
+
 def test_q2_all_min_ties_kept(ray_session):
     import pyarrow.parquet as pq
 

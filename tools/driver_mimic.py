@@ -4,10 +4,11 @@ ray.init → import __ray_entry__ → entry() smoke → every queries()[name]
 vs oracle_sql()[name] via DuckDB at the given sf_dir (row count, schema,
 order-insensitive value hash with columns sorted by name).
 
-Each line also reports how many Dataset executions
-(``StreamingExecutor.execute`` calls in this driver process) the query
-took, the final ``to_pandas`` included; the summary adds the total over
-``entry()`` and every query run.
+Each query first prints a ``ran`` line with its row count, a value-hash
+prefix, its wall and how many Dataset executions
+(``StreamingExecutor.execute`` calls in this driver process) it took, the
+final ``to_pandas`` included; the PASS/FAIL line follows once the oracle
+returns. The summary adds the total over ``entry()`` and every query run.
 
 Usage: python tools/driver_mimic.py [sf_dir] [query ...]
 """
@@ -119,29 +120,32 @@ def main() -> int:
             continue
         dt = time.monotonic() - t0
         n_exec = execs.take()
+        got_hash = value_hash(got)
+        # the query's own numbers print before a (possibly slow) oracle runs
+        print(f"ran  {name}: {len(got)} rows, hash {got_hash[:12]} "
+              f"({dt:.1f}s, {n_exec} exec)", flush=True)
         if name not in oracles:
-            print(f"ok   {name}: rows-only ({len(got)} rows, {dt:.1f}s, {n_exec} exec)")
+            print(f"ok   {name}: rows-only")
             n_pass += 1
             continue
         if "hopr_corpus" in oracles[name] and "sf0.01" not in sf_dir:
             # Oracle reads the sf0.01 synthetic-corpus golden fixtures (the
             # driver's compare scale); at other scales it can't match —
             # fall back to rows-only.
-            print(f"ok   {name}: rows-only at this sf (oracle pinned to sf0.01; "
-                  f"{len(got)} rows, {dt:.1f}s, {n_exec} exec)")
+            print(f"ok   {name}: rows-only at this sf (oracle pinned to sf0.01)")
             n_pass += 1
             continue
         want = con.execute(oracles[name]).fetchdf()
         ok_rows = len(got) == len(want)
         ok_schema = sorted(got.columns) == sorted(want.columns)
-        ok_hash = ok_rows and ok_schema and value_hash(got) == value_hash(want)
+        ok_hash = ok_rows and ok_schema and got_hash == value_hash(want)
         if ok_hash:
-            print(f"PASS {name}: {len(got)} rows match oracle ({dt:.1f}s, {n_exec} exec)")
+            print(f"PASS {name}: {len(got)} rows match oracle")
             n_pass += 1
         else:
             n_fail += 1
             print(f"FAIL {name}: rows {len(got)}/{len(want)} schema_ok={ok_schema} "
-                  f"hash_ok={ok_hash} ({n_exec} exec)")
+                  f"hash_ok={ok_hash}")
             if ok_schema and ok_rows:
                 g = got[sorted(got.columns)].sort_values(sorted(got.columns)).reset_index(drop=True)
                 w = want[sorted(want.columns)].sort_values(sorted(want.columns)).reset_index(drop=True)
