@@ -3913,7 +3913,12 @@ def oracle_sql() -> dict[str, str]:
         """,
         # Connected components over the verified near-dup pair graph via
         # a recursive min-label walk — the SQL ground truth for the
-        # distributed label-propagation clustering.
+        # distributed label-propagation clustering. Jaccard is computed
+        # only for candidate pairs: docs sharing a shingle (an inverted
+        # index), plus every pair of empty-shingle docs (u = 0 → 1.0).
+        # Any other pair has J = 0, so the pair set equals the all-pairs
+        # one (tests/test_oracles.py keeps that SQL as the reference). p
+        # is MATERIALIZED so the recursive walk does not re-evaluate it.
         "minhash_dup_clusters": r"""
             WITH RECURSIVE t AS (
               SELECT doc_id,
@@ -3928,12 +3933,21 @@ def oracle_sql() -> dict[str, str]:
                                  i -> array_to_string(toks[i : i + least(5, len(toks)) - 1], ' ')
                                )) END AS sh
               FROM t
+            ), g AS (
+              SELECT doc_id, unnest(sh) AS shingle FROM s
+            ), c AS (
+              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
+              FROM g a JOIN g b ON a.shingle = b.shingle AND a.doc_id < b.doc_id
+              UNION
+              SELECT a.doc_id, b.doc_id
+              FROM s a JOIN s b ON a.doc_id < b.doc_id
+              WHERE len(a.sh) = 0 AND len(b.sh) = 0
             ), j AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
+              SELECT c.doc_a, c.doc_b,
                      len(list_intersect(a.sh, b.sh)) AS i,
                      len(a.sh) + len(b.sh) - len(list_intersect(a.sh, b.sh)) AS u
-              FROM s a JOIN s b ON a.doc_id < b.doc_id
-            ), p AS (
+              FROM c JOIN s a ON a.doc_id = c.doc_a JOIN s b ON b.doc_id = c.doc_b
+            ), p AS MATERIALIZED (
               SELECT doc_a, doc_b FROM j
               WHERE CASE WHEN u = 0 THEN 1.0 ELSE i::DOUBLE / u END >= 0.5
             ), edges AS (
@@ -4334,7 +4348,8 @@ def oracle_sql() -> dict[str, str]:
             HAVING count(*) >= 2
         """,
         # Winnow near-dup clusters: the doc_winnow_pairs CTEs feed the
-        # same recursive min-label walk as minhash_dup_clusters.
+        # same recursive min-label walk as minhash_dup_clusters, with p
+        # MATERIALIZED for the same reason.
         "doc_winnow_clusters": r"""
             WITH RECURSIVE t AS (
               SELECT doc_id, CASE WHEN trim(text)='' THEN []::VARCHAR[]
@@ -4363,7 +4378,7 @@ def oracle_sql() -> dict[str, str]:
             ), okfp AS (
               SELECT fp FROM seld GROUP BY fp
               HAVING count(*) BETWEEN 2 AND 50
-            ), p AS (
+            ), p AS MATERIALIZED (
               SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
               FROM seld a
               JOIN seld b ON b.fp = a.fp AND a.doc_id < b.doc_id
