@@ -24,7 +24,9 @@ reading order from bounding boxes is the pipeline's job
 from __future__ import annotations
 
 import base64
+import binascii
 import json
+from binascii import a2b_base64
 from typing import Any
 
 DOC_MAGIC = b"%PDF-1.7\n%SYNDOC1\n"
@@ -37,8 +39,20 @@ def encode_glyphs(text: str) -> str:
 
 
 def decode_glyphs(glyphs: str) -> str:
-    """The 'recognition' inverse transform of :func:`encode_glyphs`."""
-    return base64.b64decode(glyphs.encode("ascii"))[::-1].decode("utf-8")
+    """The 'recognition' inverse transform of :func:`encode_glyphs`.
+
+    ``a2b_base64`` reads the ASCII str directly. A glyph field that is
+    not an ASCII str (any other JSON value) fails as ``str.encode``
+    words it, which is the text a row's error column carries:
+    ``UnicodeEncodeError`` for non-ASCII text, ``AttributeError`` for a
+    non-string. Garbled base64 raises ``binascii.Error``."""
+    try:
+        raw = a2b_base64(glyphs)
+    except (TypeError, ValueError) as exc:
+        if not isinstance(exc, binascii.Error):
+            glyphs.encode("ascii")
+        raise
+    return raw[::-1].decode("utf-8")
 
 
 def make_line(

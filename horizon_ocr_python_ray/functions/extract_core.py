@@ -22,7 +22,7 @@ from . import sniff as sniff_mod
 from .docformat import decode_doc_payload, decode_image_payload
 from .htmltext import extract_html
 from .layout import recognize_page
-from .regions import classify_line_role
+from .regions import role_classifier
 from .style import is_scanned_doc
 
 _LINE_SPLIT_RE = re.compile(r"\r\n|\r|\n")
@@ -83,14 +83,14 @@ def native_page_lines(page: dict) -> list[dict]:
     ``extract/pdf_style_extractor.py:67-94``). Line dicts match
     ``recognize_page``'s (native text is certain: confidence 1.0) and
     carry the source span under ``native`` for its font fields."""
-    w, h = page.get("w"), page.get("h")
-    return [
-        {"text": span["t"], "bbox": span["bbox"], "confidence": 1.0,
-         "kind": (classify_line_role(span["t"], span["bbox"], w, h)
-                  if w and h else "line"),
-         "native": span}
-        for span in page.get("native") or []
-    ]
+    role = role_classifier(page.get("w"), page.get("h"))
+    out = []
+    for span in page.get("native") or []:
+        text = span["t"]
+        bbox = span["bbox"]
+        out.append({"text": text, "bbox": bbox, "confidence": 1.0,
+                    "kind": role(text, bbox), "native": span})
+    return out
 
 
 def page_lines(page: dict, digital: bool, cfg: ExtractConfig) -> list[dict]:

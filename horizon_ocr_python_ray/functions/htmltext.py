@@ -47,6 +47,7 @@ from html.parser import (
 
 from ..config import TEXT_JOIN_SEPARATOR, HtmlConfig
 from ..state.worker import worker_state
+from .sniff import content_start
 
 #: stdlib ``HTMLParser.CDATA_CONTENT_ELEMENTS`` — elements whose raw bodies
 #: may contain ``<`` without opening a tag. Parity note: HTML5 also treats
@@ -369,8 +370,8 @@ def _parse_fast(text: str, sink: _BlockSink) -> None:
 def extract_blocks(html_bytes: bytes, cfg: HtmlConfig, engine: str = "fast") -> list[tuple[str, str]]:
     """Parse and return the retained main-content blocks, ``(text, kind)``
     in document order; kind is title | heading | paragraph."""
-    # utf-8-sig: a leading BOM is not text (sniff_route skips it too).
-    text = html_bytes.decode("utf-8-sig", errors="replace")
+    # Leading whitespace and BOMs are not text; sniff_route skips the same.
+    text = html_bytes[content_start(html_bytes):].decode("utf-8", errors="replace")
     sink = _BlockSink(cfg)
     if engine == "fast":
         _parse_fast(text, sink)

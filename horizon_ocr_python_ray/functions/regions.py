@@ -18,9 +18,19 @@ The heuristics are tuned for region BLOBS; applied at line granularity
 (our spans) they over-assign ``title`` to long lines near the top — a
 property the golden fixtures mirror arithmetically, so byte-identity
 still pins the behaviour.
+
+Text patterns (list marker, caption) are checked before position. The
+rule is built once per page (``role_classifier(page_w, page_h)``) and
+called once per line, inside the loop that builds each line's output
+(``layout.recognize_page``, ``extract_core.native_page_lines``): the
+page-size test is made once, both patterns are one match, and a line
+whose first character neither pattern can start with skips the match.
 """
 
 from __future__ import annotations
+
+import re as _re
+from typing import Callable, Sequence
 
 HEADER_TOP_FRACTION = 0.15
 FOOTER_BOTTOM_FRACTION = 0.85
@@ -33,8 +43,6 @@ TITLE_MIN_ASPECT = 3.0
 TITLE_MAX_REL_HEIGHT = 0.10
 
 
-import re as _re
-
 #: Text-pattern roles (the deterministic analog of the reference's
 #: DocLayNet ``list`` / ``caption`` classes, ``detect/layout_doclaynet.py:
 #: 32-44`` label map): a bullet / enumeration marker opens a list item; a
@@ -43,38 +51,66 @@ import re as _re
 #: model-based classifier's decision would.
 LIST_MARKER_RE = _re.compile(r"^(?:[-•*]|\d{1,2}[.)])\s+")
 CAPTION_RE = _re.compile(r"^(?:Figure|Table)\s+\d+:")
+#: Both patterns as one match, list marker first; ``lastgroup`` names the role.
+_TEXT_ROLE_RE = _re.compile(
+    f"(?P<list_item>{LIST_MARKER_RE.pattern})|(?P<caption>{CAPTION_RE.pattern})")
+#: The first characters either pattern can start with, besides a decimal
+#: digit (``\d`` is Unicode category Nd, which is what ``str.isdecimal``
+#: tests). Most lines start elsewhere and skip the match call.
+_TEXT_ROLE_FIRST = frozenset("-•*FT")
 
 
-def classify_line_role(text: str, bbox: list[float], page_w: float,
-                       page_h: float) -> str:
-    """Role of a line given its TEXT and bbox: text-pattern classes
-    (list_item, caption) first, positional heuristics otherwise."""
-    if LIST_MARKER_RE.match(text or ""):
-        return "list_item"
-    if CAPTION_RE.match(text or ""):
-        return "caption"
-    return classify_line_region(bbox, page_w, page_h)
+def role_classifier(page_w: float | None,
+                    page_h: float | None) -> Callable[[str, Sequence[float]], str]:
+    """The line-role rule for one page: ``role(text, bbox) -> str``.
+
+    Text-pattern classes (list_item, caption) come first, then the
+    positional heuristics on the bbox. A page without both dimensions
+    has no positions to judge, so every line is ``"line"``; that test is
+    made here once per page. Positions are compared as page fractions
+    (``y1 / page_h``), the reference's own float expressions: scaling
+    the thresholds by the page size instead would round differently at
+    the band edges. The corner bounds ``page_w × fraction`` are only
+    evaluated for lines in the bottom band."""
+    if not (page_w and page_h):
+        return _unknown_page_role
+    text_role = _TEXT_ROLE_RE.match
+
+    def role(text: str, bbox: Sequence[float]) -> str:
+        # any other JSON value goes to the match, as a missing text would
+        first = text[:1] if text.__class__ is str else None
+        if first is None or first in _TEXT_ROLE_FIRST or first.isdecimal():
+            m = text_role(text or "")
+            if m:
+                return m.lastgroup
+        x1, y1, x2, y2 = bbox
+        w = x2 - x1
+        if w < 0.0:
+            w = 0.0
+        h = y2 - y1
+        if h < 0.0:
+            h = 0.0
+        rel_y = y1 / page_h
+        rel_h = h / page_h
+        aspect = w / h if h > 0 else 0.0
+        if rel_y < HEADER_TOP_FRACTION:
+            return "header"
+        bottom = rel_y + rel_h
+        if bottom > PAGE_NUMBER_BOTTOM_FRACTION and (
+            x1 < page_w * PAGE_NUMBER_CORNER_FRACTION
+            or x1 > page_w * (1.0 - PAGE_NUMBER_CORNER_FRACTION)
+        ):
+            return "page_number"
+        if bottom > FOOTER_BOTTOM_FRACTION:
+            return "footer"
+        if aspect > TABLE_MIN_ASPECT and rel_h > TABLE_MIN_REL_HEIGHT:
+            return "table"
+        if rel_y < TITLE_MAX_REL_Y and aspect > TITLE_MIN_ASPECT and rel_h < TITLE_MAX_REL_HEIGHT:
+            return "title"
+        return "text"
+
+    return role
 
 
-def classify_line_region(bbox: list[float], page_w: float, page_h: float) -> str:
-    """Role of a line/region bbox on a page of known dimensions."""
-    x1, y1, x2, y2 = bbox
-    w = max(x2 - x1, 0.0)
-    h = max(y2 - y1, 0.0)
-    rel_y = y1 / page_h if page_h else 0.0
-    rel_h = h / page_h if page_h else 0.0
-    aspect = w / h if h > 0 else 0.0
-    if rel_y < HEADER_TOP_FRACTION:
-        return "header"
-    if rel_y + rel_h > PAGE_NUMBER_BOTTOM_FRACTION and (
-        x1 < page_w * PAGE_NUMBER_CORNER_FRACTION
-        or x1 > page_w * (1.0 - PAGE_NUMBER_CORNER_FRACTION)
-    ):
-        return "page_number"
-    if rel_y + rel_h > FOOTER_BOTTOM_FRACTION:
-        return "footer"
-    if aspect > TABLE_MIN_ASPECT and rel_h > TABLE_MIN_REL_HEIGHT:
-        return "table"
-    if rel_y < TITLE_MAX_REL_Y and aspect > TITLE_MIN_ASPECT and rel_h < TITLE_MAX_REL_HEIGHT:
-        return "title"
-    return "text"
+def _unknown_page_role(text: str, bbox: Sequence[float]) -> str:
+    return "line"

@@ -18,6 +18,7 @@ Routes:
 from __future__ import annotations
 
 import hashlib
+import re
 
 ROUTE_HTML = "html"
 ROUTE_DOC = "doc"
@@ -35,6 +36,18 @@ _IMAGE_MAGICS: tuple[bytes, ...] = (
     b"BM",                    # BMP
 )
 
+#: What may come before a payload's first content byte: ASCII whitespace
+#: and whole UTF-8 BOMs, in any order and number. A stray BOM byte is
+#: content, so a payload led by one is not markup.
+_LEADING_RE = re.compile(rb"(?:[ \t\r\n\f]|\xef\xbb\xbf)*")
+
+
+def content_start(payload: bytes) -> int:
+    """Offset of the first content byte: sniffing looks for markup there
+    and html extraction decodes from there, so what one skips the other
+    never reads as text."""
+    return _LEADING_RE.match(payload).end()
+
 
 def sniff_route(payload: bytes | None) -> str:
     """Classify one payload. Pure, deterministic."""
@@ -47,7 +60,8 @@ def sniff_route(payload: bytes | None) -> str:
             return ROUTE_IMAGE
     if payload[:4] == b"RIFF" and payload[8:12] == b"WEBP":
         return ROUTE_IMAGE
-    head = payload[:256].lstrip(b" \t\r\n\f\xef\xbb\xbf").lower()
+    head = payload[:256]
+    head = head[content_start(head):].lower()
     if head.startswith((b"<!doctype", b"<html", b"<head", b"<body", b"<?xml")):
         return ROUTE_HTML
     if head.startswith(b"<") and b">" in head:

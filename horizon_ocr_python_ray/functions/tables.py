@@ -30,12 +30,6 @@ from ..config import READING_ORDER_VERTICAL_OVERLAP, TableConfig
 from .layout import reading_order_rows
 
 
-def _column_signature(lines: list[dict], row: list[int], tol: float) -> tuple[int, ...]:
-    """Quantized x-anchors of a row's cells — two rows with the same
-    signature stack into a grid."""
-    return tuple(int(round(lines[i]["bbox"][0] / max(tol, 1e-9))) for i in row)
-
-
 def detect_tables(
     lines: list[dict[str, Any]],
     page_w: float,
@@ -46,13 +40,14 @@ def detect_tables(
 
     A table is a maximal run of ≥ ``min_rows`` consecutive reading-order
     rows whose cells share the same ≥ ``min_cols`` quantized column
-    anchors. Cell text is the line's recognized text. Over-detected grids
-    are dropped per the reference filters.
+    anchors (the row's column signature: each cell's ``x1 / tol``,
+    rounded). Cell text is the line's recognized text. Over-detected
+    grids are dropped per the reference filters.
     """
     cfg = cfg or TableConfig()
-    rows = reading_order_rows([ln["bbox"] for ln in lines],
-                              READING_ORDER_VERTICAL_OVERLAP)
-    sigs = [_column_signature(lines, r, cfg.x_tolerance) for r in rows]
+    rows = reading_order_rows([ln["bbox"] for ln in lines], READING_ORDER_VERTICAL_OVERLAP)
+    tol = max(cfg.x_tolerance, 1e-9)
+    sigs = [tuple([round(x1 / tol) for x1, _i in row]) for row in rows]
     tables: list[dict[str, Any]] = []
     i = 0
     while i < len(rows):
@@ -72,21 +67,26 @@ def detect_tables(
     return tables
 
 
-def _assemble_table(lines: list[dict], grid_rows: list[list[int]]) -> dict[str, Any]:
+def _assemble_table(lines: list[dict], grid_rows: list[list[tuple[float, int]]]) -> dict[str, Any]:
+    """One table dict from its reading-order rows. The bbox is the
+    cells' union, compared as ``min``/``max`` would (first wins)."""
     cells = []
     x1 = y1 = float("inf")
     x2 = y2 = float("-inf")
     for r, row in enumerate(grid_rows):
-        for c, li in enumerate(row):
-            b = lines[li]["bbox"]
-            cells.append({
-                "row": r, "col": c,
-                "text": lines[li]["text"],
-                "bbox": list(b),
-                "confidence": lines[li].get("confidence", 1.0),
-            })
-            x1, y1 = min(x1, b[0]), min(y1, b[1])
-            x2, y2 = max(x2, b[2]), max(y2, b[3])
+        for c, (_x1, li) in enumerate(row):
+            line = lines[li]
+            b = line["bbox"]
+            cells.append({"row": r, "col": c, "text": line["text"], "bbox": list(b),
+                          "confidence": line.get("confidence", 1.0)})
+            if b[0] < x1:
+                x1 = b[0]
+            if b[1] < y1:
+                y1 = b[1]
+            if b[2] > x2:
+                x2 = b[2]
+            if b[3] > y2:
+                y2 = b[3]
     return {
         "table_idx": 0,
         "n_rows": len(grid_rows),

@@ -12,7 +12,7 @@ from hypothesis import given, reject, settings, strategies as st
 from horizon_ocr_python_ray.config import DEFAULT_CONFIG
 from horizon_ocr_python_ray.functions.extract_core import normalize_plain_text
 from horizon_ocr_python_ray.functions.htmltext import extract_html
-from horizon_ocr_python_ray.functions.layout import reading_order_indices
+from horizon_ocr_python_ray.functions.layout import reading_order_rows
 from horizon_ocr_python_ray.functions.sniff import content_hash, sniff_route
 from horizon_ocr_python_ray.functions.validators import normalize_date, parse_amount
 
@@ -133,9 +133,11 @@ def test_fast_tokenizer_matches_stdlib(fragment, tail, cfg):
 ))
 def test_reading_order_is_total_permutation(raw):
     bboxes = [[x, y, x + w, y + h] for x, y, w, h in raw]
-    order = reading_order_indices(bboxes)
+    rows = reading_order_rows(bboxes)
+    order = [i for row in rows for _x1, i in row]
     assert sorted(order) == list(range(len(bboxes)))
-    assert order == reading_order_indices(bboxes)  # deterministic
+    assert all(x1 == bboxes[i][0] for row in rows for x1, i in row)
+    assert rows == reading_order_rows(bboxes)  # deterministic
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,28 +3,29 @@
 
 from __future__ import annotations
 
-from horizon_ocr_python_ray.functions.regions import classify_line_region
+from horizon_ocr_python_ray.functions.regions import role_classifier
 
 W, H = 1000.0, 1400.0
+role = role_classifier(W, H)
 
 
 def test_classify_roles():
-    assert classify_line_region([50, 40, 300, 68], W, H) == "header"        # top 15%
-    assert classify_line_region([380, 1310, 650, 1338], W, H) == "footer"   # bottom 15%
-    assert classify_line_region([860, 1340, 930, 1368], W, H) == "page_number"  # corner
-    assert classify_line_region([60, 1340, 130, 1368], W, H) == "page_number"   # left corner
+    assert role("", [50, 40, 300, 68]) == "header"        # top 15%
+    assert role("", [380, 1310, 650, 1338]) == "footer"   # bottom 15%
+    assert role("", [860, 1340, 930, 1368]) == "page_number"  # corner
+    assert role("", [60, 1340, 130, 1368]) == "page_number"   # left corner
     # mid-page long line in top 30% → title (aspect > 3, short)
-    assert classify_line_region([50, 300, 500, 328], W, H) == "title"
+    assert role("", [50, 300, 500, 328]) == "title"
     # mid-page tall wide region → table blob
-    assert classify_line_region([50, 500, 900, 700], W, H) == "table"
+    assert role("", [50, 500, 900, 700]) == "table"
     # mid-page short narrow line → text
-    assert classify_line_region([50, 700, 120, 728], W, H) == "text"
+    assert role("", [50, 700, 120, 728]) == "text"
 
 
 def test_page_number_beats_footer_in_corner():
     # the reference's own branch order makes PAGE_NUMBER dead code; ours
     # checks the corner case first (documented deviation)
-    assert classify_line_region([900, 1350, 950, 1378], W, H) == "page_number"
+    assert role("", [900, 1350, 950, 1378]) == "page_number"
 
 
 def test_doc_spans_carry_region_kinds(corpus_dir, golden_map):
@@ -37,18 +38,35 @@ def test_doc_spans_carry_region_kinds(corpus_dir, golden_map):
 
 
 def test_text_pattern_roles():
-    from horizon_ocr_python_ray.functions.regions import classify_line_role
-
     mid = [100.0, 700.0, 400.0, 728.0]  # middle zone → positional 'text'
-    assert classify_line_role("- bullet item here", mid, 1000, 1400) == "list_item"
-    assert classify_line_role("2. numbered item", mid, 1000, 1400) == "list_item"
-    assert classify_line_role("12) paren item", mid, 1000, 1400) == "list_item"
-    assert classify_line_role("Table 1: planted grid totals", mid, 1000, 1400) == "caption"
-    assert classify_line_role("Figure 12: something", mid, 1000, 1400) == "caption"
+    assert role("- bullet item here", mid) == "list_item"
+    assert role("2. numbered item", mid) == "list_item"
+    assert role("12) paren item", mid) == "list_item"
+    assert role("Table 1: planted grid totals", mid) == "caption"
+    assert role("Figure 12: something", mid) == "caption"
     # content beats position: a caption in the footer zone stays a caption
     foot = [100.0, 1320.0, 400.0, 1348.0]
-    assert classify_line_role("Table 1: deep caption", foot, 1000, 1400) == "caption"
+    assert role("Table 1: deep caption", foot) == "caption"
     # no pattern → positional fallback
-    assert classify_line_role("plain sentence here", mid, 1000, 1400) == "text"
-    assert classify_line_role("123 plain number start", mid, 1000, 1400) == "text"
-    assert classify_line_role("Tables: not a caption", mid, 1000, 1400) == "text"
+    assert role("plain sentence here", mid) == "text"
+    assert role("123 plain number start", mid) == "text"
+    assert role("Tables: not a caption", mid) == "text"
+
+
+def test_unknown_page_size_gives_line():
+    for w, h in ((None, H), (W, None), (0, H), (W, 0.0)):
+        assert role_classifier(w, h)("- bullet item here", [50, 40, 300, 68]) == "line"
+
+
+def test_text_role_first_chars_cover_both_patterns():
+    """The first-character test that skips the pattern match admits every
+    character either pattern can start with: ``\\d`` is category Nd."""
+    import re
+    import sys
+
+    from horizon_ocr_python_ray.functions.regions import _TEXT_ROLE_FIRST
+
+    starts = re.compile(r"[-•*FT]|\d")
+    for cp in range(sys.maxunicode + 1):
+        c = chr(cp)
+        assert bool(starts.match(c)) == (c in _TEXT_ROLE_FIRST or c.isdecimal()), hex(cp)

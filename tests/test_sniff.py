@@ -29,6 +29,32 @@ def test_routes():
     assert sniff_route(b"\x00\x01\x02garbage") == ROUTE_BINARY
 
 
+def test_sniff_and_extract_skip_one_leading_prefix():
+    """Whitespace and whole BOMs, in any order and number, lead markup;
+    html extraction skips exactly what sniffing skips, so a payload
+    routed html never yields a BOM as text, and a stray BOM byte is
+    content for both."""
+    from horizon_ocr_python_ray.config import HtmlConfig
+    from horizon_ocr_python_ray.functions.htmltext import extract_html
+
+    cfg = HtmlConfig()
+    clean = b"<html>This paragraph is long enough to be kept by the default block filter."
+    want = extract_html(clean, cfg)[0]
+    assert want.startswith("This paragraph")
+    bom = b"\xef\xbb\xbf"
+    cases = {
+        b" " + bom + clean: ROUTE_HTML,
+        bom + b" " + bom + clean: ROUTE_HTML,
+        b"\n" + bom + bom + b"\t\r\f" + clean: ROUTE_HTML,
+        b"\xef" + clean: ROUTE_BINARY,
+        b" \xef\xbb" + clean: ROUTE_BINARY,
+        bom + b"\xbf" + clean: ROUTE_BINARY,
+    }
+    for payload, route in cases.items():
+        assert sniff_route(payload) == route, payload
+        assert (extract_html(payload, cfg)[0] == want) == (route == ROUTE_HTML), payload
+
+
 def test_content_hash_spaces_disjoint():
     # payload-hash and text-hash key spaces cannot collide
     payload = b"abc"
