@@ -29,6 +29,28 @@ EXECUTIONS = {
     "returned_top_customers": 4,
     "corpus_tfidf_topk": 2,
     "top_orders": 1,
+    "events_anomaly": 2,
+    "events_approx_users": 2,
+    "events_asof_join": 1,
+    "events_asof_join_fwd": 1,
+    "events_attribution": 1,
+    "events_cms_counts": 2,
+    "events_cumsum": 1,
+    "events_distinct_users": 1,
+    "events_funnel": 1,
+    "events_gapfill": 2,
+    "events_hourly": 1,
+    "events_hourly_users": 1,
+    "events_lag": 1,
+    "events_pivot": 2,
+    "events_props_sum": 1,
+    "events_quantiles": 1,
+    "events_retention": 1,
+    "events_rollup": 3,
+    "events_sessions": 1,
+    "events_sliding": 1,
+    "events_value_bands": 1,
+    "events_window_join": 1,
 }
 
 
