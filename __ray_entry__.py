@@ -786,7 +786,7 @@ def _pages_bloom_probe(sf_dir: str):
     the Bloom answer — deterministic, false positives included."""
     from horizon_ocr_python_ray import ensure_corpus, read_pages, sf_from_dir
     from horizon_ocr_python_ray.stages.bloom import bloom_probe
-    from horizon_ocr_python_ray.stages.sampling import _md5_low64
+    from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
 
     corpus = ensure_corpus(sf_from_dir(sf_dir))
     pages = read_pages(corpus, columns=["url"])
@@ -795,7 +795,7 @@ def _pages_bloom_probe(sf_dir: str):
         def f(t):
             import pyarrow as pa
 
-            m = pa.array([(_md5_low64(u) % 1000) < 100
+            m = pa.array([(md5_number_lower(u) % 1000) < 100
                           for u in t.column("url").to_pylist()])
             import pyarrow.compute as pc
 

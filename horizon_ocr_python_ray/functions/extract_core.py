@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import re
 
-from ..config import TEXT_JOIN_SEPARATOR, ExtractConfig
+from ..config import ExtractConfig
 from . import sniff as sniff_mod
 from .docformat import decode_doc_payload, decode_image_payload
-from .htmltext import extract_html
+from .htmltext import extract_html, join_blocks
 from .layout import recognize_page
 from .regions import role_classifier
 from .style import is_scanned_doc
@@ -31,29 +31,8 @@ _LINE_SPLIT_RE = re.compile(r"\r\n|\r|\n")
 def normalize_plain_text(raw: str) -> tuple[str, list[dict]]:
     """Passthrough route: normalize the ``text`` column — split lines,
     strip each, drop empties, join with the canonical separator."""
-    lines = [ln.strip() for ln in _LINE_SPLIT_RE.split(raw or "")]
-    lines = [ln for ln in lines if ln]
-    parts, spans, pos = [], [], 0
-    for ln in lines:
-        spans.append({"start": pos, "end": pos + len(ln), "kind": "line"})
-        parts.append(ln)
-        pos += len(ln) + len(TEXT_JOIN_SEPARATOR)
-    return TEXT_JOIN_SEPARATOR.join(parts), spans
-
-
-def lines_to_text_spans(
-    line_texts: list[str], kinds: list[str] | None = None
-) -> tuple[str, list[dict]]:
-    """Reading-ordered line texts → (joined text, per-line spans). Span
-    kind is the line's layout-region role when provided (J5 region→line
-    role map, ``pipeline/orchestrator.py:1067-1092``), else ``line``."""
-    parts, spans, pos = [], [], 0
-    for idx, ln in enumerate(line_texts):
-        kind = kinds[idx] if kinds else "line"
-        spans.append({"start": pos, "end": pos + len(ln), "kind": kind})
-        parts.append(ln)
-        pos += len(ln) + len(TEXT_JOIN_SEPARATOR)
-    return TEXT_JOIN_SEPARATOR.join(parts), spans
+    lines = (ln.strip() for ln in _LINE_SPLIT_RE.split(raw or ""))
+    return join_blocks([(ln, "line") for ln in lines if ln])
 
 
 def decode_pages(route: str, payload: bytes) -> list[dict]:
@@ -117,8 +96,10 @@ def extract_payload(
             pages = decode_pages(route, payload or b"")
             digital = is_digital(route, pages)
             lines = [li for p in pages for li in page_lines(p, digital, cfg)]
-            return (*lines_to_text_spans([li["text"] for li in lines],
-                                         [li["kind"] for li in lines]), None)
+            # span kind: the line's layout-region role (J5 region→line
+            # role map, ``pipeline/orchestrator.py:1067-1092``)
+            return (*join_blocks([(li["text"], li["kind"]) for li in lines]),
+                    None)
         if route == sniff_mod.ROUTE_TEXT:
             return (*normalize_plain_text(text or ""), None)
         return "", [], f"unsupported_route:{route}"

@@ -19,7 +19,8 @@ The hash is a deterministic pure function of the VALUE bytes (chunk
 layout / slicing / offset width do not affect it), so any two rows with
 equal keys land in the same bucket on any worker — the only property
 the exchanges need. It is NOT a cryptographic or identity hash; content
-identity in the engine stays md5.
+identity in the engine stays md5, and :func:`md5_number_lower` is the
+one md5 key hash every reproducible assignment uses.
 
 Reference parity: none — the reference is single-machine and never
 keys an exchange (SURVEY.md §4); this kernel exists purely for the
@@ -27,6 +28,8 @@ distributed plans.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -45,6 +48,14 @@ _SALTS = np.array(
     dtype=np.uint64)
 
 _LEN_MIX = _U(0x9E3779B97F4A7C15)
+
+
+def md5_number_lower(s: str) -> int:
+    """DuckDB ``md5_number_lower(s)``: the last 8 md5 digest bytes of the
+    UTF-8 string, little-endian. Splits, shards, sketch cells, SimHash
+    tokens and checkpoint fragments all key on it, so any SQL engine
+    recomputes them bit-identically."""
+    return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[8:], "little")
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

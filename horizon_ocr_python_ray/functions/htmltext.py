@@ -382,13 +382,13 @@ def extract_blocks(html_bytes: bytes, cfg: HtmlConfig, engine: str = "fast") -> 
     return sink.kept
 
 
-def extract_html(html_bytes: bytes, cfg: HtmlConfig, engine: str = "fast") -> tuple[str, list[dict]]:
-    """HTML bytes → (extracted_text, spans).
+def join_blocks(blocks: list[tuple[str, str]]) -> tuple[str, list[dict]]:
+    """``(text, kind)`` blocks → (their texts joined by the canonical
+    separator, spans). The one text+spans joiner of every route.
 
     spans: ``[{"start": int, "end": int, "kind": str}, ...]`` — half-open
-    offsets into the extracted text, one per retained block.
+    offsets into the joined text, one per block.
     """
-    blocks = extract_blocks(html_bytes, cfg, engine)
     step = len(TEXT_JOIN_SEPARATOR)
     spans: list[dict] = []
     pos = 0
@@ -397,3 +397,8 @@ def extract_html(html_bytes: bytes, cfg: HtmlConfig, engine: str = "fast") -> tu
         spans.append({"start": pos, "end": end, "kind": kind})
         pos = end + step
     return TEXT_JOIN_SEPARATOR.join([text for text, _ in blocks]), spans
+
+
+def extract_html(html_bytes: bytes, cfg: HtmlConfig, engine: str = "fast") -> tuple[str, list[dict]]:
+    """HTML bytes → (extracted_text, spans), one span per retained block."""
+    return join_blocks(extract_blocks(html_bytes, cfg, engine))

@@ -11,6 +11,7 @@ import hashlib
 
 import numpy as np
 
+from .fasthash import md5_number_lower
 from .textstats import tokens
 
 _MERSENNE_P = (1 << 61) - 1
@@ -189,12 +190,6 @@ def exact_jaccard(sh_a: np.ndarray, sh_b: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
-def md5_low64(s: str) -> int:
-    """Token hash matching DuckDB's ``md5_number_lower()`` (last 8 md5
-    digest bytes, little-endian) — makes the SimHash SQL-reproducible."""
-    return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[8:16], "little")
-
-
 #: Worker-global gram-string → md5-low64 memo shared by every stage
 #: that hashes exploded gram columns (winnow, jaccard); grams repeat
 #: heavily across batches in boilerplate-rich corpora. Bounded like the
@@ -205,7 +200,7 @@ _GRAM_HASH_CACHE: dict[str, int] = {}
 def md5_gram_hashes(grams) -> np.ndarray:
     """md5-low64 (uint64) per gram INSTANCE of an Arrow string array,
     hashing each DISTINCT gram string once (worker-cached dictionary
-    encode) — the vectorized batch twin of :func:`md5_low64`."""
+    encode) — the vectorized batch twin of :func:`md5_number_lower`."""
     de = grams.dictionary_encode()
     uniq = de.dictionary.to_pylist()
     cache = _GRAM_HASH_CACHE
@@ -215,7 +210,7 @@ def md5_gram_hashes(grams) -> np.ndarray:
     for i, g in enumerate(uniq):
         h = cache.get(g)
         if h is None:
-            h = md5_low64(g)
+            h = md5_number_lower(g)
             cache[g] = h
         uh[i] = h
     return uh[de.indices.to_numpy(zero_copy_only=False)]
@@ -230,13 +225,13 @@ def simhash64(text: str, cache: dict[str, int] | None = None) -> int:
     if not toks:
         return 0
     if cache is None:
-        hs = np.fromiter((md5_low64(t) for t in toks), dtype=np.uint64, count=len(toks))
+        hs = np.fromiter((md5_number_lower(t) for t in toks), dtype=np.uint64, count=len(toks))
     else:
         out = np.empty(len(toks), dtype=np.uint64)
         for i, t in enumerate(toks):
             h = cache.get(t)
             if h is None:
-                h = md5_low64(t)
+                h = md5_number_lower(t)
                 cache[t] = h
             out[i] = h
         hs = out

@@ -60,8 +60,8 @@ def sniff_route(payload: bytes | None) -> str:
             return ROUTE_IMAGE
     if payload[:4] == b"RIFF" and payload[8:12] == b"WEBP":
         return ROUTE_IMAGE
-    head = payload[:256]
-    head = head[content_start(head):].lower()
+    start = content_start(payload)
+    head = payload[start:start + 256].lower()
     if head.startswith((b"<!doctype", b"<html", b"<head", b"<body", b"<?xml")):
         return ROUTE_HTML
     if head.startswith(b"<") and b">" in head:

@@ -96,7 +96,7 @@ def rolling_fingerprint(text: str, window: int = 8) -> int:
     commutes), stable under token reordering outside the window, and
     SQL-reproducible (DuckDB ``bit_xor(md5_number_lower(gram))`` — see
     ``oracle_sql()['doc_fingerprint']``)."""
-    from .minhash import md5_low64
+    from .fasthash import md5_number_lower
 
     toks = tokens(text)
     if not toks:
@@ -107,7 +107,7 @@ def rolling_fingerprint(text: str, window: int = 8) -> int:
         grams = {" ".join(toks[i : i + window]) for i in range(len(toks) - window + 1)}
     acc = 0
     for g in grams:
-        acc ^= md5_low64(g)
+        acc ^= md5_number_lower(g)
     return acc
 
 

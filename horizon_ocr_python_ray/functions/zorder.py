@@ -27,21 +27,14 @@ ranges exactly like any other sort key.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 
 from ..stages.skew import host_of_array
+from .fasthash import md5_number_lower
 
 HOUR_US = 3_600_000_000
 MASK16 = 0xFFFF
-
-
-def _md5_low64_np(strs: np.ndarray) -> np.ndarray:
-    return np.array(
-        [int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[8:], "little")
-         for s in strs], dtype=np.uint64)
 
 
 def spread16(x: np.ndarray) -> np.ndarray:
@@ -76,7 +69,8 @@ def zorder_batch(batch: pa.Table, url_col: str = "url",
     host = host_of_array(batch.column(url_col))
     hs = host.to_numpy(zero_copy_only=False)
     uniq, inv = np.unique(hs, return_inverse=True)
-    h16 = (_md5_low64_np(uniq) & np.uint64(MASK16))[inv]
+    h16 = (np.array([md5_number_lower(s) for s in uniq], dtype=np.uint64)
+           & np.uint64(MASK16))[inv]
 
     ts_us = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
     t16 = ((ts_us // HOUR_US) % (MASK16 + 1)).astype(np.uint64)

@@ -39,7 +39,8 @@ import pyarrow.compute as pc
 from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..functions.textstats import lang_id, token_count
 from ..functions.urlnorm import canonicalize_urls
-from ..stages.sampling import EVAL_PERMILLE_DEFAULT, _md5_low64
+from ..functions.fasthash import md5_number_lower
+from ..stages.sampling import EVAL_PERMILLE_DEFAULT
 from .extract import build_extract_pipeline
 
 #: Quality gate: minimum whitespace tokens for a training document.
@@ -51,7 +52,7 @@ def _enrich(batch: pa.Table, min_tokens: int, eval_permille: int) -> pa.Table:
     urls = batch.column("url").to_pylist()
     langs = [lang_id(t or "") for t in texts]
     toks = [token_count(t or "") for t in texts]
-    train = [_md5_low64(u) % 1000 >= eval_permille for u in urls]
+    train = [md5_number_lower(u) % 1000 >= eval_permille for u in urls]
     return (batch
             .append_column("canonical_url", canonicalize_urls(batch.column("url")))
             .append_column("pred_lang", pa.array(langs, pa.string()))

@@ -11,20 +11,15 @@ the same user's most recent RIGHT event (e.g. ``click``) at
 lookup "state as of the conversion", ad last-touch, sensor alignment).
 ``direction="forward"`` flips it to the earliest right event at
 ``ts_right >= ts_left`` (next-touch attribution, time-to-next-event),
-same plan with the mirrored searchsorted side and user-range clamp.
+same plan with the open side of the probe mirrored.
 
 Plan (one narrow shuffle, no inequality expansion, no per-row Python):
-
-1. Both streams are projected in a batch combiner to fixed-width
-   columns ``(user_id, ts_us, event_id, value_e2, role)`` and ride ONE
-   shuffle co-located by ``hash(user_id)``
-   (``stages/hashagg.grouped_reduce``).
-2. Each bucket encodes ``(user, ts)`` as one monotone int64 key
-   ``uidx * span + (ts - t_min)`` (the rangejoin.py key trick, fit
-   asserted loudly), lexsorts the build side by ``(key, event_id)``
-   once, and answers every probe with a single
-   ``np.searchsorted(..., side="right") - 1`` — O((L+R) log R) per
-   bucket regardless of per-user skew.
+both streams ride ONE shuffle co-located by ``hash(user_id)`` as one
+role-tagged union (``stages/window.tag_roles``), and each bucket answers
+every probe with the shared ``(user, ts)`` probe of
+``stages/window.probe_builds`` — O((L+R) log R) per bucket regardless
+of per-user skew. Backward is the last build at ``ts <= left.ts``,
+forward the first at ``ts >= left.ts``.
 
 Semantics pinned for the oracle (tie-exact, no ambiguity): the match is
 the right event with the greatest ``(ts, event_id)`` among
@@ -46,26 +41,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from .hashagg import grouped_reduce
-
-#: right (build) rows carry role 0, left (probe) rows role 1.
-_ROLE_BUILD, _ROLE_PROBE = 0, 1
-
-_OUT_SCHEMA = {
-    "left_id": pa.int64(),
-    "user_id": pa.int64(),
-    "ts_us": pa.int64(),
-    "match_id": pa.int64(),
-    "match_ts_us": pa.int64(),
-    "match_value_e2": pa.int64(),
-    "gap_us": pa.int64(),
-}
-
-
-def _empty() -> pa.Table:
-    return pa.table({k: pa.array([], t) for k, t in _OUT_SCHEMA.items()})
+from .window import probe_builds, tag_roles
 
 
 def event_asof_join(events_ds, left_type: str = "purchase",
@@ -85,96 +63,34 @@ def event_asof_join(events_ds, left_type: str = "purchase",
             f"unknown direction {direction!r}; expected backward|forward")
     forward = direction == "forward"
 
-    def project(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array([left_type, right_type]))
-        t = t.filter(keep)
-        ts_us = t.column("ts").cast(pa.int64())
-        e2 = pc.cast(pc.round(pc.multiply(t.column("value"), 100.0),
-                              round_mode="half_towards_infinity"),
-                     pa.int64())
-        role = pc.if_else(pc.equal(t.column("event_type"), left_type),
-                          pa.scalar(_ROLE_PROBE, pa.int64()),
-                          pa.scalar(_ROLE_BUILD, pa.int64()))
-        return pa.table({"user_id": t.column("user_id"),
-                         "ts_us": ts_us,
-                         "event_id": t.column("event_id"),
-                         "value_e2": e2,
-                         "role": role})
-
     def asof_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty()
-        role = t.column("role").to_numpy()
-        probe_mask = role == _ROLE_PROBE
-        if not probe_mask.any():
-            return _empty()
-        users = t.column("user_id").to_numpy()
-        ts = t.column("ts_us").to_numpy()
+        p, b, lo, hi = probe_builds(t, 0 if forward else None,
+                                    None if forward else 1,
+                                    "event_asof_join")
+        # builds sort by (ts, event_id): the first match is the smallest
+        # event_id at the earliest ts, the last the greatest at the latest
+        matched = hi > lo
+        m = b[(lo if forward else hi - 1)[matched]]
         eid = t.column("event_id").to_numpy()
-        val = t.column("value_e2").to_numpy()
-        # bucket-local dense user index shared by both sides
-        uniq, uidx = np.unique(users, return_inverse=True)
-        t_min = int(ts.min())
-        span = int(ts.max()) - t_min + 2
-        if len(uniq) * span >= 2**62:
-            raise ValueError(
-                "event_asof_join: bucket key space overflow "
-                f"({len(uniq)} users x span {span}); raise num_buckets "
-                "so each bucket holds fewer users")
-        key = uidx * span + (ts - t_min)
-        build_mask = ~probe_mask
-        if not build_mask.any():
-            n = int(probe_mask.sum())
-            return pa.table({
-                "left_id": pa.array(eid[probe_mask], pa.int64()),
-                "user_id": pa.array(users[probe_mask], pa.int64()),
-                "ts_us": pa.array(ts[probe_mask], pa.int64()),
-                "match_id": pa.array(np.full(n, -1), pa.int64()),
-                "match_ts_us": pa.array(np.full(n, -1), pa.int64()),
-                "match_value_e2": pa.array(np.zeros(n, np.int64)),
-                "gap_us": pa.array(np.full(n, -1), pa.int64()),
-            })
-        bkey = key[build_mask]
-        # lexsort (key, event_id): among equal-ts builds, side="right"
-        # - 1 lands on the LAST (max event_id) for backward and
-        # side="left" on the FIRST (min event_id) for forward — the
-        # pinned tiebreaks.
-        order = np.lexsort((eid[build_mask], bkey))
-        bkey = bkey[order]
-        beid = eid[build_mask][order]
-        bts = ts[build_mask][order]
-        bval = val[build_mask][order]
-        pkey = key[probe_mask]
-        if forward:
-            idx = np.searchsorted(bkey, pkey, side="left")
-            # the earliest build at key >= probe must not fall into the
-            # NEXT user's range: clamp to the user's one-past-last key.
-            uend = np.searchsorted(
-                bkey, (uidx[probe_mask] + 1) * span, side="left")
-            matched = idx < uend
-        else:
-            idx = np.searchsorted(bkey, pkey, side="right") - 1
-            # a probe near its user's range start must not match the
-            # previous user's tail: clamp to the user's first build key.
-            ustart = np.searchsorted(bkey, uidx[probe_mask] * span,
-                                     side="left")
-            matched = idx >= ustart
-        safe = np.where(matched, idx, 0)
-        m_id = np.where(matched, beid[safe], -1)
-        m_ts = np.where(matched, bts[safe], -1)
-        m_val = np.where(matched, bval[safe], 0)
-        gap = np.where(matched, np.abs(ts[probe_mask] - m_ts), -1)
+        ts = t.column("ts_us").to_numpy()
+        m_id = np.full(len(p), -1, np.int64)
+        m_ts = np.full(len(p), -1, np.int64)
+        m_val = np.zeros(len(p), np.int64)
+        m_id[matched] = eid[m]
+        m_ts[matched] = ts[m]
+        m_val[matched] = t.column("value_e2").to_numpy()[m]
+        gap = np.where(matched, np.abs(ts[p] - m_ts), -1)
         return pa.table({
-            "left_id": pa.array(eid[probe_mask], pa.int64()),
-            "user_id": pa.array(users[probe_mask], pa.int64()),
-            "ts_us": pa.array(ts[probe_mask], pa.int64()),
+            "left_id": pa.array(eid[p], pa.int64()),
+            "user_id": pa.array(t.column("user_id").to_numpy()[p], pa.int64()),
+            "ts_us": pa.array(ts[p], pa.int64()),
             "match_id": pa.array(m_id, pa.int64()),
             "match_ts_us": pa.array(m_ts, pa.int64()),
             "match_value_e2": pa.array(m_val, pa.int64()),
             "gap_us": pa.array(gap, pa.int64()),
         })
 
-    projected = events_ds.map_batches(project, batch_format="pyarrow")
-    return grouped_reduce(projected, "user_id", asof_bucket,
+    tagged = events_ds.map_batches(
+        lambda t: tag_roles(t, left_type, right_type), batch_format="pyarrow")
+    return grouped_reduce(tagged, "user_id", asof_bucket,
                           num_buckets=num_buckets)

@@ -15,7 +15,7 @@ order with zero shuffles (the dense matrix is 4×1024 int64 = 32 KB).
 Probing is a broadcast: estimates for a key set are reads of
 ``min_r matrix[r][cell(key, r)]``.
 
-Determinism contract: ``cell(key, r) = md5_low64(str(key) + ":" + r)
+Determinism contract: ``cell(key, r) = md5_number_lower(str(key) + ":" + r)
 % WIDTH`` — ``md5_number_lower(key || ':' || r) % WIDTH`` in DuckDB —
 so the sketch REGISTERS are engine-independent and the oracle replays
 the estimates exactly (same construction as the HLL/SimHash oracles).
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .sketches import _md5_low64
+from ..functions.fasthash import md5_number_lower
 from ..functions.collect import iter_tables
 
 DEPTH = 4
@@ -43,7 +43,7 @@ def key_cells(key: str) -> tuple[int, ...]:
     """The DEPTH cell indices of one key."""
     cells = _CELL_CACHE.get(key)
     if cells is None:
-        cells = tuple(_md5_low64(f"{key}:{r}") % WIDTH for r in range(DEPTH))
+        cells = tuple(md5_number_lower(f"{key}:{r}") % WIDTH for r in range(DEPTH))
         if len(_CELL_CACHE) >= _CELL_CACHE_MAX:
             _CELL_CACHE.clear()
         _CELL_CACHE[key] = cells

@@ -351,7 +351,7 @@ def simhash_batch(batch: pa.Table) -> pa.Table:
     """Whole-batch vectorized SimHash (signed int64 domain): Arrow
     tokenize of ``lower(text)`` (``\\S+`` parity with
     :func:`~..functions.minhash.simhash64`), dictionary-encode so
-    ``md5_low64`` runs once per DISTINCT token (worker-cached across
+    ``md5_number_lower`` runs once per DISTINCT token (worker-cached across
     batches), then per-doc bit-majority as 64 shift/mask/
     ``np.add.reduceat`` sweeps over ONE reused token-length scratch
     buffer — no per-document Python, no (tokens × 64) bit-matrix
@@ -359,7 +359,7 @@ def simhash_batch(batch: pa.Table) -> pa.Table:
     test in ``tests/test_minhash.py``)."""
     import pyarrow.compute as pc
 
-    from ..functions.minhash import md5_low64
+    from ..functions.fasthash import md5_number_lower
     from .ranking import _flat_tokens
 
     ids = batch.column("doc_id")
@@ -385,7 +385,7 @@ def simhash_batch(batch: pa.Table) -> pa.Table:
     for i, tok in enumerate(uniq):
         h = cache.get(tok)
         if h is None:
-            h = md5_low64(tok)
+            h = md5_number_lower(tok)
             cache[tok] = h
         uh[i] = h
 

@@ -30,12 +30,11 @@ zero shuffles. Nothing is corpus-sized except the two streaming reads.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 import ray
 from ..functions.collect import iter_tables
+from ..functions.fasthash import md5_number_lower
 
 #: Hashed-feature bucket count (power of two, matches the paper's
 #: fixed-dimension hashed unigram features; small enough to fold).
@@ -43,11 +42,6 @@ N_BUCKETS = 4096
 
 #: Fixed-point scale of the per-bucket target/raw ratio.
 WEIGHT_SCALE = 1_000_000
-
-
-def _md5_low64(s: str) -> int:
-    """Low 8 bytes of md5, little-endian — ``md5_number_lower`` analog."""
-    return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[8:], "little")
 
 
 #: Worker-process token → bucket memo (vocab ≪ corpus). Cleared when
@@ -59,7 +53,7 @@ _BUCKET_CACHE_MAX = 2_000_000
 def _bucket(term: str) -> int:
     b = _BUCKET_CACHE.get(term)
     if b is None:
-        b = _md5_low64(term) % N_BUCKETS
+        b = md5_number_lower(term) % N_BUCKETS
         if len(_BUCKET_CACHE) >= _BUCKET_CACHE_MAX:
             _BUCKET_CACHE.clear()
         _BUCKET_CACHE[term] = b

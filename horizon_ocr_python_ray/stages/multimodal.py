@@ -133,8 +133,8 @@ def gen_audio_probe_table(n_rows: int, seed: int = 42) -> pa.Table:
     """Media fixture with a NON-SELF-REFERENTIAL oracle: every planted
     int16 sample is an md5-derived integer —
 
-        n_samples(i) = 256 + md5_low64("apn:{seed}:{i}") % 1024
-        sample(i, k) = md5_low64("ap:{seed}:{i}:{k}") % 32768 - 16384
+        n_samples(i) = 256 + md5_number_lower("apn:{seed}:{i}") % 1024
+        sample(i, k) = md5_number_lower("ap:{seed}:{i}:{k}") % 32768 - 16384
 
     — the same ``md5_number_lower`` construction the HLL/SimHash/CMS
     oracles replay, so DuckDB can regenerate the exact waveform and
@@ -149,13 +149,13 @@ def _audio_probe_rows_for_ids(row_ids, seed: int = 42) -> pa.Table:
     """Audio probe rows for an explicit id list (worker kernel; see
     :func:`_probe_rows_for_ids`)."""
     from ..functions.wav import encode_wav
-    from .sketches import _md5_low64
+    from ..functions.fasthash import md5_number_lower
 
     ids, kinds, payloads, metas = [], [], [], []
     for i in row_ids:
-        n = 256 + _md5_low64(f"apn:{seed}:{i}") % 1024
+        n = 256 + md5_number_lower(f"apn:{seed}:{i}") % 1024
         s = np.fromiter(
-            (_md5_low64(f"ap:{seed}:{i}:{k}") % 32768 - 16384 for k in range(n)),
+            (md5_number_lower(f"ap:{seed}:{i}:{k}") % 32768 - 16384 for k in range(n)),
             dtype=np.int64, count=n).astype(np.int16)
         ids.append(i)
         kinds.append("audio")
@@ -233,7 +233,7 @@ def media_audio_energy_for_n(n: int, seed: int = 42):
 # probe fixtures below remove the golden file from the oracle loop the
 # same way ``gen_audio_probe_table`` already did for audio: every pixel
 # / sample / frame is an md5-derived integer (``md5_number_lower`` in
-# DuckDB == ``_md5_low64`` here), so the oracle SQL REGENERATES the
+# DuckDB == ``md5_number_lower`` here), so the oracle SQL REGENERATES the
 # content from the planted parameters and recomputes every feature
 # analytically. The payloads are still real PNG / RIFF-WAV / APNG
 # streams — the engine's job is to recover identical content from the
@@ -259,10 +259,10 @@ _VIDEO_PROBE_HW = 16
 
 def _probe_image_params(seed: int, i: int) -> tuple[int, int, int, int]:
     """(w, h, variant, orientation) for image probe row ``i``."""
-    from .sketches import _md5_low64
+    from ..functions.fasthash import md5_number_lower
 
-    w = _IMG_W_CHOICES[_md5_low64(f"mpw:{seed}:{i}") % 3]
-    h = _IMG_H_CHOICES[_md5_low64(f"mph:{seed}:{i}") % 2]
+    w = _IMG_W_CHOICES[md5_number_lower(f"mpw:{seed}:{i}") % 3]
+    h = _IMG_H_CHOICES[md5_number_lower(f"mph:{seed}:{i}") % 2]
     variant = (i // 3) % 3
     orientation = ((i // 3) % 8) + 1
     return w, h, variant, orientation
@@ -275,12 +275,12 @@ def _probe_image_pixels(seed: int, i: int, h: int, w: int,
     (high_noise), 1 = low-contrast band 120..135 (low_contrast, lap var
     between the blurry and noise thresholds), 2 = dark band 0..39
     (too_dark + low_contrast + high_noise → 'poor')."""
-    from .sketches import _md5_low64
+    from ..functions.fasthash import md5_number_lower
 
     # modulo in the uint64 domain — 40 does not divide 2^64, so an
     # int64 cast before the % would change values >= 2^63
     vals = np.fromiter(
-        (_md5_low64(f"mpx:{seed}:{i}:{y}:{x}")
+        (md5_number_lower(f"mpx:{seed}:{i}:{y}:{x}")
          for y in range(h) for x in range(w)),
         dtype=np.uint64, count=h * w)
     if variant == 0:
@@ -294,12 +294,12 @@ def _probe_image_pixels(seed: int, i: int, h: int, w: int,
 
 def _probe_video_base(seed: int, i: int) -> tuple[np.ndarray, int]:
     """(16x16 base raster, n_frames) for video probe row ``i``."""
-    from .sketches import _md5_low64
+    from ..functions.fasthash import md5_number_lower
 
     hw = _VIDEO_PROBE_HW
-    nf = 2 + _md5_low64(f"mpvn:{seed}:{i}") % 10
+    nf = 2 + md5_number_lower(f"mpvn:{seed}:{i}") % 10
     base = np.fromiter(
-        (_md5_low64(f"mpv:{seed}:{i}:{y}:{x}") % 256
+        (md5_number_lower(f"mpv:{seed}:{i}:{y}:{x}") % 256
          for y in range(hw) for x in range(hw)),
         dtype=np.int64, count=hw * hw).reshape(hw, hw).astype(np.uint8)
     return base, nf
@@ -313,7 +313,7 @@ def _probe_rows_for_ids(row_ids, seed: int = 42) -> pa.Table:
     partitioning of the id range produces byte-identical rows."""
     from ..functions.png import encode_apng
     from ..functions.wav import encode_wav
-    from .sketches import _md5_low64
+    from ..functions.fasthash import md5_number_lower
 
     ids, kinds, payloads, metas = [], [], [], []
     for i in row_ids:
@@ -326,9 +326,9 @@ def _probe_rows_for_ids(row_ids, seed: int = 42) -> pa.Table:
             metas.append({"width": w, "height": h, "channels": 1,
                           "sample_rate": 0, "n_frames": 1})
         elif kind == "audio":
-            n = 256 + _md5_low64(f"mpan:{seed}:{i}") % 1024
+            n = 256 + md5_number_lower(f"mpan:{seed}:{i}") % 1024
             s = np.fromiter(
-                (_md5_low64(f"mpa:{seed}:{i}:{k}") % 32768 - 16384
+                (md5_number_lower(f"mpa:{seed}:{i}:{k}") % 32768 - 16384
                  for k in range(n)),
                 dtype=np.int64, count=n).astype(np.int16)
             payloads.append(encode_wav(s, 16000))

@@ -25,26 +25,21 @@ document; chunk oversized docs first with ``stages/chunking``).
 
 from __future__ import annotations
 
-import hashlib
-
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.fasthash import md5_number_lower
 from ..functions.textstats import token_count
 
 DEFAULT_BUDGET = 256
 DEFAULT_SHARDS = 8
 
 
-def _md5_low64(s: str) -> int:
-    return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[8:], "little")
-
-
 def _counts_batch(batch: pa.Table, n_shards: int) -> pa.Table:
     ids = batch.column("doc_id").to_pylist()
     return pa.Table.from_arrays(
         [pa.array(ids, pa.int64()),
-         pa.array([_md5_low64(str(i)) % n_shards for i in ids], pa.int64()),
+         pa.array([md5_number_lower(str(i)) % n_shards for i in ids], pa.int64()),
          pa.array([token_count(t) for t in batch.column("text").to_pylist()],
                   pa.int64())],
         names=["doc_id", "shard", "n_tokens"],

@@ -8,20 +8,14 @@ user's events in the trailing window ``[ts - window, ts)`` — the
 classic stream-to-stream range join (ad attribution, feature windows,
 sessionized context) whose naive form is a per-user cross product.
 
-Plan (one narrow shuffle, no cross product, no per-row Python):
-
-1. Both sides are projected in a batch combiner to fixed-width
-   columns: probes ``(user_id, ts_us, event_id)``, build rows
-   ``(user_id, ts_us, value_e2)``; the streams ride the SAME shuffle
-   co-located by ``hash(user_id)`` (``stages/hashagg.grouped_reduce``),
-   tagged by a role column.
-2. Each bucket encodes ``(user, ts)`` as one monotone int64 key
-   ``uidx * span + (ts - t_min)`` (``uidx`` = bucket-local dense user
-   index, ``span`` > the bucket's full timestamp range + window, fit
-   asserted loudly) and runs TWO ``np.searchsorted`` calls per side:
-   window sums come from prefix sums over the sorted build keys —
-   O((E+P) log E) per bucket regardless of per-user skew, where a
-   hot user costs the naive plan |events|² pairs.
+Plan (one narrow shuffle, no cross product, no per-row Python): every
+event is a build row and each conversion also a probe row of one
+role-tagged union (``stages/window.tag_roles``), co-located by
+``hash(user_id)``; each bucket runs the shared ``(user, ts)`` probe of
+``stages/window.probe_builds`` with the window ``[-window, 0)``, and
+window sums come from prefix sums over the sorted build rows —
+O((E+P) log E) per bucket regardless of per-user skew, where a hot user
+costs the naive plan |events|² pairs.
 
 At 100 TB the only exchange is the 3-column int64 shuffle of both
 streams; the window math never materializes a pair. Skewed users are
@@ -38,14 +32,10 @@ events are KEPT with zero counts (left shape).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from .hashagg import grouped_reduce
-
-#: probe rows carry role 1, build rows role 0.
-_ROLE_BUILD, _ROLE_PROBE = 0, 1
+from .window import probe_builds, tag_roles
 
 
 def purchase_window_join(events_ds, convert: str = "purchase",
@@ -57,76 +47,20 @@ def purchase_window_join(events_ds, convert: str = "purchase",
     events in ``[ts - window, ts)`` (all event types, the conversion's
     own row excluded by strict inequality)."""
 
-    def project(t: pa.Table) -> pa.Table:
-        ts_us = t.column("ts").cast(pa.int64())
-        e2 = pc.cast(pc.round(pc.multiply(t.column("value"), 100.0),
-                              round_mode="half_towards_infinity"),
-                     pa.int64())
-        is_probe = pc.equal(t.column("event_type"), convert)
-        role = pc.if_else(is_probe,
-                          pa.scalar(_ROLE_PROBE, pa.int64()),
-                          pa.scalar(_ROLE_BUILD, pa.int64()))
-        # every row is a build row; conversion rows are ALSO probes —
-        # emit probe duplicates for them (union of the two streams).
-        base = pa.table({"user_id": t.column("user_id"),
-                         "ts_us": ts_us,
-                         "event_id": t.column("event_id"),
-                         "value_e2": e2,
-                         "role": pa.nulls(t.num_rows, pa.int64()).fill_null(
-                             _ROLE_BUILD)})
-        probes = pa.table({"user_id": t.column("user_id"),
-                           "ts_us": ts_us,
-                           "event_id": t.column("event_id"),
-                           "value_e2": e2,
-                           "role": role}).filter(is_probe)
-        return pa.concat_tables([base, probes])
-
     def window_bucket(t: pa.Table) -> pa.Table:
-        empty = pa.table({"purchase_id": pa.array([], pa.int64()),
-                          "user_id": pa.array([], pa.int64()),
-                          "n_prior": pa.array([], pa.int64()),
-                          "sum_prior_e2": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return empty
-        role = t.column("role").to_numpy()
-        users = t.column("user_id").to_numpy()
-        ts = t.column("ts_us").to_numpy()
-        probe_mask = role == _ROLE_PROBE
-        if not probe_mask.any():
-            return empty
-        build_mask = ~probe_mask
-        # bucket-local dense user index shared by both sides
-        uniq, uidx = np.unique(users, return_inverse=True)
-        span = int(ts.max()) - int(ts.min()) + int(window_us) + 2
-        if (len(uniq)) * span >= 2**62:
-            raise ValueError(
-                "purchase_window_join: bucket key space overflow "
-                f"({len(uniq)} users x span {span}); raise num_buckets "
-                "so each bucket holds fewer users")
-        key = uidx * span + (ts - int(ts.min()))
-        bk = key[build_mask]
-        order = np.argsort(bk, kind="stable")
-        bk = bk[order]
-        bval = t.column("value_e2").to_numpy()[build_mask][order]
-        cs = np.concatenate([[0], np.cumsum(bval)])
-        pk = key[probe_mask]
-        lo = np.searchsorted(bk, pk - int(window_us), side="left")
-        hi = np.searchsorted(bk, pk, side="left")
-        # guard the window against crossing into the previous user's
-        # key range (a probe near a user's range start): clamp lo to the
-        # first build key of the probe's user.
-        ustart = np.searchsorted(bk, uidx[probe_mask] * span, side="left")
-        lo = np.maximum(lo, ustart)
+        p, b, lo, hi = probe_builds(t, -int(window_us), 0,
+                                    "purchase_window_join")
+        cs = np.concatenate([[0], np.cumsum(t.column("value_e2").to_numpy()[b])])
         n = (hi - lo).astype(np.int64)
         s = (cs[hi] - cs[lo]).astype(np.int64)
         return pa.table({
-            "purchase_id": pa.array(
-                t.column("event_id").to_numpy()[probe_mask], pa.int64()),
-            "user_id": pa.array(users[probe_mask], pa.int64()),
+            "purchase_id": pa.array(t.column("event_id").to_numpy()[p], pa.int64()),
+            "user_id": pa.array(t.column("user_id").to_numpy()[p], pa.int64()),
             "n_prior": pa.array(n, pa.int64()),
             "sum_prior_e2": pa.array(np.where(n > 0, s, 0), pa.int64()),
         })
 
-    projected = events_ds.map_batches(project, batch_format="pyarrow")
-    return grouped_reduce(projected, "user_id", window_bucket,
+    tagged = events_ds.map_batches(lambda t: tag_roles(t, convert),
+                                   batch_format="pyarrow")
+    return grouped_reduce(tagged, "user_id", window_bucket,
                           num_buckets=num_buckets)

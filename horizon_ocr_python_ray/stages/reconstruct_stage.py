@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..config import DEFAULT_CONFIG, ExtractConfig
+from ..config import DEFAULT_CONFIG, TEXT_JOIN_SEPARATOR, ExtractConfig
 # Unused here, but perfbench/replay.py:_targets patches these names on this module.
 from ..functions.docformat import decode_doc_payload, decode_image_payload  # noqa: F401
-from ..functions.extract_core import lines_to_text_spans
 from ..functions.fuse import fuse_fields
 from ..functions.layout import recognize_page
 from ..functions.reconstruct import build_reconstruction
@@ -32,7 +31,7 @@ def reconstruct_rows(route: str, pages: list[dict], cfg: ExtractConfig) -> list[
     """One reconstruction row per decoded document. Every page is
     recognized, digital ones included: this head never takes the native
     fast path."""
-    elements, texts, kinds = [], [], []
+    elements, texts = [], []
     tables_by_page: dict[int, list[dict]] = {}
     for p in pages:
         recognized = recognize_page(p["lines"], cfg.doc, p.get("w"), p.get("h"))
@@ -40,10 +39,9 @@ def reconstruct_rows(route: str, pages: list[dict], cfg: ExtractConfig) -> list[
             elements.append({"page": int(p["page"]), "bbox": li["bbox"],
                              "text": li["text"], "kind": li["kind"], "idx": idx})
             texts.append(li["text"])
-            kinds.append(li["kind"])
         tables_by_page[int(p["page"])] = detect_tables(
             recognized, float(p.get("w") or 0), float(p.get("h") or 0), cfg.tables)
-    text, _spans = lines_to_text_spans(texts, kinds)
+    text = TEXT_JOIN_SEPARATOR.join(texts)
     fields = fuse_fields(candidates_from_text(text), cfg.fuse)
     return [{
         "n_elements": len(elements),

@@ -26,28 +26,20 @@ Three operators a 100-TB pipeline needs constantly:
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.fasthash import md5_number_lower
 from .skew import host_of
 
 EVAL_PERMILLE_DEFAULT = 10  # 1% eval split
 
 
-def _md5_low64(s: str) -> int:
-    """Low 8 bytes of md5, little-endian — DuckDB analog:
-    ``md5_number_lower(s)::UBIGINT`` (same construction as the SimHash
-    oracle's token hash)."""
-    return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[8:], "little")
-
-
 def hash_split_batch(batch: pa.Table, key: str,
                      eval_permille: int = EVAL_PERMILLE_DEFAULT) -> pa.Table:
     keys = batch.column(key).to_pylist()
-    buckets = [_md5_low64(str(k)) % 1000 for k in keys]
+    buckets = [md5_number_lower(str(k)) % 1000 for k in keys]
     split = ["eval" if b < eval_permille else "train" for b in buckets]
     return (batch
             .append_column("split_bucket", pa.array(buckets, pa.int64()))
@@ -115,7 +107,7 @@ def stratified_sample(ds, stratum: str = "lang", key: str = "doc_id",
                       k: int | dict = 50, quota_col: bool = False,
                       carry: tuple = ()):
     """The per-stratum quota rows of each stratum, chosen by smallest
-    ``md5_low64(key)`` with a total ``(hash, key)`` tie-break — a
+    ``md5_number_lower(key)`` with a total ``(hash, key)`` tie-break — a
     re-shard-stable subsample (``sample_rank`` 1..quota per stratum).
     ``k`` is a flat int (equal allocation) or a per-stratum dict
     (strata absent from the dict get 0 rows — the temperature-mixing
@@ -139,7 +131,7 @@ def stratified_sample(ds, stratum: str = "lang", key: str = "doc_id",
                 else (lambda s: k.get(s, 0)))
 
     def add_hash(t: pa.Table) -> pa.Table:
-        hashes = [_md5_low64(str(v)) for v in t.column(key).to_pylist()]
+        hashes = [md5_number_lower(str(v)) for v in t.column(key).to_pylist()]
         return (t.select([stratum, key, *carry])
                  .append_column("sample_hash", pa.array(hashes, pa.uint64())))
 
@@ -197,7 +189,7 @@ def _stratum_counts(ds, stratum: str) -> dict:
 def mix_rebalance(ds, stratum: str = "lang", key: str = "doc_id"):
     """Equal-share class rebalancing: downsample every stratum to the
     MINORITY stratum's count, members chosen by the re-shard-stable
-    ``(md5_low64(key), key)`` hash order — the deterministic form of
+    ``(md5_number_lower(key), key)`` hash order — the deterministic form of
     "balance the language mix before training".
 
     The quota comes from :func:`_stratum_counts`; the selection then
@@ -223,7 +215,7 @@ def mix_temperature(ds, stratum: str = "lang", key: str = "doc_id",
        LARGEST REMAINDER (``B·w6ᵢ mod Σw6`` desc, stratum asc
        tie-break), capped at ``nᵢ`` (no redistribution past the cap —
        pinned);
-    3. members: each stratum's ``quotaᵢ`` smallest ``(md5_low64(key),
+    3. members: each stratum's ``quotaᵢ`` smallest ``(md5_number_lower(key),
        key)`` — the re-shard-stable hash order every sampler here uses.
 
     Sqrt flattens the mix: a 3× larger source gets only √3× the docs.
@@ -272,7 +264,7 @@ def safe_split(ds, text_col: str = "text", key: str = "doc_id",
 
     One content-hash bucket shuffle (``hashagg.grouped_reduce``); in a
     bucket the representative is a vectorized groupby-min and every
-    member inherits ``split(md5_low64(str(rep)) % 1000)``. Output:
+    member inherits ``split(md5_number_lower(str(rep)) % 1000)``. Output:
     (key, content_md5, group_rep, split)."""
     import hashlib as _hl
 
@@ -289,7 +281,7 @@ def safe_split(ds, text_col: str = "text", key: str = "doc_id",
     def bucket_split(g: pd.DataFrame) -> pd.DataFrame:
         rep = g.groupby("content_md5")[key].transform("min")
         split = [
-            "eval" if _md5_low64(str(r)) % 1000 < eval_permille else "train"
+            "eval" if md5_number_lower(str(r)) % 1000 < eval_permille else "train"
             for r in rep
         ]
         return pd.DataFrame({key: g[key].to_numpy(),
@@ -310,7 +302,7 @@ def shuffle_shards(ds, key: str = "doc_id", nshards: int = 16):
     training-export step (every LM run wants the corpus in a fixed
     pseudo-random order, split into N equal-ish shard files).
 
-    Order key = ``md5_low64(str(key) + SHUFFLE_SALT)``: content-free,
+    Order key = ``md5_number_lower(str(key) + SHUFFLE_SALT)``: content-free,
     re-shard-stable, and uniform, so ordering by it IS a shuffle; the
     salt decouples this permutation from the ``hash_split`` buckets.
     ``shard = order_key % nshards``; within a shard rows get dense
@@ -323,16 +315,11 @@ def shuffle_shards(ds, key: str = "doc_id", nshards: int = 16):
     This operator is the assignment/audit projection."""
 
     def add_keys(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        from ..functions.zorder import _md5_low64_np
-
-        ks = np.array([str(k) + SHUFFLE_SALT
-                       for k in t.column(key).to_pylist()], dtype=object)
         # shuffle keys are per-row unique (doc ids), so no dedup pass —
         # hash the salted strings directly; the md5 itself is the only
         # per-string Python left, the modulo/order math is vectorized
-        hs = _md5_low64_np(ks)
+        hs = np.array([md5_number_lower(str(k) + SHUFFLE_SALT)
+                       for k in t.column(key).to_pylist()], dtype=np.uint64)
         return pa.table({
             key: t.column(key),
             "shuffle_hash": pa.array(hs, pa.uint64()),

@@ -12,7 +12,7 @@ runs (sketches from yesterday's shards merge with today's).
 
 Determinism contract: the hash is md5-low64 of the stringified member
 (``md5_number_lower`` in DuckDB — same construction as
-``stages/sampling._md5_low64``), so the REGISTERS themselves are
+``functions/fasthash.md5_number_lower``), so the REGISTERS themselves are
 engine-independent and the driver oracle verifies them exactly
 (bucket/rank table digest). The float bias-corrected estimate is
 derived downstream (``hll_estimate``) and kept off the exact-compare
@@ -25,20 +25,17 @@ import hashlib
 
 import pyarrow as pa
 from ..functions.collect import fold_capped
+from ..functions.fasthash import md5_number_lower
 
 #: Register-index bits: m = 2^p registers per group.
 DEFAULT_P = 12
-
-
-def _md5_low64(s: str) -> int:
-    return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[8:], "little")
 
 
 def member_register(member: str, p: int = DEFAULT_P) -> tuple[int, int]:
     """(bucket, rank) of one member: top ``p`` hash bits pick the
     register, rank = leading-zero count of the remaining 64-p bits + 1
     (w == 0 ranks 64-p+1, the all-zeros maximum)."""
-    h = _md5_low64(member)
+    h = md5_number_lower(member)
     wbits = 64 - p
     bucket = h >> wbits
     w = h & ((1 << wbits) - 1)

@@ -1,4 +1,5 @@
-"""Tumbling-window aggregation over the ``events`` stream table.
+"""Event-time queries over the ``events`` stream table, and the kernels
+they share.
 
 Ray Data has no event-time windows (SURVEY.md §2.7 — the reference is
 strictly batch too); a tumbling window over a bounded log is a grouped
@@ -6,35 +7,146 @@ aggregate on ``floor(epoch(ts) / width)``. Partial pre-aggregation inside
 ``map_batches`` (one row per (key, window) per batch) shrinks the shuffle
 to near-distinct-group size before the global ``groupby`` — the
 combiner-before-shuffle pattern.
+
+Each event-time decision is made once, here, for every ``events_*``
+query, ``stages/asofjoin.py`` and ``stages/rangejoin.py``:
+
+- :func:`window_start_us` — the float-floor window start;
+- :func:`fixed_point` — DuckDB ``round`` (half away from zero) to an
+  int64 scale;
+- :func:`user_runs` — the per-user ``(user_id, ts, event_id)`` order of
+  one user bucket and where each user run or gap session starts;
+- :func:`tag_roles` + :func:`probe_builds` — the role-tagged ``(user,
+  ts)`` probe behind every as-of and range join.
 """
 
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
+
+from .hashagg import grouped_aggregate, grouped_reduce
+
+
+def window_start_us(ts, width_s: int):
+    """Start of each timestamp's ``width_s`` tumbling window in epoch µs:
+    the float64 floor of ``epoch_us / width``, times the width."""
+    epoch = pc.cast(ts.cast(pa.int64()), pa.float64())
+    return pc.multiply(
+        pc.floor(pc.divide(epoch, float(width_s) * 1e6)).cast(pa.int64()),
+        width_s * 1_000_000)
+
+
+def fixed_point(col, scale: float):
+    """``round(col * scale)`` half away from zero (DuckDB ``round``) as
+    int64 — exact integer sums in any partial-sum order."""
+    return pc.cast(pc.round(pc.multiply(col, scale),
+                            round_mode="half_towards_infinity"), pa.int64())
+
+
+def user_runs(g: pd.DataFrame, gap_us: int | None = None):
+    """One user bucket sorted by ``(user_id, ts, event_id)`` — ordering
+    is explicit, never block arrival order (SURVEY.md §7.4) — and a bool
+    mask of the rows that start a user run; with ``gap_us``, also of the
+    rows more than ``gap_us`` after their user's previous event (a new
+    session). Every per-user segment is then a vectorized pass."""
+    g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
+    uid = pd.factorize(g["user_id"])[0]
+    start = np.ones(len(g), dtype=bool)
+    start[1:] = uid[1:] != uid[:-1]
+    if gap_us is not None:
+        e = g["ts"].astype("int64").to_numpy()
+        start[1:] |= e[1:] - e[:-1] > gap_us
+    return g, start
+
+
+#: Role tags of the one union both sides of a probe join ride in.
+ROLE_BUILD, ROLE_PROBE = 0, 1
+
+
+def tag_roles(t: pa.Table, probe_type: str,
+              build_type: str | None = None) -> pa.Table:
+    """One event batch → its rows of the role-tagged union that carries
+    both streams of a probe join through one ``user_id`` shuffle:
+    ``(user_id, ts_us, event_id[, value_e2], role)``. ``probe_type``
+    events are probes;
+    ``build_type`` events are builds, or, when it is ``None``, every
+    event is (a probe-type event then rides twice, once per role).
+    ``value_e2`` (cents) rides when the batch has a ``value`` column."""
+    etype = t.column("event_type")
+    probe = pc.equal(etype, probe_type)
+    rows = {"user_id": t.column("user_id"),
+            "ts_us": t.column("ts").cast(pa.int64()),
+            "event_id": t.column("event_id")}
+    if "value" in t.column_names:
+        rows["value_e2"] = fixed_point(t.column("value"), 100.0)
+    rows = pa.table(rows)
+    builds = (rows if build_type is None else
+              rows.filter(pc.and_not(pc.equal(etype, build_type), probe)))
+    probes = rows.filter(probe)
+    return pa.concat_tables([
+        part.append_column("role", pa.array(np.full(part.num_rows, role),
+                                            pa.int64()))
+        for part, role in ((builds, ROLE_BUILD), (probes, ROLE_PROBE))])
+
+
+def probe_builds(t: pa.Table, lo_us: int | None, hi_us: int | None,
+                 what: str):
+    """The one ``(user, ts)`` probe of a role-tagged bucket
+    (:func:`tag_roles`). Probe ``i`` matches the same user's build rows at
+    ``ts_i + lo_us <= ts < ts_i + hi_us``; ``None`` leaves that side open
+    up to the user's first or last build row.
+
+    Returns ``(p, b, lo, hi)``: the probe row indices of ``t``, the build
+    row indices sorted by ``(user, ts, event_id)``, and per probe the
+    bounds of its matches ``b[lo[i]:hi[i]]``.
+
+    ``(user, ts)`` is one monotone int64 key ``uidx * span + (ts -
+    t_min)`` (``uidx`` the bucket-local dense user index). ``span`` pads
+    the bucket's timestamp range by the largest offset, so a bounded side
+    never leaves its user's key block, and an open side is clamped to
+    that block's edges. One lexsort of the builds and one
+    ``searchsorted`` per side: O((P + B) log B) per bucket, whatever the
+    per-user skew, where a per-user product costs a hot user |events|²
+    pairs. A bucket whose key space overflows int64 raises; raise the caller's
+    ``num_buckets`` so each bucket holds fewer users."""
+    role = t.column("role").to_numpy()
+    p = np.flatnonzero(role == ROLE_PROBE)
+    b = np.flatnonzero(role == ROLE_BUILD)
+    if not len(role):
+        return p, b, p, p
+    ts = t.column("ts_us").to_numpy()
+    uniq, uidx = np.unique(t.column("user_id").to_numpy(), return_inverse=True)
+    t_min = int(ts.min())
+    span = int(ts.max()) - t_min + max(abs(lo_us or 0), abs(hi_us or 0)) + 2
+    if len(uniq) * span >= 2**62:
+        raise ValueError(
+            f"{what}: bucket key space overflow ({len(uniq)} users x span "
+            f"{span}); raise num_buckets so each bucket holds fewer users")
+    key = uidx * span + (ts - t_min)
+    b = b[np.lexsort((t.column("event_id").to_numpy()[b], key[b]))]
+    bkey, pkey, block = key[b], key[p], uidx[p] * span
+    lo = np.searchsorted(bkey, block if lo_us is None else pkey + lo_us)
+    hi = np.searchsorted(bkey, block + span if hi_us is None else pkey + hi_us)
+    return p, b, lo, hi
 
 
 def _partial(batch: pa.Table, width_s: int) -> pa.Table:
-    epoch_us = batch.column("ts").cast(pa.int64())
-    win = pc.multiply(
-        pc.floor(pc.divide(pc.cast(epoch_us, pa.float64()), float(width_s) * 1e6)).cast(pa.int64()),
-        width_s * 1_000_000,
-    )
-    t = batch.append_column("window_start_us", win)
+    t = batch.append_column("window_start_us",
+                            window_start_us(batch.column("ts"), width_s))
     agg = pa.TableGroupBy(t, ["event_type", "window_start_us"]).aggregate(
         [("value", "sum"), ("event_id", "count")]
     )
     return agg.rename_columns(["event_type", "window_start_us", "part_sum", "part_n"])
 
 
-def tumbling_window(events_ds, width_s: int = 3600):
-    """events → (event_type, window_start, n_events, sum_value)."""
-    from .hashagg import grouped_aggregate
-
-    partials = events_ds.map_batches(
-        lambda t: _partial(t, width_s), batch_format="pyarrow", batch_size=8192
-    )
+def _window_totals(partials):
+    """(event_type, window_start_us, part_sum, part_n) partials →
+    (event_type, window_start, n_events, sum_value): the tail that
+    tumbling and sliding windows share."""
     out = grouped_aggregate(
         partials, ["event_type", "window_start_us"],
         [("part_sum", "sum", "sum_value"), ("part_n", "sum", "n_events")],
@@ -51,6 +163,12 @@ def tumbling_window(events_ds, width_s: int = 3600):
     return out.map_batches(finish, batch_format="pyarrow")
 
 
+def tumbling_window(events_ds, width_s: int = 3600):
+    """events → (event_type, window_start, n_events, sum_value)."""
+    return _window_totals(events_ds.map_batches(
+        lambda t: _partial(t, width_s), batch_format="pyarrow", batch_size=8192))
+
+
 def sliding_window(events_ds, width_s: int = 3600, slide_s: int = 900):
     """Sliding event-time windows: each event belongs to ``width/slide``
     overlapping windows. The expansion happens inside ``map_batches``
@@ -61,8 +179,6 @@ def sliding_window(events_ds, width_s: int = 3600, slide_s: int = 900):
     k = width_s // slide_s
 
     def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         epoch_us = batch.column("ts").cast(pa.int64()).to_numpy()
         vals = batch.column("value").to_numpy()
         base = (epoch_us // (slide_s * 1_000_000)) * (slide_s * 1_000_000)
@@ -85,49 +201,22 @@ def sliding_window(events_ds, width_s: int = 3600, slide_s: int = 900):
         )
         return agg.rename_columns(["event_type", "window_start_us", "part_sum", "part_n"])
 
-    from .hashagg import grouped_aggregate
-
-    partials = events_ds.map_batches(partial, batch_format="pyarrow", batch_size=8192)
-    out = grouped_aggregate(
-        partials, ["event_type", "window_start_us"],
-        [("part_sum", "sum", "sum_value"), ("part_n", "sum", "n_events")],
-        bucket_on="window_start_us")
-
-    def finish(t: pa.Table) -> pa.Table:
-        ws = t.column("window_start_us").cast(pa.timestamp("us"))
-        return pa.Table.from_arrays(
-            [t.column("event_type"), ws,
-             t.column("n_events").cast(pa.int64()), t.column("sum_value")],
-            names=["event_type", "window_start", "n_events", "sum_value"],
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return _window_totals(
+        events_ds.map_batches(partial, batch_format="pyarrow", batch_size=8192))
 
 
 def session_window(events_ds, gap_s: int = 1800):
     """Per-user session windows: a session breaks when the gap between
     consecutive events exceeds ``gap_s``. Shuffles once on a coarse
     bucket of ``user_id`` (``stages/hashagg.grouped_reduce`` — one
-    Python call per BUCKET, not per user); inside a bucket one global
-    sort by ``(user_id, ts, event_id)`` makes user boundaries and gap
-    breaks a single vectorized pass — ordering is explicit, never block
-    arrival order (SURVEY.md §7.4)."""
-    import numpy as np
-    import pandas as pd
-
-    from .hashagg import grouped_reduce
-
+    Python call per BUCKET, not per user); inside a bucket
+    :func:`user_runs` makes user boundaries and gap breaks a single
+    vectorized pass."""
     gap_us = gap_s * 1_000_000
 
     def sessionize_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
-        e = g["ts"].astype("int64").to_numpy()
-        uid = pd.factorize(g["user_id"])[0]
-        brk = np.ones(len(g), dtype=np.int64)
-        if len(g) > 1:
-            brk[1:] = ((uid[1:] != uid[:-1]) |
-                       (e[1:] - e[:-1] > gap_us)).astype(np.int64)
-        g["_sess"] = brk.cumsum()
+        g, start = user_runs(g, gap_us)
+        g["_sess"] = start.cumsum()
         out = g.groupby("_sess", sort=True).agg(
             user_id=("user_id", "first"),
             session_start=("ts", "min"),
@@ -155,11 +244,7 @@ def events_gapfill(events_ds, width_s: int = 3600):
     materializing it driver-side for the merge is the honest cost of
     asking for a dense output; windows use integer floor division
     (``epoch_us // width_us``), bit-equal to the SQL replay."""
-    import numpy as np
-    import pandas as pd
     import ray
-
-    from .hashagg import grouped_aggregate
 
     width_us = width_s * 1_000_000
 
@@ -218,10 +303,6 @@ def events_anomaly(events_ds, width_s: int = 3600, trail: int = 24):
     (:func:`events_gapfill`) so silent hours count as 0 — a gap IS an
     anomaly signal; the per-type trailing pass is one vectorized
     cumsum over the spine (grouped by type, spine-sized)."""
-    import numpy as np
-    import pandas as pd
-
-    from .hashagg import grouped_reduce
 
     dense = events_gapfill(events_ds, width_s=width_s)
 
@@ -269,22 +350,11 @@ def events_cumsum(events_ds):
     start) — no per-user Python. Value summation is int64 cents, so
     the running totals are order-independent across plans and bit-equal
     to the SQL window replay."""
-    import numpy as np
-    import pandas as pd
-
-    from .hashagg import grouped_reduce
 
     def cumsum_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
+        g, start = user_runs(g)
         v = np.round(g["value"].to_numpy() * 100).astype(np.int64)
-        uid = pd.factorize(g["user_id"])[0]
-        n = len(g)
-        # segment starts: first row of each user run
-        start = np.zeros(n, dtype=bool)
-        if n:
-            start[0] = True
-            start[1:] = uid[1:] != uid[:-1]
-        idx = np.arange(n, dtype=np.int64)
+        idx = np.arange(len(g), dtype=np.int64)
         seg_first = idx[start]
         seg_id = np.cumsum(start) - 1
         seq = idx - seg_first[seg_id] + 1
@@ -314,26 +384,20 @@ def events_lag(events_ds):
 
     One hash shuffle on a coarse ``user_id`` bucket
     (``stages/hashagg.grouped_reduce``); in-bucket work is ONE
-    vectorized sort by ``(user_id, ts, event_id)`` + shift masked at
-    user boundaries — no per-user Python call. First event per user
-    gets ``prev_event_id = -1, gap_us = -1``.
+    vectorized :func:`user_runs` sort + shift masked at user boundaries
+    — no per-user Python call. First event per user gets
+    ``prev_event_id = -1, gap_us = -1``.
     """
-    import numpy as np
-    import pandas as pd
-
-    from .hashagg import grouped_reduce
 
     def lag_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
+        g, start = user_runs(g)
         ts = g["ts"].astype("int64").to_numpy()
         ids = g["event_id"].to_numpy()
-        uid = pd.factorize(g["user_id"])[0]
         prev_id = np.full(len(g), -1, dtype=np.int64)
         gap = np.full(len(g), -1, dtype=np.int64)
-        if len(g) > 1:
-            same = uid[1:] == uid[:-1]
-            prev_id[1:] = np.where(same, ids[:-1], -1)
-            gap[1:] = np.where(same, ts[1:] - ts[:-1], -1)
+        same = ~start[1:]
+        prev_id[1:] = np.where(same, ids[:-1], -1)
+        gap[1:] = np.where(same, ts[1:] - ts[:-1], -1)
         return pd.DataFrame({
             "event_id": ids,
             "user_id": g["user_id"].to_numpy(),
@@ -359,21 +423,14 @@ def events_quantiles(events_ds, qs=(0.5, 0.9, 0.99)):
     a running-sum window — NOT quantile_disc, whose interpolation rules
     differ across engines.
     """
-    import numpy as np
-    import pandas as pd
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def partial(t: pa.Table) -> pa.Table:
-        e2 = pc.cast(pc.round(pc.multiply(t.column("value"), 100.0),
-                              round_mode="half_towards_infinity"), pa.int64())
-        t2 = pa.Table.from_arrays([t.column("event_type"), e2],
-                                  names=["event_type", "value_e2"])
+        t2 = pa.Table.from_arrays(
+            [t.column("event_type"), fixed_point(t.column("value"), 100.0)],
+            names=["event_type", "value_e2"])
         return pa.TableGroupBy(t2, ["event_type", "value_e2"]).aggregate(
             [([], "count_all")]).rename_columns(
             ["event_type", "value_e2", "n"])
-
-    from .hashagg import grouped_aggregate
 
     hist = grouped_aggregate(
         events_ds.map_batches(partial, batch_format="pyarrow"),
@@ -396,36 +453,41 @@ def events_quantiles(events_ds, qs=(0.5, 0.9, 0.99)):
                                                  batch_format="pandas")
 
 
-def events_distinct_users(events_ds):
-    """Exact distinct-user count per event_type: batch-local (type, user)
-    dedup (combiner) → bucket shuffle on ``user_id`` → in-bucket Arrow
-    distinct + per-type partial count → tiny final sum. The shuffle
-    carries at most one row per (type, user) per batch, and no stage
-    pays a per-(type,user)-group Python call: each user lands in
-    exactly one bucket, so bucket-local distinct pairs are globally
-    distinct."""
-    from ray.data.aggregate import Sum
+def _distinct_users(events_ds, keys: list[str], key_columns):
+    """Exact distinct-user count per ``keys`` → (*keys, n_users);
+    ``key_columns(batch)`` gives the key columns of one event batch.
 
-    from .hashagg import grouped_reduce
+    Batch-local (keys, user) dedup (combiner) → bucket shuffle on
+    ``user_id`` → in-bucket Arrow distinct + per-key partial count →
+    tiny final sum. Each user lands in exactly one bucket, so
+    bucket-local distinct pairs are globally distinct; the shuffle
+    carries at most one row per (keys, user) per batch, and no stage
+    pays a per-group Python call."""
+    cols = [*keys, "user_id"]
 
     def pairs(t: pa.Table) -> pa.Table:
-        t2 = t.select(["event_type", "user_id"])
-        return pa.TableGroupBy(t2, ["event_type", "user_id"]).aggregate(
-            []).rename_columns(["event_type", "user_id"])
+        t2 = pa.table({**key_columns(t), "user_id": t.column("user_id")})
+        return pa.TableGroupBy(t2, cols).aggregate([]).rename_columns(cols)
 
     def count_bucket(t: pa.Table) -> pa.Table:
-        d = t.group_by(["event_type", "user_id"]).aggregate([])
-        c = d.group_by("event_type").aggregate([([], "count_all")])
-        return c.rename_columns(["event_type", "part"])
+        d = t.group_by(cols).aggregate([])
+        c = d.group_by(keys).aggregate([([], "count_all")])
+        return c.rename_columns([*keys, "part"])
 
     parts = grouped_reduce(events_ds.map_batches(pairs, batch_format="pyarrow"),
                            "user_id", count_bucket)
-    out = parts.groupby("event_type").aggregate(Sum("part", alias_name="n_users"))
+    out = parts.groupby(keys).aggregate(Sum("part", alias_name="n_users"))
     return out.map_batches(
         lambda t: t.set_column(t.column_names.index("n_users"), "n_users",
                                t.column("n_users").cast(pa.int64())),
         batch_format="pyarrow",
     )
+
+
+def events_distinct_users(events_ds):
+    """Exact distinct-user count per event_type (:func:`_distinct_users`)."""
+    return _distinct_users(events_ds, ["event_type"],
+                           lambda t: {"event_type": t.column("event_type")})
 
 
 #: Static value-band dimension for the interval join: [lo, hi) cents.
@@ -448,17 +510,12 @@ def events_value_bands(events_ds):
 
     No shuffle for the join itself; one combiner-backed groupby for the
     rollup."""
-    import numpy as np
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     names = [b[0] for b in VALUE_BANDS_E2]
     los = np.array([b[1] for b in VALUE_BANDS_E2], dtype=np.int64)
 
     def assign(t: pa.Table) -> pa.Table:
-        e2 = pc.cast(pc.round(pc.multiply(t.column("value"), 100.0),
-                              round_mode="half_towards_infinity"),
-                     pa.int64()).to_numpy(zero_copy_only=False)
+        e2 = fixed_point(t.column("value"), 100.0).to_numpy(
+            zero_copy_only=False)
         idx = np.searchsorted(los, e2, side="right") - 1
         idx = np.clip(idx, 0, len(names) - 1)
         band = np.array(names, dtype=object)[idx]
@@ -491,8 +548,6 @@ def events_props_sum(events_ds):
     extracted field per event_type — the schema-on-read pattern every
     crawl pipeline needs for sidecar metadata."""
     import json
-
-    from ray.data.aggregate import Sum
 
     def parse(t: pa.Table) -> pa.Table:
         ks = []
@@ -543,22 +598,11 @@ def events_rollup(events_ds, width_s: int = 3600):
     """
     import ray.data
 
-    from .hashagg import grouped_aggregate
-
     def partial(batch: pa.Table) -> pa.Table:
-        epoch = batch.column("ts").cast(pa.int64())
-        win = pc.multiply(
-            pc.floor(pc.divide(pc.cast(epoch, pa.float64()),
-                               float(width_s) * 1e6)).cast(pa.int64()),
-            width_s * 1_000_000,
-        )
-        v = pc.cast(
-            pc.round(pc.multiply(batch.column("value"), 10000.0),
-                     round_mode="half_towards_infinity"),
-            pa.int64(),
-        )
         t = pa.table({"event_type": batch.column("event_type"),
-                      "window_start_us": win, "v_e4": v})
+                      "window_start_us": window_start_us(batch.column("ts"),
+                                                         width_s),
+                      "v_e4": fixed_point(batch.column("value"), 10000.0)})
         agg = pa.TableGroupBy(t, ["event_type", "window_start_us"]).aggregate(
             [("v_e4", "sum"), ("v_e4", "count")])
         return agg.rename_columns(
@@ -613,44 +657,16 @@ def events_rollup(events_ds, width_s: int = 3600):
 
 def events_hourly_users(events_ds, width_s: int = 3600):
     """Exact distinct-user count per (event_type, tumbling window) — the
-    windowed composition of :func:`events_distinct_users`: batch-local
-    (type, window, user) dedup combiner → bucket shuffle on ``user_id``
-    (each user in exactly one bucket ⇒ bucket-local distinct is globally
-    distinct) → per-(type, window) partial counts → tiny final sum. The
-    shuffle carries at most one narrow row per (type, window, user) per
-    batch; no per-group Python anywhere."""
-    from .hashagg import grouped_reduce
-
-    def pairs(t: pa.Table) -> pa.Table:
-        epoch = t.column("ts").cast(pa.int64())
-        win = pc.multiply(
-            pc.floor(pc.divide(pc.cast(epoch, pa.float64()),
-                               float(width_s) * 1e6)).cast(pa.int64()),
-            width_s * 1_000_000,
-        )
-        t2 = pa.table({"event_type": t.column("event_type"),
-                       "window_start_us": win, "user_id": t.column("user_id")})
-        return (pa.TableGroupBy(t2, ["event_type", "window_start_us", "user_id"])
-                .aggregate([])
-                .rename_columns(["event_type", "window_start_us", "user_id"]))
-
-    def count_bucket(t: pa.Table) -> pa.Table:
-        d = t.group_by(["event_type", "window_start_us", "user_id"]).aggregate([])
-        c = d.group_by(["event_type", "window_start_us"]).aggregate([([], "count_all")])
-        return c.rename_columns(["event_type", "window_start_us", "part"])
-
-    parts = grouped_reduce(events_ds.map_batches(pairs, batch_format="pyarrow"),
-                           "user_id", count_bucket)
-    out = parts.groupby(["event_type", "window_start_us"]).aggregate(
-        Sum("part", alias_name="n_users"))
+    windowed composition of :func:`events_distinct_users`: the same
+    :func:`_distinct_users` plan with the window start as a second key."""
+    out = _distinct_users(
+        events_ds, ["event_type", "window_start_us"],
+        lambda t: {"event_type": t.column("event_type"),
+                   "window_start_us": window_start_us(t.column("ts"), width_s)})
     return out.map_batches(
-        lambda t: pa.Table.from_arrays(
-            [t.column("event_type"),
-             t.column("window_start_us").cast(pa.timestamp("us")),
-             t.column("n_users").cast(pa.int64())],
-            names=["event_type", "window_start", "n_users"]),
-        batch_format="pyarrow",
-    )
+        lambda t: t.set_column(1, "window_start",
+                               t.column(1).cast(pa.timestamp("us"))),
+        batch_format="pyarrow")
 
 
 def events_funnel(events_ds, first: str = "view", then: str = "purchase",
@@ -660,24 +676,13 @@ def events_funnel(events_ds, first: str = "view", then: str = "purchase",
     event (position in the total (ts, event_id) order). The behavioral
     sequence-match every product-analytics pipeline needs, composed from
     the session machinery: one hash shuffle on a coarse ``user_id``
-    bucket, then a single vectorized sort + two segment extrema per
-    bucket — no per-session Python."""
-    import numpy as np
-    import pandas as pd
-
-    from .hashagg import grouped_reduce
-
+    bucket, then a single vectorized :func:`user_runs` sort + two segment
+    extrema per bucket — no per-session Python."""
     gap_us = gap_s * 1_000_000
 
     def funnel_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
-        e = g["ts"].astype("int64").to_numpy()
-        uid = pd.factorize(g["user_id"])[0]
-        brk = np.ones(len(g), dtype=np.int64)
-        if len(g) > 1:
-            brk[1:] = ((uid[1:] != uid[:-1]) |
-                       (e[1:] - e[:-1] > gap_us)).astype(np.int64)
-        g["_sess"] = brk.cumsum()
+        g, start = user_runs(g, gap_us)
+        g["_sess"] = start.cumsum()
         pos = pd.Series(np.arange(len(g), dtype=np.int64), index=g.index)
         a_pos = pos.where(g["event_type"] == first)
         b_pos = pos.where(g["event_type"] == then)
@@ -688,7 +693,7 @@ def events_funnel(events_ds, first: str = "view", then: str = "purchase",
             "b": b_pos,
         }).groupby(["user_id", "_sess"], sort=True).agg(
             a=("a", "min"), b=("b", "max"))
-        conv = (a_pos_notna := per_sess["a"].notna()) & per_sess["b"].notna() \
+        conv = per_sess["a"].notna() & per_sess["b"].notna() \
             & (per_sess["a"] < per_sess["b"])
         out = per_sess.assign(conv=conv.astype("int64")).reset_index()
         return (out.groupby("user_id", sort=True)
@@ -715,15 +720,12 @@ def events_retention(events_ds, day_s: int = 86400):
     distinct user-day is by construction one retained user — and a tiny
     ``groupby((cohort, offset)).sum`` finishes. No join operator, no
     second shuffle; the same co-location argument as
-    :func:`events_hourly_users`."""
-    from .hashagg import grouped_reduce
-
+    :func:`events_hourly_users`. The day is the index of the
+    :func:`window_start_us` day window."""
     day_us = day_s * 1_000_000
 
     def day_pairs(t: pa.Table) -> pa.Table:
-        epoch = t.column("ts").cast(pa.int64())
-        day = pc.floor(pc.divide(pc.cast(epoch, pa.float64()),
-                                 float(day_us))).cast(pa.int64())
+        day = pc.divide(window_start_us(t.column("ts"), day_s), day_us)
         t2 = pa.table({"user_id": t.column("user_id"), "day": day})
         return (pa.TableGroupBy(t2, ["user_id", "day"]).aggregate([])
                 .rename_columns(["user_id", "day"]))
@@ -761,15 +763,11 @@ def events_pivot(events_ds):
     combines to per-user wide partial counts and ONE high-cardinality
     ``grouped_aggregate`` sum finishes — the pivot itself never
     shuffles strings, only int64 count columns."""
-    from .hashagg import grouped_aggregate
-
     types = sorted(events_ds.select_columns(["event_type"])
                    .unique("event_type"))
     cols = [f"n_{t}" for t in types]
 
     def widen(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         users = t.column("user_id").to_numpy()
         ets = t.column("event_type").to_pylist()
         uu, inv = np.unique(users, return_inverse=True)
@@ -804,56 +802,26 @@ def events_attribution(events_ds, convert: str = "purchase",
     largest event_id (the latest writer wins — pinned and mirrored in
     the oracle).
 
-    ONE user-bucket shuffle: both streams are filtered and projected in
-    the batch combiner, co-located by ``hash(user_id)``, and each
-    bucket runs a single vectorized ``pd.merge_asof`` (global sort on
-    ts + ``by=user_id``, C-speed, no per-user Python)."""
-    import pandas as pd
+    The backward as-of probe of ``stages/asofjoin.py`` on integer µs:
+    "strictly earlier" is ``ts <= ts_conversion - 1``, so each conversion
+    matches the last touch of :func:`probe_builds` below ``hi_us = 0``.
+    ONE user-bucket shuffle: both streams are tagged in the batch
+    combiner (:func:`tag_roles`) and co-located by ``hash(user_id)``."""
 
-    from .hashagg import grouped_reduce
-
-    def project(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array([convert, touch]))
-        t = t.filter(keep)
-        return pa.table({"user_id": t.column("user_id"),
-                         "ts": t.column("ts"),
-                         "event_id": t.column("event_id"),
-                         "event_type": t.column("event_type")})
-
-    def asof_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        conv = df[df["event_type"] == convert]
-        tch = df[df["event_type"] == touch]
-        if conv.empty or tch.empty:
-            return pd.DataFrame({
-                "purchase_id": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "purchase_ts": pd.Series([], dtype="datetime64[us]"),
-                "view_id": pd.Series([], dtype="int64"),
-                "view_ts": pd.Series([], dtype="datetime64[us]"),
-            })
-        conv = conv.sort_values(["ts", "event_id"], kind="stable")
-        tch = tch.sort_values(["ts", "event_id"], kind="stable")
-        # merge_asof drops the right join key; carry it as a data column.
-        tch = pd.DataFrame({"ts": tch["ts"], "user_id": tch["user_id"],
-                            "view_id": tch["event_id"],
-                            "view_ts": tch["ts"]})
-        j = pd.merge_asof(
-            conv, tch, on="ts", by="user_id",
-            direction="backward", allow_exact_matches=False,
-        )
-        # merge_asof keeps the LAST right row at the matched ts — the
-        # (ts, event_id) ascending sort makes that the max event_id.
-        # Unmatched conversions carry NaN — drop (inner as-of).
-        j = j.dropna(subset=["view_id"])
-        return pd.DataFrame({
-            "purchase_id": j["event_id"].astype("int64"),
-            "user_id": j["user_id"].astype("int64"),
-            "purchase_ts": j["ts"],
-            "view_id": j["view_id"].astype("int64"),
-            "view_ts": j["view_ts"],
+    def attribute_bucket(t: pa.Table) -> pa.Table:
+        p, b, lo, hi = probe_builds(t, None, 0, "events_attribution")
+        hit = hi > lo
+        p, m = p[hit], b[hi[hit] - 1]
+        eid = t.column("event_id").to_numpy()
+        ts = t.column("ts_us").to_numpy()
+        return pa.table({
+            "purchase_id": pa.array(eid[p], pa.int64()),
+            "user_id": pa.array(t.column("user_id").to_numpy()[p], pa.int64()),
+            "purchase_ts": pa.array(ts[p], pa.int64()).cast(pa.timestamp("us")),
+            "view_id": pa.array(eid[m], pa.int64()),
+            "view_ts": pa.array(ts[m], pa.int64()).cast(pa.timestamp("us")),
         })
 
-    return grouped_reduce(
-        events_ds.map_batches(project, batch_format="pyarrow"),
-        "user_id", asof_bucket, batch_format="pandas")
+    tagged = events_ds.map_batches(lambda t: tag_roles(t, convert, touch),
+                                   batch_format="pyarrow")
+    return grouped_reduce(tagged, "user_id", attribute_bucket)

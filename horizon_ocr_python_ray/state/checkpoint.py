@@ -32,14 +32,15 @@ from collections.abc import Callable
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.fasthash import md5_number_lower
+
 
 def partition_of(url: str, num_partitions: int) -> int:
     """Stable fragment id from the url: md5 low-64 (little-endian) mod P
     — the engine-wide ``md5_number_lower`` convention, so an external
     auditor (the DuckDB oracle included) recomputes the fragment map
     bit-identically: ``md5_number_lower(url) % P``."""
-    h = int.from_bytes(hashlib.md5(url.encode("utf-8")).digest()[8:], "little")
-    return h % num_partitions
+    return md5_number_lower(url) % num_partitions
 
 
 def _manifest_path(out_dir: str) -> str:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
 from horizon_ocr_python_ray.stages.dsir import (
     N_BUCKETS,
     WEIGHT_SCALE,
     _doc_buckets,
-    _md5_low64,
     build_weights,
     dsir_scores,
 )
@@ -36,7 +36,7 @@ def _brute_weights(tbl, target_lang="en"):
     for text, lang in zip(tbl.column("text").to_pylist(),
                           tbl.column("lang").to_pylist()):
         for t in (text or "").lower().split():
-            b = _md5_low64(t) % N_BUCKETS
+            b = md5_number_lower(t) % N_BUCKETS
             raw[b] += 1
             if lang == target_lang:
                 tgt[b] += 1
@@ -110,7 +110,7 @@ def test_bucket_memo_cleared_at_its_bound(monkeypatch):
     monkeypatch.setattr(dsir, "_BUCKET_CACHE_MAX", 3)
     words = [f"w{i}" for i in range(10)]
     got = _doc_buckets(" ".join(words))
-    assert got == [_md5_low64(w) % N_BUCKETS for w in words]
+    assert got == [md5_number_lower(w) % N_BUCKETS for w in words]
     # cleared whenever it reached the bound: never more than 3 entries
     assert 0 < len(dsir._BUCKET_CACHE) <= 3
     assert "w9" in dsir._BUCKET_CACHE

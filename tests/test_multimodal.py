@@ -168,13 +168,13 @@ def test_audio_energy_probe_roundtrip():
         audio_energy_batch,
         gen_audio_probe_table,
     )
-    from horizon_ocr_python_ray.stages.sketches import _md5_low64
+    from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
 
     t = gen_audio_probe_table(8)
     got = audio_energy_batch(t).to_pandas()
     for i in range(8):
-        n = 256 + _md5_low64(f"apn:42:{i}") % 1024
-        s = np.array([_md5_low64(f"ap:42:{i}:{k}") % 32768 - 16384
+        n = 256 + md5_number_lower(f"apn:42:{i}") % 1024
+        s = np.array([md5_number_lower(f"ap:42:{i}:{k}") % 32768 - 16384
                       for k in range(n)], np.int64)
         row = got[got.media_id == i].iloc[0]
         assert row.n_samples == n
@@ -220,7 +220,7 @@ def test_media_probe_features_match_planted_parameters(ray_session):
         media_features_probe_for_n,
         media_motion_probe_for_n,
     )
-    from horizon_ocr_python_ray.stages.sketches import _md5_low64
+    from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
 
     N = 27  # covers all 8 orientations and all 3 variants
     feat = media_features_probe_for_n(N).to_pandas()
@@ -240,8 +240,8 @@ def test_media_probe_features_match_planted_parameters(ray_session):
                     wsum += int(px[y, x]) * (yy * W + xx)
             assert feat[(i, "px_wsum")] == wsum, (i, o)
         elif kind == "audio":
-            n = 256 + _md5_low64(f"mpan:42:{i}") % 1024
-            s = np.array([_md5_low64(f"mpa:42:{i}:{k}") % 32768 - 16384
+            n = 256 + md5_number_lower(f"mpan:42:{i}") % 1024
+            s = np.array([md5_number_lower(f"mpa:42:{i}:{k}") % 32768 - 16384
                           for k in range(n)], np.int64)
             assert feat[(i, "n_samples")] == n
             assert feat[(i, "sum_sq")] == (s * s).sum()

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
 from horizon_ocr_python_ray.stages.sampling import (
-    _md5_low64,
     hash_split,
     hash_split_batch,
     host_quota,
@@ -41,7 +41,7 @@ def test_md5_low64_matches_duckdb():
     import duckdb
 
     for key in ("0", "42", "99999"):
-        assert _md5_low64(key) == duckdb.sql(
+        assert md5_number_lower(key) == duckdb.sql(
             f"SELECT md5_number_lower('{key}')").fetchone()[0]
 
 
@@ -84,7 +84,8 @@ def test_host_quota_keeps_earliest(ray_session):
 def test_stratified_sample_exact_k_per_stratum(ray_session):
     import ray.data
 
-    from horizon_ocr_python_ray.stages.sampling import _md5_low64, stratified_sample
+    from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
+    from horizon_ocr_python_ray.stages.sampling import stratified_sample
 
     t = pa.table({
         "doc_id": pa.array(list(range(100)), pa.int64()),
@@ -96,11 +97,11 @@ def test_stratified_sample_exact_k_per_stratum(ray_session):
     for lang, grp in out.groupby("lang"):
         # the k smallest hashes of that stratum, ranked 1..k
         ids = [i for i in range(100) if ("en", "de", "fr")[i % 3] == lang]
-        want = sorted(ids, key=lambda i: (_md5_low64(str(i)), i))[:5]
+        want = sorted(ids, key=lambda i: (md5_number_lower(str(i)), i))[:5]
         got = grp.sort_values("sample_rank")
         assert list(got["doc_id"]) == want
         assert list(got["sample_rank"]) == [1, 2, 3, 4, 5]
-        assert all(got["sample_hash"] == [_md5_low64(str(i)) for i in want])
+        assert all(got["sample_hash"] == [md5_number_lower(str(i)) for i in want])
 
 
 def test_stratified_sample_small_stratum_keeps_all(ray_session):
@@ -127,14 +128,14 @@ def test_shuffle_shards_assignment_and_positions(ray_session):
 
     # Every key exactly once; shard is the salted-md5 bucket.
     assert sorted(out["doc_id"]) == ids
-    expect_shard = {k: _md5_low64(str(k) + SHUFFLE_SALT) % 16 for k in ids}
+    expect_shard = {k: md5_number_lower(str(k) + SHUFFLE_SALT) % 16 for k in ids}
     assert all(expect_shard[k] == s for k, s in zip(out["doc_id"], out["shard"]))
 
     # Positions are dense 0..m-1 per shard and ordered by the hash.
     for shard, grp in out.groupby("shard"):
         grp = grp.sort_values("pos")
         assert list(grp["pos"]) == list(range(len(grp)))
-        hs = [_md5_low64(str(k) + SHUFFLE_SALT) for k in grp["doc_id"]]
+        hs = [md5_number_lower(str(k) + SHUFFLE_SALT) for k in grp["doc_id"]]
         assert hs == sorted(hs)
 
 
@@ -207,10 +208,7 @@ def test_mix_temperature_quota_caps_at_stratum_count(ray_session):
 def test_mix_temperature_members_are_hash_order(ray_session):
     import ray.data
 
-    from horizon_ocr_python_ray.stages.sampling import (
-        _md5_low64,
-        mix_temperature,
-    )
+    from horizon_ocr_python_ray.stages.sampling import mix_temperature
 
     t = pa.table({
         "doc_id": pa.array(list(range(50)), pa.int64()),
@@ -219,7 +217,7 @@ def test_mix_temperature_members_are_hash_order(ray_session):
     out = (mix_temperature(ray.data.from_arrow(t).repartition(4),
                            budget_permille=200)
            .to_pandas().sort_values("sample_rank"))
-    want = sorted(range(50), key=lambda i: (_md5_low64(str(i)), i))[:10]
+    want = sorted(range(50), key=lambda i: (md5_number_lower(str(i)), i))[:10]
     assert list(out["doc_id"]) == want
     assert list(out["sample_rank"]) == list(range(1, 11))
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
 from horizon_ocr_python_ray.stages.kmeans import emb_semdedup
 from horizon_ocr_python_ray.stages.sampling import (
-    _md5_low64,
     mix_rebalance,
     safe_split,
 )
@@ -66,7 +66,7 @@ def test_mix_rebalance_equal_quota(ray_session):
     # selection is the hash-order min-k within each stratum
     for lang, g in out.groupby("lang"):
         pool = t.to_pandas().query("lang == @lang")
-        want = sorted(pool.doc_id, key=lambda d: (_md5_low64(str(d)), d))[:3]
+        want = sorted(pool.doc_id, key=lambda d: (md5_number_lower(str(d)), d))[:3]
         assert sorted(g.doc_id) == sorted(want)
 
 

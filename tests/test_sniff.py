@@ -49,6 +49,7 @@ def test_sniff_and_extract_skip_one_leading_prefix():
         b"\xef" + clean: ROUTE_BINARY,
         b" \xef\xbb" + clean: ROUTE_BINARY,
         bom + b"\xbf" + clean: ROUTE_BINARY,
+        b"\n" * 300 + clean: ROUTE_HTML,  # markup past the first 256 bytes
     }
     for payload, route in cases.items():
         assert sniff_route(payload) == route, payload

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from horizon_ocr_python_ray.functions.minhash import md5_low64
+from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
 from horizon_ocr_python_ray.stages.winnow import (
     DEFAULT_K,
     DEFAULT_W,
@@ -16,7 +16,7 @@ from horizon_ocr_python_ray.stages.winnow import (
 def naive_winnow(text: str, k: int = DEFAULT_K, w: int = DEFAULT_W):
     toks = [t for t in (text or "").lower().split() if t]
     grams = [" ".join(toks[i:i + k]) for i in range(len(toks) - k + 1)]
-    hs = [md5_low64(g) for g in grams]
+    hs = [md5_number_lower(g) for g in grams]
     if not hs:
         return 0, 0, -(1 << 63)
     if len(hs) <= w:
@@ -68,7 +68,7 @@ def test_winnow_shared_substring_guarantee():
         toks = text.lower().split()
         grams = [" ".join(toks[i:i + DEFAULT_K])
                  for i in range(len(toks) - DEFAULT_K + 1)]
-        hs = [md5_low64(g) for g in grams]
+        hs = [md5_number_lower(g) for g in grams]
         return {min(hs[j:j + DEFAULT_W])
                 for j in range(len(hs) - DEFAULT_W + 1)}
 
@@ -113,7 +113,7 @@ def test_winnow_shared_pairs_matches_naive(ray_session):
         toks = text.lower().split()
         grams = [" ".join(toks[i:i + DEFAULT_K])
                  for i in range(len(toks) - DEFAULT_K + 1)]
-        hs = [md5_low64(g) for g in grams]
+        hs = [md5_number_lower(g) for g in grams]
         if not hs:
             return set()
         if len(hs) <= DEFAULT_W:
