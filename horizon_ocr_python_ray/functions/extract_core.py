@@ -31,7 +31,7 @@ _LINE_SPLIT_RE = re.compile(r"\r\n|\r|\n")
 def normalize_plain_text(raw: str) -> tuple[str, list[dict]]:
     """Passthrough route: normalize the ``text`` column — split lines,
     strip each, drop empties, join with the canonical separator."""
-    lines = (ln.strip() for ln in _LINE_SPLIT_RE.split(raw or ""))
+    lines = map(str.strip, _LINE_SPLIT_RE.split(raw or ""))
     return join_blocks([(ln, "line") for ln in lines if ln])
 
 

@@ -72,10 +72,10 @@ def tag_roles(t: pa.Table, probe_type: str,
     """One event batch → its rows of the role-tagged union that carries
     both streams of a probe join through one ``user_id`` shuffle:
     ``(user_id, ts_us, event_id[, value_e2], role)``. ``probe_type``
-    events are probes;
-    ``build_type`` events are builds, or, when it is ``None``, every
-    event is (a probe-type event then rides twice, once per role).
-    ``value_e2`` (cents) rides when the batch has a ``value`` column."""
+    events are probes; ``build_type`` events are builds, or, when it is
+    ``None``, every event is (a probe-type event then rides twice, once
+    per role). ``value_e2`` (cents) rides when the batch has a ``value``
+    column."""
     etype = t.column("event_type")
     probe = pc.equal(etype, probe_type)
     rows = {"user_id": t.column("user_id"),
@@ -111,8 +111,8 @@ def probe_builds(t: pa.Table, lo_us: int | None, hi_us: int | None,
     that block's edges. One lexsort of the builds and one
     ``searchsorted`` per side: O((P + B) log B) per bucket, whatever the
     per-user skew, where a per-user product costs a hot user |events|²
-    pairs. A bucket whose key space overflows int64 raises; raise the caller's
-    ``num_buckets`` so each bucket holds fewer users."""
+    pairs. A bucket whose key space overflows int64 raises; raise the
+    caller's ``num_buckets`` so each bucket holds fewer users."""
     role = t.column("role").to_numpy()
     p = np.flatnonzero(role == ROLE_PROBE)
     b = np.flatnonzero(role == ROLE_BUILD)
