@@ -267,9 +267,9 @@ def _doc_simhash_near_dup(sf_dir: str):
 
 def _minhash_near_dup(sf_dir: str):
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data
     from horizon_ocr_python_ray.stages.dedup_docs import minhash_near_dup_verified
+    from horizon_ocr_python_ray.stages.window import fixed_point
 
     docs = _sf_table(sf_dir, "documents", columns=["doc_id", "text"])
     verified = minhash_near_dup_verified(docs, min_est_jaccard=0.5, verify_threshold=0.5)
@@ -281,12 +281,9 @@ def _minhash_near_dup(sf_dir: str):
     # 32×4 banding miss probability is < 1e-12 → pair set equals the
     # all-pairs SQL.
     def project(t: "pa.Table") -> "pa.Table":
-        e6 = pc.cast(
-            pc.round(pc.multiply(t.column("jaccard"), 1e6), round_mode="half_towards_infinity"),
-            pa.int64(),
-        )
         return pa.Table.from_arrays(
-            [t.column("doc_a"), t.column("doc_b"), e6],
+            [t.column("doc_a"), t.column("doc_b"),
+             fixed_point(t.column("jaccard"), 1e6)],
             names=["doc_a", "doc_b", "jaccard_e6"],
         )
 
@@ -361,9 +358,8 @@ def _ann_topk_ivf(sf_dir: str):
 
 def _events_hourly(sf_dir: str):
     import ray.data
-    from horizon_ocr_python_ray.stages.window import tumbling_window
+    from horizon_ocr_python_ray.stages.window import fixed_point, tumbling_window
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     events = _sf_table(sf_dir, "events",
                                    columns=["event_id", "ts", "event_type", "value"])
@@ -372,7 +368,7 @@ def _events_hourly(sf_dir: str):
     def as_e4(t: "pa.Table") -> "pa.Table":
         # Float sums accumulate order-dependent ulps; compare as integer
         # 1e-4 units so the hash is stable vs the DuckDB oracle.
-        e4 = pc.cast(pc.round(pc.multiply(t.column("sum_value"), 10000.0)), pa.int64())
+        e4 = fixed_point(t.column("sum_value"), 10000.0)
         return t.set_column(t.column_names.index("sum_value"), "sum_value_e4", e4)
 
     return out.map_batches(as_e4, batch_format="pyarrow")
@@ -381,15 +377,14 @@ def _events_hourly(sf_dir: str):
 def _events_sliding(sf_dir: str):
     import ray.data
     import pyarrow as pa
-    import pyarrow.compute as pc
-    from horizon_ocr_python_ray.stages.window import sliding_window
+    from horizon_ocr_python_ray.stages.window import fixed_point, sliding_window
 
     events = _sf_table(sf_dir, "events",
                                    columns=["event_id", "ts", "event_type", "value"])
     out = sliding_window(events, width_s=3600, slide_s=900)
 
     def as_e4(t: pa.Table) -> pa.Table:
-        e4 = pc.cast(pc.round(pc.multiply(t.column("sum_value"), 10000.0)), pa.int64())
+        e4 = fixed_point(t.column("sum_value"), 10000.0)
         return t.set_column(t.column_names.index("sum_value"), "sum_value_e4", e4)
 
     return out.map_batches(as_e4, batch_format="pyarrow")
@@ -398,15 +393,14 @@ def _events_sliding(sf_dir: str):
 def _events_sessions(sf_dir: str):
     import ray.data
     import pyarrow as pa
-    import pyarrow.compute as pc
-    from horizon_ocr_python_ray.stages.window import session_window
+    from horizon_ocr_python_ray.stages.window import fixed_point, session_window
 
     events = _sf_table(sf_dir, "events",
                                    columns=["event_id", "ts", "user_id", "value"])
     out = session_window(events, gap_s=1800)
 
     def finish(t: pa.Table) -> pa.Table:
-        e4 = pc.cast(pc.round(pc.multiply(t.column("sum_value"), 10000.0)), pa.int64())
+        e4 = fixed_point(t.column("sum_value"), 10000.0)
         t = t.set_column(t.column_names.index("sum_value"), "sum_value_e4", e4)
         return t.set_column(t.column_names.index("session_idx"), "session_idx",
                             t.column("session_idx").cast(pa.int64()))

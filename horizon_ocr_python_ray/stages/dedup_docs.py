@@ -5,15 +5,28 @@ SimHash bucketing, and n-gram Jaccard verification — the training-data
 curation counterparts of the engine's content-hash dedup
 (``stages/dedup.py``; reference semantics
 ``/root/reference/docvision/azure/response_cache.py:66-91``).
+
+Every near-duplicate operator (MinHash, SimHash, winnowing in
+``stages/winnow.py``, n-gram Jaccard in ``stages/jaccard.py``) answers
+two questions, and each has one home here:
+
+- :func:`shared_key_pairs` — which documents share a key: the distinct
+  ``doc_a < doc_b`` pairs of ``(doc_id, key)`` rows whose key has a
+  document frequency in ``[2, max_df]``;
+- :func:`score_pairs` — is a candidate pair close enough: each
+  candidate text is featurized once and every pair scored by the
+  caller's ``score``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.collect import collect_table, collect_tables, fold_capped
 from ..functions.minhash import (
@@ -26,6 +39,19 @@ from ..functions.minhash import (
     shingle_hashes,
 )
 from ..state.worker import worker_state
+from .hashagg import grouped_aggregate, grouped_reduce
+
+__all__ = [
+    "exact_dedup_docs",
+    "map_pairs",
+    "minhash_near_dup_verified",
+    "near_dup_clusters",
+    "ngram_jaccard_verify",
+    "score_pairs",
+    "shared_key_pairs",
+    "simhash_batch",
+    "simhash_near_dup_pairs",
+]
 
 
 # -- exact dedup -------------------------------------------------------------
@@ -42,8 +68,6 @@ def exact_dedup_docs(docs_ds):
     reduce is the bucketed hash aggregate (``stages/hashagg.py``:
     batch combiner → coarse bucket shuffle → Arrow C++ merge), never a
     per-group Python call."""
-    from .hashagg import grouped_aggregate
-
     ds = docs_ds.map_batches(add_text_md5, batch_format="pyarrow")
     ds = ds.select_columns(["text_hash", "doc_id"])
     out = grouped_aggregate(
@@ -59,11 +83,305 @@ def exact_dedup_docs(docs_ds):
     )
 
 
+# -- shared-key pairing ------------------------------------------------------
+
+#: Key rows the driver folds and pairs itself; past this many the
+#: pairing runs distributed over the partial blocks the fold streamed.
+KEY_FOLD_MAX_ROWS = 50_000_000
+
+PAIR_IDS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
+
+
+def _segment_pos(sizes: np.ndarray) -> np.ndarray:
+    """0-based position of every element within its segment, for
+    consecutive segments of the given sizes."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """Index of the first row of every run of equal rows of the sorted
+    ``cols``."""
+    n = len(cols[0])
+    change = np.zeros(max(n - 1, 0), bool)
+    for c in cols:
+        change |= c[1:] != c[:-1]
+    return np.flatnonzero(np.r_[n > 0, change])
+
+
+def _pairs_on_driver(t: pa.Table, key: str, max_df: int | None,
+                     carry: tuple[str, ...]) -> pa.Table:
+    """:func:`shared_key_pairs` over key rows in hand, in numpy: sort by
+    (key, doc), pair every row with the rows after it in its key group,
+    then count the distinct pairs."""
+    doc = t.column("doc_id").to_numpy()
+    ks = t.column(key).to_numpy()
+    order = np.lexsort((doc, ks))
+    start = _run_starts(ks[order])
+    size = np.diff(np.r_[start, len(ks)])
+    ok = size >= 2 if max_df is None else (size >= 2) & (size <= max_df)
+    start, size = start[ok], size[ok]
+    pos = _segment_pos(size)
+    fan = np.repeat(size, size) - 1 - pos  # rows after it in its group
+    left = np.repeat(np.repeat(start, size) + pos, fan)
+    ia, ib = order[left], order[left + 1 + _segment_pos(fan)]
+    strict = doc[ia] < doc[ib]  # a doc that repeats a key is no pair
+    ia, ib = ia[strict], ib[strict]
+    o = np.lexsort((doc[ib], doc[ia]))
+    ia, ib = ia[o], ib[o]
+    first = _run_starts(doc[ia], doc[ib])
+    ia, ib = ia[first], ib[first]
+    cols = {"doc_a": pa.array(doc[ia], pa.int64()),
+            "doc_b": pa.array(doc[ib], pa.int64()),
+            "n_shared": pa.array(np.diff(np.r_[first, len(o)]), pa.int64())}
+    for c in carry:
+        cols[f"{c}_a"] = t.column(c).take(ia)
+        cols[f"{c}_b"] = t.column(c).take(ib)
+    return pa.table(cols)
+
+
+def _pairs_distributed(rest, key: str, max_df: int | None,
+                       carry: tuple[str, ...], empty: pa.Table):
+    """:func:`shared_key_pairs` over the key rows' partial blocks:
+    document frequency per key (``grouped_aggregate``), the pairable
+    keys collected (sized by the duplicate rate, not the corpus) into an
+    ``is_in`` filter, one pandas self-merge per bucket
+    (``grouped_reduce``) and a bucketed sum per pair. The carried
+    columns are functions of the doc, so they ride as group keys."""
+    df = grouped_aggregate(rest, key, [("doc_id", "count", "df")])
+
+    def pairable(t: pa.Table) -> pa.Table:
+        ok = pc.greater(t.column("df"), 1)
+        if max_df is not None:
+            ok = pc.and_(ok, pc.less_equal(t.column("df"), max_df))
+        return t.filter(ok).select([key])
+
+    keys = collect_table(  # bounded: keys shared by 2..max_df docs
+        df.map_batches(pairable, batch_format="pyarrow"),
+        schema=pa.schema([(key, pa.int64())])).column(key).combine_chunks()
+    if not len(keys):
+        return empty
+    members = rest.map_batches(
+        lambda t: t.filter(pc.is_in(t.column(key), value_set=keys)),
+        batch_format="pyarrow")
+    group = ["doc_a", "doc_b", *(f"{c}_{s}" for c in carry for s in "ab")]
+
+    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        m = g.merge(g, on=key, suffixes=("_a", "_b"))
+        m = m[m["doc_id_a"] < m["doc_id_b"]].rename(
+            columns={"doc_id_a": "doc_a", "doc_id_b": "doc_b"})
+        return m.groupby(group).size().reset_index(name="p_n")
+
+    partials = grouped_reduce(members, key, pairs_in_bucket,
+                              batch_format="pandas")
+    return grouped_aggregate(partials, group, [("p_n", "sum", "n_shared")],
+                             bucket_on="doc_a")
+
+
+def shared_key_pairs(rows_ds, key: str, max_df: int | None = None,
+                     carry: tuple[str, ...] = ()):
+    """``(doc_id, key, *carry)`` rows → the distinct ``doc_a < doc_b``
+    pairs that share a key whose document frequency lies in
+    ``[2, max_df]`` (``None``: no upper bound), with ``n_shared``, the
+    number of such keys they share, and each carried column of both
+    docs as ``{c}_a`` / ``{c}_b``. Each doc emits a key at most once;
+    every column is int64.
+
+    One plan rule: the key rows stream once through
+    ``collect.fold_capped``. Under :data:`KEY_FOLD_MAX_ROWS` they pair
+    on the driver in numpy and the result is a Table; past it the
+    pairing runs distributed over the partial blocks already streamed
+    (:func:`_pairs_distributed`) and the result is a Dataset. Both give
+    the same rows (tested)."""
+    schema = pa.schema([(c, pa.int64()) for c in ("doc_id", key, *carry)])
+    rows, rest = fold_capped(rows_ds, schema, None, None, KEY_FOLD_MAX_ROWS)
+    if rest is None:
+        return _pairs_on_driver(rows, key, max_df, carry)
+    empty = _pairs_on_driver(schema.empty_table(), key, max_df, carry)
+    return _pairs_distributed(rest, key, max_df, carry, empty)
+
+
+def map_pairs(pairs, fn):
+    """``fn`` over the pairs :func:`shared_key_pairs` returned, as a
+    Dataset."""
+    import ray.data
+
+    if isinstance(pairs, pa.Table):
+        return ray.data.from_arrow(fn(pairs))
+    return pairs.map_batches(fn, batch_format="pyarrow")
+
+
+# -- pair scoring ------------------------------------------------------------
+
+#: Candidate-doc count above which pair scoring refuses to collect
+#: texts onto the driver and switches to the join-co-located plan. The
+#: broadcast dict is one Python string per candidate doc — 2M web pages
+#: at ~4 KB is ~8 GB; anything bigger must not land on one machine.
+VERIFY_BROADCAST_MAX_DOCS = 2_000_000
+
+#: Pair scoring folds candidate pairs to the driver only up to this many
+#: rows (a few int64 columns → tens of MB at the cap). Candidate
+#: generation is bounded per key, not per corpus — a duplicate-heavy
+#: corpus yields O(dup-pairs) candidates — so the fold streams with a
+#: running count and, past the cap, scoring takes the join-co-located
+#: plan over the pairs already produced.
+PAIR_COLLECT_MAX_ROWS = 2_000_000
+
+
+def attach_pair_texts(docs_ds, pairs_ds, num_partitions: int = 8):
+    """Co-locate each candidate pair with BOTH documents' texts — two
+    narrow hash joins (pairs ⋈ docs on doc_a, then on doc_b), no driver
+    state: the scale path for near-dup verification when the candidate
+    set is too big to broadcast. Missing docs surface as "" (the same
+    default the broadcast dict uses). All pair columns pass through;
+    ``text_a`` / ``text_b`` are appended."""
+    from .joins import safe_join
+
+    docs = docs_ds.select_columns(["doc_id", "text"])
+    doc_schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
+
+    def _rename_text(to: str):
+        def fn(t: pa.Table) -> pa.Table:
+            i = t.column_names.index("text")
+            col = pc.fill_null(t.column("text"), "")
+            return t.set_column(i, to, col)
+        return fn
+
+    j1 = safe_join(pairs_ds, docs, join_type="left_outer",
+                   num_partitions=num_partitions,
+                   on=("doc_a",), right_on=("doc_id",),
+                   right_schema=doc_schema)
+    j1 = j1.map_batches(_rename_text("text_a"), batch_format="pyarrow")
+    j2 = safe_join(j1, docs, join_type="left_outer",
+                   num_partitions=num_partitions,
+                   on=("doc_b",), right_on=("doc_id",),
+                   right_schema=doc_schema)
+    return j2.map_batches(_rename_text("text_b"), batch_format="pyarrow")
+
+
+def collect_texts_for_ids(docs_ds, ids) -> dict[int, str]:
+    """Collect the texts of ONLY the given doc ids (candidate multiplicity
+    ~ duplicate rate, not corpus size) — a distributed filter pass, never
+    a full-table driver materialization."""
+    if not ids:
+        return {}
+    id_set = pa.array(sorted(ids), pa.int64())
+    got = collect_tables(
+        docs_ds.select_columns(["doc_id", "text"]).map_batches(
+            lambda t: t.filter(pc.is_in(t.column("doc_id"), value_set=id_set)),
+            batch_format="pyarrow",
+        ))
+    if not got:
+        return {}
+    tbl = pa.concat_tables(got)
+    return dict(zip(tbl.column("doc_id").to_pylist(),
+                    tbl.column("text").to_pylist()))
+
+
+def _scored(t: pa.Table, feature, score, schema: pa.Schema) -> pa.Table:
+    """The pairs of ``t`` that ``score`` keeps, with its values."""
+    rows = []
+    for a, b in zip(t.column("doc_a").to_pylist(), t.column("doc_b").to_pylist()):
+        v = score(feature(a), feature(b))
+        if v is not None:
+            rows.append((a, b, *v))
+    cols = list(zip(*rows)) if rows else [()] * len(schema)
+    return pa.table([pa.array(c, f.type) for c, f in zip(cols, schema)],
+                    schema=schema)
+
+
+def _score_broadcast_task(t: pa.Table, ref, featurize, score,
+                          schema: pa.Schema) -> pa.Table:
+    """Score against the candidate texts broadcast once. One worker_state
+    slot per worker holds the texts and the features built so far, for
+    one broadcast: the next sweep's ref drops them."""
+    import ray
+
+    texts, feats = worker_state("pair_features", ref.hex(),
+                                lambda: (ray.get(ref), {}))
+
+    def feature(d: int):
+        if d not in feats:
+            feats[d] = featurize(texts.get(d) or "")
+        return feats[d]
+
+    return _scored(t, feature, score, schema)
+
+
+def _score_joined_task(t: pa.Table, featurize, score,
+                       schema: pa.Schema) -> pa.Table:
+    """Score join-co-located ``(…, text_a, text_b)`` rows; each doc of
+    the batch is featurized once."""
+    feats: dict = {}
+    for ids, texts in (("doc_a", "text_a"), ("doc_b", "text_b")):
+        for d, x in zip(t.column(ids).to_pylist(), t.column(texts).to_pylist()):
+            if d not in feats:
+                feats[d] = featurize(x or "")
+    return _scored(t, feats.__getitem__, score, schema)
+
+
+def score_pairs(docs_ds, pairs, featurize, score, fields: list[pa.Field]):
+    """Candidate pairs → ``(doc_a, doc_b, *fields)`` for every pair
+    ``score`` keeps. ``featurize(text)`` builds one doc's features and
+    ``score(fa, fb)`` returns the pair's ``fields`` values, or ``None``
+    to drop it. ``docs_ds`` holds ``(doc_id, text)``; a missing or null
+    text is "".
+
+    ``pairs`` is a Table in hand or a Dataset, which folds once under
+    :data:`PAIR_COLLECT_MAX_ROWS`. Two plans, row-identical (tested):
+
+    - broadcast: with at most :data:`VERIFY_BROADCAST_MAX_DOCS`
+      candidate docs, their texts are collected once and ``ray.put``;
+      each worker featurizes a doc once per broadcast;
+    - join-co-located, past either cap: each pair gets both texts by
+      two narrow hash joins (:func:`attach_pair_texts`) and is scored
+      in the stream, over the pair blocks already produced — nothing
+      text-sized reaches the driver.
+    """
+    import ray
+    import ray.data
+
+    schema = pa.schema([*PAIR_IDS_SCHEMA, *fields])
+    src = None
+    if not isinstance(pairs, pa.Table):
+        pairs, src = fold_capped(pairs, PAIR_IDS_SCHEMA, None, None,
+                                 PAIR_COLLECT_MAX_ROWS)
+    kwargs = {"featurize": featurize, "score": score, "schema": schema}
+    if src is None:
+        if not pairs.num_rows:
+            return ray.data.from_arrow(schema.empty_table())
+        src = ray.data.from_arrow(pairs.select(PAIR_IDS_SCHEMA.names))
+        cand = np.union1d(pairs.column("doc_a").to_numpy(),
+                          pairs.column("doc_b").to_numpy())
+        if len(cand) <= VERIFY_BROADCAST_MAX_DOCS:
+            ref = ray.put(collect_texts_for_ids(docs_ds, cand.tolist()))
+            return src.map_batches(_score_broadcast_task,
+                                   fn_kwargs={"ref": ref, **kwargs},
+                                   batch_format="pyarrow")
+    return attach_pair_texts(docs_ds, src).map_batches(
+        _score_joined_task, fn_kwargs=kwargs, batch_format="pyarrow")
+
+
+def _jaccard_at_least(sa: np.ndarray, sb: np.ndarray, threshold: float):
+    jac = exact_jaccard(sa, sb)
+    return (jac,) if jac >= threshold else None
+
+
+def ngram_jaccard_verify(docs_ds, pairs_ds, k_shingle: int = 5,
+                         threshold: float = 0.5):
+    """Candidate pairs → ``(doc_a, doc_b, jaccard)``, the pairs whose
+    EXACT k-token shingle Jaccard is at least ``threshold``
+    (:func:`score_pairs` over :func:`shingle_hashes` sets)."""
+    return score_pairs(docs_ds, pairs_ds,
+                       functools.partial(shingle_hashes, k=k_shingle),
+                       functools.partial(_jaccard_at_least, threshold=threshold),
+                       [pa.field("jaccard", pa.float64())])
+
+
 # -- MinHash + LSH near-dup --------------------------------------------------
 
-def _worker_minhash_stage(num_hashes: int, num_bands: int, k_shingle: int,
-                          seed: int = 7) -> "MinHashStage":
-    key = (num_hashes, num_bands, k_shingle, seed)
+def _worker_minhash_stage(num_hashes: int, num_bands: int,
+                          k_shingle: int) -> "MinHashStage":
+    key = (num_hashes, num_bands, k_shingle)
     return worker_state("minhash", key, lambda: MinHashStage(*key))
 
 
@@ -88,10 +406,10 @@ class MinHashStage:
         self.k = k_shingle
         self._token_cache: dict[str, int] = {}
 
-    def signature(self, text: str) -> np.ndarray:
-        return minhash_signature(
-            shingle_hashes(text or "", self.k, self._token_cache), self.a, self.b
-        )
+    def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """(signature, shingle set) of one text."""
+        sh = shingle_hashes(text, self.k, self._token_cache)
+        return minhash_signature(sh, self.a, self.b), sh
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_numpy()
@@ -109,219 +427,47 @@ class MinHashStage:
         )
 
 
-#: Band-row count (docs × bands) above which pair discovery switches from
-#: the driver-side vectorized pass to the fully distributed plan.
-DRIVER_MAX_BAND_ROWS = 50_000_000
+def _minhash_features(text: str, stage_key: tuple[int, int, int]):
+    return _worker_minhash_stage(*stage_key).features(text)
 
 
-def _discover_pairs_driver(bands) -> list[tuple[int, int]]:
-    """Collect the narrow (doc_id, band_key) table and pair hot keys on
-    the driver — one vectorized pass, no extra Ray job barriers. Only
-    valid below :data:`DRIVER_MAX_BAND_ROWS`."""
-    import ray
-
-    band_tables = collect_tables(bands)
-    if not band_tables:
-        return []
-    tbl = pa.concat_tables(band_tables).combine_chunks()
-    keys_np = tbl.column("band_key").to_numpy()
-    docs_np = tbl.column("doc_id").to_numpy()
-    uniq, inv, cnt = np.unique(keys_np, return_inverse=True, return_counts=True)
-    hot_mask = cnt[inv] > 1
-    by_key: dict[int, list[int]] = {}
-    for k, d in zip(keys_np[hot_mask].tolist(), docs_np[hot_mask].tolist()):
-        by_key.setdefault(k, []).append(d)
-    pair_set: set[tuple[int, int]] = set()
-    for ids in by_key.values():
-        ids = sorted(set(ids))
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                pair_set.add((ids[i], ids[j]))
-    return sorted(pair_set)
+def _minhash_score(fa, fb, min_est: float, threshold: float):
+    """(est_jaccard, jaccard) of a pair whose signature estimate and
+    exact shingle Jaccard both pass, else ``None``."""
+    est = estimated_jaccard(fa[0], fb[0])
+    if est < min_est:
+        return None
+    kept = _jaccard_at_least(fa[1], fb[1], threshold)
+    return None if kept is None else (est, *kept)
 
 
-def _discover_pairs_distributed(bands) -> list[tuple[int, int]]:
-    """Distributed candidate discovery — the band table never lands on
-    the driver:
+def minhash_near_dup_verified(docs_ds, num_hashes: int = 128, num_bands: int = 32,
+                              k_shingle: int = 5, min_est_jaccard: float = 0.5,
+                              verify_threshold: float = 0.5):
+    """documents → ``(doc_a, doc_b, est_jaccard, jaccard)``: MinHash+LSH
+    candidates (docs sharing a band key, :func:`shared_key_pairs`) kept
+    when the signature estimate is at least ``min_est_jaccard`` and the
+    exact shingle Jaccard at least ``verify_threshold`` — one
+    :func:`score_pairs` over one candidate-text collect, each candidate
+    featurized (signature + shingle set) once.
 
-    1. ``groupby(band_key).aggregate(Count)`` (narrow int64 shuffle) →
-       filter count > 1: collisions are rare, so the HOT-KEY set is tiny
-       and is the only thing collected/broadcast;
-    2. member filter (``is_in`` over the broadcast hot keys — stateless
-       vectorized map, no shuffle);
-    3. ``groupby(band_key).map_groups`` emits within-key pairs;
-    4. ``groupby(doc_a, doc_b).aggregate(Count)`` dedups across bands.
-
-    Only the final DEDUPED pair list (multiplicity ~ duplicate rate, not
-    corpus size) is collected — the same driver bound the downstream
-    candidate-text broadcast already requires.
-    """
-    import pandas as pd
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
-    bands_m = bands.materialize()  # two consumers: counts + member filter
-    hot = bands_m.groupby("band_key").aggregate(Count(alias_name="n")).map_batches(
-        lambda t: t.filter(pc.greater(t.column("n"), pa.scalar(1))).select(["band_key"]),
-        batch_format="pyarrow",
-    )
-    hot_rows = hot.take_all()  # bounded: band keys shared by ≥ 2 docs
-    hot_keys = pa.array([r["band_key"] for r in hot_rows], pa.int64())
-    if not len(hot_keys):
-        return []
-    members = bands_m.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("band_key"), value_set=hot_keys)),
-        batch_format="pyarrow",
-    )
-
-    def pairs_in_group(g: pd.DataFrame) -> pd.DataFrame:
-        ids = sorted(set(g["doc_id"].tolist()))
-        if len(ids) < 2:
-            return pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                                 "doc_b": pd.Series(dtype="int64")})
-        a, b = zip(*((ids[i], ids[j]) for i in range(len(ids))
-                     for j in range(i + 1, len(ids))))
-        return pd.DataFrame({"doc_a": list(a), "doc_b": list(b)})
-
-    pairs = members.groupby("band_key").map_groups(pairs_in_group, batch_format="pandas")
-    deduped = pairs.groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name="_n"))
-    rows = deduped.select_columns(["doc_a", "doc_b"]).take_all()  # bounded: candidate pairs
-    return sorted((r["doc_a"], r["doc_b"]) for r in rows)
-
-
-def _discover_pairs(bands, n_band_rows: int) -> list[tuple[int, int]]:
-    """Sorted distinct candidate pairs of a (doc_id, band_key) table: the
-    driver pass up to :data:`DRIVER_MAX_BAND_ROWS` band rows, the
-    distributed one above it. Both give the identical list (tested)."""
-    if n_band_rows <= DRIVER_MAX_BAND_ROWS:
-        return _discover_pairs_driver(bands)
-    return _discover_pairs_distributed(bands)
-
-
-def _lsh_pairs(docs_ds, num_hashes: int, num_bands: int, k_shingle: int,
-               min_est_jaccard: float):
-    """documents → (near-duplicate candidate pairs (doc_a, doc_b,
-    est_jaccard), deduped across bands, est ≥ ``min_est_jaccard``; the
-    candidate-text dict the broadcast est stage collected — empty when
-    there are no candidates or the join-co-located plan ran — so the
-    verify stage can reuse it).
-
-    Physical plan (combiner + broadcast, no giant tiny-group shuffle):
-
-    1. map: shingle → minhash → band keys (one narrow int64 row per band);
-    2. candidate discovery (:func:`_discover_pairs`) — one vectorized
-       driver pass over the collected two-int64-column band table below
-       :data:`DRIVER_MAX_BAND_ROWS` band rows, else
-       :func:`_discover_pairs_distributed` (groupby-Count → hot-key
-       broadcast → member filter → within-key pairing → pair dedup, with
-       only the tiny hot-key set and final pair list ever on the driver).
-    3. estimated Jaccard is computed distributed over the pair list from
-       re-derived signatures of ONLY the candidate documents: their texts
-       are broadcast once via ``ray.put`` while the candidate set is under
-       :data:`VERIFY_BROADCAST_MAX_DOCS`, else each pair is co-located
-       with both texts via two narrow hash joins
-       (:func:`attach_pair_texts`) and scored in-stream.
-
-    The :func:`minhash_near_dup_verified` banding defaults (128 hashes,
-    32 bands × 4 rows) put the s-curve collision threshold at
-    (1/32)^(1/4) ≈ 0.42, matched to its default ``min_est_jaccard=0.5``
-    (16×8 would miss half of 0.5–0.7 near-dups).
-    """
-    import pyarrow.compute as pc
-    import ray
-    import ray.data
-
-    pairs_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                              ("est_jaccard", pa.float64())])
-
-    # Task-based stage; the warm MinHashStage sits in a worker_state slot.
+    The defaults (128 hashes, 32 bands × 4 rows) put the s-curve
+    collision threshold at (1/32)^(1/4) ≈ 0.42, matched to the default
+    ``min_est_jaccard=0.5`` (16×8 would miss half of 0.5–0.7
+    near-dups)."""
     bands = docs_ds.map_batches(
         minhash_band_task,
         fn_kwargs={"num_hashes": num_hashes, "num_bands": num_bands,
                    "k_shingle": k_shingle},
         batch_format="pyarrow",
     )
-    pairs_sorted = _discover_pairs(bands, docs_ds.count() * num_bands)
-    if not pairs_sorted:
-        return ray.data.from_arrow(pairs_schema.empty_table()), {}
-    cand_ids = sorted({d for p in pairs_sorted for d in p})
-
-    pairs_ds = ray.data.from_arrow(pa.Table.from_arrays(
-        [pa.array([p[0] for p in pairs_sorted], pa.int64()),
-         pa.array([p[1] for p in pairs_sorted], pa.int64())],
-        names=["doc_a", "doc_b"],
-    ))
-
-    if len(cand_ids) > VERIFY_BROADCAST_MAX_DOCS:
-        # candidate set too big for a driver/worker text dict: co-locate
-        # each pair with both texts (two narrow hash joins) and derive
-        # signatures inside the stream — nothing text-sized on the driver.
-        def est_joined_task(t: pa.Table) -> pa.Table:
-            stage = _worker_minhash_stage(num_hashes, num_bands, k_shingle)
-            cache: dict[int, np.ndarray] = {}
-
-            def sig(did: int, text: str) -> np.ndarray:
-                s = cache.get(did)
-                if s is None:
-                    s = cache[did] = stage.signature(text or "")
-                return s
-
-            est = [estimated_jaccard(sig(a, x), sig(b, y))
-                   for a, b, x, y in zip(t.column("doc_a").to_pylist(),
-                                         t.column("doc_b").to_pylist(),
-                                         t.column("text_a").to_pylist(),
-                                         t.column("text_b").to_pylist())]
-            out = t.drop_columns(["text_a", "text_b"])
-            out = out.append_column("est_jaccard", pa.array(est, pa.float64()))
-            return out.filter(pc.greater_equal(out.column("est_jaccard"),
-                                               pa.scalar(min_est_jaccard)))
-
-        return attach_pair_texts(docs_ds, pairs_ds).map_batches(
-            est_joined_task, batch_format="pyarrow"), {}
-
-    # texts of ONLY the candidate docs, broadcast once
-    texts = collect_texts_for_ids(docs_ds, cand_ids)
-    ref = ray.put(texts)
-
-    def est_jaccard_task(t: pa.Table) -> pa.Table:
-        texts = ray.get(ref)  # zero-copy plasma read per task; pairs are few
-        stage = _worker_minhash_stage(num_hashes, num_bands, k_shingle)
-        sig_cache: dict[int, np.ndarray] = {}
-
-        def sig(did: int) -> np.ndarray:
-            s = sig_cache.get(did)
-            if s is None:
-                s = stage.signature(texts.get(did, "") or "")
-                sig_cache[did] = s
-            return s
-
-        da = t.column("doc_a").to_pylist()
-        db = t.column("doc_b").to_pylist()
-        est = [estimated_jaccard(sig(a), sig(b)) for a, b in zip(da, db)]
-        out = t.append_column("est_jaccard", pa.array(est, pa.float64()))
-        return out.filter(pc.greater_equal(out.column("est_jaccard"),
-                                           pa.scalar(min_est_jaccard)))
-
-    return pairs_ds.map_batches(est_jaccard_task, batch_format="pyarrow"), texts
-
-
-def minhash_near_dup_verified(docs_ds, num_hashes: int = 128, num_bands: int = 32,
-                              k_shingle: int = 5, min_est_jaccard: float = 0.5,
-                              verify_threshold: float = 0.5):
-    """Fused candidates + exact-Jaccard verification. On the broadcast
-    path the candidate-text collection runs ONCE and its dict feeds both
-    the est-Jaccard filter and the verify stage (they cover the same doc
-    set — verification only ever shrinks the pair list). When the
-    candidate set is over :data:`VERIFY_BROADCAST_MAX_DOCS` both stages
-    run join-co-located and no text dict exists anywhere."""
-    pairs, texts = _lsh_pairs(docs_ds, num_hashes, num_bands, k_shingle,
-                              min_est_jaccard)
-    if texts:
-        return _verify_broadcast(pairs, texts, k_shingle, verify_threshold)
-    # no texts: no candidates at all, or the est stage took the join
-    # plan — let verify pick its own plan from the pairs
-    return ngram_jaccard_verify(docs_ds, pairs, k_shingle=k_shingle,
-                                threshold=verify_threshold)
+    return score_pairs(
+        docs_ds, shared_key_pairs(bands, "band_key"),
+        functools.partial(_minhash_features,
+                          stage_key=(num_hashes, num_bands, k_shingle)),
+        functools.partial(_minhash_score, min_est=min_est_jaccard,
+                          threshold=verify_threshold),
+        [pa.field("est_jaccard", pa.float64()), pa.field("jaccard", pa.float64())])
 
 
 # -- SimHash -----------------------------------------------------------------
@@ -357,8 +503,6 @@ def simhash_batch(batch: pa.Table) -> pa.Table:
     buffer — no per-document Python, no (tokens × 64) bit-matrix
     materialization. Byte-equal to per-doc ``simhash64`` (differential
     test in ``tests/test_minhash.py``)."""
-    import pyarrow.compute as pc
-
     from ..functions.fasthash import md5_number_lower
     from .ranking import _flat_tokens
 
@@ -419,13 +563,14 @@ def _popcount64(v: np.ndarray) -> np.ndarray:
 
 
 def _simhash_band_keys(batch: pa.Table, num_bands: int) -> pa.Table:
-    """(doc_id, simhash) → one (doc_id, band_key) row per contiguous bit
-    band. Banding runs on the stored signed bit pattern directly: the
-    int64 two's-complement pattern is ``unsigned XOR 2^63`` — a uniform
-    top-bit flip across all documents — so within-band equality (all the
-    discovery step uses) is unchanged."""
+    """(doc_id, simhash) → one (doc_id, band_key, simhash) row per
+    contiguous bit band. Banding runs on the stored signed bit pattern
+    directly: the int64 two's-complement pattern is ``unsigned XOR
+    2^63`` — a uniform top-bit flip across all documents — so
+    within-band equality (all the pairing uses) is unchanged."""
     ids = batch.column("doc_id").to_numpy()
-    u = batch.column("simhash").to_numpy().view(np.uint64)
+    sims = batch.column("simhash").to_numpy()
+    u = sims.view(np.uint64)
     widths = [64 // num_bands] * num_bands
     for i in range(64 % num_bands):
         widths[i] += 1
@@ -437,8 +582,9 @@ def _simhash_band_keys(batch: pa.Table, num_bands: int) -> pa.Table:
         off += w
     return pa.Table.from_arrays(
         [pa.array(np.repeat(ids, num_bands), pa.int64()),
-         pa.array(keys.reshape(-1).view(np.int64), pa.int64())],
-        names=["doc_id", "band_key"],
+         pa.array(keys.reshape(-1).view(np.int64), pa.int64()),
+         pa.array(np.repeat(sims, num_bands), pa.int64())],
+        names=["doc_id", "band_key", "simhash"],
     )
 
 
@@ -451,242 +597,29 @@ def simhash_near_dup_pairs(docs_ds, max_hamming: int = 3):
     distance d <= max_hamming differ in at most d bands, so they AGREE on
     at least one band — candidate recall is exactly 1, and the vectorized
     XOR-popcount verify makes the result exact, never approximate (the
-    deterministic counterpart of the reference's near-dup merges, D5–D6;
-    same banding machinery as :func:`_lsh_pairs`).
+    deterministic counterpart of the reference's near-dup merges, D5–D6).
 
-    Physical plan: one narrow (doc_id:int64, simhash:int64) sketch table,
-    materialized once for its two consumers (band explosion + candidate
-    lookup); candidate discovery reuses the MinHash driver/distributed
-    switch (:func:`_discover_pairs`); only candidate sketches
-    (multiplicity ~ duplicate rate) and the final pair list ever reach
-    the driver. Because BOTH discovery plans end
-    with the deduped pair list on the driver, the XOR-popcount verify runs
-    right there over the (already collected) candidate sketches — one
-    vectorized numpy pass, zero extra dataset executions, and no new
-    driver bound beyond the pair list the discovery step already pays.
-    """
-    import pyarrow.compute as pc
-    import ray
-    import ray.data
-
+    The band-key rows carry each doc's sketch, so :func:`shared_key_pairs`
+    hands over both sketches of every candidate pair and the verify is
+    one XOR-popcount over the pairs in hand — no sketch lookup and no
+    text."""
     num_bands = max_hamming + 1
     if not 2 <= num_bands <= 32:
         raise ValueError(f"max_hamming={max_hamming} out of range (1..31)")
-    pairs_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                              ("hamming", pa.int64())])
+    bands = docs_ds.map_batches(simhash_batch, batch_format="pyarrow").map_batches(
+        _simhash_band_keys, fn_kwargs={"num_bands": num_bands},
+        batch_format="pyarrow")
 
-    sims = docs_ds.map_batches(simhash_batch, batch_format="pyarrow").materialize()
-    bands = sims.map_batches(_simhash_band_keys, fn_kwargs={"num_bands": num_bands},
-                             batch_format="pyarrow")
-    pairs_sorted = _discover_pairs(bands, sims.count() * num_bands)
-    if not pairs_sorted:
-        return ray.data.from_arrow(pairs_schema.empty_table())
+    def verify(t: pa.Table) -> pa.Table:
+        x = t.column("simhash_a").to_numpy() ^ t.column("simhash_b").to_numpy()
+        ham = _popcount64(x.view(np.uint64))
+        keep = pa.array(ham <= max_hamming)
+        return pa.table({"doc_a": t.column("doc_a").filter(keep),
+                         "doc_b": t.column("doc_b").filter(keep),
+                         "hamming": pa.array(ham, pa.int64()).filter(keep)})
 
-    # Candidate-sketch lookup: one is_in filter pass over the materialized
-    # sketch table; only candidate rows (≤ 2 × pairs) reach the driver.
-    cand_ids = pa.array(sorted({d for p in pairs_sorted for d in p}), pa.int64())
-    cand = collect_table(
-        sims.map_batches(
-            lambda t: t.filter(pc.is_in(t.column("doc_id"), value_set=cand_ids)),
-            batch_format="pyarrow",
-        ),
-        schema=pa.schema([("doc_id", pa.int64()), ("simhash", pa.int64())]),
-    )
-    sketch = dict(zip(cand.column("doc_id").to_pylist(),
-                      cand.column("simhash").to_pylist()))
-
-    pa_np = np.fromiter((p[0] for p in pairs_sorted), dtype=np.int64,
-                        count=len(pairs_sorted))
-    pb_np = np.fromiter((p[1] for p in pairs_sorted), dtype=np.int64,
-                        count=len(pairs_sorted))
-    a = np.fromiter((sketch[d] for d in pa_np.tolist()), dtype=np.int64,
-                    count=len(pa_np)).view(np.uint64)
-    b = np.fromiter((sketch[d] for d in pb_np.tolist()), dtype=np.int64,
-                    count=len(pb_np)).view(np.uint64)
-    ham = _popcount64(a ^ b).astype(np.int64)
-    keep = ham <= max_hamming
-    return ray.data.from_arrow(pa.Table.from_arrays(
-        [pa.array(pa_np[keep], pa.int64()), pa.array(pb_np[keep], pa.int64()),
-         pa.array(ham[keep], pa.int64())],
-        names=["doc_a", "doc_b", "hamming"]))
-
-
-# -- n-gram Jaccard verification --------------------------------------------
-
-#: Candidate-doc count above which the verify stages refuse to collect
-#: texts onto the driver and switch to the join-co-located plan. The
-#: broadcast dict is one Python string per candidate doc — 2M web pages
-#: at ~4 KB is ~8 GB; anything bigger must not land on one machine.
-VERIFY_BROADCAST_MAX_DOCS = 2_000_000
-
-#: Verify collects candidate pairs to the driver only up to this many
-#: rows (a few int64 columns → tens of MB at the cap). Candidate
-#: generation is bounded per band key or prefix gram, not per corpus —
-#: a duplicate-heavy corpus yields O(dup-pairs) candidates — so the
-#: collect streams with a running count and, past the cap, the verify
-#: takes the join-co-located plan over the pairs already produced.
-PAIR_COLLECT_MAX_ROWS = 2_000_000
-
-PAIR_IDS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
-
-
-def attach_pair_texts(docs_ds, pairs_ds, num_partitions: int = 8):
-    """Co-locate each candidate pair with BOTH documents' texts — two
-    narrow hash joins (pairs ⋈ docs on doc_a, then on doc_b), no driver
-    state: the scale path for near-dup verification when the candidate
-    set is too big to broadcast. Missing docs surface as "" (the same
-    default the broadcast dict uses). All pair columns pass through;
-    ``text_a`` / ``text_b`` are appended."""
-    import pyarrow.compute as pc
-
-    from .joins import safe_join
-
-    docs = docs_ds.select_columns(["doc_id", "text"])
-    doc_schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
-
-    def _rename_text(to: str):
-        def fn(t: pa.Table) -> pa.Table:
-            i = t.column_names.index("text")
-            col = pc.fill_null(t.column("text"), "")
-            return t.set_column(i, to, col)
-        return fn
-
-    j1 = safe_join(pairs_ds, docs, join_type="left_outer",
-                   num_partitions=num_partitions,
-                   on=("doc_a",), right_on=("doc_id",),
-                   right_schema=doc_schema)
-    j1 = j1.map_batches(_rename_text("text_a"), batch_format="pyarrow")
-    j2 = safe_join(j1, docs, join_type="left_outer",
-                   num_partitions=num_partitions,
-                   on=("doc_b",), right_on=("doc_id",),
-                   right_schema=doc_schema)
-    return j2.map_batches(_rename_text("text_b"), batch_format="pyarrow")
-
-
-def collect_texts_for_ids(docs_ds, ids) -> dict[int, str]:
-    """Collect the texts of ONLY the given doc ids (candidate multiplicity
-    ~ duplicate rate, not corpus size) — a distributed filter pass, never
-    a full-table driver materialization."""
-    import pyarrow.compute as pc
-    import ray
-
-    if not ids:
-        return {}
-    id_set = pa.array(sorted(ids), pa.int64())
-    got = collect_tables(
-        docs_ds.select_columns(["doc_id", "text"]).map_batches(
-            lambda t: t.filter(pc.is_in(t.column("doc_id"), value_set=id_set)),
-            batch_format="pyarrow",
-        ))
-    if not got:
-        return {}
-    tbl = pa.concat_tables(got)
-    return dict(zip(tbl.column("doc_id").to_pylist(),
-                    tbl.column("text").to_pylist()))
-
-
-class _JaccardVerify:
-    """Per-worker verify state: broadcast candidate texts + shingle cache."""
-
-    def __init__(self, ref, k, threshold):
-        import ray
-
-        self.texts = ray.get(ref)
-        self.k = k
-        self.threshold = threshold
-        self.cache: dict[int, np.ndarray] = {}
-
-    def _sh(self, did: int) -> np.ndarray:
-        if did not in self.cache:
-            self.cache[did] = shingle_hashes(self.texts.get(did, "") or "", self.k)
-        return self.cache[did]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        da = batch.column("doc_a").to_pylist()
-        db = batch.column("doc_b").to_pylist()
-        jac = [exact_jaccard(self._sh(a), self._sh(b)) for a, b in zip(da, db)]
-        t = batch.append_column("jaccard", pa.array(jac, pa.float64()))
-        return t.filter(pc.greater_equal(t.column("jaccard"), pa.scalar(self.threshold)))
-
-
-def _verify_task(batch: pa.Table, ref, k: int, threshold: float) -> pa.Table:
-    return worker_state("jaccard_verify", (ref.hex(), k, threshold),
-                        lambda: _JaccardVerify(ref, k, threshold))(batch)
-
-
-def _verify_distributed_task(batch: pa.Table, k: int, threshold: float) -> pa.Table:
-    """Exact-Jaccard scoring over join-co-located (…, text_a, text_b)
-    rows. A small per-batch shingle cache covers docs that appear in
-    several pairs of the same batch."""
-    import pyarrow.compute as pc
-
-    cache: dict[int, np.ndarray] = {}
-
-    def sh(did: int, text: str) -> np.ndarray:
-        s = cache.get(did)
-        if s is None:
-            s = cache[did] = shingle_hashes(text or "", k)
-        return s
-
-    da = batch.column("doc_a").to_pylist()
-    db = batch.column("doc_b").to_pylist()
-    ta = batch.column("text_a").to_pylist()
-    tb = batch.column("text_b").to_pylist()
-    jac = [exact_jaccard(sh(a, x), sh(b, y))
-           for a, b, x, y in zip(da, db, ta, tb)]
-    t = batch.drop_columns(["text_a", "text_b"])
-    t = t.append_column("jaccard", pa.array(jac, pa.float64()))
-    return t.filter(pc.greater_equal(t.column("jaccard"), pa.scalar(threshold)))
-
-
-def ngram_jaccard_verify(docs_ds, pairs_ds, k_shingle: int = 5, threshold: float = 0.5,
-                         num_partitions: int = 8):
-    """Verify candidate pairs with EXACT n-gram Jaccard. Two plans,
-    row-identical (tested):
-
-    - broadcast: collect the texts of ONLY the docs that appear in a
-      candidate pair and broadcast once via ``ray.put`` — the fast path,
-      up to :data:`VERIFY_BROADCAST_MAX_DOCS` candidate docs (past it the
-      dict is a driver/worker OOM at crawl-level duplication).
-    - join-co-located, above the cap: pair each candidate with both
-      texts via two narrow hash joins (:func:`attach_pair_texts`) and
-      score inside the stream — nothing text-sized reaches the driver.
-
-    The pairs are collected once, under :data:`PAIR_COLLECT_MAX_ROWS`,
-    and both plans verify what was collected: the pair Dataset's
-    upstream runs once. Past the pair cap the join plan runs over the
-    pair blocks already produced.
-    """
-    import ray.data
-
-    pairs, pairs_src = fold_capped(pairs_ds, PAIR_IDS_SCHEMA, None, None,
-                                   PAIR_COLLECT_MAX_ROWS)
-    if pairs_src is None:
-        pairs_src = ray.data.from_arrow(pairs)
-        cand = set(pairs.column("doc_a").to_pylist())
-        cand.update(pairs.column("doc_b").to_pylist())
-        if len(cand) <= VERIFY_BROADCAST_MAX_DOCS:
-            return _verify_broadcast(pairs_src,
-                                     collect_texts_for_ids(docs_ds, cand),
-                                     k_shingle, threshold)
-    return attach_pair_texts(docs_ds, pairs_src, num_partitions).map_batches(
-        _verify_distributed_task,
-        fn_kwargs={"k": k_shingle, "threshold": threshold},
-        batch_format="pyarrow",
-    )
-
-
-def _verify_broadcast(pairs_ds, texts: dict[int, str], k: int, threshold: float):
-    """Exact-Jaccard verify against the candidate texts broadcast once."""
-    import ray
-
-    ref = ray.put(texts)
-    return pairs_ds.map_batches(
-        _verify_task, fn_kwargs={"ref": ref, "k": k, "threshold": threshold},
-        batch_format="pyarrow",
-    )
+    return map_pairs(shared_key_pairs(bands, "band_key", carry=("simhash",)),
+                     verify)
 
 
 # -- near-dup clustering (connected components over verified pairs) ----------

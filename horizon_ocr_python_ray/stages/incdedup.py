@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.minhash import exact_jaccard, shingle_hashes
+from ..functions.minhash import shingle_hashes
 from ..state.worker import worker_state
 
 #: Refuse to broadcast a new-side index above this many (shingle, doc)
@@ -73,14 +73,15 @@ class _ProbeVerify:
                 if hit:
                     cands.update(hit)
             for nid in sorted(cands):
+                # a candidate shares a shingle, so union > 0
                 nsh = self.shingles[nid]
-                jac = exact_jaccard(sh, nsh)
-                if jac >= self.threshold:
-                    inter = int(len(np.intersect1d(sh, nsh)))
+                inter = int(np.intersect1d(sh, nsh, assume_unique=True).size)
+                union = int(sh.size + nsh.size - inter)
+                if inter / union >= self.threshold:
                     base_ids.append(did)
                     new_ids.append(nid)
                     inters.append(inter)
-                    unis.append(int(len(sh) + len(nsh) - inter))
+                    unis.append(union)
         return pa.Table.from_arrays(
             [pa.array(base_ids, pa.int64()), pa.array(new_ids, pa.int64()),
              pa.array(inters, pa.int64()), pa.array(unis, pa.int64())],

@@ -16,7 +16,7 @@ only. Theorem (AllPairs): any pair with Jaccard ≥ τ shares at least
 one gram lying in BOTH prefixes, so the candidate set has recall 1;
 an exact verify pass restores precision 1.
 
-Physical plan (THREE exchanges of ≤3-column int64 rows on the common
+Physical plan (two exchanges of ≤3-column int64 rows on the common
 path; text never shuffles):
 
 1. ``_distinct_gram_hash_rows``: one streaming explode to distinct
@@ -31,23 +31,17 @@ path; text never shuffles):
    doc's set size is the bucket group size — never shipped as a
    column), and df == 1 prefix rows are dropped AFTER ranking (a gram
    no other doc has cannot be a join key — most distinct grams).
-4. candidates: per-bucket self-merge on prefix grams (the
-   winnow_shared_pairs shape); CROSS-bucket pair dedup happens on the
-   driver fold the verify step already pays (np.unique on two int64
-   columns) — a fourth exchange only runs past the
-   ``dedup_docs.PAIR_COLLECT_MAX_ROWS`` collect cap.
-5. verify: exact inter/union over the full md5-gram sets — candidate
-   texts broadcast once via ``ray.put`` under the
-   ``dedup_docs.VERIFY_BROADCAST_MAX_DOCS`` cap, else the distributed
-   ``attach_pair_texts`` hash-join plan (nothing text-sized reaches
-   the driver).
+4. candidates: the docs sharing a prefix gram,
+   ``dedup_docs.shared_key_pairs`` over the (doc_id, prefix gram) rows.
+5. verify: exact inter/union over the full md5-gram sets,
+   ``dedup_docs.score_pairs``.
 
 Each plan choice compares a measured size with its module cap; tests
 reach the scale paths by lowering the cap.
 
 Skew: a gram hot in PREFIXES is by construction rare (df-ascending
 order puts common grams at the tail, past the prefix cut), so the
-within-gram fan-out of step 5 stays small without any df cap — the
+within-gram fan-out of step 4 stays small without any df cap — the
 reason this operator can afford recall 1 where winnow_shared_pairs
 needs its [2, max_df] band.
 
@@ -70,13 +64,10 @@ import pyarrow as pa
 
 from ..functions.gramvec import _gram_windows
 from ..functions.minhash import md5_gram_hashes
-from ..state.worker import worker_state
-from .hashagg import grouped_aggregate, grouped_reduce
+from .dedup_docs import score_pairs, shared_key_pairs
+from .hashagg import grouped_reduce
 
 _SIGN = np.uint64(1 << 63)
-
-_PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                          ("n_inter", pa.int64()), ("n_union", pa.int64())])
 
 
 def _distinct_gram_hash_rows(batch: pa.Table, k: int) -> pa.Table:
@@ -156,155 +147,18 @@ def jaccard_near_dup_pairs(docs_ds, k_shingle: int = 5,
                             batch_format="pandas")
     prefixes = grouped_reduce(joined, "doc_id", prefix_bucket,
                               num_buckets=num_buckets, batch_format="pandas")
-
-    def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.merge(g, on="sh")
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        return (m[["doc_id_x", "doc_id_y"]].drop_duplicates()
-                .rename(columns={"doc_id_x": "doc_a",
-                                 "doc_id_y": "doc_b"}))
-
-    # pairs are deduped per sh-bucket here; the CROSS-bucket dedup (a
-    # pair can share prefix grams in several buckets) happens in
-    # _verify_pairs — driver-side np.unique on the collected fold (no
-    # fourth exchange), or a grouped_aggregate only when the collect cap
-    # trips
-    cand_partial = grouped_reduce(prefixes, "sh", pairs_bucket,
-                                  num_buckets=num_buckets,
-                                  batch_format="pandas")
-    return _verify_pairs(docs_ds, cand_partial, k_shingle, thr_num,
-                         thr_den, num_buckets=num_buckets)
+    return score_pairs(
+        docs_ds, shared_key_pairs(prefixes, "sh"),
+        functools.partial(_md5_shingle_set, k=k_shingle),
+        functools.partial(_inter_union, thr_num=thr_num, thr_den=thr_den),
+        [pa.field("n_inter", pa.int64()), pa.field("n_union", pa.int64())])
 
 
-def _score_pairs(doc_a, doc_b, sets,  # any int → ndarray mapping
-                 thr_num: int, thr_den: int) -> pa.Table:
-    keep_a, keep_b, inters, unions = [], [], [], []
-    for a, b in zip(doc_a, doc_b):
-        sa = sets[int(a)]
-        sb = sets[int(b)]
-        inter = int(np.intersect1d(sa, sb, assume_unique=True).size)
-        union = int(sa.size + sb.size - inter)
-        if thr_den * inter >= thr_num * union and union > 0:
-            keep_a.append(int(a))
-            keep_b.append(int(b))
-            inters.append(inter)
-            unions.append(union)
-    return pa.table({"doc_a": pa.array(keep_a, pa.int64()),
-                     "doc_b": pa.array(keep_b, pa.int64()),
-                     "n_inter": pa.array(inters, pa.int64()),
-                     "n_union": pa.array(unions, pa.int64())})
-
-
-class _LazySets:
-    """doc_id → md5 gram set, built LAZILY for the docs a batch actually
-    references and kept in ``cache`` across batches, so B batches over C
-    candidate docs cost C set constructions, not B × C."""
-
-    def __init__(self, texts: dict[int, str], cache: dict, k: int):
-        self._texts = texts
-        self._cache = cache
-        self._k = k
-
-    def __getitem__(self, d: int) -> np.ndarray:
-        s = self._cache.get(d)
-        if s is None:
-            s = self._cache[d] = _md5_shingle_set(self._texts.get(d, ""), self._k)
-        return s
-
-
-def _verify_broadcast_task(t: pa.Table, ref, k: int, thr_num: int,
-                           thr_den: int) -> pa.Table:
-    import ray
-
-    # one sweep's sets per worker: the slot drops them when the next
-    # sweep broadcasts a new ref
-    cache = worker_state("jaccard_verify_sets", ref.hex(), dict)
-    sets = _LazySets(ray.get(ref), cache, k)
-    return _score_pairs(t.column("doc_a").to_pylist(),
-                        t.column("doc_b").to_pylist(),
-                        sets, thr_num, thr_den)
-
-
-def _verify_distributed_task(t: pa.Table, k: int, thr_num: int,
-                             thr_den: int) -> pa.Table:
-    out_a, out_b, inters, unions = [], [], [], []
-    for a, b, ta, tb in zip(t.column("doc_a").to_pylist(),
-                            t.column("doc_b").to_pylist(),
-                            t.column("text_a").to_pylist(),
-                            t.column("text_b").to_pylist()):
-        sa = _md5_shingle_set(ta or "", k)
-        sb = _md5_shingle_set(tb or "", k)
-        inter = int(np.intersect1d(sa, sb, assume_unique=True).size)
-        union = int(sa.size + sb.size - inter)
-        if thr_den * inter >= thr_num * union and union > 0:
-            out_a.append(int(a))
-            out_b.append(int(b))
-            inters.append(inter)
-            unions.append(union)
-    return pa.table({"doc_a": pa.array(out_a, pa.int64()),
-                     "doc_b": pa.array(out_b, pa.int64()),
-                     "n_inter": pa.array(inters, pa.int64()),
-                     "n_union": pa.array(unions, pa.int64())})
-
-
-def _dedup_pairs_exchange(pairs_ds, num_buckets: int):
-    """Cross-bucket pair dedup as one narrow exchange — only paid past
-    the collect cap; the collected plan dedups on the driver instead."""
-    return grouped_aggregate(
-        pairs_ds, ["doc_a", "doc_b"], [("doc_a", "count", "_c")],
-        num_buckets=num_buckets, bucket_on="doc_a").map_batches(
-        lambda t: t.select(["doc_a", "doc_b"]), batch_format="pyarrow")
-
-
-def _verify_pairs(docs_ds, pairs_ds, k: int, thr_num: int, thr_den: int,
-                  num_buckets: int = 64):
-    """Exact inter/union verify — the ngram_jaccard_verify duality
-    (broadcast under the cap, hash-join co-location above it) over md5
-    gram sets. ``pairs_ds`` may contain cross-bucket duplicate rows;
-    every exit path dedups them exactly once."""
-    import ray
-    import ray.data
-
-    from ..functions.collect import fold_capped
-    from .dedup_docs import (
-        PAIR_COLLECT_MAX_ROWS,
-        PAIR_IDS_SCHEMA,
-        VERIFY_BROADCAST_MAX_DOCS,
-        attach_pair_texts,
-        collect_texts_for_ids,
-    )
-
-    # The collect both reads the candidate ids AND feeds the verify map
-    # (on either plan below), so the 3-exchange candidate plan executes
-    # exactly once. The prefix filter bounds candidates per GRAM, not per
-    # corpus, so the collect streams under a running row cap; past it
-    # the verify takes the distributed hash-join plan over the same
-    # candidate blocks (nothing candidate-sized sits on the driver).
-    cat, rest = fold_capped(pairs_ds, PAIR_IDS_SCHEMA, None, None,
-                            PAIR_COLLECT_MAX_ROWS)
-    if rest is not None:
-        pairs_src = _dedup_pairs_exchange(rest, num_buckets)
-    elif not cat.num_rows:
-        return ray.data.from_arrow(_PAIR_SCHEMA.empty_table())
-    else:
-        # driver-side cross-bucket dedup — removes the fourth exchange
-        # on the common (collected) plan
-        ab = np.stack([cat.column("doc_a").to_numpy(),
-                       cat.column("doc_b").to_numpy()], axis=1)
-        ab = np.unique(ab, axis=0)
-        pairs_tab = pa.table({"doc_a": pa.array(ab[:, 0], pa.int64()),
-                              "doc_b": pa.array(ab[:, 1], pa.int64())})
-        pairs_src = ray.data.from_arrow(pairs_tab)
-        cand = set(pairs_tab.column("doc_a").to_pylist())
-        cand.update(pairs_tab.column("doc_b").to_pylist())
-        if len(cand) <= VERIFY_BROADCAST_MAX_DOCS:
-            ref = ray.put(collect_texts_for_ids(docs_ds, cand))
-            return pairs_src.map_batches(
-                _verify_broadcast_task,
-                fn_kwargs={"ref": ref, "k": k, "thr_num": thr_num,
-                           "thr_den": thr_den},
-                batch_format="pyarrow")
-    return attach_pair_texts(docs_ds, pairs_src).map_batches(
-        _verify_distributed_task,
-        fn_kwargs={"k": k, "thr_num": thr_num, "thr_den": thr_den},
-        batch_format="pyarrow")
+def _inter_union(sa: np.ndarray, sb: np.ndarray, thr_num: int, thr_den: int):
+    """(inter, union) of two gram sets with Jaccard ≥ thr_num/thr_den,
+    else ``None``."""
+    inter = int(np.intersect1d(sa, sb, assume_unique=True).size)
+    union = int(sa.size + sb.size - inter)
+    if union > 0 and thr_den * inter >= thr_num * union:
+        return inter, union
+    return None

@@ -353,7 +353,7 @@ def events_cumsum(events_ds):
 
     def cumsum_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g, start = user_runs(g)
-        v = np.round(g["value"].to_numpy() * 100).astype(np.int64)
+        v = fixed_point(pa.array(g["value"].to_numpy()), 100.0).to_numpy()
         idx = np.arange(len(g), dtype=np.int64)
         seg_first = idx[start]
         seg_id = np.cumsum(start) - 1

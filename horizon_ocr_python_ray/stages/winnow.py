@@ -17,9 +17,9 @@ exactly one window covering all of them, so every tokenizable doc with
 
 Scale shape: the per-doc digest (:func:`winnow_fingerprints`) is one
 stateless ``map_batches`` pass, zero shuffles; the MOSS detection join
-(:func:`winnow_shared_pairs`) adds one narrow (fingerprint, doc)
-exchange routed through the bucketed hash machinery
-(``stages/hashagg.py``) with the standard over-common-fingerprint
+(:func:`winnow_shared_pairs`) pairs the (fingerprint, doc) rows with
+``dedup_docs.shared_key_pairs`` (a driver pass under its fold cap, one
+narrow bucketed exchange past it), the standard over-common-fingerprint
 exclusion bounding within-key fan-out.
 
 Reference analog: the content-addressed dedup family (D1–D2,
@@ -137,75 +137,20 @@ def winnow_shared_pairs(docs_ds, k: int = DEFAULT_K, w: int = DEFAULT_W,
                         min_shared: int = 2, max_df: int = DEFAULT_MAX_DF):
     """MOSS detection query: (doc_a, doc_b, n_shared) pairs sharing at
     least ``min_shared`` winnowing fingerprints, fingerprints with
-    document frequency outside [2, max_df] excluded.
-
-    Scale shape (the ``dedup_docs`` discovery plan routed through the
-    bucketed hash machinery — shared fingerprints are FAR more common
-    than LSH band collisions, so per-fingerprint ``map_groups`` would
-    pay a Python call per shared fp): df via ``grouped_aggregate``
-    (combiner → 64-bucket exchange → Arrow merge); the
-    pairable-fingerprint set (2 ≤ df ≤ max_df — sized by the duplicate
-    rate, not the corpus) is the only driver collect and is broadcast
-    into a vectorized ``is_in`` filter; pair generation is ONE pandas
-    self-merge per BUCKET (``grouped_reduce``, within-fp fan-out
-    bounded by ``max_df²``) emitting bucket-local pair counts; the
-    global shared-count is a second bucketed sum. Pair counts stay a
-    Dataset (never collected here)."""
+    document frequency outside [2, max_df] excluded — the
+    ``dedup_docs.shared_key_pairs`` pairing over the exploded
+    (fp, doc_id) rows."""
     import functools
 
-    import pandas as pd
     import pyarrow.compute as pc
 
-    from ..functions.collect import collect_tables
-    from .hashagg import grouped_aggregate, grouped_reduce
+    from .dedup_docs import map_pairs, shared_key_pairs
 
     fps = docs_ds.map_batches(
-        functools.partial(_fp_rows_batch, k=k, w=w),
-        batch_format="pyarrow").materialize()  # two consumers
-    pairable = grouped_aggregate(
-        fps, "fp", [("doc_id", "count", "df")]).map_batches(
-        lambda t: t.filter(
-            pc.and_(pc.greater(t.column("df"), pa.scalar(1)),
-                    pc.less_equal(t.column("df"), pa.scalar(max_df)))
-        ).select(["fp"]),
-        batch_format="pyarrow")
-    key_tabs = collect_tables(pairable)
-    if not key_tabs:
-        import ray.data
-
-        return ray.data.from_arrow(pa.table({
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "n_shared": pa.array([], pa.int64())}))
-    keys = pa.concat_tables(key_tabs).column("fp").combine_chunks()
-    members = fps.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("fp"), value_set=keys)),
-        batch_format="pyarrow")
-
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # one vectorized self-merge for ALL fingerprints in the bucket;
-        # bucket-local (doc_a, doc_b) partial counts keep the second
-        # exchange one row per (bucket, pair)
-        m = g.merge(g, on="fp")
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        out = (m.groupby(["doc_id_x", "doc_id_y"]).size()
-               .reset_index(name="p_n"))
-        return out.rename(columns={"doc_id_x": "doc_a",
-                                   "doc_id_y": "doc_b"})
-
-    partials = grouped_reduce(members, "fp", pairs_in_bucket,
-                              batch_format="pandas")
-    counted = grouped_aggregate(
-        partials, ["doc_a", "doc_b"], [("p_n", "sum", "n_shared")],
-        bucket_on="doc_a")
+        functools.partial(_fp_rows_batch, k=k, w=w), batch_format="pyarrow")
 
     def finish(t: pa.Table) -> pa.Table:
-        kept = t.filter(pc.greater_equal(t.column("n_shared"),
-                                         pa.scalar(min_shared)))
-        return pa.table({
-            "doc_a": kept.column("doc_a").cast(pa.int64()),
-            "doc_b": kept.column("doc_b").cast(pa.int64()),
-            "n_shared": kept.column("n_shared").cast(pa.int64()),
-        })
+        return t.filter(pc.greater_equal(t.column("n_shared"), min_shared)
+                        ).select(["doc_a", "doc_b", "n_shared"])
 
-    return counted.map_batches(finish, batch_format="pyarrow")
+    return map_pairs(shared_key_pairs(fps, "fp", max_df=max_df), finish)

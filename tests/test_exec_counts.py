@@ -21,6 +21,13 @@ EXECUTIONS = {
     "host_pagerank": 2,
     "host_components": 2,
     "minhash_dup_clusters": 4,
+    "minhash_near_dup": 3,
+    "doc_simhash_near_dup": 2,
+    "doc_winnow_pairs": 2,
+    "doc_winnow_clusters": 3,
+    "doc_jaccard_near_dup": 3,
+    "doc_incremental_dedup": 2,
+    "emb_dup_clusters": 3,
     "top_supplier": 3,
     "cust_idle": 3,
     "ann_topk": 2,

@@ -112,10 +112,10 @@ def test_distributed_verify_plan_is_row_identical(monkeypatch):
 
 
 def test_auto_plan_caps_candidate_collect(monkeypatch, udf_calls):
-    """A dup-heavy corpus past PAIR_COLLECT_MAX_ROWS must route to the
-    distributed verify (never a full driver collect) with identical
-    pairs, over the candidate blocks already produced: the 3-exchange
-    candidate plan runs once."""
+    """A dup-heavy corpus past KEY_FOLD_MAX_ROWS and
+    PAIR_COLLECT_MAX_ROWS must route to the distributed pairing and
+    verify (never a full driver collect) with identical pairs, over the
+    blocks already produced: the gram rows are built once."""
     import horizon_ocr_python_ray.stages.dedup_docs as dd
     from horizon_ocr_python_ray.stages import jaccard as jmod
 
@@ -127,24 +127,44 @@ def test_auto_plan_caps_candidate_collect(monkeypatch, udf_calls):
     assert _run(rows) == want
     n = calls()
     assert n > 0
+    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
     monkeypatch.setattr(dd, "PAIR_COLLECT_MAX_ROWS", 0)
     assert _run(rows) == want
     assert calls() == n
+
+
+def test_key_fold_plans_equal(monkeypatch):
+    """Past KEY_FOLD_MAX_ROWS the prefix-gram pairing runs distributed,
+    with the rows of the driver pairing."""
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
+
+    rows = _synth(n_docs=20, seed=4)
+    want = _run(rows)
+    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
+    assert _run(rows) == want == _naive(rows)
+    assert want
 
 
 def test_verify_sets_kept_for_one_sweep_only(ray_session):
     """The broadcast verify's per-worker gram-set memo lives in one
     worker_state slot keyed by the sweep's ref: a new sweep drops the
     previous sweep's sets."""
+    import functools
+
+    from horizon_ocr_python_ray.stages import dedup_docs as dd
     from horizon_ocr_python_ray.stages import jaccard as jmod
     from horizon_ocr_python_ray.state import worker
 
     pairs = pa.table({"doc_a": pa.array([1], pa.int64()),
                       "doc_b": pa.array([2], pa.int64())})
+    schema = pa.schema([*dd.PAIR_IDS_SCHEMA, ("n_inter", pa.int64()),
+                        ("n_union", pa.int64())])
     text = "alpha bravo charlie delta echo foxtrot"
     for _ in range(2):
         ref = ray.put({1: text, 2: text})
-        out = jmod._verify_broadcast_task(pairs, ref, k=5, thr_num=1, thr_den=2)
+        out = dd._score_broadcast_task(
+            pairs, ref, functools.partial(jmod._md5_shingle_set, k=5),
+            functools.partial(jmod._inter_union, thr_num=1, thr_den=2), schema)
         assert out.column("n_inter").to_pylist() == [2]
-        key, sets = worker._SLOTS["jaccard_verify_sets"]
+        key, (_texts, sets) = worker._SLOTS["pair_features"]
         assert key == ref.hex() and sorted(sets) == [1, 2]

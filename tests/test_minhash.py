@@ -17,15 +17,22 @@ from horizon_ocr_python_ray.functions.minhash import (
     shingle_hashes,
 )
 from horizon_ocr_python_ray.stages.dedup_docs import (
-    _lsh_pairs,
+    minhash_near_dup_verified,
     ngram_jaccard_verify,
 )
+
+SF_DOCS = "/root/testdata/sf0.001/documents.parquet"
 
 
 def _pairs(docs):
     """MinHash candidate pairs at the default banding (128 hashes, 32
-    bands, 5-token shingles), est ≥ 0.5."""
-    return _lsh_pairs(docs, 128, 32, 5, 0.5)[0]
+    bands, 5-token shingles), est ≥ 0.5, any exact Jaccard."""
+    return minhash_near_dup_verified(docs, verify_threshold=0.0)
+
+
+def _sorted(ds):
+    key = ["doc_a", "doc_b"]
+    return ds.to_pandas().sort_values(key).reset_index(drop=True)
 
 
 def test_shingle_hashes_deterministic_and_cached():
@@ -81,14 +88,14 @@ def _docs_table():
 
 def test_lsh_pipeline_finds_near_dups():
     docs = ray.data.from_arrow(_docs_table())
-    pairs = _pairs(docs)
-    verified = ngram_jaccard_verify(docs, pairs, threshold=0.5).to_pandas()
+    verified = minhash_near_dup_verified(docs).to_pandas()
     found = {tuple(sorted((a, b))) for a, b in zip(verified.doc_a, verified.doc_b)}
     assert (0, 1) in found
     assert (0, 2) in found
     assert (1, 2) in found
     assert all(3 not in p and 4 not in p for p in found)
     assert (verified["jaccard"] >= 0.5).all()
+    assert (verified["est_jaccard"] >= 0.5).all()
 
 
 def test_lsh_pipeline_no_dups_is_empty():
@@ -100,29 +107,23 @@ def test_lsh_pipeline_no_dups_is_empty():
         names=["doc_id", "text"],
     )
     docs = ray.data.from_arrow(t)
-    pairs = _pairs(docs)
-    assert pairs.count() == 0
+    assert minhash_near_dup_verified(docs).count() == 0
 
 
 def test_discovery_plans_byte_equal(monkeypatch):
-    # the distributed candidate plan (past DRIVER_MAX_BAND_ROWS) must
+    # the distributed pairing plan (past KEY_FOLD_MAX_ROWS) must
     # produce exactly the driver plan's output — checked on the
     # constructed corpus and on the driver's sf0.001 documents table
     import horizon_ocr_python_ray.stages.dedup_docs as dd
 
     docs = ray.data.from_arrow(_docs_table())
-    real = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
-                                 columns=["doc_id", "text"])
-    a = _pairs(docs).to_pandas()
-    ra = _pairs(real).to_pandas()
-    monkeypatch.setattr(dd, "DRIVER_MAX_BAND_ROWS", 0)
-    b = _pairs(docs).to_pandas()
-    rb = _pairs(real).to_pandas()
-    assert a.equals(b)
-    key = ["doc_a", "doc_b"]
-    assert ra.sort_values(key).reset_index(drop=True).equals(
-        rb.sort_values(key).reset_index(drop=True))
-    assert len(ra) > 0
+    real = ray.data.read_parquet(SF_DOCS, columns=["doc_id", "text"])
+    a = _sorted(_pairs(docs))
+    ra = _sorted(_pairs(real))
+    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
+    assert _sorted(_pairs(docs)).equals(a)
+    assert _sorted(_pairs(real)).equals(ra)
+    assert len(a) > 0 and len(ra) > 0
 
 
 def test_near_dup_clusters_union_find():
@@ -290,7 +291,7 @@ def test_simhash_near_dup_plans_equal(monkeypatch):
         return sorted((r["doc_a"], r["doc_b"], r["hamming"]) for r in rows)
 
     driver = run()
-    monkeypatch.setattr(dd, "DRIVER_MAX_BAND_ROWS", 0)
+    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
     assert run() == driver
     assert driver  # the exact dup pair (0, 2) is found
 
@@ -301,34 +302,41 @@ def test_verify_plans_row_equal(ray_session, monkeypatch):
     # replace the driver text dict without changing a single value)
     import horizon_ocr_python_ray.stages.dedup_docs as dd
 
-    real = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
-                                 columns=["doc_id", "text"])
+    real = ray.data.read_parquet(SF_DOCS, columns=["doc_id", "text"])
     pairs = _pairs(real).materialize()
-    key = ["doc_a", "doc_b"]
-    b = (dd.ngram_jaccard_verify(real, pairs, threshold=0.5)
-         .to_pandas().sort_values(key).reset_index(drop=True))
+    b = _sorted(dd.ngram_jaccard_verify(real, pairs, threshold=0.5))
     monkeypatch.setattr(dd, "VERIFY_BROADCAST_MAX_DOCS", 0)
-    d = (dd.ngram_jaccard_verify(real, pairs, threshold=0.5)
-         .to_pandas().sort_values(key).reset_index(drop=True))
+    d = _sorted(dd.ngram_jaccard_verify(real, pairs, threshold=0.5))
     assert len(b) > 0
     assert list(b.columns) == list(d.columns)
     assert b.equals(d)
 
 
 def test_verified_fused_distributed_equals_broadcast(ray_session, monkeypatch):
-    # past the cap both the est and the verify stage run join-co-located
+    # past the cap the one est + exact score runs join-co-located
     import horizon_ocr_python_ray.stages.dedup_docs as dd
 
-    real = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
-                                 columns=["doc_id", "text"])
-    key = ["doc_a", "doc_b"]
-    b = (dd.minhash_near_dup_verified(real).to_pandas()
-         .sort_values(key).reset_index(drop=True))
+    real = ray.data.read_parquet(SF_DOCS, columns=["doc_id", "text"])
+    b = _sorted(dd.minhash_near_dup_verified(real))
     monkeypatch.setattr(dd, "VERIFY_BROADCAST_MAX_DOCS", 0)
-    d = (dd.minhash_near_dup_verified(real).to_pandas()
-         .sort_values(key).reset_index(drop=True))
+    d = _sorted(dd.minhash_near_dup_verified(real))
     assert len(b) > 0
     assert b.equals(d)
+
+
+def test_verified_past_key_and_pair_caps_equals_default(ray_session, monkeypatch):
+    """Past KEY_FOLD_MAX_ROWS the pairs stay a Dataset; past
+    PAIR_COLLECT_MAX_ROWS too, scoring joins the texts onto the pair
+    blocks the fold streamed. Same rows as the default plan."""
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
+
+    real = ray.data.read_parquet(SF_DOCS, columns=["doc_id", "text"])
+    want = _sorted(dd.minhash_near_dup_verified(real))
+    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
+    assert _sorted(dd.minhash_near_dup_verified(real)).equals(want)
+    monkeypatch.setattr(dd, "PAIR_COLLECT_MAX_ROWS", 0)
+    assert _sorted(dd.minhash_near_dup_verified(real)).equals(want)
+    assert len(want) > 0
 
 
 def test_verify_broadcast_cap_switches(ray_session, monkeypatch):
@@ -349,20 +357,21 @@ def test_verify_broadcast_cap_switches(ray_session, monkeypatch):
 def test_verify_collects_pairs_once(ray_session, monkeypatch, udf_calls):
     """ngram_jaccard_verify collects the pairs once and verifies what it
     collected; past PAIR_COLLECT_MAX_ROWS the join plan runs over the
-    pair blocks already produced. Either way the lazy est stage upstream
-    of the pairs runs once per batch, with identical rows."""
+    pair blocks already produced. Either way the lazy pair UDF upstream
+    runs once per batch, with identical rows."""
+    import sys
+
     import horizon_ocr_python_ray.stages.dedup_docs as dd
 
     docs = ray.data.from_arrow(_docs_table())
-    calls = udf_calls(dd, "_worker_minhash_stage")  # once per est batch
-    key = ["doc_a", "doc_b"]
+    cand = pa.Table.from_pandas(_pairs(docs).to_pandas()[["doc_a", "doc_b"]],
+                                preserve_index=False)
+    calls = udf_calls(sys.modules[__name__], "_pair_udf")
 
     def run():
-        pairs = _pairs(docs)  # discovery runs eagerly; count the rest
-        calls()
-        out = (dd.ngram_jaccard_verify(docs, pairs, threshold=0.5).to_pandas()
-               .sort_values(key).reset_index(drop=True))
-        return out, calls()
+        pairs = ray.data.from_arrow(cand).map_batches(
+            _pair_udf, batch_format="pyarrow")
+        return _sorted(dd.ngram_jaccard_verify(docs, pairs, threshold=0.5)), calls()
 
     want, n = run()
     assert n == 1 and len(want) > 0

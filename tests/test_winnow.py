@@ -8,6 +8,7 @@ import pyarrow as pa
 from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
 from horizon_ocr_python_ray.stages.winnow import (
     DEFAULT_K,
+    DEFAULT_MAX_DF,
     DEFAULT_W,
     winnow_batch,
 )
@@ -142,3 +143,26 @@ def test_winnow_shared_pairs_matches_naive(ray_session):
            for r in winnow_shared_pairs(ds).take_all()}
     assert got == want
     assert (0, 3) in got  # the exact duplicate pair is found
+
+
+def test_winnow_shared_pairs_plans_equal(ray_session, monkeypatch):
+    """Past KEY_FOLD_MAX_ROWS the fingerprint pairing runs distributed,
+    with the rows of the driver pairing, on the sf0.001 documents — also
+    under a df cap low enough to drop fingerprints."""
+    import ray.data
+
+    import horizon_ocr_python_ray.stages.dedup_docs as dd
+    from horizon_ocr_python_ray.stages.winnow import winnow_shared_pairs
+
+    docs = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
+                                 columns=["doc_id", "text"])
+
+    def run(max_df):
+        return sorted(tuple(r.values()) for r in
+                      winnow_shared_pairs(docs, max_df=max_df).take_all())
+
+    want, capped = run(DEFAULT_MAX_DF), run(2)
+    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
+    assert run(DEFAULT_MAX_DF) == want
+    assert run(2) == capped
+    assert want and capped and capped != want
