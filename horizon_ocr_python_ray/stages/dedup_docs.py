@@ -41,18 +41,6 @@ from ..functions.minhash import (
 from ..state.worker import worker_state
 from .hashagg import grouped_aggregate, grouped_reduce
 
-__all__ = [
-    "exact_dedup_docs",
-    "map_pairs",
-    "minhash_near_dup_verified",
-    "near_dup_clusters",
-    "ngram_jaccard_verify",
-    "score_pairs",
-    "shared_key_pairs",
-    "simhash_batch",
-    "simhash_near_dup_pairs",
-]
-
 
 # -- exact dedup -------------------------------------------------------------
 
@@ -109,10 +97,12 @@ def _run_starts(*cols: np.ndarray) -> np.ndarray:
 
 
 def _pairs_on_driver(t: pa.Table, key: str, max_df: int | None,
-                     carry: tuple[str, ...]) -> pa.Table:
+                     carry: tuple[str, ...]) -> pa.Table | None:
     """:func:`shared_key_pairs` over key rows in hand, in numpy: sort by
     (key, doc), pair every row with the rows after it in its key group,
-    then count the distinct pairs."""
+    then count the distinct pairs. ``None``, before any expansion, when
+    the key groups expand to more than :data:`PAIR_COLLECT_MAX_ROWS`
+    pairs."""
     doc = t.column("doc_id").to_numpy()
     ks = t.column(key).to_numpy()
     order = np.lexsort((doc, ks))
@@ -120,6 +110,8 @@ def _pairs_on_driver(t: pa.Table, key: str, max_df: int | None,
     size = np.diff(np.r_[start, len(ks)])
     ok = size >= 2 if max_df is None else (size >= 2) & (size <= max_df)
     start, size = start[ok], size[ok]
+    if (size * (size - 1) // 2).sum() > PAIR_COLLECT_MAX_ROWS:
+        return None
     pos = _segment_pos(size)
     fan = np.repeat(size, size) - 1 - pos  # rows after it in its group
     left = np.repeat(np.repeat(start, size) + pos, fan)
@@ -139,8 +131,16 @@ def _pairs_on_driver(t: pa.Table, key: str, max_df: int | None,
     return pa.table(cols)
 
 
+def _in_hand(t: pa.Table):
+    """``t`` as a Dataset whose blocks are its computed output, so
+    reading it starts no execution of its own."""
+    import ray.data
+
+    return ray.data.from_arrow(t).materialize()
+
+
 def _pairs_distributed(rest, key: str, max_df: int | None,
-                       carry: tuple[str, ...], empty: pa.Table):
+                       carry: tuple[str, ...], schema: pa.Schema):
     """:func:`shared_key_pairs` over the key rows' partial blocks:
     document frequency per key (``grouped_aggregate``), the pairable
     keys collected (sized by the duplicate rate, not the corpus) into an
@@ -159,7 +159,7 @@ def _pairs_distributed(rest, key: str, max_df: int | None,
         df.map_batches(pairable, batch_format="pyarrow"),
         schema=pa.schema([(key, pa.int64())])).column(key).combine_chunks()
     if not len(keys):
-        return empty
+        return _in_hand(_pairs_on_driver(schema.empty_table(), key, max_df, carry))
     members = rest.map_batches(
         lambda t: t.filter(pc.is_in(t.column(key), value_set=keys)),
         batch_format="pyarrow")
@@ -179,35 +179,32 @@ def _pairs_distributed(rest, key: str, max_df: int | None,
 
 def shared_key_pairs(rows_ds, key: str, max_df: int | None = None,
                      carry: tuple[str, ...] = ()):
-    """``(doc_id, key, *carry)`` rows → the distinct ``doc_a < doc_b``
-    pairs that share a key whose document frequency lies in
-    ``[2, max_df]`` (``None``: no upper bound), with ``n_shared``, the
-    number of such keys they share, and each carried column of both
-    docs as ``{c}_a`` / ``{c}_b``. Each doc emits a key at most once;
-    every column is int64.
+    """``(doc_id, key, *carry)`` rows → a Dataset of the distinct
+    ``doc_a < doc_b`` pairs that share a key whose document frequency
+    lies in ``[2, max_df]`` (``None``: no upper bound), with
+    ``n_shared``, the number of such keys they share, and each carried
+    column of both docs as ``{c}_a`` / ``{c}_b``. Each doc emits a key
+    at most once; every column is int64.
 
     One plan rule: the key rows stream once through
-    ``collect.fold_capped``. Under :data:`KEY_FOLD_MAX_ROWS` they pair
-    on the driver in numpy and the result is a Table; past it the
-    pairing runs distributed over the partial blocks already streamed
-    (:func:`_pairs_distributed`) and the result is a Dataset. Both give
-    the same rows (tested)."""
+    ``collect.fold_capped``. Under :data:`KEY_FOLD_MAX_ROWS`, and while
+    their key groups expand to at most :data:`PAIR_COLLECT_MAX_ROWS`
+    pairs (counted before expanding), they pair on the driver in numpy
+    and come back as a materialized Dataset. Otherwise the pairing runs
+    distributed (:func:`_pairs_distributed`) over the partial blocks the
+    fold streamed, or over the blocks of the rows in hand. Both give the
+    same rows (tested)."""
+    import ray.data
+
     schema = pa.schema([(c, pa.int64()) for c in ("doc_id", key, *carry)])
     rows, rest = fold_capped(rows_ds, schema, None, None, KEY_FOLD_MAX_ROWS)
     if rest is None:
-        return _pairs_on_driver(rows, key, max_df, carry)
-    empty = _pairs_on_driver(schema.empty_table(), key, max_df, carry)
-    return _pairs_distributed(rest, key, max_df, carry, empty)
-
-
-def map_pairs(pairs, fn):
-    """``fn`` over the pairs :func:`shared_key_pairs` returned, as a
-    Dataset."""
-    import ray.data
-
-    if isinstance(pairs, pa.Table):
-        return ray.data.from_arrow(fn(pairs))
-    return pairs.map_batches(fn, batch_format="pyarrow")
+        pairs = _pairs_on_driver(rows, key, max_df, carry)
+        if pairs is not None:
+            return _in_hand(pairs)
+        rest = ray.data.from_arrow(
+            [pa.Table.from_batches([b]) for b in rows.to_batches()])
+    return _pairs_distributed(rest, key, max_df, carry, schema)
 
 
 # -- pair scoring ------------------------------------------------------------
@@ -319,15 +316,15 @@ def _score_joined_task(t: pa.Table, featurize, score,
     return _scored(t, feats.__getitem__, score, schema)
 
 
-def score_pairs(docs_ds, pairs, featurize, score, fields: list[pa.Field]):
+def score_pairs(docs_ds, pairs_ds, featurize, score, fields: list[pa.Field]):
     """Candidate pairs → ``(doc_a, doc_b, *fields)`` for every pair
     ``score`` keeps. ``featurize(text)`` builds one doc's features and
     ``score(fa, fb)`` returns the pair's ``fields`` values, or ``None``
     to drop it. ``docs_ds`` holds ``(doc_id, text)``; a missing or null
     text is "".
 
-    ``pairs`` is a Table in hand or a Dataset, which folds once under
-    :data:`PAIR_COLLECT_MAX_ROWS`. Two plans, row-identical (tested):
+    The ``pairs_ds`` rows fold once under :data:`PAIR_COLLECT_MAX_ROWS`.
+    Two plans, row-identical (tested):
 
     - broadcast: with at most :data:`VERIFY_BROADCAST_MAX_DOCS`
       candidate docs, their texts are collected once and ``ray.put``;
@@ -341,10 +338,8 @@ def score_pairs(docs_ds, pairs, featurize, score, fields: list[pa.Field]):
     import ray.data
 
     schema = pa.schema([*PAIR_IDS_SCHEMA, *fields])
-    src = None
-    if not isinstance(pairs, pa.Table):
-        pairs, src = fold_capped(pairs, PAIR_IDS_SCHEMA, None, None,
-                                 PAIR_COLLECT_MAX_ROWS)
+    pairs, src = fold_capped(pairs_ds, PAIR_IDS_SCHEMA, None, None,
+                             PAIR_COLLECT_MAX_ROWS)
     kwargs = {"featurize": featurize, "score": score, "schema": schema}
     if src is None:
         if not pairs.num_rows:
@@ -618,8 +613,8 @@ def simhash_near_dup_pairs(docs_ds, max_hamming: int = 3):
                          "doc_b": t.column("doc_b").filter(keep),
                          "hamming": pa.array(ham, pa.int64()).filter(keep)})
 
-    return map_pairs(shared_key_pairs(bands, "band_key", carry=("simhash",)),
-                     verify)
+    pairs = shared_key_pairs(bands, "band_key", carry=("simhash",))
+    return pairs.map_batches(verify, batch_format="pyarrow")
 
 
 # -- near-dup clustering (connected components over verified pairs) ----------

@@ -144,7 +144,7 @@ def winnow_shared_pairs(docs_ds, k: int = DEFAULT_K, w: int = DEFAULT_W,
 
     import pyarrow.compute as pc
 
-    from .dedup_docs import map_pairs, shared_key_pairs
+    from .dedup_docs import shared_key_pairs
 
     fps = docs_ds.map_batches(
         functools.partial(_fp_rows_batch, k=k, w=w), batch_format="pyarrow")
@@ -153,4 +153,5 @@ def winnow_shared_pairs(docs_ds, k: int = DEFAULT_K, w: int = DEFAULT_W,
         return t.filter(pc.greater_equal(t.column("n_shared"), min_shared)
                         ).select(["doc_a", "doc_b", "n_shared"])
 
-    return map_pairs(shared_key_pairs(fps, "fp", max_df=max_df), finish)
+    return shared_key_pairs(fps, "fp", max_df=max_df).map_batches(
+        finish, batch_format="pyarrow")

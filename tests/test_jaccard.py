@@ -112,10 +112,10 @@ def test_distributed_verify_plan_is_row_identical(monkeypatch):
 
 
 def test_auto_plan_caps_candidate_collect(monkeypatch, udf_calls):
-    """A dup-heavy corpus past KEY_FOLD_MAX_ROWS and
-    PAIR_COLLECT_MAX_ROWS must route to the distributed pairing and
-    verify (never a full driver collect) with identical pairs, over the
-    blocks already produced: the gram rows are built once."""
+    """A dup-heavy corpus past PAIR_COLLECT_MAX_ROWS must route to the
+    distributed pairing and verify (never a full driver collect) with
+    identical pairs, over the blocks already produced: the gram rows are
+    built once."""
     import horizon_ocr_python_ray.stages.dedup_docs as dd
     from horizon_ocr_python_ray.stages import jaccard as jmod
 
@@ -123,14 +123,17 @@ def test_auto_plan_caps_candidate_collect(monkeypatch, udf_calls):
     base = _synth(n_docs=3, seed=5)[:3]
     rows = [(i + 1, base[i % 3][1]) for i in range(24)]
     calls = udf_calls(jmod, "_distinct_gram_hash_rows")
+    distributed = udf_calls(dd, "_pairs_distributed")
+    joined = udf_calls(dd, "attach_pair_texts")
     want = _naive(rows)
     assert _run(rows) == want
     n = calls()
     assert n > 0
-    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
+    assert (distributed(), joined()) == (0, 0)
     monkeypatch.setattr(dd, "PAIR_COLLECT_MAX_ROWS", 0)
     assert _run(rows) == want
     assert calls() == n
+    assert (distributed(), joined()) == (1, 1)
 
 
 def test_key_fold_plans_equal(monkeypatch):

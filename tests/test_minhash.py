@@ -111,18 +111,21 @@ def test_lsh_pipeline_no_dups_is_empty():
 
 
 def test_discovery_plans_byte_equal(monkeypatch):
-    # the distributed pairing plan (past KEY_FOLD_MAX_ROWS) must
-    # produce exactly the driver plan's output — checked on the
-    # constructed corpus and on the driver's sf0.001 documents table
+    # the distributed pairing plan (past KEY_FOLD_MAX_ROWS, or past
+    # PAIR_COLLECT_MAX_ROWS pairs to expand) must produce exactly the
+    # driver plan's output — checked on the constructed corpus and on
+    # the driver's sf0.001 documents table
     import horizon_ocr_python_ray.stages.dedup_docs as dd
 
     docs = ray.data.from_arrow(_docs_table())
     real = ray.data.read_parquet(SF_DOCS, columns=["doc_id", "text"])
     a = _sorted(_pairs(docs))
     ra = _sorted(_pairs(real))
-    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
-    assert _sorted(_pairs(docs)).equals(a)
-    assert _sorted(_pairs(real)).equals(ra)
+    for cap in ("KEY_FOLD_MAX_ROWS", "PAIR_COLLECT_MAX_ROWS"):
+        with monkeypatch.context() as m:
+            m.setattr(dd, cap, 0)
+            assert _sorted(_pairs(docs)).equals(a)
+            assert _sorted(_pairs(real)).equals(ra)
     assert len(a) > 0 and len(ra) > 0
 
 
@@ -291,8 +294,10 @@ def test_simhash_near_dup_plans_equal(monkeypatch):
         return sorted((r["doc_a"], r["doc_b"], r["hamming"]) for r in rows)
 
     driver = run()
-    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
-    assert run() == driver
+    for cap in ("KEY_FOLD_MAX_ROWS", "PAIR_COLLECT_MAX_ROWS"):
+        with monkeypatch.context() as m:
+            m.setattr(dd, cap, 0)
+            assert run() == driver
     assert driver  # the exact dup pair (0, 2) is found
 
 
@@ -325,7 +330,7 @@ def test_verified_fused_distributed_equals_broadcast(ray_session, monkeypatch):
 
 
 def test_verified_past_key_and_pair_caps_equals_default(ray_session, monkeypatch):
-    """Past KEY_FOLD_MAX_ROWS the pairs stay a Dataset; past
+    """Past KEY_FOLD_MAX_ROWS the pairing runs distributed; past
     PAIR_COLLECT_MAX_ROWS too, scoring joins the texts onto the pair
     blocks the fold streamed. Same rows as the default plan."""
     import horizon_ocr_python_ray.stages.dedup_docs as dd

@@ -68,6 +68,8 @@ ALLOWED = {
     "gen_audio_probe_table": "fixture: driver-side audio probe table the energy-kernel test feeds",
     "_decode_audio": "float-waveform member of the MEDIA_SCHEMA _decode_* family",
     "hll_estimate": "reads HLL registers back; tests check the registers against the true count",
+    "ngram_jaccard_verify": "public entry point: exact shingle-Jaccard verify of caller-supplied "
+                            "candidate pairs; the driver queries build their own pairs",
 }
 
 #: Parameter names that would let a caller force a plan (besides

@@ -146,9 +146,10 @@ def test_winnow_shared_pairs_matches_naive(ray_session):
 
 
 def test_winnow_shared_pairs_plans_equal(ray_session, monkeypatch):
-    """Past KEY_FOLD_MAX_ROWS the fingerprint pairing runs distributed,
-    with the rows of the driver pairing, on the sf0.001 documents — also
-    under a df cap low enough to drop fingerprints."""
+    """Past KEY_FOLD_MAX_ROWS, or past PAIR_COLLECT_MAX_ROWS pairs to
+    expand, the fingerprint pairing runs distributed, with the rows of
+    the driver pairing, on the sf0.001 documents — also under a df cap
+    low enough to drop fingerprints."""
     import ray.data
 
     import horizon_ocr_python_ray.stages.dedup_docs as dd
@@ -162,7 +163,9 @@ def test_winnow_shared_pairs_plans_equal(ray_session, monkeypatch):
                       winnow_shared_pairs(docs, max_df=max_df).take_all())
 
     want, capped = run(DEFAULT_MAX_DF), run(2)
-    monkeypatch.setattr(dd, "KEY_FOLD_MAX_ROWS", 0)
-    assert run(DEFAULT_MAX_DF) == want
-    assert run(2) == capped
+    for cap in ("KEY_FOLD_MAX_ROWS", "PAIR_COLLECT_MAX_ROWS"):
+        with monkeypatch.context() as m:
+            m.setattr(dd, cap, 0)
+            assert run(DEFAULT_MAX_DF) == want
+            assert run(2) == capped
     assert want and capped and capped != want
