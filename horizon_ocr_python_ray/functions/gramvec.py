@@ -7,17 +7,13 @@ cost of the corpus-wide repeated-gram pipeline, which explodes EVERY
 document (round-2 verdict: the most expensive bench query). This module
 does the same explode with Arrow/numpy kernels only:
 
-1. ``utf8_lower`` + ``split_pattern_regex('\\s+')`` (one C++ call each;
-   Arrow's regex engine is RE2, the same engine DuckDB uses, so the
-   whitespace class is byte-identical to the SQL oracles' —
-   ``[\\t\\n\\f\\r ]``, not Python's Unicode ``\\s``),
-2. drop zero-length boundary tokens in the FLAT token array (regex
-   split keeps leading/trailing empties; ``\\S+`` does not),
-3. window starts via the repeat/cumsum ownership trick (the same shape
+1. the batch form of the term rule (``textstats.flat_terms``: lowered,
+   RE2-whitespace-split, empty tokens dropped, per-doc offsets),
+2. window starts via the repeat/cumsum ownership trick (the same shape
    as ``fasthash``'s per-row sums),
-4. gram strings via ``binary_join_element_wise`` over n shifted takes
+3. gram strings via ``binary_join_element_wise`` over n shifted takes
    of the flat token array,
-5. per-doc DISTINCT via one ``Table.group_by`` on (doc_id, gram).
+4. per-doc DISTINCT via one ``Table.group_by`` on (doc_id, gram).
 
 Output is value-identical to ``doc_ngrams`` per doc (property-tested
 against it), so the SQL mirror documented there is unchanged.
@@ -29,31 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _flat_tokens(texts: pa.ChunkedArray | pa.Array):
-    """Lower + whitespace-split a text column → (flat token Array,
-    int64 per-doc offsets into it), empty tokens removed, null texts
-    treated as empty docs."""
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    toks = pc.split_pattern_regex(
-        pc.utf8_lower(pc.fill_null(texts, "")), r"\s+")
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = toks.flatten()
-    # list offsets, slice-corrected
-    offsets = np.asarray(toks.offsets).astype(np.int64)
-    offsets = offsets - offsets[0]
-    keep = pc.not_equal(pc.binary_length(flat), 0)
-    keep_np = np.asarray(keep)
-    flat = flat.filter(keep)
-    n_docs = len(toks)
-    doc_of_tok = np.repeat(np.arange(n_docs, dtype=np.int64),
-                           np.diff(offsets))
-    counts = np.bincount(doc_of_tok[keep_np], minlength=n_docs)
-    new_offsets = np.zeros(n_docs + 1, np.int64)
-    np.cumsum(counts, out=new_offsets[1:])
-    return flat, new_offsets
+from .textstats import flat_terms
 
 
 def _gram_windows(texts: pa.ChunkedArray | pa.Array, n: int):
@@ -64,7 +36,7 @@ def _gram_windows(texts: pa.ChunkedArray | pa.Array, n: int):
     strings (Arrow Array) — or ``None`` when no document has ≥ n
     tokens. Both explode entry points project from this one kernel so
     the window arithmetic can never drift between them."""
-    flat, offsets = _flat_tokens(texts)
+    flat, offsets = flat_terms(texts)
     tok_counts = np.diff(offsets)
     gram_counts = np.maximum(tok_counts - n + 1, 0)
     total = int(gram_counts.sum())

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 
 from .fasthash import md5_number_lower
-from .textstats import tokens
+from .textstats import terms
 
 _MERSENNE_P = (1 << 61) - 1
 _MASK64 = (1 << 64) - 1
@@ -50,7 +50,7 @@ def shingle_hashes(text: str, k: int = 5, cache: dict[str, int] | None = None) -
     Shingle hash = positional polynomial over the window's token hashes
     (``Σ tok_hash[i+j] · C^j`` in wrapping uint64) — vectorized with k
     shifted adds instead of one string-hash per shingle."""
-    toks = tokens(text.lower())
+    toks = terms(text)
     if not toks:
         return np.empty(0, dtype=np.uint64)
     th = token_hashes(toks, cache)
@@ -221,7 +221,7 @@ def simhash64(text: str, cache: dict[str, int] | None = None) -> int:
     vectorized: bit matrix via ``np.unpackbits``, strict-majority per
     bit. Deterministic and DuckDB-oracle-reproducible (see
     ``oracle_sql()['doc_simhash']``)."""
-    toks = tokens(text.lower())
+    toks = terms(text)
     if not toks:
         return 0
     if cache is None:

@@ -1,5 +1,7 @@
-"""Text-analysis kernels for training-data curation: token counting,
-quality scoring, language-ID heuristic, document fingerprinting.
+"""Text-analysis kernels for training-data curation: the term rule
+(``flat_terms`` / ``terms``) every stage that reads terms calls, token
+counting, quality scoring, language-ID heuristic, document
+fingerprinting.
 
 All kernels are pure and vectorized-per-batch (no model weights): they run
 in stateless ``map_batches`` bodies over the ``documents`` table. Each has
@@ -11,14 +13,21 @@ from __future__ import annotations
 
 import re
 
-# RE2-compatible \S+: DuckDB's regexp engine (RE2) defines \s as the
-# ASCII class [\t\n\f\r ] (no \v, no Unicode spaces), while Python's \S
-# is Unicode-aware. The oracles tokenize with RE2, so the engine splits
-# on exactly RE2's whitespace class — byte-identical on ASCII text and
-# still aligned if the corpus ever grows U+00A0/U+2028-style spaces.
-_TOKEN_RE = re.compile(r"[^\t\n\f\r ]+")
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+# The term rule, the one definition every stage that reads terms uses.
+# The oracles split ``lower(text)`` with ``regexp_split_to_array(…,
+# '\\s+')``. DuckDB's regexp engine is RE2, whose \s is the ASCII class
+# below (no \v, no U+00A0/U+2028), and DuckDB ``lower`` is simple case
+# mapping ('Σ' → 'σ' in every position, 'İ' → 'i'), as is Arrow
+# ``utf8_lower`` — Python's ``str.split`` / ``str.lower`` differ on both.
+_WS = "\t\n\f\r "
+_TOKEN_RE = re.compile(f"[^{_WS}]+")
+_WS_RUN = f"[{_WS}]+"
 # BPE-ish subword split: runs of letters, runs of digits, single other chars.
-_BPE_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\t\n\f\r ]")
+_BPE_RE = re.compile(f"[A-Za-z]+|[0-9]+|[^A-Za-z0-9{_WS}]")
 _SENT_PUNCT = ".!?"
 
 # Keep in sync with the SQL oracle in __ray_entry__.oracle_sql (lang_id):
@@ -37,7 +46,30 @@ LANG_MIN_STOPWORD_RATIO = 0.03
 
 
 def tokens(text: str) -> list[str]:
+    """Whitespace tokens of ``text``, case kept."""
     return _TOKEN_RE.findall(text or "")
+
+
+def flat_terms(texts: pa.ChunkedArray | pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """The term rule over a whole text column: (flat non-empty lowered
+    terms, int64 per-text offsets into them). Per-text term counts are
+    ``np.diff(offsets)``; a null text has no terms. SQL analog per text:
+    ``list_filter(regexp_split_to_array(lower(text), '\\s+'), x -> x <> '')``
+    (the split keeps empty boundary tokens, dropped here)."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    split = pc.split_pattern_regex(pc.utf8_lower(pc.fill_null(texts, "")),
+                                   _WS_RUN)
+    flat = split.flatten()
+    keep = pc.not_equal(pc.binary_length(flat), 0)
+    kept_before = np.concatenate([[0], np.cumsum(np.asarray(keep), dtype=np.int64)])
+    offsets = np.asarray(split.offsets, np.int64)
+    return flat.filter(keep), kept_before[offsets - offsets[0]]
+
+
+def terms(text: str) -> list[str]:
+    """The term rule on one text — :func:`flat_terms` per string."""
+    return tokens(pc.utf8_lower(pa.scalar(text or "", pa.string())).as_py())
 
 
 def token_count(text: str) -> int:
@@ -60,7 +92,7 @@ def quality_features(text: str) -> dict[str, float]:
     n_chars = len(text or "")
     n_sent_punct = sum((text or "").count(c) for c in _SENT_PUNCT)
     en_stop = set(STOPWORDS["en"])
-    n_stop = sum(1 for t in toks if t.lower() in en_stop)
+    n_stop = sum(1 for t in terms(text) if t in en_stop)
     mean_word_len = (sum(len(t) for t in toks) / n_tok) if n_tok else 0.0
     return {
         "n_chars": float(n_chars),
@@ -72,7 +104,7 @@ def quality_features(text: str) -> dict[str, float]:
 
 
 def lang_scores(text: str) -> dict[str, float]:
-    toks = [t.lower() for t in tokens(text)]
+    toks = terms(text)
     n = len(toks)
     if not n:
         return {lang: 0.0 for lang in STOPWORDS}

@@ -21,7 +21,7 @@ import hashlib
 
 import pyarrow as pa
 
-from ..functions.textstats import tokens
+from ..functions.textstats import terms
 
 DEFAULT_WINDOW = 64
 DEFAULT_STRIDE = 48
@@ -31,11 +31,11 @@ DEFAULT_MIN_KEEP = 16
 def doc_chunks(text: str, window: int, stride: int, min_keep: int):
     """[(chunk_idx, start_tok, n_tokens, chunk_text)] for one document.
 
-    Tokens are the lowered whitespace tokens of the shared tokenizer
-    (``functions/textstats.tokens``), space-rejoined — chunk text is a
+    Tokens are the terms of the shared term rule
+    (``functions/textstats.terms``), space-rejoined — chunk text is a
     normalized rendering, not a byte slice of the original.
     """
-    toks = [t.lower() for t in tokens(text)]
+    toks = terms(text)
     n = len(toks)
     if n == 0:
         return []

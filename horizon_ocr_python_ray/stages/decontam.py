@@ -20,14 +20,14 @@ Scale shape (100 TB):
 Reference analog: the response-cache / seen-set dedup machinery
 (``/root/reference/docvision/pipeline/cache.py``) generalized to
 cross-corpus membership; the n-gram definition reuses the whitespace
-tokenizer mirrored 1:1 in SQL (``functions/textstats.py:tokens``).
+tokenizer mirrored 1:1 in SQL (``functions/textstats.py:terms``).
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
-from ..functions.textstats import tokens
+from ..functions.textstats import terms
 from ..state.worker import worker_state
 
 #: Default n-gram length. GPT-3 used 13; the synthetic corpus's sentence
@@ -51,7 +51,7 @@ def doc_ngrams(text: str, n: int) -> set[str]:
             i -> array_to_string(t[i:i+n-1], ' ')))
         -- t = regexp_split_to_array(trim(lower(text)), '\\s+')
     """
-    toks = [t.lower() for t in tokens(text)]
+    toks = terms(text)
     if len(toks) < n:
         return set()
     return {" ".join(toks[i:i + n]) for i in range(len(toks) - n + 1)}

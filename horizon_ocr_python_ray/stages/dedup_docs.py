@@ -38,6 +38,7 @@ from ..functions.minhash import (
     minhash_signatures_batch,
     shingle_hashes,
 )
+from ..functions.textstats import flat_terms
 from ..state.worker import worker_state
 from .hashagg import grouped_aggregate, grouped_reduce
 
@@ -489,24 +490,20 @@ def _simhash_scratch(name: str, n: int, dtype) -> np.ndarray:
 
 
 def simhash_batch(batch: pa.Table) -> pa.Table:
-    """Whole-batch vectorized SimHash (signed int64 domain): Arrow
-    tokenize of ``lower(text)`` (``\\S+`` parity with
-    :func:`~..functions.minhash.simhash64`), dictionary-encode so
-    ``md5_number_lower`` runs once per DISTINCT token (worker-cached across
-    batches), then per-doc bit-majority as 64 shift/mask/
+    """Whole-batch vectorized SimHash (signed int64 domain): the batch
+    form of the term rule (``textstats.flat_terms``; the per-doc
+    :func:`~..functions.minhash.simhash64` uses its per-string form),
+    dictionary-encode so ``md5_number_lower`` runs once per DISTINCT
+    token (worker-cached across batches), then per-doc bit-majority as 64 shift/mask/
     ``np.add.reduceat`` sweeps over ONE reused token-length scratch
     buffer — no per-document Python, no (tokens × 64) bit-matrix
     materialization. Byte-equal to per-doc ``simhash64`` (differential
     test in ``tests/test_minhash.py``)."""
     from ..functions.fasthash import md5_number_lower
-    from .ranking import _flat_tokens
 
     ids = batch.column("doc_id")
-    la, _, n_tokens = _flat_tokens(batch)
-    compact = la.filter(pc.not_equal(la, "").fill_null(False))
-    if isinstance(compact, pa.ChunkedArray):
-        compact = compact.combine_chunks()
-    n_tokens = n_tokens.astype(np.int64)
+    compact, offsets = flat_terms(batch.column("text"))
+    n_tokens = np.diff(offsets)
     ndocs = len(n_tokens)
     ntok = len(compact)
     if ntok == 0:  # all-empty batch: simhash64("") == 0

@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ..functions.collect import iter_tables
 from ..functions.fasthash import md5_number_lower
+from ..functions.textstats import flat_terms
 
 #: Hashed-feature bucket count (power of two, matches the paper's
 #: fixed-dimension hashed unigram features; small enough to fold).
@@ -60,25 +62,24 @@ def _bucket(term: str) -> int:
     return b
 
 
-def _doc_buckets(text: str) -> list[int]:
-    return [_bucket(t) for t in (text or "").lower().split()]
+def _term_buckets(texts: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """(bucket of every term occurrence, per-doc offsets into them); each
+    DISTINCT term of the batch is hashed once."""
+    terms, offsets = flat_terms(texts)
+    de = terms.dictionary_encode()
+    ub = np.array([_bucket(t) for t in de.dictionary.to_pylist()], np.int64)
+    return ub[de.indices.to_numpy(zero_copy_only=False)], offsets
 
 
 def _hist_partial(batch: pa.Table, target_lang: str) -> pa.Table:
     """(text, lang) batch → non-zero rows of the two fixed-size
     histograms: (bkt, n_target, n_raw)."""
-    texts = batch.column("text").to_pylist()
-    langs = batch.column("lang").to_pylist()
-    raw = np.zeros(N_BUCKETS, np.int64)
-    tgt = np.zeros(N_BUCKETS, np.int64)
-    for text, lang in zip(texts, langs):
-        bks = _doc_buckets(text)
-        if not bks:
-            continue
-        arr = np.bincount(bks, minlength=N_BUCKETS)
-        raw += arr
-        if lang == target_lang:
-            tgt += arr
+    bks, offsets = _term_buckets(batch.column("text"))
+    is_tgt = pc.equal(batch.column("lang"), target_lang).fill_null(
+        False).to_numpy()
+    raw = np.bincount(bks, minlength=N_BUCKETS)
+    tgt = np.bincount(bks[np.repeat(is_tgt, np.diff(offsets))],
+                      minlength=N_BUCKETS)
     nz = np.flatnonzero(raw)
     return pa.table({
         "bkt": pa.array(nz, pa.int64()),
@@ -111,11 +112,9 @@ def dsir_scores(docs: ray.data.Dataset, target_lang: str = "en") -> ray.data.Dat
 
     def score_batch(batch: pa.Table) -> pa.Table:
         w = ray.get(w_ref)  # zero-copy plasma read, cached per worker
-        texts = batch.column("text").to_pylist()
-        scores = np.empty(len(texts), np.int64)
-        for i, text in enumerate(texts):
-            bks = _doc_buckets(text)
-            scores[i] = int(w[bks].sum()) if bks else 0
+        bks, offsets = _term_buckets(batch.column("text"))
+        cum = np.concatenate([[0], np.cumsum(w[bks])])
+        scores = cum[offsets[1:]] - cum[offsets[:-1]]
         return pa.table({
             "doc_id": batch.column("doc_id"),
             "dsir_score_e6": pa.array(scores, pa.int64()),
@@ -140,26 +139,17 @@ def lang_drift(docs: ray.data.Dataset) -> ray.data.Dataset:
     import pandas as pd
 
     def hist_partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        acc: dict[str, np.ndarray] = {}
-        for text, lang in zip(texts, langs):
-            bks = _doc_buckets(text)
-            if not bks:
-                continue
-            a = acc.get(lang)
-            if a is None:
-                a = acc[lang] = np.zeros(N_BUCKETS, np.int64)
-            a += np.bincount(bks, minlength=N_BUCKETS)
-        out_l, out_b, out_c = [], [], []
-        for lang, a in acc.items():
-            nz = np.flatnonzero(a)
-            out_l.extend([lang] * len(nz))
-            out_b.extend(nz.tolist())
-            out_c.extend(a[nz].tolist())
-        return pa.table({"lang": pa.array(out_l, pa.string()),
-                         "bkt": pa.array(out_b, pa.int64()),
-                         "c": pa.array(out_c, pa.int64())})
+        bks, offsets = _term_buckets(batch.column("text"))
+        langs = pc.dictionary_encode(batch.column("lang").combine_chunks())
+        lang_of_term = np.repeat(
+            langs.indices.to_numpy(zero_copy_only=False).astype(np.int64),
+            np.diff(offsets))
+        cells = np.bincount(lang_of_term * N_BUCKETS + bks,
+                            minlength=len(langs.dictionary) * N_BUCKETS)
+        nz = np.flatnonzero(cells)
+        return pa.table({"lang": langs.dictionary.take(pa.array(nz // N_BUCKETS)),
+                         "bkt": pa.array(nz % N_BUCKETS, pa.int64()),
+                         "c": pa.array(cells[nz], pa.int64())})
 
     partials = docs.map_batches(hist_partial, batch_format="pyarrow")
     per_lang: dict[str, np.ndarray] = {}

@@ -18,10 +18,9 @@ compare surface (same convention as ``stages/topterms.py``).
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pyarrow as pa
 from ..functions.collect import fold_capped, top_k
+from ..functions.textstats import flat_terms
 
 #: Distinct-term bound of the driver fold; above it the partials go
 #: through the ``groupby(term).sum`` shuffle instead.
@@ -30,25 +29,14 @@ FOLD_VOCAB_MAX = 5_000_000
 _PARTIAL_SCHEMA = pa.schema([("term", pa.string()), ("partial_n", pa.int64())])
 
 
-def _batch_term_counts(batch: pa.Table) -> Counter:
-    """Arrow-vectorized term counts (tokenize + ``value_counts``); the
-    Counter is built from one row per DISTINCT term, never per token."""
-    from .lmscore import _compact_tokens
-
-    compact, _ = _compact_tokens(batch)
-    vc = compact.value_counts()
-    return Counter(dict(zip(vc.field("values").to_pylist(),
-                            vc.field("counts").to_pylist())))
+def _counts(values: pa.Array) -> pa.Table:
+    """(term, partial_n): one row per DISTINCT value, never per token."""
+    vc = values.value_counts()
+    return pa.table({"term": vc.field("values"), "partial_n": vc.field("counts")})
 
 
 def _partial_tf(batch: pa.Table) -> pa.Table:
-    counts = _batch_term_counts(batch)
-    terms = sorted(counts)
-    return pa.Table.from_arrays(
-        [pa.array(terms, pa.string()),
-         pa.array([counts[t] for t in terms], pa.int64())],
-        names=["term", "partial_n"],
-    )
+    return _counts(flat_terms(batch.column("text"))[0])
 
 
 def _top_k(docs_ds, k: int, partial_fn) -> pa.Table:
@@ -76,34 +64,21 @@ def corpus_top_terms(docs_ds, k: int = 50):
 
 # -- bigrams ------------------------------------------------------------------
 
-def _batch_bigram_counts(batch: pa.Table) -> Counter:
-    """Arrow-vectorized adjacent-pair counts: the same space-joined
-    ``"a b"`` keys, cross-document transitions masked out."""
+def _partial_bigram_tf(batch: pa.Table) -> pa.Table:
+    """Adjacent-pair counts: space-joined ``"a b"`` keys,
+    cross-document transitions masked out."""
+    import numpy as np
     import pyarrow.compute as pc
 
-    from .lmscore import _compact_tokens, _transition_mask
+    from .lmscore import _transition_mask
 
-    compact, n_tokens = _compact_tokens(batch)
-    tmask = _transition_mask(n_tokens)
-    if not len(tmask):
-        return Counter()
-    m = pa.array(tmask)
-    pairs = pc.binary_join_element_wise(
+    compact, offsets = flat_terms(batch.column("text"))
+    m = pa.array(_transition_mask(np.diff(offsets)), pa.bool_())
+    if not len(m):
+        return _counts(pa.array([], pa.string()))
+    return _counts(pc.binary_join_element_wise(
         compact.slice(0, len(compact) - 1).filter(m),
-        compact.slice(1).filter(m), " ")
-    vc = pairs.value_counts()
-    return Counter(dict(zip(vc.field("values").to_pylist(),
-                            vc.field("counts").to_pylist())))
-
-
-def _partial_bigram_tf(batch: pa.Table) -> pa.Table:
-    counts = _batch_bigram_counts(batch)
-    terms = sorted(counts)
-    return pa.Table.from_arrays(
-        [pa.array(terms, pa.string()),
-         pa.array([counts[t] for t in terms], pa.int64())],
-        names=["term", "partial_n"],
-    )
+        compact.slice(1).filter(m), " "))
 
 
 def corpus_top_bigrams(docs_ds, k: int = 50):

@@ -56,6 +56,7 @@ from ray.data.aggregate import Count, Min, Sum
 from ..functions.links import outlinks_batch
 from ..functions.sniff import sniff_route
 from ..functions.collect import collect_tables, fold_capped
+from ..functions.textstats import flat_terms
 
 #: Fixed-point scale of the rank column (rank_e12 = rank × 1e12).
 RANK_SCALE = 1_000_000_000_000
@@ -121,16 +122,10 @@ def host_anchor_terms(pages: ray.data.Dataset, k: int = 3) -> ray.data.Dataset:
     corpus-sized."""
 
     def term_partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(
-            pc.utf8_lower(t.column("anchor")), r"\s+"
-        )
-        idx = pc.list_parent_indices(toks)
-        flat = pc.list_flatten(toks)
-        g = pa.table({
-            "dst_host": pc.take(t.column("dst_host"), idx),
-            "term": flat,
-        })
-        g = g.filter(pc.not_equal(g.column("term"), pa.scalar("")))
+        terms, offsets = flat_terms(t.column("anchor"))
+        idx = np.repeat(np.arange(t.num_rows), np.diff(offsets))
+        g = pa.table({"dst_host": t.column("dst_host").take(idx),
+                      "term": terms})
         out = pa.TableGroupBy(g, ["dst_host", "term"]).aggregate(
             [([], "count_all")]
         )

@@ -33,11 +33,11 @@ Scale shape (100 TB):
   ``groupby(doc_id).sum()`` the per-pair terms. Both plans are tested
   byte-equal by lowering the caps (``tests/test_lmscore.py``). No
   driver state beyond the scalar token total.
-- Score pass: whole-batch Arrow tokenize + dictionary-encode, one
-  ``searchsorted`` over the batch's DISTINCT tokens against the
-  broadcast sorted model arrays, transition terms vectorized across the
-  batch with cross-document boundaries masked — no Python loops over
-  tokens or documents anywhere.
+- Score pass: whole-batch terms (``textstats.flat_terms``) +
+  dictionary-encode, one ``searchsorted`` over the batch's DISTINCT
+  tokens against the broadcast sorted model arrays, transition terms
+  vectorized across the batch with cross-document boundaries masked —
+  no Python loops over tokens or documents anywhere.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from ..functions.textstats import tokens
+from ..functions.textstats import flat_terms
 from ..functions.collect import fold_capped
 
 #: Integer scale of each transition term (fits int64 with room: SCALE ·
@@ -71,27 +71,6 @@ _SCORE_SCHEMA = pa.schema([
 ])
 
 
-def _doc_tokens(text: str) -> list[str]:
-    return [t.lower() for t in tokens(text)]
-
-
-def _compact_tokens(batch: pa.Table):
-    """Arrow-vectorized ``_doc_tokens`` for a whole batch: (flat
-    non-empty lowered token array, per-doc token counts int64). Reuses
-    the RE2-aligned tokenizer of ``ranking._flat_tokens`` (same
-    ``\\S+``/``split()`` parity argument); per-row Python never touches
-    token text."""
-    import pyarrow.compute as pc
-
-    from .ranking import _flat_tokens
-
-    la, _, n_tokens = _flat_tokens(batch)
-    compact = la.filter(pc.not_equal(la, "").fill_null(False))
-    if isinstance(compact, pa.ChunkedArray):
-        compact = compact.combine_chunks()
-    return compact, n_tokens.astype(np.int64)
-
-
 def _transition_mask(n_tokens: np.ndarray) -> np.ndarray:
     """Boolean mask over consecutive positions of the batch-compacted
     token array: True where (i, i+1) belong to the SAME document."""
@@ -105,13 +84,14 @@ def _transition_mask(n_tokens: np.ndarray) -> np.ndarray:
 
 def _partial_counts(batch: pa.Table) -> pa.Table:
     """Batch combiner: (gram, w2, partial count) rows — unigram rows use
-    w2 = "" (tokens are \\S+ so "" never collides with a real token).
-    Fully vectorized: Arrow tokenize + ``value_counts``; adjacent-pair
-    keys join with a space (tokens cannot contain one) and split back
-    on the FIRST space only."""
+    w2 = "" (terms are never empty, so "" never collides with a real
+    one). Fully vectorized: ``flat_terms`` + ``value_counts``;
+    adjacent-pair keys join with a space (terms cannot contain one) and
+    split back on the FIRST space only."""
     import pyarrow.compute as pc
 
-    compact, n_tokens = _compact_tokens(batch)
+    compact, offsets = flat_terms(batch.column("text"))
+    n_tokens = np.diff(offsets)
     uni = compact.value_counts()
     w1s = [uni.field("values")]
     w2s = [pa.nulls(len(uni), pa.string()).fill_null("")]
@@ -207,7 +187,8 @@ def _score_batch(batch: pa.Table, model_ref) -> pa.Table:
     bkey, c2 = m["bkey"], m["c2"]
     v = len(vocab)
     doc_ids = batch.column("doc_id").cast(pa.int64())
-    compact, n_tokens = _compact_tokens(batch)
+    compact, offsets = flat_terms(batch.column("text"))
+    n_tokens = np.diff(offsets)
     ntr = np.maximum(n_tokens - 1, 0)
     if v == 0 or len(compact) == 0:
         return pa.Table.from_arrays(
@@ -265,10 +246,11 @@ _TRANS_SCHEMA = pa.schema([
 def _explode_transitions(batch: pa.Table) -> pa.Table:
     """Join-plan left side: one row per DISTINCT within-doc transition
     per document, ``k`` = its occurrence count in that doc. Vectorized:
-    Arrow tokenize + boundary mask + Arrow ``group_by`` — shuffle volume
+    ``flat_terms`` + boundary mask + Arrow ``group_by`` — shuffle volume
     is bounded by the doc's distinct adjacent pairs, not token
     occurrences."""
-    compact, n_tokens = _compact_tokens(batch)
+    compact, offsets = flat_terms(batch.column("text"))
+    n_tokens = np.diff(offsets)
     doc_ids = batch.column("doc_id").cast(pa.int64()).to_numpy(
         zero_copy_only=False)
     if len(compact) < 2:
@@ -292,7 +274,7 @@ def _explode_transitions(batch: pa.Table) -> pa.Table:
 def _doc_base(batch: pa.Table) -> pa.Table:
     """(doc_id, n_tokens, n_transitions) — the join plan's per-doc spine
     (docs with no transition rows still appear, scoring 0)."""
-    _, n_tokens = _compact_tokens(batch)
+    n_tokens = np.diff(flat_terms(batch.column("text"))[1])
     return pa.table({
         "doc_id": batch.column("doc_id").cast(pa.int64()),
         "n_tokens": pa.array(n_tokens, pa.int64()),

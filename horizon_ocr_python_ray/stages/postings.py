@@ -11,9 +11,9 @@ the compare surface stays row-shaped while still pinning the exact
 posting list. Work in the digest is output-proportional (one sort+join
 per term over its own postings), never corpus-proportional per call.
 
-Tokenization matches the engine-wide convention (``\\S+`` over the
-lowercased text — SQL ``regexp_split_to_array(trim(lower(text)),
-'\\s+')``), the same equivalence every textstats oracle relies on.
+Terms follow the engine's one term rule (``textstats.flat_terms``; SQL
+``regexp_split_to_array(trim(lower(text)), '\\s+')``), like every
+other stage that reads terms.
 """
 
 from __future__ import annotations
@@ -23,20 +23,20 @@ import hashlib
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.textstats import flat_terms
+
 
 def _distinct_pairs(batch: pa.Table) -> pa.Table:
     """(term, doc_id) distinct pairs, Arrow-vectorized: batch-wide
-    tokenize (``lmscore._compact_tokens``), doc ids repeated by token
+    tokenize (``textstats.flat_terms``), doc ids repeated by term
     count, and the per-doc ``set()`` replaced by a C++ group-by
     distinct."""
     import numpy as np
 
-    from .lmscore import _compact_tokens
-
-    compact, n_tokens = _compact_tokens(batch)
+    compact, offsets = flat_terms(batch.column("text"))
     did = batch.column("doc_id").cast(pa.int64()).to_numpy(
         zero_copy_only=False)
-    rep = np.repeat(did, n_tokens)
+    rep = np.repeat(did, np.diff(offsets))
     t = pa.table({"term": compact, "doc_id": pa.array(rep, pa.int64())})
     return t.group_by(["term", "doc_id"]).aggregate([])
 

@@ -29,30 +29,8 @@ import pyarrow.compute as pc
 import ray
 from ray.data.aggregate import Sum
 from ..functions.collect import iter_tables, top_k
-
-
-def _token_counts(text: str) -> int:
-    return len((text or "").lower().split())
-
-
-def _flat_tokens(t: pa.Table) -> tuple[pa.Array, np.ndarray, np.ndarray]:
-    """Arrow-vectorized tokenize of ``lower(text)`` for a whole batch:
-    (flat token values, per-doc offsets into them, per-doc non-empty
-    token counts). ``split_pattern_regex('\\s+')`` emits empty strings
-    for leading/trailing whitespace where Python's ``str.split()`` drops
-    them — empty tokens never match a query term, and the returned
-    counts exclude them, so both kernels match ``split()`` semantics."""
-    texts = pc.coalesce(t.column("text"), pa.scalar("", pa.string()))
-    tl = pc.split_pattern_regex(pc.utf8_lower(texts), r"\s+")
-    if isinstance(tl, pa.ChunkedArray):
-        tl = tl.combine_chunks()
-    la = pc.list_flatten(tl)
-    offsets = np.asarray(tl.offsets)
-    ne = pc.not_equal(la, "").fill_null(False).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    cs = np.concatenate([[0], np.cumsum(ne)])
-    n_tokens = cs[offsets[1:] - offsets[0]] - cs[offsets[:-1] - offsets[0]]
-    return la, offsets - offsets[0], n_tokens
+from ..functions.textstats import flat_terms
+from .topterms import _partial_df
 
 
 def doc_global_rank(docs: ray.data.Dataset) -> ray.data.Dataset:
@@ -60,10 +38,10 @@ def doc_global_rank(docs: ray.data.Dataset) -> ray.data.Dataset:
     doc_id ascending; every document ranked (empty docs rank last)."""
 
     def project(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
+        _, offsets = flat_terms(t.column("text"))
         return pa.table({
             "doc_id": t.column("doc_id").cast(pa.int64()),
-            "n_tokens": pa.array([_token_counts(x) for x in texts], pa.int64()),
+            "n_tokens": pa.array(np.diff(offsets), pa.int64()),
         })
 
     keyed = docs.map_batches(project, batch_format="pyarrow").materialize()
@@ -143,23 +121,11 @@ def top_df_terms(docs: ray.data.Dataset, n: int) -> list[tuple[int, str]]:
     ``[(−df, term)]`` sorted by ``(df desc, term asc)`` — the
     deterministic self-derived "query" used by the retrieval ops.
 
-    DF pass = distinct terms per doc (combiner) → one term shuffle →
-    ``collect.top_k`` (only ``n`` rows per block reach the driver)."""
-
-    def df_partial(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
-        terms: list[str] = []
-        for x in texts:
-            terms.extend(set((x or "").lower().split()))
-        if not terms:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "p_df": pa.array([], pa.int64())})
-        v, c = np.unique(np.array(terms, object), return_counts=True)
-        return pa.table({"term": pa.array(v.tolist(), pa.string()),
-                         "p_df": pa.array(c, pa.int64())})
-
-    df_ds = (docs.map_batches(df_partial, batch_format="pyarrow")
-             .groupby("term").aggregate(Sum("p_df", alias_name="df")))
+    DF pass = distinct terms per doc (the ``topterms`` combiner) → one
+    term shuffle → ``collect.top_k`` (only ``n`` rows per block reach
+    the driver)."""
+    df_ds = (docs.map_batches(_partial_df, batch_format="pyarrow")
+             .groupby("term").aggregate(Sum("partial_df", alias_name="df")))
     top = top_k(df_ds, [("df", "descending"), ("term", "ascending")], n, None)
     return [(-df, term) for df, term in zip(top.column("df").to_pylist(),
                                            top.column("term").to_pylist())]
@@ -177,13 +143,14 @@ def tfidf_topk(docs: ray.data.Dataset, n_query: int = 3, k: int = 20) -> pa.Tabl
     q_ref = ray.put(idf)
 
     # ---- score pass: stream docs, Σ tf·idf over the tiny query ------
-    # Fully vectorized: Arrow tokenize → index_in against the broadcast
+    # Fully vectorized: flat_terms → index_in against the broadcast
     # term set → per-doc cumsum-diff segment sums (no per-token Python).
     def score_partial(t: pa.Table) -> pa.Table:
         q = ray.get(q_ref)
         terms = sorted(q)
         idf_plus0 = np.array([q[x] for x in terms] + [0], dtype=np.int64)
-        values, offsets, n_tokens = _flat_tokens(t)
+        values, offsets = flat_terms(t.column("text"))
+        n_tokens = np.diff(offsets)
         idx = pc.index_in(values, value_set=pa.array(terms, pa.string()))
         idx_np = idx.fill_null(len(terms)).to_numpy(zero_copy_only=False)
         tok_idf = idf_plus0[idx_np]
@@ -216,7 +183,8 @@ def and_search(docs: ray.data.Dataset, n_query: int = 3) -> ray.data.Dataset:
         # vectorized containment: per query term, a cumsum-diff presence
         # count over the flattened token array (n_query is tiny)
         q = sorted(ray.get(q_ref))
-        values, offsets, n_tokens = _flat_tokens(t)
+        values, offsets = flat_terms(t.column("text"))
+        n_tokens = np.diff(offsets)
         ids = t.column("doc_id").to_numpy()
         keep = np.ones(len(ids), bool) if q else np.zeros(len(ids), bool)
         for term in q:

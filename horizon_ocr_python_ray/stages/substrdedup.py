@@ -43,7 +43,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.gramvec import _flat_tokens, explode_ngram_instances
+from ..functions.gramvec import explode_ngram_instances
+from ..functions.textstats import flat_terms
 from .hashagg import grouped_reduce
 
 DEFAULT_N = 8
@@ -103,7 +104,7 @@ def substring_dedup(docs_ds, n: int = DEFAULT_N, num_buckets: int = 64):
         role = t.column("role").to_numpy()
         tmask = role == _ROLE_TEXT
         texts = t.filter(pa.array(tmask))
-        flat, offsets = _flat_tokens(texts.column("text"))
+        flat, offsets = flat_terms(texts.column("text"))
         doc_ids = texts.column("doc_id").to_numpy()
         n_docs = len(doc_ids)
         total = int(offsets[-1]) if n_docs else 0

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pyarrow as pa
 
-from ..functions.textstats import tokens
+from ..functions.textstats import flat_terms, terms
 from ..functions.collect import fold_capped
 from ..state.worker import worker_state
 
@@ -42,22 +43,12 @@ BROADCAST_VOCAB_MAX = 5_000_000
 _PARTIAL_SCHEMA = pa.schema([("term", pa.string()), ("partial_df", pa.int64())])
 
 
-def _doc_terms(text: str) -> Counter:
-    return Counter(t.lower() for t in tokens(text))
-
-
 def _partial_df(batch: pa.Table) -> pa.Table:
     """Batch-local combiner: one output row per distinct term in the
     batch, counting how many of the batch's docs contain it."""
-    counts: Counter = Counter()
-    for text in batch.column("text").to_pylist():
-        counts.update(set(_doc_terms(text)))
-    terms = sorted(counts)
-    return pa.Table.from_arrays(
-        [pa.array(terms, pa.string()),
-         pa.array([counts[t] for t in terms], pa.int64())],
-        names=["term", "partial_df"],
-    )
+    g = _explode_tf(batch).group_by("term").aggregate([([], "count_all")])
+    return pa.table({"term": g.column("term"),
+                     "partial_df": g.column("count_all")})
 
 
 class TopTermsScorer:
@@ -74,19 +65,19 @@ class TopTermsScorer:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, terms, tfs, dfs, ranks = [], [], [], [], []
+        ids, top, tfs, dfs, ranks = [], [], [], [], []
         for doc_id, text in zip(batch.column("doc_id").to_pylist(),
                                 batch.column("text").to_pylist()):
-            tf = _doc_terms(text)
+            tf = Counter(terms(text))
             ranked = sorted(tf.items(), key=lambda kv: (-kv[1], self.df[kv[0]], kv[0]))
             for rank, (term, cnt) in enumerate(ranked[: self.k], start=1):
                 ids.append(doc_id)
-                terms.append(term)
+                top.append(term)
                 tfs.append(cnt)
                 dfs.append(self.df[term])
                 ranks.append(rank)
         return pa.Table.from_arrays(
-            [pa.array(ids, pa.int64()), pa.array(terms, pa.string()),
+            [pa.array(ids, pa.int64()), pa.array(top, pa.string()),
              pa.array(tfs, pa.int64()), pa.array(dfs, pa.int64()),
              pa.array(ranks, pa.int64())],
             names=["doc_id", "term", "tf", "df", "rank"],
@@ -100,18 +91,12 @@ def _score_batch_task(batch: pa.Table, df_ref, k: int) -> pa.Table:
 
 def _explode_tf(batch: pa.Table) -> pa.Table:
     """One row per (doc, distinct term): the join plan's left side."""
-    ids, terms, tfs = [], [], []
-    for doc_id, text in zip(batch.column("doc_id").to_pylist(),
-                            batch.column("text").to_pylist()):
-        for term, cnt in _doc_terms(text).items():
-            ids.append(doc_id)
-            terms.append(term)
-            tfs.append(cnt)
-    return pa.Table.from_arrays(
-        [pa.array(ids, pa.int64()), pa.array(terms, pa.string()),
-         pa.array(tfs, pa.int64())],
-        names=["doc_id", "term", "tf"],
-    )
+    flat, offsets = flat_terms(batch.column("text"))
+    ids = np.repeat(batch.column("doc_id").to_numpy(), np.diff(offsets))
+    g = pa.table({"doc_id": pa.array(ids, pa.int64()), "term": flat}).group_by(
+        ["doc_id", "term"]).aggregate([([], "count_all")])
+    return pa.table({"doc_id": g.column("doc_id"), "term": g.column("term"),
+                     "tf": g.column("count_all")})
 
 
 def _topk_in_doc(group: pa.Table, k: int) -> pa.Table:
@@ -128,15 +113,9 @@ def _topk_in_doc(group: pa.Table, k: int) -> pa.Table:
 def _partial_tf(batch: pa.Table) -> pa.Table:
     """Batch-local combiner counting token OCCURRENCES (not DF): one
     output row per distinct term per batch."""
-    counts: Counter = Counter()
-    for text in batch.column("text").to_pylist():
-        counts.update(_doc_terms(text))
-    terms = sorted(counts)
-    return pa.Table.from_arrays(
-        [pa.array(terms, pa.string()),
-         pa.array([counts[t] for t in terms], pa.int64())],
-        names=["term", "partial_df"],   # reuse the fold's column contract
-    )
+    vc = flat_terms(batch.column("text"))[0].value_counts()
+    return pa.table({"term": vc.field("values"),   # the fold's column contract
+                     "partial_df": vc.field("counts")})
 
 
 def build_rank_table(docs_ds) -> "pa.Table":
@@ -146,7 +125,6 @@ def build_rank_table(docs_ds) -> "pa.Table":
     transcendental in the compare surface). The occurrence partials fold
     on the driver; past :data:`BROADCAST_VOCAB_MAX` terms it refuses
     with ``ValueError`` (the rank table must be broadcast)."""
-    import numpy as np
     import pyarrow.compute as pc
 
     partials = docs_ds.map_batches(_partial_tf, batch_format="pyarrow")
@@ -188,7 +166,7 @@ def doc_mean_rank(docs_ds, rank_docs_ds=None):
         ids, ns, sums = [], [], []
         for doc_id, text in zip(batch.column("doc_id").to_pylist(),
                                 batch.column("text").to_pylist()):
-            toks = [t.lower() for t in tokens(text)]
+            toks = terms(text)
             ids.append(doc_id)
             ns.append(len(toks))
             sums.append(sum(ranks[t] for t in toks))

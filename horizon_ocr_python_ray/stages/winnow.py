@@ -25,9 +25,8 @@ exclusion bounding within-key fan-out.
 Reference analog: the content-addressed dedup family (D1–D2,
 docvision response-cache semantics) extended with the standard
 plagiarism-detection fingerprint; tokenization parity with the SQL
-oracles is inherited from ``functions/gramvec.py`` (Arrow RE2 ``\\s+``
-split of ``lower(text)``, byte-identical to DuckDB's
-``regexp_split_to_array``).
+oracles is inherited from ``functions/gramvec.py``, which reads terms
+through ``textstats.flat_terms``.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ import numpy as np
 import pyarrow as pa
 
 from horizon_ocr_python_ray.functions.fasthash import md5_number_lower
+from horizon_ocr_python_ray.functions.textstats import terms
 from horizon_ocr_python_ray.stages.dsir import (
     N_BUCKETS,
     WEIGHT_SCALE,
-    _doc_buckets,
+    _term_buckets,
     build_weights,
     dsir_scores,
 )
@@ -30,13 +31,16 @@ def _docs_tbl():
     })
 
 
+def _buckets(text):
+    return [md5_number_lower(t) % N_BUCKETS for t in terms(text)]
+
+
 def _brute_weights(tbl, target_lang="en"):
     raw = np.zeros(N_BUCKETS, np.int64)
     tgt = np.zeros(N_BUCKETS, np.int64)
     for text, lang in zip(tbl.column("text").to_pylist(),
                           tbl.column("lang").to_pylist()):
-        for t in (text or "").lower().split():
-            b = md5_number_lower(t) % N_BUCKETS
+        for b in _buckets(text):
             raw[b] += 1
             if lang == target_lang:
                 tgt[b] += 1
@@ -51,7 +55,7 @@ def test_weights_match_bruteforce(ray_session):
     assert (w == _brute_weights(tbl)).all()
     # untouched buckets: (0+1)*SCALE // (0+1) = SCALE
     untouched = np.setdiff1d(np.arange(N_BUCKETS),
-                             _doc_buckets("alpha beta gamma delta"))
+                             _buckets("alpha beta gamma delta"))
     assert (w[untouched] == WEIGHT_SCALE).all()
 
 
@@ -63,7 +67,7 @@ def test_scores_match_bruteforce_and_empty_is_zero(ray_session):
     got = dsir_scores(ray.data.from_arrow(tbl)).to_pandas().set_index("doc_id")
     for doc_id, text in zip(tbl.column("doc_id").to_pylist(),
                             tbl.column("text").to_pylist()):
-        want = int(w[_doc_buckets(text)].sum()) if text else 0
+        want = int(w[_buckets(text)].sum()) if text else 0
         assert got.loc[doc_id, "dsir_score_e6"] == want
     assert got.loc[4, "dsir_score_e6"] == 0
     # target-language doc of target-only tokens outscores the raw-only one
@@ -109,7 +113,7 @@ def test_bucket_memo_cleared_at_its_bound(monkeypatch):
     monkeypatch.setattr(dsir, "_BUCKET_CACHE", {})
     monkeypatch.setattr(dsir, "_BUCKET_CACHE_MAX", 3)
     words = [f"w{i}" for i in range(10)]
-    got = _doc_buckets(" ".join(words))
+    got = _term_buckets(pa.array([" ".join(words)]))[0].tolist()
     assert got == [md5_number_lower(w) % N_BUCKETS for w in words]
     # cleared whenever it reached the bound: never more than 3 entries
     assert 0 < len(dsir._BUCKET_CACHE) <= 3

@@ -200,20 +200,21 @@ def test_vectorized_scorer_matches_naive_reference(ray_session):
     per-document implementation of the documented integer formula
     (bigram term if the pruned bigram exists, else unigram backoff) on
     randomized multi-doc batches incl. empty/one-token/OOV docs."""
-    from horizon_ocr_python_ray.stages.lmscore import _doc_tokens
+    from horizon_ocr_python_ray.functions.textstats import terms
 
     rng = np.random.default_rng(11)
     vocab_words = ["alpha", "beta", "gamma", "delta", "eps"]
     train_texts = [
         " ".join(rng.choice(vocab_words, size=rng.integers(2, 30)))
         for _ in range(40)
-    ]
+    ] + ["ΟΔΟΣ alpha ΟΔΟΣ beta", "İstanbul alpha"]
     m, _ = train_bigram_model(_docs(train_texts))
 
     # Held-out scoring set with empties, singletons, tabs and OOV terms.
     score_texts = [
         "", "alpha", "alpha beta gamma", "zzz alpha zzz",
         "alpha\tbeta\ngamma  delta", "ZZZ yyy xxx",
+        "ΟΔΟΣ alpha ΟΔΟΣ", "İstanbul\u00a0beta gamma\vdelta alpha",
     ] + [" ".join(rng.choice(vocab_words + ["oov1", "oov2"],
                              size=rng.integers(0, 25)))
          for _ in range(30)]
@@ -230,7 +231,7 @@ def test_vectorized_scorer_matches_naive_reference(ray_session):
            for k, c in zip(m["bkey"], m["c2"])}
     vid = {w: i for i, w in enumerate(vocab)}
     for row, text in zip(got.itertuples(index=False), score_texts):
-        toks = _doc_tokens(text)
+        toks = terms(text)
         assert row.n_tokens == len(toks)
         assert row.n_transitions == max(len(toks) - 1, 0)
         score = 0

@@ -266,8 +266,10 @@ def test_simhash_batch_matches_per_doc_kernel():
     """The batch-vectorized SimHash kernel (Arrow tokenize +
     dictionary-encoded md5 + reduceat bit-majority) is byte-equal to the
     per-document simhash64 on adversarial inputs: empty docs, one-token
-    docs, whitespace runs, repeated tokens, mixed case, batch-leading
-    and batch-trailing empties."""
+    docs, whitespace runs, repeated tokens, mixed case, non-RE2
+    whitespace (``\v``, U+00A0), characters whose full and simple case
+    mappings differ (``Σ``, ``İ``), batch-leading and batch-trailing
+    empties."""
     from horizon_ocr_python_ray.functions.minhash import simhash64
     from horizon_ocr_python_ray.stages.dedup_docs import simhash_batch
 
@@ -276,6 +278,7 @@ def test_simhash_batch_matches_per_doc_kernel():
     texts = ["", "  ", "solo", "a\tb\nc", "dup dup dup dup"]
     texts += [" ".join(rng.choice(words, size=rng.integers(0, 40)))
               for _ in range(60)]
+    texts += ["ΟΔΟΣ x", "İstanbul a", "a\u00a0b c\vd", "Σ σ ς ΣΣ"]
     texts += ["", "trailing empty then text", ""]
     t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                   "text": pa.array(texts, pa.string())})

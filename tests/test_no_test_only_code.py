@@ -43,6 +43,19 @@
    no ``safe_join(`` or ``Dataset.join(`` call in ``pipelines/``, and no
    package function compares a ``plan`` (or ``*_plan``) local to a
    string.
+
+6. One term rule: outside ``functions/textstats.py`` no package code
+   splits text into terms by itself. It calls no Arrow splitter
+   (``split_pattern_regex``, ``utf8_split_whitespace``,
+   ``ascii_split_whitespace``) and no bare ``.split()``, and it does not
+   lowercase what it splits: no ``.lower()`` / ``utf8_lower`` inside a
+   split's or a ``tokens`` / ``terms`` call's arguments, or on the items
+   of a loop or comprehension over ``tokens(...)`` / ``terms(...)``.
+   A bare ``.split()`` on a string literal (a word list) or as the
+   argument of ``" ".join(...)`` (a whitespace collapse, which renders
+   text rather than reading terms) is not a split into terms. Left out:
+   a lowering or split reached through a helper or a variable is not
+   seen.
 """
 
 from __future__ import annotations
@@ -60,7 +73,6 @@ ALLOWED = {
     "__getattr__": "lazy re-export hook, called by the import system",
     "hamming64": "oracle: brute-force distance the SimHash near-dup plans are compared to",
     "simhash64": "oracle: per-document form the batched SimHash kernel is compared to",
-    "_doc_tokens": "oracle: per-document form the batched LM tokenizer is compared to",
     "canonicalize_url": "oracle: scalar form the vectorized URL canonicalizer is compared to",
     "parse_warc_file_bytes": "scalar harness: parses one WARC file's bytes for the format tests",
     "write_warc_dir": "fixture: driver-side WARC writer the read-path tests build inputs with",
@@ -70,6 +82,14 @@ ALLOWED = {
     "hll_estimate": "reads HLL registers back; tests check the registers against the true count",
     "ngram_jaccard_verify": "public entry point: exact shingle-Jaccard verify of caller-supplied "
                             "candidate pairs; the driver queries build their own pairs",
+}
+
+#: Functions that split text by hand on purpose: "path:function" → reason.
+TERM_RULE_ALLOWED = {
+    "stages/reocr.py:_line_hypothesis":
+        "OCR-line word count with Python str.split, as in "
+        "tools/reocr_reference.py:_hypothesis, the independent reference "
+        "the re-OCR expected values come from",
 }
 
 #: Parameter names that would let a caller force a plan (besides
@@ -364,3 +384,85 @@ def test_pipeline_joins_go_through_lookup_join():
                     bad.append(f"{rel}:{node.lineno} {plan[0]} compared to a string")
     assert not bad, "hand-picked join plans (call stages.joins.lookup_join):\n" \
         + "\n".join(bad)
+
+
+_SPLITTERS = {"split_pattern_regex", "utf8_split_whitespace", "ascii_split_whitespace"}
+_TERM_FNS = {"tokens", "terms"}
+_LOWER = {"lower", "utf8_lower", "casefold"}
+
+
+def _call_name(node: ast.AST) -> str | None:
+    if not isinstance(node, ast.Call):
+        return None
+    f = node.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def _receiver(call: ast.Call) -> ast.AST | None:
+    """``x`` of a method call ``x.f(...)``; None for a plain ``f(...)``."""
+    return call.func.value if isinstance(call.func, ast.Attribute) else None
+
+
+def _lowers(node: ast.AST) -> bool:
+    return any(_call_name(n) in _LOWER for n in ast.walk(node))
+
+
+def _term_rule_breaks(tree: ast.AST):
+    """(enclosing function, line, what) for every hand-made term split."""
+    collapses = {id(a) for n in ast.walk(tree)
+                 if _call_name(n) == "join" and _str_const(_receiver(n)) is not None
+                 for a in n.args}
+    out = []
+
+    def visit(node: ast.AST, fn: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = _call_name(child)
+            what = None
+            if name in _SPLITTERS:
+                what = f"{name}("
+            elif (name == "split" and not child.args and not child.keywords
+                  and _receiver(child) is not None
+                  and _str_const(_receiver(child)) is None
+                  and id(child) not in collapses):
+                what = "bare .split()"
+            elif name in _TERM_FNS | {"split", "split_pattern"} and any(
+                    _lowers(a) for a in child.args):
+                what = f"{name}() of lowered text"
+            elif isinstance(child, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                                    ast.DictComp)):
+                over = any(_call_name(g.iter) in _TERM_FNS for g in child.generators)
+                elts = [child.key, child.value] if isinstance(child, ast.DictComp) \
+                    else [child.elt]
+                if over and any(_lowers(e) for e in elts):
+                    what = "lowers the items of tokens()/terms()"
+            elif (isinstance(child, ast.For) and _call_name(child.iter) in _TERM_FNS
+                  and any(_lowers(b) for b in child.body)):
+                what = "lowers the items of tokens()/terms()"
+            if what:
+                out.append((fn, child.lineno, what))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_one_term_rule():
+    bad = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        if rel == "functions/textstats.py":
+            continue
+        for fn, line, what in _term_rule_breaks(ast.parse(path.read_text())):
+            if f"{rel}:{fn}" not in TERM_RULE_ALLOWED:
+                bad.append(f"{rel}:{line} in {fn}: {what}")
+    assert not bad, ("terms split or lowered outside functions/textstats.py "
+                     "(use textstats.flat_terms or textstats.terms):\n" + "\n".join(bad))
+
+
+def test_term_rule_allowlist_is_still_needed():
+    used = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        used |= {f"{rel}:{fn}" for fn, _, _ in _term_rule_breaks(ast.parse(path.read_text()))}
+    assert set(TERM_RULE_ALLOWED) <= used, sorted(set(TERM_RULE_ALLOWED) - used)

@@ -4,11 +4,18 @@ edges the oracles can't reach)."""
 
 from __future__ import annotations
 
+import duckdb
+import pyarrow as pa
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from horizon_ocr_python_ray.functions.textstats import (
     bpe_token_count,
+    flat_terms,
     lang_id,
     quality_features,
     rolling_fingerprint,
+    terms,
     token_count,
 )
 
@@ -87,3 +94,30 @@ def test_repetition_features_exact_counts():
     empty = repetition_features("")
     assert empty["n_lines"] == 1 and empty["line_chars"] == 0
     assert empty["top_token"] == "" and empty["top_token_n"] == 0
+
+
+#: Drawn text: RE2 whitespace, characters other engines call whitespace
+#: (``\v``, U+00A0, U+2028), sigmas and ``İ`` (full and simple case
+#: mapping differ on them), letters and digits.
+_TERM_ALPHABET = " \t\n\r\f\v\u00a0\u2028ΣσİaBz09"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.text(alphabet=_TERM_ALPHABET, max_size=24), max_size=8))
+def test_term_rule_matches_duckdb(texts):
+    """Both forms of the term rule equal the oracles' split:
+    ``list_filter(regexp_split_to_array(lower(s), '\\s+'), x -> x <> '')``."""
+    flat, offsets = flat_terms(pa.array(texts, pa.string()))
+    got = flat.to_pylist()
+    per_text = [got[offsets[i]:offsets[i + 1]] for i in range(len(texts))]
+    con = duckdb.connect()
+    try:
+        rel = pa.table({"i": pa.array(range(len(texts)), pa.int64()),
+                        "s": pa.array(texts, pa.string())})
+        want = [r[0] for r in con.execute(
+            "SELECT list_filter(regexp_split_to_array(lower(s), '\\s+'), "
+            "x -> x <> '') FROM rel ORDER BY i").fetchall()]
+    finally:
+        con.close()
+    assert per_text == want
+    assert [terms(s) for s in texts] == want

@@ -7,7 +7,7 @@ import pytest
 
 from horizon_ocr_python_ray.stages.topterms import (
     BROADCAST_VOCAB_MAX,
-    _doc_terms,
+    _explode_tf,
     _partial_df,
     build_rank_table,
     doc_top_terms,
@@ -32,7 +32,10 @@ def test_partial_df_counts_docs_not_occurrences():
 
 
 def test_doc_terms_lowercases():
-    assert _doc_terms("Apple APPLE banana") == {"apple": 2, "banana": 1}
+    out = _explode_tf(pa.table({"doc_id": pa.array([4], pa.int64()),
+                                "text": ["Apple APPLE banana"]}))
+    assert sorted(zip(out.column("doc_id").to_pylist(), out.column("term").to_pylist(),
+                      out.column("tf").to_pylist())) == [(4, "apple", 2), (4, "banana", 1)]
 
 
 def test_top_terms_ranking(ray_session):
